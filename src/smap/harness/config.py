@@ -7,6 +7,7 @@ set, in which case all outputs are labeled as exploratory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -45,6 +46,11 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            items = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(x, float) and not math.isfinite(x) for x in items):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         try:
             self.grid()  # d, n, period checks
         except ValueError as exc:
@@ -67,6 +73,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown direction set {self.directions!r}")
         if any(k < 0 for k in self.shells) or not self.shells:
             raise ConfigError("shells must be non-negative and non-empty")
+        max_shell = self.ensemble_grid().max_shell
+        if max(self.shells) > max_shell:
+            raise ConfigError(
+                f"shells must not exceed {max_shell}, the last shell of the "
+                f"ensemble grid (n={self.n}, ensemble_period={self.ensemble_period})"
+            )
         threshold = default_sigma0(self.d) - 0.1
         if self.sigma0 <= threshold:
             if not self.allow_subcritical:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .solver import COMPLEX_CHART, Trajectory, free_trajectory
 from .spectral import (
     PLATEAU,
     SUPPORT,
-    chi,
+    eta0,
     eta_shell,
     fft_workers,
     psi,
@@ -268,42 +269,107 @@ def inverse_spacetime(F: SpaceTimeSpectrum) -> np.ndarray:
 # Norms
 # ---------------------------------------------------------------------------
 
-def _annulus(abs_omega: np.ndarray, j: int) -> np.ndarray:
-    """Flat indices where the j-th shell bump of the paraboloid distance lives."""
-    if j == 0:
-        sel = abs_omega < SUPPORT
-    else:
-        sel = (abs_omega > PLATEAU * 2.0 ** (j - 1)) & (abs_omega < SUPPORT * 2.0**j)
-    return np.flatnonzero(sel)
+class _ShellKernel(NamedTuple):
+    """Member-independent part of the (k, j) power tables on one grid."""
+
+    bins: np.ndarray  # (tau, |xi|^2 class) cell of every spectrum point
+    abs_omega: np.ndarray  # |tau + |xi|^2| per cell
+    upper: np.ndarray  # (class, j) table slot of the cell's upper bump j
+    lower: np.ndarray  # slot of bump j - 1 (weight 0 where j = 0)
+    upper_sq: np.ndarray  # eta_j^2 per cell
+    lower_sq: np.ndarray  # eta_{j-1}^2 per cell
+    shell_weights: np.ndarray  # (max_shell + 1, classes) eta_k(|xi|)^2
+    table_shape: tuple  # (classes, J)
 
 
-def _j_range(abs_omega: np.ndarray) -> int:
-    top = float(abs_omega.max()) if abs_omega.size else 0.0
-    return max(0, int(math.ceil(math.log2(max(top, 2.0)))) + 1)
+@lru_cache(maxsize=8)
+def _shell_kernel(d: int, n: int, period: float, m_t: int, t_window: float) -> _ShellKernel:
+    # Every weight depends on xi only through |xi|^2, so spectrum points are
+    # first pooled into (tau, |xi|^2 class) cells. A cell at distance r from
+    # the paraboloid lies in at most two adjacent bumps j - 1 and j, with
+    # weights g = eta0(r / 2^(j-1)) and 1 - g: bit-identical to eta_shell,
+    # since eta_j = 1 - eta_{j-1} on the overlap band.
+    grid = GridSpec(d, n, period)
+    kappa, cls = np.unique(grid.wavenumber_sq(), return_inverse=True)
+    bins = (np.arange(m_t)[:, None] * kappa.size + cls.ravel()[None, :]).ravel()
+    tau = (math.pi / t_window) * np.fft.fftfreq(m_t, d=1.0 / m_t)
+    r = np.abs(tau[:, None] + kappa[None, :]).ravel()
+    # j is the least index with r <= PLATEAU 2^j, found against exact edges.
+    top = math.ceil(math.log2(max(float(r.max()), PLATEAU) / PLATEAU)) + 1
+    j = np.searchsorted(PLATEAU * 2.0 ** np.arange(top + 1), r)
+    g = np.where(j > 0, eta0(np.ldexp(r, 1 - j)), 0.0)
+    n_j = int(j.max()) + 1
+    upper = np.tile(np.arange(kappa.size) * n_j, m_t) + j
+    radius = np.sqrt(kappa)
+    weights = np.array([eta_shell(k, radius) for k in range(grid.max_shell + 1)]) ** 2
+    kern = _ShellKernel(
+        bins, r, upper, upper - (j > 0), (1.0 - g) ** 2, g**2, weights, (kappa.size, n_j)
+    )
+    for arr in kern[:-1]:
+        arr.flags.writeable = False
+    return kern
 
 
-def _xk_sum(masked: np.ndarray, omega: np.ndarray, cell_measure: float) -> float:
-    """sum_j 2^(j/2) ||eta_j(omega) . masked||_L2 truncated at the grid's range."""
-    abs_omega = np.abs(omega).ravel()
-    power = np.abs(masked.ravel()) ** 2
-    total = 0.0
-    for j in range(_j_range(abs_omega) + 1):
-        idx = _annulus(abs_omega, j)
-        if idx.size == 0:
-            continue
-        w = eta_shell(j, abs_omega[idx])
-        term = float(np.dot(w**2, power[idx]))
-        if term > 0.0:
-            total += 2.0 ** (j / 2.0) * math.sqrt(cell_measure * term)
-    return total
+def _shell_tables(F: SpaceTimeSpectrum, paraboloid_weight: bool = False) -> np.ndarray:
+    """Stacked (power, diag, overlap) tables, shape (3, max_shell + 1, J).
+
+    power[k, j] = sum eta_k(|xi|)^2 eta_j(|omega|)^2 |F|^2, diag carries
+    eta_j^4 and overlap eta_j^2 eta_{j+1}^2, each times the cell measure.
+    paraboloid_weight attaches the N^sigma weight |1 / (omega + i)|^2.
+    """
+    kern = _shell_kernel(F.grid.d, F.grid.n, F.grid.period, F.m_t, F.t_window)
+    p = np.abs(F.values.reshape(-1))
+    p *= p
+    q = np.bincount(kern.bins, weights=p, minlength=kern.abs_omega.size)
+    if paraboloid_weight:
+        q /= kern.abs_omega**2 + 1.0
+    hi = q * kern.upper_sq
+    lo = q * kern.lower_sq
+    size = kern.table_shape[0] * kern.table_shape[1]
+
+    def pair(upper_w, lower_w):
+        return np.bincount(kern.upper, upper_w, size) + np.bincount(kern.lower, lower_w, size)
+
+    stacked = np.stack(
+        [
+            pair(hi, lo),
+            pair(hi * kern.upper_sq, lo * kern.lower_sq),
+            np.bincount(kern.lower, lo * kern.upper_sq, size),
+        ]
+    ).reshape((3,) + kern.table_shape)
+    return F.cell_measure * (kern.shell_weights @ stacked)
 
 
-def _shell_rows(F: SpaceTimeSpectrum, k: int):
-    """Flat spatial indices carrying the shell-k bump, plus bump values there."""
-    radius = np.sqrt(F.grid.wavenumber_sq()).ravel()
-    w = eta_shell(k, radius)
-    rows = np.flatnonzero(w > 0.0)
-    return rows, w[rows]
+def _xk_values(power: np.ndarray) -> np.ndarray:
+    """X_k for every shell: sum_j 2^(j/2) sqrt(power[k, j])."""
+    return np.sum(2.0 ** (np.arange(power.shape[1]) / 2.0) * np.sqrt(power), axis=1)
+
+
+def _section_sanity(diag: np.ndarray, overlap: np.ndarray, xk: np.ndarray) -> np.ndarray:
+    """R1 for every shell: max_j ||eta_j(omega) f_k||_Xk / ||f_k||_Xk.
+
+    Only adjacent paraboloid bumps overlap, so the norm of one j-section
+    needs its diagonal sum and the overlap sums with bumps j - 1 and j + 1.
+    """
+    j = np.arange(diag.shape[1])
+    half = 2.0 ** (j / 2.0)
+    root = np.sqrt(overlap)
+    section = half * np.sqrt(diag) + 2.0 ** ((j + 1) / 2.0) * root
+    section[:, 1:] += (half * root)[:, :-1]
+    best = np.max(section, axis=1)
+    return np.divide(best, xk, out=np.zeros_like(best), where=xk > 0.0)
+
+
+def _at_shell(values: np.ndarray, k: int) -> float:
+    """Entry k of a per-shell array; shells past the grid's last carry nothing."""
+    if k < 0:
+        raise ValueError(f"shell index must be >= 0, got {k}")
+    return float(values[k]) if k < values.size else 0.0
+
+
+def _square_sum(xk: np.ndarray, sigma: float) -> float:
+    """sqrt(sum_k 2^(2 sigma k) X_k^2), the whole-trajectory square sum."""
+    return math.sqrt(sum(2.0 ** (2.0 * sigma * k) * x**2 for k, x in enumerate(xk)))
 
 
 def xk_norm(F: SpaceTimeSpectrum, k: int) -> float:
@@ -312,74 +378,13 @@ def xk_norm(F: SpaceTimeSpectrum, k: int) -> float:
     Weights the L2 mass at distance ~2^j from the free paraboloid by 2^(j/2)
     and sums over j; the sum terminates at the sampled tau range.
     """
-    if k < 0:
-        raise ValueError(f"shell index must be >= 0, got {k}")
-    flat, omega = _shell_flat(F, k)
-    if flat is None:
-        return 0.0
-    return _xk_sum(flat, omega, F.cell_measure)
-
-
-def _xk_stats(flat: np.ndarray, omega: np.ndarray, cell_measure: float):
-    """One sweep computing the shell norm and its j-section sanity ratio.
-
-    Only adjacent shell bumps overlap, so the section norms need just the
-    per-j diagonal power sums and the off-diagonal sums on the overlap bands.
-    """
-    abs_omega = np.abs(omega).ravel()
-    power = np.abs(flat.ravel()) ** 2
-    j_max = _j_range(abs_omega)
-    cm = cell_measure
-    sq = np.zeros(j_max + 2)  # sum eta_j^2 |f|^2
-    diag = np.zeros(j_max + 2)  # sum eta_j^4 |f|^2
-    off = np.zeros(j_max + 2)  # sum eta_j^2 eta_{j+1}^2 |f|^2 (overlap band)
-    for j in range(j_max + 1):
-        idx = _annulus(abs_omega, j)
-        if idx.size == 0:
-            continue
-        sub = abs_omega[idx]
-        w2 = eta_shell(j, sub) ** 2
-        p = power[idx]
-        sq[j] = float(np.dot(w2, p))
-        diag[j] = float(np.dot(w2**2, p))
-        band = np.flatnonzero(sub > PLATEAU * 2.0**j)  # overlap with shell j+1
-        if band.size:
-            w_next2 = eta_shell(j + 1, sub[band]) ** 2
-            off[j] = float(np.dot(w2[band] * w_next2, p[band]))
-    xk = sum(
-        2.0 ** (j / 2.0) * math.sqrt(cm * sq[j])
-        for j in range(j_max + 1)
-        if sq[j] > 0.0
-    )
-    if xk == 0.0:
-        return 0.0, 0.0
-    best = 0.0
-    for j in range(j_max + 1):
-        val = 2.0 ** (j / 2.0) * math.sqrt(cm * diag[j])
-        if j >= 1:
-            val += 2.0 ** ((j - 1) / 2.0) * math.sqrt(cm * off[j - 1])
-        val += 2.0 ** ((j + 1) / 2.0) * math.sqrt(cm * off[j])
-        best = max(best, val / xk)
-    return xk, best
-
-
-def _shell_flat(F: SpaceTimeSpectrum, k: int):
-    """Shell-masked spectrum restricted to its carrier rows, with omega there."""
-    rows, w = _shell_rows(F, k)
-    if rows.size == 0:
-        return None, None
-    flat = F.values.reshape(F.m_t, -1)[:, rows] * w
-    k2 = F.grid.wavenumber_sq().ravel()[rows]
-    omega = F.tau()[:, None] + k2[None, :]
-    return flat, omega
+    return _at_shell(_xk_values(_shell_tables(F)[0]), k)
 
 
 def xk_section_sanity(F: SpaceTimeSpectrum, k: int) -> float:
     """max_j ||eta_j(omega) . f_k||_Xk / ||f_k||_Xk; <= 1 by construction."""
-    flat, omega = _shell_flat(F, k)
-    if flat is None:
-        return 0.0
-    return _xk_stats(flat, omega, F.cell_measure)[1]
+    power, diag, overlap = _shell_tables(F)
+    return _at_shell(_section_sanity(diag, overlap, _xk_values(power)), k)
 
 
 def _fiber_index(grid: GridSpec, m: np.ndarray) -> np.ndarray:
@@ -427,14 +432,8 @@ def lpq_norm(values, grid: GridSpec, dt: float, e, p, q) -> float:
     return float(np.max(inner))
 
 
-def _sigma_upper(F: SpaceTimeSpectrum, sigma: float, weight=None) -> float:
-    total = 0.0
-    if weight is not None:
-        F = SpaceTimeSpectrum(F.grid, F.t_window, F.values * weight, F.windowed)
-    for k in range(F.grid.max_shell + 1):
-        xk = xk_norm(F, k)
-        total += 2.0 ** (2.0 * sigma * k) * xk**2
-    return math.sqrt(total)
+def _sigma_upper(F: SpaceTimeSpectrum, sigma: float, paraboloid_weight: bool = False) -> float:
+    return _square_sum(_xk_values(_shell_tables(F, paraboloid_weight)[0]), sigma)
 
 
 def fsigma_upper(traj, sigma: float, t_window: float = 1.0) -> float:
@@ -450,7 +449,7 @@ def fsigma_upper(traj, sigma: float, t_window: float = 1.0) -> float:
 def nsigma_upper(traj, sigma: float, t_window: float = 1.0) -> float:
     """Same square-summed bound with the inverse paraboloid weight attached."""
     F = traj if isinstance(traj, SpaceTimeSpectrum) else spacetime_transform(traj, t_window)
-    return _sigma_upper(F, sigma, weight=1.0 / (F.omega() + 1j))
+    return _sigma_upper(F, sigma, paraboloid_weight=True)
 
 
 # ---------------------------------------------------------------------------
@@ -480,12 +479,12 @@ def _member_rows(name, member, directions, shells, t_window, mass_floor, fsigma_
     grid = F.grid
     d = grid.d
     time_keep = np.abs(-F.t_window + F.dt * np.arange(F.m_t)) <= TIME_CUT
+    power, diag, overlap = _shell_tables(F)
+    xks = _xk_values(power)
+    r1s = _section_sanity(diag, overlap, xks)
     rows = []
-    xk_by_shell = {}
     for k in ks:
-        flat, omega = _shell_flat(F, k)
-        xk, r1 = _xk_stats(flat, omega, F.cell_measure) if flat is not None else (0.0, 0.0)
-        xk_by_shell[k] = xk
+        xk = _at_shell(xks, k)
         if xk <= mass_floor * max(total, 1.0):
             continue
         Fk = F.shell_project(k)
@@ -495,7 +494,8 @@ def _member_rows(name, member, directions, shells, t_window, mass_floor, fsigma_
         # Per-point time reductions, shared by all lattice directions.
         flat_u = u_k.reshape(F.m_t, -1)
         sq_time = F.dt * np.sum(np.abs(flat_u) ** 2, axis=0)
-        max_time = np.max(np.abs(flat_u[time_keep]), axis=0)
+        kept = flat_u if time_keep.all() else flat_u[time_keep]
+        max_time = np.max(np.abs(kept), axis=0)
 
         r2_best, r2_dir = 0.0, "-"
         r3_best, r3_dir = 0.0, "-"
@@ -503,16 +503,9 @@ def _member_rows(name, member, directions, shells, t_window, mass_floor, fsigma_
             m = lattice_vector(e, d)
             m_len = math.sqrt(float(np.sum(m.astype(np.float64) ** 2)))
             c = _fiber_index(grid, m).ravel()
-            if k >= 100:
-                # The one-sided frequency cutoff is non-trivial only here.
-                xi_dot_e = sum(e[a] * grid.wavenumber_component(a) for a in range(d))
-                cut = Fk.values * chi(k, 30, xi_dot_e)
-                u_dir = inverse_spacetime(SpaceTimeSpectrum(grid, F.t_window, cut))
-                r2 = 2.0 ** (k / 2.0) * lpq_norm(u_dir, grid, F.dt, e, np.inf, 2) / xk
-            else:
-                w_perp = grid.spacing ** (d - 1) * m_len
-                fiber_sq = w_perp * np.bincount(c, weights=sq_time, minlength=grid.n)
-                r2 = 2.0 ** (k / 2.0) * math.sqrt(float(np.max(fiber_sq))) / xk
+            w_perp = grid.spacing ** (d - 1) * m_len
+            fiber_sq = w_perp * np.bincount(c, weights=sq_time, minlength=grid.n)
+            r2 = 2.0 ** (k / 2.0) * math.sqrt(float(np.max(fiber_sq))) / xk
             fiber_max = np.zeros(grid.n)
             np.maximum.at(fiber_max, c, max_time)
             dr = grid.spacing / m_len
@@ -529,21 +522,15 @@ def _member_rows(name, member, directions, shells, t_window, mass_floor, fsigma_
 
         rows += [
             (name, k, "Xk", "-", xk),
-            (name, k, "R1", "-", r1),
+            (name, k, "R1", "-", _at_shell(r1s, k)),
             (name, k, "R2", r2_dir, r2_best),
             (name, k, "R3", r3_dir, r3_best),
             (name, k, "R4", "-", r4),
         ]
 
     if fsigma_sigma is not None:
-        total_sq = 0.0
-        for k in range(grid.max_shell + 1):
-            xk = xk_by_shell.get(k)
-            if xk is None:
-                xk = xk_norm(F, k)
-            total_sq += 2.0 ** (2.0 * fsigma_sigma * k) * xk**2
         rows.append(
-            (name, -1, "Fsigma", f"sigma={fsigma_sigma:g}", math.sqrt(total_sq))
+            (name, -1, "Fsigma", f"sigma={fsigma_sigma:g}", _square_sum(xks, fsigma_sigma))
         )
     return rows
 

@@ -145,7 +145,10 @@ def eta_shell(k: int, r):
 
 
 def chi(k: int, l: int, r):
-    """One-sided high-pass cutoff at scale 2^(k-l); identically 1 for k <= 99."""
+    """One-sided high-pass cutoff at scale 2^(k-l); identically 1 for k <= 99.
+
+    No representable grid reaches k >= 100 (it needs n ~ 2^99 points per axis).
+    """
     if k < 0:
         raise ValueError(f"shell index must be >= 0, got {k}")
     if not 0 <= l <= 60:

@@ -3,11 +3,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from smap.grid import GridSpec
 from smap.spectral import FREQUENCY, ComplexField, to_physical
+
+# Property tests draw the same examples on every run and stay short.
+settings.register_profile(
+    "smap", derandomize=True, max_examples=40, deadline=None, database=None
+)
+settings.load_profile("smap")
 
 
 @pytest.fixture

@@ -123,3 +123,61 @@ def lpq_separable_1d(a_vals, b_vals, dr, w_perp, dt, p, q):
     if p == 2:
         return float(np.sqrt(dr * np.sum(inner**2)))
     return float(np.max(inner))
+
+
+
+def _bump_sums(F, paraboloid_weight=False):
+    """|F|^2 (optionally over omega^2 + 1), eta_k(|xi|)^2 per k, eta_j(|omega|) per j.
+
+    j runs past the last bump that can be nonzero at the largest
+    |tau + |xi|^2| on the sampled range.
+    """
+    power = np.abs(F.values) ** 2
+    omega = F.omega()
+    if paraboloid_weight:
+        power = power / (omega**2 + 1.0)
+    radius = np.sqrt(F.grid.wavenumber_sq())
+    abs_omega = np.abs(omega)
+    n_j = int(np.ceil(np.log2(max(float(abs_omega.max()), 1.0)))) + 3
+    shells = [eta_shell(k, radius) ** 2 for k in range(F.grid.max_shell + 1)]
+    bumps = [eta_shell(j, abs_omega) for j in range(n_j)]
+    return power, shells, bumps
+
+
+def shell_power_direct(F, paraboloid_weight=False):
+    """(k, j) table of cell_measure * sum eta_k^2 eta_j^2 |F|^2, by direct evaluation."""
+    power, shells, bumps = _bump_sums(F, paraboloid_weight)
+    table = np.array([[np.sum(bj**2 * wk * power) for bj in bumps] for wk in shells])
+    return F.cell_measure * table
+
+
+def xk_direct(F, paraboloid_weight=False):
+    """Shell norms sum_j 2^(j/2) ||eta_j f_k||, one per shell 0..max_shell."""
+    table = shell_power_direct(F, paraboloid_weight)
+    j = np.arange(table.shape[1])
+    return [float(np.sum(2.0 ** (j / 2.0) * np.sqrt(row))) for row in table]
+
+
+def section_sanity_direct(F, k):
+    """max_j ||eta_j f_k||_Xk / ||f_k||_Xk with every section norm summed over all j'."""
+    power, shells, bumps = _bump_sums(F)
+    if k >= len(shells):
+        return 0.0
+    f2 = shells[k] * power
+
+    def xk_of(mult2):
+        return sum(
+            2.0 ** (jp / 2.0) * np.sqrt(F.cell_measure * np.sum(bumps[jp] ** 2 * mult2 * f2))
+            for jp in range(len(bumps))
+        )
+
+    xk = xk_of(1.0)
+    if xk == 0.0:
+        return 0.0
+    return max(xk_of(bj**2) for bj in bumps) / xk
+
+
+def sigma_sum_direct(F, sigma, paraboloid_weight=False):
+    """Square sum over shells of 2^(sigma k) X_k."""
+    xk = xk_direct(F, paraboloid_weight)
+    return float(np.sqrt(sum(4.0 ** (sigma * k) * x**2 for k, x in enumerate(xk))))

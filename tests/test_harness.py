@@ -75,6 +75,31 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("T = 2.0")
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "amplitudes = nan",
+            "amplitudes = 1e-3, inf",
+            "sigma0 = nan",
+            "perturbations = inf",
+            "period = inf",
+            "tol = nan",
+        ],
+    )
+    def test_non_finite_value_rejected(self, line):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(line)
+
+    def test_non_finite_field_rejected(self):
+        with pytest.raises(ConfigError, match="finite"):
+            ExperimentConfig(sigma0=float("nan"))
+
+    def test_shell_past_ensemble_grid_rejected(self):
+        assert ExperimentConfig().ensemble_grid().max_shell == 7
+        parse_config("shells = 2, 7")
+        with pytest.raises(ConfigError, match="shells must not exceed 7"):
+            parse_config("shells = 40")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.cfg")
@@ -265,6 +290,16 @@ class TestRunnerAndCli:
         res = self.run_cli("picard", "--config", str(bad))
         assert res.returncode == 2
         assert "ConfigError" in res.stderr
+
+    @pytest.mark.parametrize("line", ["amplitudes = nan", "shells = 40"])
+    def test_cli_rejected_config_exit_two(self, tmp_path, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(line + "\n")
+        out = tmp_path / "o"
+        res = self.run_cli("norms", "--config", str(bad), "--out", str(out))
+        assert res.returncode == 2
+        assert "ConfigError" in res.stderr
+        assert not out.exists()
 
     def test_cli_no_contraction_exit_four(self, tmp_path, small_cfg):
         big = tmp_path / "big.cfg"

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from smap.errors import EmptyEnsemble, UnsupportedDirection, WindowTooShort
 from smap.grid import GridSpec
@@ -20,10 +24,18 @@ from smap.spacetime import (
     xk_norm,
     xk_section_sanity,
 )
-from smap.spectral import eta_shell
+from smap.spectral import PLATEAU, SUPPORT, eta_shell
 
 from conftest import random_smooth_field
-from oracles import lpq_separable_1d, plane_wave, window_dft, xk_point_mass
+from oracles import (
+    lpq_separable_1d,
+    plane_wave,
+    section_sanity_direct,
+    sigma_sum_direct,
+    window_dft,
+    xk_direct,
+    xk_point_mass,
+)
 
 
 def window_grid(t_window=1.0, m_t=64):
@@ -208,6 +220,75 @@ class TestXkNorm:
             F.shell_mass_disjoint(k) ** 2 for k in range(grid32.max_shell + 2)
         )
         assert abs(parts - total2) < 1e-10 * total2
+
+
+# Windows whose tau step puts |tau + |xi|^2| exactly on the bump edges: step
+# 1/4 reaches 0 and PLATEAU 2^j, step SUPPORT reaches SUPPORT 2^j at xi = 0.
+EDGE_WINDOWS = {"generic": 1.0, "quarter": 4.0 * math.pi, "support": math.pi / SUPPORT}
+
+
+def random_spectrum(d, n, period, window, m_t, seed, density=1.0):
+    grid = GridSpec(d, n, period)
+    rng = np.random.default_rng(seed)
+    shape = (m_t,) + grid.shape
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    vals *= rng.random(shape) < density
+    return SpaceTimeSpectrum(grid, EDGE_WINDOWS[window], vals)
+
+
+@st.composite
+def small_spectra(draw):
+    return random_spectrum(
+        d=draw(st.sampled_from([1, 2])),
+        n=draw(st.sampled_from([8, 16])),
+        period=draw(st.sampled_from([1.0, 0.5, 3.0])),
+        window=draw(st.sampled_from(sorted(EDGE_WINDOWS))),
+        m_t=draw(st.sampled_from([16, 32, 64])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        density=draw(st.sampled_from([1.0, 0.3, 0.02])),
+    )
+
+
+def assert_matches_oracle(F):
+    def close(got, want):
+        assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+    for k, want in enumerate(xk_direct(F)):
+        close(xk_norm(F, k), want)
+        close(xk_section_sanity(F, k), section_sanity_direct(F, k))
+    for sigma in (0.0, 1.6):
+        close(fsigma_upper(F, sigma), sigma_sum_direct(F, sigma))
+        close(nsigma_upper(F, sigma), sigma_sum_direct(F, sigma, paraboloid_weight=True))
+
+
+class TestShellTables:
+    @given(small_spectra())
+    def test_norms_match_direct_oracle(self, F):
+        assert_matches_oracle(F)
+
+    @pytest.mark.parametrize("window", sorted(EDGE_WINDOWS))
+    def test_bump_edges(self, window):
+        F = random_spectrum(2, 16, 1.0, window, 64, seed=3)
+        abs_omega = np.abs(F.omega())
+        if window == "quarter":
+            edges = [0.0] + [PLATEAU * 2.0**j for j in range(4)]
+        elif window == "support":
+            edges = [SUPPORT * 2.0**j for j in range(4)]
+        else:
+            edges = []
+        for edge in edges:
+            assert np.any(abs_omega == edge), edge
+        assert_matches_oracle(F)
+
+    def test_shells_past_the_grid_are_empty(self, grid32, rng):
+        vals = rng.standard_normal((32,) + grid32.shape) + 0j
+        F = SpaceTimeSpectrum(grid32, 1.0, vals)
+        assert xk_norm(F, grid32.max_shell - 1) > 0.0
+        for k in (grid32.max_shell + 1, 100):
+            assert xk_norm(F, k) == 0.0
+            assert xk_section_sanity(F, k) == 0.0
+        with pytest.raises(ValueError):
+            xk_norm(F, -1)
 
 
 class TestLpqNorm:
