@@ -13,7 +13,8 @@ from pathlib import Path
 
 from ..errors import ConfigError
 from ..grid import GridSpec
-from ..solver import default_sigma0
+from ..solver import default_sigma0, uniform_times
+from .data import DATA_KINDS
 
 
 @dataclass
@@ -61,6 +62,14 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.T > 1.0 + 1e-12:
             raise ConfigError(f"solve window must satisfy T <= 1, got {self.T}")
+        try:
+            uniform_times(self.T, self.dt)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if self.data_kind not in DATA_KINDS:
+            raise ConfigError(f"unknown data kind {self.data_kind!r}; choose from {DATA_KINDS}")
         if self.max_iter < 1 or self.snapshot_stride < 1 or self.ensemble_samples < 16:
             raise ConfigError("max_iter, snapshot_stride >= 1; ensemble_samples >= 16")
         if any(a < 0 for a in self.amplitudes) or not self.amplitudes:

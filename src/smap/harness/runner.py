@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ValidationFailure
+from ..errors import MaxIterExceeded, NoContraction, ValidationFailure
 from ..geometry import stereo_lift
 from ..nonlinearity import DealiasPolicy
 from ..report import NormReport
@@ -78,21 +78,33 @@ def _cmd_picard(config, out) -> int:
     policy = DealiasPolicy(config.dealias)
     for i, amplitude in enumerate(config.amplitudes):
         phi = seeded_data(config.data_kind, amplitude, config.seed, grid, config.sigma0)
-        traj, history = picard_solve(
-            phi,
-            config.T,
-            config.dt,
-            tol=config.tol,
-            max_iter=config.max_iter,
-            sigma0=config.sigma0,
-            policy=policy,
-        )
-        rep = history.to_report()
-        rep.meta.update(config.meta())
-        rep.meta["amplitude"] = amplitude
-        rep.write(out / f"picard_amp{i}.csv")
+        csv = out / f"picard_amp{i}.csv"
+        try:
+            traj, history = picard_solve(
+                phi,
+                config.T,
+                config.dt,
+                tol=config.tol,
+                max_iter=config.max_iter,
+                sigma0=config.sigma0,
+                policy=policy,
+            )
+        except (NoContraction, MaxIterExceeded) as exc:
+            # Keep the partial history of the failed solve.
+            rep = _picard_report(exc.history, config, amplitude)
+            rep.meta["error"] = type(exc).__name__
+            rep.write(csv)
+            raise
+        _picard_report(history, config, amplitude).write(csv)
         write_snapshot(out / f"picard_amp{i}_final.fld", traj.snapshot(len(traj) - 1))
     return 0
+
+
+def _picard_report(history, config, amplitude) -> NormReport:
+    rep = history.to_report()
+    rep.meta.update(config.meta())
+    rep.meta["amplitude"] = amplitude
+    return rep
 
 
 def _cmd_norms(config, out) -> int:

@@ -22,7 +22,7 @@ from .grid import GridSpec
 from .spectral import (
     PHYSICAL,
     ComplexField,
-    gradient,
+    grid_axes,
     laplacian_values,
     samples_of,
     spectrum_of,
@@ -44,11 +44,13 @@ class DealiasPolicy:
         return _dealias_mask(grid.d, grid.n, grid.period, self.rule)
 
     def apply_values(self, values: np.ndarray, grid: GridSpec) -> np.ndarray:
+        """Truncate a raw array whose trailing axes are the grid axes."""
         if self.rule == "none":
             return values
-        spec = spectrum_of(values)
+        axes = grid_axes(values, grid)
+        spec = spectrum_of(values, axes=axes)
         spec *= self.mask(grid)
-        return samples_of(spec)
+        return samples_of(spec, axes=axes)
 
     def apply(self, u: ComplexField) -> ComplexField:
         if self.rule == "none":
@@ -72,22 +74,60 @@ def _dealias_mask(d: int, n: int, period: float, rule: str) -> np.ndarray:
     return mask
 
 
+def _prefactor(values: np.ndarray, grid: GridSpec, policy: DealiasPolicy) -> np.ndarray:
+    """Dealiased 2*conj(u)/(1+|u|^2) of a raw array over any leading axes."""
+    denom = np.abs(values)
+    np.square(denom, out=denom)
+    denom += 1.0
+    vals = np.conj(values)
+    np.multiply(2.0, vals, out=vals)
+    vals /= denom
+    del denom
+    return policy.apply_values(vals, grid)
+
+
 def n_zero(u: ComplexField, policy: DealiasPolicy = TWO_THIRDS) -> ComplexField:
     """Rational prefactor 2*conj(u)/(1+|u|^2); denominator >= 1, so total."""
     u = to_physical(u)
-    vals = 2.0 * np.conj(u.values) / (1.0 + np.abs(u.values) ** 2)
-    return ComplexField(u.grid, u.time, PHYSICAL, policy.apply_values(vals, u.grid))
+    return ComplexField(u.grid, u.time, PHYSICAL, _prefactor(u.values, u.grid, policy))
+
+
+def nonlinearity_spectrum(
+    u: np.ndarray,
+    u_hat: np.ndarray,
+    grid: GridSpec,
+    policy: DealiasPolicy = TWO_THIRDS,
+) -> np.ndarray:
+    """Dealiased spectrum of n_zero(u) * sum_j (d_j u)^2 for a stack of snapshots.
+
+    ``u`` holds physical samples and ``u_hat`` their unitary spectra; the
+    trailing axes are the grid axes and any leading axes (time) are batched.
+    Costs d inverse transforms for the gradients, one round trip each to
+    dealias the squared gradient and the prefactor, and one forward
+    transform of the product, masked in frequency space. Each temporary is
+    dropped once used, so at most four stacks are alive beside the inputs.
+    """
+    axes = grid_axes(u, grid)
+    grad_sq = np.zeros(u.shape, dtype=np.complex128)
+    for axis in range(grid.d):
+        g = samples_of(u_hat * (1j * grid.wavenumber_component(axis)), axes=axes)
+        grad_sq += np.square(g, out=g)
+        del g
+    grad_sq = policy.apply_values(grad_sq, grid)
+    prod = _prefactor(u, grid, policy)
+    prod *= grad_sq
+    del grad_sq
+    nl_hat = spectrum_of(prod, axes=axes)
+    if policy.rule != "none":
+        nl_hat *= policy.mask(grid)
+    return nl_hat
 
 
 def nonlinearity(u: ComplexField, policy: DealiasPolicy = TWO_THIRDS) -> ComplexField:
     """Spatial part of the derivative nonlinearity: n_zero(u) * sum_j (d_j u)^2."""
     u = to_physical(u)
-    grad_sq = np.zeros(u.grid.shape, dtype=np.complex128)
-    for axis in range(1, u.grid.d + 1):
-        grad_sq += to_physical(gradient(u, axis)).values ** 2
-    grad_sq = policy.apply_values(grad_sq, u.grid)
-    prod = n_zero(u, policy).values * grad_sq
-    return ComplexField(u.grid, u.time, PHYSICAL, policy.apply_values(prod, u.grid))
+    nl_hat = nonlinearity_spectrum(u.values[None], spectrum_of(u.values)[None], u.grid, policy)
+    return ComplexField(u.grid, u.time, PHYSICAL, samples_of(nl_hat[0]))
 
 
 def cross_rhs(s: SphereField) -> np.ndarray:

@@ -28,16 +28,19 @@ from .errors import (
 )
 from .geometry import SphereField
 from .grid import GridSpec
-from .nonlinearity import TWO_THIRDS, DealiasPolicy, nonlinearity
+from .nonlinearity import TWO_THIRDS, DealiasPolicy, nonlinearity_spectrum
 from .report import NormReport
 from .spectral import (
     PHYSICAL,
     ComplexField,
+    grid_axes,
     hsigma_norm,
+    hsigma_norm_spectra,
     hsigma_norm_stack,
     laplacian_values,
     samples_of,
     spectrum_of,
+    to_frequency,
 )
 
 COMPLEX_CHART = "complex_chart"
@@ -59,13 +62,16 @@ class Trajectory:
     """Uniformly sampled evolution on [t0, t0+T]; snapshots share one grid.
 
     values has the time axis first: (M+1, *grid.shape) for complex_chart,
-    (M+1, 3, *grid.shape) for sphere.
+    (M+1, 3, *grid.shape) for sphere. spectra, when given, holds the unitary
+    spatial spectra of values; the Picard iteration carries them between
+    Duhamel maps.
     """
 
     grid: GridSpec
     times: np.ndarray
     values: np.ndarray
     kind: str
+    spectra: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
@@ -84,6 +90,8 @@ class Trajectory:
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape}, expected {expected}")
+        if self.spectra is not None and self.spectra.shape != expected:
+            raise ValueError(f"spectra shape {self.spectra.shape}, expected {expected}")
 
     @property
     def dt(self) -> float:
@@ -134,13 +142,19 @@ def propagator_stack(times: np.ndarray, k2: np.ndarray) -> np.ndarray:
     return out.reshape((times.size,) + k2.shape)
 
 
+def _free_evolution(phi: ComplexField, times: np.ndarray) -> Trajectory:
+    """W(t) phi on the given times, carrying its spectra."""
+    times = np.asarray(times, dtype=np.float64)
+    spectra = propagator_stack(times, phi.grid.wavenumber_sq()) * to_frequency(phi).values
+    vals = samples_of(spectra, axes=grid_axes(spectra, phi.grid))
+    return Trajectory(phi.grid, times, vals, COMPLEX_CHART, spectra=spectra)
+
+
 def free_trajectory(phi: ComplexField, times: np.ndarray) -> Trajectory:
     """Free evolution W(t) phi sampled on the given times."""
-    phi_hat = spectrum_of(phi.values) if phi.representation == PHYSICAL else phi.values
-    times = np.asarray(times, dtype=np.float64)
-    phases = propagator_stack(times, phi.grid.wavenumber_sq())
-    vals = samples_of(phases * phi_hat, axes=tuple(range(1, phi.grid.d + 1)))
-    return Trajectory(phi.grid, times, vals, COMPLEX_CHART)
+    traj = _free_evolution(phi, times)
+    traj.spectra = None
+    return traj
 
 
 @dataclass
@@ -186,7 +200,9 @@ def duhamel_map(
 
     Returns t_m -> W(t_m) phi - i * int_0^{t_m} W(t_m - s) N(prev(s)) ds with
     the integral evaluated by composite trapezoid over the stored samples and
-    every term propagated exactly by the free-group multiplier.
+    every term propagated exactly by the free-group multiplier. The
+    nonlinearity is evaluated once over the whole time stack, from
+    prev.spectra when present; the result carries its spectra.
     """
     if prev.kind != COMPLEX_CHART:
         raise ValueError("duhamel_map needs a complex_chart trajectory")
@@ -196,27 +212,42 @@ def duhamel_map(
         raise GridMismatch("initial data and trajectory grids differ")
 
     grid = prev.grid
-    times = prev.times
-    dt = prev.dt
-    space_axes = tuple(range(1, grid.d + 1))
-    k2 = grid.wavenumber_sq()
+    space_axes = grid_axes(prev.values, grid)
+    prev_hat = prev.spectra
+    if prev_hat is None:
+        prev_hat = spectrum_of(prev.values, axes=space_axes)
+    nl_hat = nonlinearity_spectrum(prev.values, prev_hat, grid, policy)
 
-    nl = np.empty_like(prev.values)
-    for m in range(len(prev)):
-        nl[m] = nonlinearity(prev.snapshot(m), policy).values
-    nl_hat = spectrum_of(nl, axes=space_axes)
+    phi_hat = to_frequency(phi).values
+    forward = propagator_stack(prev.times, grid.wavenumber_sq())  # e^{-i t_m |xi|^2}
 
-    phi_hat = spectrum_of(phi.values) if phi.representation == PHYSICAL else phi.values
-    forward = propagator_stack(times, k2)  # e^{-i t_m |xi|^2}
-    backward = forward.conj()  # e^{+i t_s |xi|^2}
-
-    integrand = backward * nl_hat
-    cum = np.cumsum(integrand, axis=0)
-    trapezoid = cum - 0.5 * (integrand + integrand[0])
-    u_hat = forward * (phi_hat - 1j * dt * trapezoid)
+    # u_hat = forward * (phi_hat - i dt (cumsum(g) - (g + g_0) / 2)) with the
+    # integrand g = e^{+i s |xi|^2} nl_hat, formed in place; each temporary
+    # is released once used, so few trajectory-sized arrays are alive at once.
+    integrand = np.conj(forward)
+    integrand *= nl_hat
+    del nl_hat
+    # Running sum row by row: np.cumsum along the time axis walks the stack
+    # with a stride of one snapshot and is about 10x slower.
+    u_hat = np.empty_like(integrand)
+    u_hat[0] = integrand[0]
+    for m in range(1, len(prev)):
+        np.add(u_hat[m - 1], integrand[m], out=u_hat[m])
+    integrand += integrand[0]
+    np.multiply(0.5, integrand, out=integrand)
+    u_hat -= integrand
+    del integrand
+    np.multiply(1j * prev.dt, u_hat, out=u_hat)
+    np.subtract(phi_hat, u_hat, out=u_hat)
+    np.multiply(forward, u_hat, out=u_hat)
+    del forward
 
     vals = samples_of(u_hat, axes=space_axes)
-    return Trajectory(grid, times.copy(), vals, COMPLEX_CHART)
+    return Trajectory(grid, prev.times.copy(), vals, COMPLEX_CHART, spectra=u_hat)
+
+
+def _sup_hsigma(spectra: np.ndarray, grid: GridSpec, sigma: float) -> float:
+    return float(np.max(hsigma_norm_spectra(spectra, grid, sigma)))
 
 
 def picard_solve(
@@ -233,34 +264,45 @@ def picard_solve(
     Starts from the free evolution and stops once the sup-in-time H^sigma0
     distance between consecutive iterates drops below tol * ||phi||_{H^sigma0}.
     Raises NoContraction after three consecutive ratios above 0.95 (the
-    smallness regime was left) and MaxIterExceeded past the budget. The
-    smallness threshold itself is empirical and is probed by amplitude
-    sweeps rather than enforced up front.
+    smallness regime was left) or at the first non-finite norm, and
+    MaxIterExceeded past the budget. The smallness threshold itself is
+    empirical and is probed by amplitude sweeps rather than enforced up front.
+    Iterates carry their spectra, so the norms need no transform; the
+    returned fixed point does not keep them.
     """
     if T > 1.0 + 1e-12:
         raise ValueError(f"solve window must satisfy T <= 1, got {T}")
     if sigma0 is None:
         sigma0 = default_sigma0(phi.grid.d)
     times = uniform_times(T, dt)
+    grid = phi.grid
+    phi = to_frequency(phi)
 
     phi_norm = hsigma_norm(phi, sigma0)
     history = PicardHistory(sigma0=sigma0, phi_norm=phi_norm)
+    if not math.isfinite(phi_norm):
+        raise NoContraction(
+            f"initial data has ||phi||_H{sigma0:.2f} = {phi_norm}", history=history
+        )
     if phi_norm == 0.0:
-        vals = np.zeros((times.size,) + phi.grid.shape, dtype=np.complex128)
-        return Trajectory(phi.grid, times, vals, COMPLEX_CHART), history
+        vals = np.zeros((times.size,) + grid.shape, dtype=np.complex128)
+        return Trajectory(grid, times, vals, COMPLEX_CHART), history
 
-    current = free_trajectory(phi, times)
-    prev_diff = float(np.max(hsigma_norm_stack(current.values, phi.grid, sigma0)))
+    current = _free_evolution(phi, times)
+    prev_diff = _sup_hsigma(current.spectra, grid, sigma0)
     stall = 0
     for n in range(1, max_iter + 1):
         nxt = duhamel_map(phi, current, policy)
-        diff = float(
-            np.max(hsigma_norm_stack(nxt.values - current.values, phi.grid, sigma0))
-        )
-        sup_norm = float(np.max(hsigma_norm_stack(nxt.values, phi.grid, sigma0)))
+        diff = _sup_hsigma(nxt.spectra - current.spectra, grid, sigma0)
+        sup_norm = _sup_hsigma(nxt.spectra, grid, sigma0)
         ratio = diff / prev_diff if prev_diff > 0.0 else 0.0
         history.append(n, sup_norm, diff, ratio)
 
+        if not (math.isfinite(diff) and math.isfinite(sup_norm)):
+            raise NoContraction(
+                f"iterate {n} is not finite (sup norm {sup_norm}, difference {diff})",
+                history=history,
+            )
         if not math.isfinite(ratio) or ratio > STALL_RATIO:
             stall += 1
             if stall >= STALL_COUNT:
@@ -274,6 +316,7 @@ def picard_solve(
 
         current = nxt
         if diff < tol * phi_norm:
+            current.spectra = None
             return current, history
         prev_diff = diff if diff > 0.0 else prev_diff
 
@@ -313,6 +356,11 @@ def midpoint_solve(
             v_new = sm + dt * rhs(0.5 * (sm + v))
             change = float(np.max(np.abs(v_new - v)))
             v = v_new
+            if not math.isfinite(change):
+                raise InnerDivergence(
+                    f"inner fixed point gave a non-finite change at step {m}; "
+                    "check the data, or reduce dt or the grid resolution"
+                )
             if change < inner_tol:
                 converged = True
                 break

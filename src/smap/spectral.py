@@ -99,6 +99,11 @@ def samples_of(spectrum: np.ndarray, axes=None) -> np.ndarray:
     return scipy.fft.ifftn(spectrum, axes=axes, norm="ortho", workers=fft_workers())
 
 
+def grid_axes(values: np.ndarray, grid: GridSpec) -> tuple:
+    """The trailing axes of a raw array that are the grid axes."""
+    return tuple(range(values.ndim - grid.d, values.ndim))
+
+
 # ---------------------------------------------------------------------------
 # Smooth cutoff family
 # ---------------------------------------------------------------------------
@@ -213,7 +218,7 @@ def gradient(u: ComplexField, axis: int) -> ComplexField:
 def laplacian_values(values: np.ndarray, grid: GridSpec, axes=None) -> np.ndarray:
     """Spectral Laplacian of a raw array whose trailing axes are the grid axes."""
     if axes is None:
-        axes = tuple(range(values.ndim - grid.d, values.ndim))
+        axes = grid_axes(values, grid)
     spec = spectrum_of(values, axes=axes)
     spec *= -grid.wavenumber_sq()
     out = samples_of(spec, axes=axes)
@@ -244,11 +249,15 @@ def hsigma_norm(u: ComplexField, sigma: float) -> float:
 
 def hsigma_norm_stack(values: np.ndarray, grid: GridSpec, sigma: float) -> np.ndarray:
     """Sobolev norms of a stack of physical snapshots (leading axis = time)."""
-    axes = tuple(range(values.ndim - grid.d, values.ndim))
-    spec = spectrum_of(values, axes=axes)
-    w2 = jsigma_weights(grid, sigma) ** 2
-    sums = np.sum(w2 * np.abs(spec) ** 2, axis=axes)
-    return np.sqrt(grid.cell_volume * sums)
+    return hsigma_norm_spectra(spectrum_of(values, axes=grid_axes(values, grid)), grid, sigma)
+
+
+def hsigma_norm_spectra(spec: np.ndarray, grid: GridSpec, sigma: float) -> np.ndarray:
+    """Sobolev norms of a stack of unitary spectra, by Plancherel."""
+    power = np.square(spec.real)
+    power += np.square(spec.imag)
+    power *= jsigma_weights(grid, sigma) ** 2
+    return np.sqrt(grid.cell_volume * np.sum(power, axis=grid_axes(spec, grid)))
 
 
 def require_same_grid(a, b):

@@ -181,3 +181,27 @@ def sigma_sum_direct(F, sigma, paraboloid_weight=False):
     """Square sum over shells of 2^(sigma k) X_k."""
     xk = xk_direct(F, paraboloid_weight)
     return float(np.sqrt(sum(4.0 ** (sigma * k) * x**2 for k, x in enumerate(xk))))
+
+
+def nonlinearity_spectrum_direct(stack, d, n, period, dealias):
+    """Dealiased unitary spectrum of 2 conj(u)/(1+|u|^2) sum_a (d_a u)^2, per snapshot.
+
+    Raw numpy FFTs on each snapshot of ``stack`` (shape (M, n, ..., n)); the
+    wavenumbers and the 2/3-rule mask are rebuilt here from their definitions.
+    """
+    k = np.fft.fftfreq(n, d=1.0 / n) / period
+    xi = np.meshgrid(*([k] * d), indexing="ij")
+    cutoff = (2.0 / 3.0) * n / (2.0 * period)
+    mask = np.all([np.abs(x) < cutoff for x in xi], axis=0) if dealias else np.ones(xi[0].shape)
+
+    def truncate(f):
+        return np.fft.ifftn(np.fft.fftn(f) * mask) if dealias else f
+
+    out = np.empty(stack.shape, dtype=np.complex128)
+    for m, u in enumerate(stack):
+        u_hat = np.fft.fftn(u)
+        grad_sq = sum(np.fft.ifftn(1j * x * u_hat) ** 2 for x in xi)
+        prefactor = 2.0 * np.conj(u) / (1.0 + np.abs(u) ** 2)
+        prod = truncate(prefactor) * truncate(grad_sq)
+        out[m] = np.fft.fftn(prod, norm="ortho") * mask
+    return out

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from smap.errors import ConfigError
+from smap.errors import ConfigError, NoContraction
 from smap.geometry import SphereField
 from smap.grid import GridSpec
 from smap.harness.config import ExperimentConfig, load_config, parse_config
@@ -99,6 +99,18 @@ class TestConfig:
         parse_config("shells = 2, 7")
         with pytest.raises(ConfigError, match="shells must not exceed 7"):
             parse_config("shells = 40")
+
+    @pytest.mark.parametrize(
+        "line, match",
+        [
+            ("seed = -1", "seed must be non-negative"),
+            ("data_kind = nope", "unknown data kind"),
+            ("T = 0.5\ndt = 0.003", "does not divide"),
+        ],
+    )
+    def test_bad_input_is_config_error(self, line, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(line)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -291,7 +303,9 @@ class TestRunnerAndCli:
         assert res.returncode == 2
         assert "ConfigError" in res.stderr
 
-    @pytest.mark.parametrize("line", ["amplitudes = nan", "shells = 40"])
+    @pytest.mark.parametrize(
+        "line", ["amplitudes = nan", "shells = 40", "data_kind = nope", "dt = 0.003", "seed = -1"]
+    )
     def test_cli_rejected_config_exit_two(self, tmp_path, line):
         bad = tmp_path / "bad.cfg"
         bad.write_text(line + "\n")
@@ -309,6 +323,23 @@ class TestRunnerAndCli:
         )
         assert res.returncode == 4
         assert "NoContraction" in res.stderr
+        history = (tmp_path / "o4" / "picard_amp0.csv").read_text().splitlines()
+        assert "error=NoContraction" in history[0]
+        assert len(history) > 2
+
+    def test_failed_picard_keeps_partial_history(self, tmp_path):
+        # Amplitude 40 leaves the smallness regime of the default grid.
+        out = tmp_path / "out"
+        cfg = load_config(None, out_dir=str(out), amplitudes=(40.0,))
+        with pytest.raises(NoContraction) as err:
+            run("picard", cfg)
+        lines = (out / "picard_amp0.csv").read_text().splitlines()
+        assert "error=NoContraction" in lines[0]
+        assert lines[1] == "n,sup_hsigma0,diff_hsigma0,ratio"
+        records = err.value.history.records
+        assert records
+        assert [int(line.split(",")[0]) for line in lines[2:]] == [r.n for r in records]
+        assert [float(line.split(",")[3]) for line in lines[2:]] == [r.ratio for r in records]
 
     def test_cli_subcritical_flag(self, tmp_path):
         sub = tmp_path / "sub.cfg"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from smap.geometry import stereo_lift
 from smap.grid import GridSpec
@@ -10,6 +12,7 @@ from smap.nonlinearity import (
     cross_rhs,
     n_zero,
     nonlinearity,
+    nonlinearity_spectrum,
 )
 from smap.solver import picard_solve
 from smap.spectral import (
@@ -18,12 +21,19 @@ from smap.spectral import (
     gradient,
     l2_norm,
     laplacian_values,
+    samples_of,
+    spectrum_of,
     to_physical,
     transform,
 )
 
 from conftest import random_smooth_field
-from oracles import chain_rule_pushforward, mesh, plane_wave
+from oracles import (
+    chain_rule_pushforward,
+    mesh,
+    nonlinearity_spectrum_direct,
+    plane_wave,
+)
 
 
 def const_field(grid, value):
@@ -96,6 +106,47 @@ class TestNonlinearity:
         grad_sq = sum(to_physical(gradient(u, ax)).values ** 2 for ax in (1, 2))
         direct = 2.0 * u.values / (1.0 + np.abs(u.values) ** 2) * np.conj(grad_sq)
         assert np.max(np.abs(out.values - direct)) < 1e-13
+
+
+@st.composite
+def bandlimited_stacks(draw):
+    """Random stacks of band-limited snapshots on small grids, d = 1, 2, 3."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.sampled_from([8, 16] if d == 3 else [8, 16, 32]))
+    period = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    snapshots = draw(st.integers(1, 4))
+    band = draw(st.sampled_from([0.2, 0.35, 0.5]))  # fraction of the Nyquist radius
+    amp = draw(st.sampled_from([1e-3, 0.3, 2.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = GridSpec(d, n, period)
+    shape = (snapshots,) + grid.shape
+    spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    spec *= np.sqrt(grid.wavenumber_sq()) <= band * grid.nyquist
+    vals = np.fft.ifftn(spec, axes=tuple(range(1, d + 1)))
+    vals *= amp / max(np.max(np.abs(vals)), 1e-300)
+    return grid, vals
+
+
+class TestNonlinearitySpectrum:
+    @given(bandlimited_stacks(), st.sampled_from([TWO_THIRDS, NO_DEALIAS]))
+    def test_matches_per_snapshot_oracle(self, case, policy):
+        grid, vals = case
+        axes = tuple(range(1, grid.d + 1))
+        got = nonlinearity_spectrum(vals, spectrum_of(vals, axes=axes), grid, policy)
+        oracle = nonlinearity_spectrum_direct(
+            vals, grid.d, grid.n, grid.period, policy.rule == "two_thirds"
+        )
+        assert np.max(np.abs(got - oracle)) <= 1e-13 * max(np.max(np.abs(oracle)), 1e-300)
+
+    @pytest.mark.parametrize("policy", [NO_DEALIAS, TWO_THIRDS])
+    def test_wrapper_is_one_snapshot_of_the_kernel(self, grid32, rng, policy):
+        u = random_smooth_field(grid32, rng, amp=0.4)
+        stack = np.stack([u.values, 0.5 * u.values, np.conj(u.values)])
+        nl_hat = nonlinearity_spectrum(stack, spectrum_of(stack, axes=(1, 2)), grid32, policy)
+        for m, v in enumerate(stack):
+            single = nonlinearity(ComplexField(grid32, 0.0, PHYSICAL, v), policy).values
+            scale = np.max(np.abs(single))
+            assert np.max(np.abs(samples_of(nl_hat[m]) - single)) <= 1e-14 * scale
 
 
 class TestCrossRhs:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from smap.errors import GridMismatch, InnerDivergence, NoContraction
 from smap.geometry import SphereField, stereo_lift
@@ -12,6 +13,7 @@ from smap.solver import (
     gronwall_diagnostic,
     midpoint_solve,
     picard_solve,
+    propagator_stack,
     uniform_times,
 )
 from smap.spectral import (
@@ -19,6 +21,9 @@ from smap.spectral import (
     ComplexField,
     hsigma_norm,
     hsigma_norm_stack,
+    samples_of,
+    spectrum_of,
+    to_frequency,
 )
 
 from conftest import random_smooth_field
@@ -90,6 +95,59 @@ class TestDuhamel:
         assert errs[1.0 / 32.0] < 5e-6
         ratio = errs[1.0 / 32.0] / errs[1.0 / 64.0]
         assert 3.2 < ratio < 4.8
+
+
+class TestCarriedSpectra:
+    @staticmethod
+    def free_with_spectra(phi, times):
+        spectra = propagator_stack(times, phi.grid.wavenumber_sq()) * to_frequency(phi).values
+        axes = tuple(range(1, phi.grid.d + 1))
+        return Trajectory(
+            phi.grid, times, samples_of(spectra, axes=axes), "complex_chart", spectra=spectra
+        )
+
+    def test_duhamel_same_with_and_without_spectra(self, grid32, rng):
+        phi = random_smooth_field(grid32, rng, amp=0.3)
+        carried = self.free_with_spectra(phi, uniform_times(0.25, 1.0 / 64.0))
+        bare = Trajectory(grid32, carried.times, carried.values, "complex_chart")
+        with_spec = duhamel_map(phi, carried)
+        without = duhamel_map(phi, bare)
+        scale = np.max(np.abs(without.values))
+        assert np.max(np.abs(with_spec.values - without.values)) <= 1e-14 * scale
+        assert np.max(
+            np.abs(with_spec.spectra - spectrum_of(with_spec.values, axes=(1, 2)))
+        ) <= 1e-14 * scale
+
+    def test_results_do_not_keep_spectra(self, grid32):
+        phi = small_bump(grid32, 1e-3)
+        times = uniform_times(0.25, 1.0 / 64.0)
+        traj, _ = picard_solve(phi, 0.25, 1.0 / 64.0, sigma0=SIGMA0)
+        assert traj.spectra is None
+        assert free_trajectory(phi, times).spectra is None
+
+    def test_spectra_shape_checked(self, grid32):
+        times = uniform_times(0.25, 1.0 / 64.0)
+        vals = np.zeros((times.size,) + grid32.shape, complex)
+        with pytest.raises(ValueError, match="spectra shape"):
+            Trajectory(grid32, times, vals, "complex_chart", spectra=vals[1:])
+
+    @pytest.mark.parametrize("d, n", [(1, 32), (2, 32), (3, 16)])
+    def test_one_map_transform_count(self, monkeypatch, rng, d, n):
+        grid = GridSpec(d, n, 1.0)
+        phi = random_smooth_field(grid, rng, amp=0.1)
+        prev = self.free_with_spectra(phi, uniform_times(0.125, 1.0 / 64.0))
+        calls = []
+        for name in ("fftn", "ifftn"):
+            original = getattr(scipy.fft, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(args[0].shape)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.fft, name, counted)
+        duhamel_map(phi, prev)
+        assert len(calls) <= d + 7
+        assert sum(shape == grid.shape for shape in calls) <= 1  # phi_hat only
 
 
 class TestPicard:
@@ -165,6 +223,22 @@ class TestPicard:
             )
         assert len(err.value.history.records) == 2
 
+    def test_non_finite_data_fails_at_once(self, grid32):
+        phi = small_bump(grid32, 1e-3)
+        phi.values[3, 5] = np.nan
+        with pytest.raises(NoContraction, match="initial data") as err:
+            picard_solve(phi, 0.25, 1.0 / 64.0, sigma0=SIGMA0)
+        assert err.value.history is not None
+        assert err.value.history.records == []
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_non_finite_iterate_fails_at_once(self, grid32):
+        with pytest.raises(NoContraction, match="not finite") as err:
+            picard_solve(small_bump(grid32, 1e150), 0.5, 1.0 / 64.0, sigma0=SIGMA0)
+        records = err.value.history.records
+        assert not np.isfinite(records[-1].sup_norm) or not np.isfinite(records[-1].diff_norm)
+        assert all(np.isfinite(r.sup_norm) and np.isfinite(r.diff_norm) for r in records[:-1])
+
 
 class TestMidpoint:
     # Fixed-point sweeps need dt * |Delta| / 2 < 1, hence the wide box.
@@ -196,6 +270,13 @@ class TestMidpoint:
         s0 = SphereField(grid, 0.0, vals + np.array([0, 0, 2.0]).reshape(3, 1, 1))
         with pytest.raises(InnerDivergence):
             midpoint_solve(s0, 0.125, 1.0 / 8.0, inner_tol=1e-12)
+
+    def test_non_finite_data_fails_at_once(self):
+        grid = GridSpec(2, 32, 4.0)
+        vals = SphereField.constant(grid, (0.0, 0.0, 1.0)).values.copy()
+        vals[:, 4, 7] = np.nan
+        with pytest.raises(InnerDivergence, match="non-finite change at step 0"):
+            midpoint_solve(SphereField(grid, 0.0, vals), 0.25, 1.0 / 64.0)
 
 
 class TestGronwall:
