@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ChartViolation
 from .grid import GridSpec
-from .spectral import PHYSICAL, ComplexField, hsigma_norm, require_same_grid
+from .spectral import PHYSICAL, ComplexField, hsigma_energy_real, require_same_grid
 
 # Chart guard: the projection refuses fields with 1 + s3 <= CHART_GUARD.
 CHART_GUARD = 1e-6
@@ -93,10 +93,4 @@ def stereo_lift(g: ComplexField) -> SphereField:
 def sobolev_distance(f: SphereField, g: SphereField, sigma: float) -> float:
     """Componentwise Sobolev distance [sum_l ||f_l - g_l||_{H^sigma}^2]^(1/2)."""
     require_same_grid(f, g)
-    total = 0.0
-    for l in range(3):
-        diff = ComplexField(
-            f.grid, f.time, PHYSICAL, (f.values[l] - g.values[l]).astype(np.complex128)
-        )
-        total += hsigma_norm(diff, sigma) ** 2
-    return float(np.sqrt(total))
+    return float(np.sqrt(np.sum(hsigma_energy_real(f.values - g.values, f.grid, sigma))))

@@ -78,6 +78,10 @@ class GridSpec:
         """|xi|^2 over the full spatial shape."""
         return _wavenumber_sq(self.d, self.n, self.period)
 
+    def half_wavenumber_sq(self) -> np.ndarray:
+        """|xi|^2 over the real-input half spectrum: last axis cut to n/2 + 1."""
+        return _half_wavenumber_sq(self.d, self.n, self.period)
+
     def same_as(self, other: "GridSpec") -> bool:
         return (
             self.d == other.d
@@ -114,5 +118,14 @@ def _wavenumber_sq(d: int, n: int, period: float) -> np.ndarray:
         shape = [1] * d
         shape[axis] = n
         out = out + (xi**2).reshape(shape)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=64)
+def _half_wavenumber_sq(d: int, n: int, period: float) -> np.ndarray:
+    # The Nyquist column reads -n/2 in the full layout and +n/2 in the half
+    # one; its square is the same.
+    out = np.ascontiguousarray(_wavenumber_sq(d, n, period)[..., : n // 2 + 1])
     out.flags.writeable = False
     return out

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import MaxIterExceeded, NoContraction, ValidationFailure
+from ..errors import ConfigError, MaxIterExceeded, NoContraction, ValidationFailure
 from ..geometry import stereo_lift
 from ..nonlinearity import DealiasPolicy
 from ..report import NormReport
@@ -24,7 +24,7 @@ from ..solver import (
 )
 from ..spacetime import (
     DirectionSet,
-    fsigma_upper,
+    fsigma_uppers,
     lemma_diagnostics,
     pooled_max_slope,
     spacetime_transform,
@@ -107,10 +107,32 @@ def _picard_report(history, config, amplitude) -> NormReport:
     return rep
 
 
-def _cmd_norms(config, out) -> int:
-    grid = config.ensemble_grid()
+def _norms_windows(config):
+    """Ensemble step and the sample times of the two windows `norms` uses.
+
+    Checked before any work, because the config validation does not cover
+    them (no other command uses these windows): the ensemble step must
+    divide T for the members' Picard solve, and dt must divide the
+    linear-estimate window.
+    """
     wdt = 2.0 * config.t_window / config.ensemble_samples
-    wtimes = uniform_times(2 * config.t_window, wdt, t0=-config.t_window)
+    span = 2.0 * config.t_window
+    for step, total, what in (
+        (wdt, config.T, f"ensemble step 2*t_window/ensemble_samples = {wdt:g} must divide T"),
+        (config.dt, span, f"dt must divide the linear-estimate window 2*t_window = {span:g}"),
+    ):
+        try:
+            uniform_times(total, step)
+        except ValueError as exc:
+            raise ConfigError(f"norms: {what} ({exc})") from exc
+    wtimes = uniform_times(span, wdt, t0=-config.t_window)
+    swin = uniform_times(span, config.dt, t0=-config.t_window)
+    return wdt, wtimes, swin
+
+
+def _cmd_norms(config, out) -> int:
+    wdt, wtimes, swin = _norms_windows(config)
+    grid = config.ensemble_grid()
     ensemble = build_lemma_ensemble(
         grid,
         config.shells,
@@ -141,13 +163,12 @@ def _cmd_norms(config, out) -> int:
         meta=config.meta(),
     )
     solve_grid = config.grid()
-    swin = uniform_times(2 * config.t_window, config.dt, t0=-config.t_window)
+    sigmas = (config.sigma0, config.sigma0 + 1.0)
     for i in range(10):
         phi = seeded_data("random_bandlimited", 1.0, config.seed + i, solve_grid, config.sigma0)
         traj = free_trajectory(to_physical(phi), swin)
         F = spacetime_transform(traj, config.t_window)
-        for sigma in (config.sigma0, config.sigma0 + 1.0):
-            fs = fsigma_upper(F, sigma)
+        for sigma, fs in zip(sigmas, fsigma_uppers(F, sigmas)):
             hs = hsigma_norm(phi, sigma)
             lin.add(i, sigma, fs, hs, fs / hs)
             rep.add(f"free_phi{i}", -1, "Fsigma", f"sigma={sigma:g}", fs)

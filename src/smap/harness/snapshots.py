@@ -54,19 +54,33 @@ def write_snapshot(path, field) -> Path:
 
 
 def read_snapshot(path):
-    """Read a snapshot file back into the matching field type."""
+    """Read a snapshot file back into the matching field type.
+
+    Any malformed file (bad magic, truncated header, bad dimension or
+    payload length) raises ValueError.
+    """
     raw = Path(path).read_bytes()
     if raw[:8] != MAGIC:
         raise ValueError(f"{path}: bad magic {raw[:8]!r}")
     offset = 8
-    (d,) = struct.unpack_from("<I", raw, offset)
-    offset += 4
-    ns = struct.unpack_from(f"<{d}I", raw, offset)
-    offset += 4 * d
-    period, time = struct.unpack_from("<dd", raw, offset)
-    offset += 16
-    (kind,) = struct.unpack_from("<B", raw, offset)
-    offset += 1
+
+    def unpack(fmt):
+        nonlocal offset
+        size = struct.calcsize(fmt)
+        if len(raw) < offset + size:
+            raise ValueError(
+                f"{path}: header truncated at byte {len(raw)}, needs {offset + size}"
+            )
+        values = struct.unpack_from(fmt, raw, offset)
+        offset += size
+        return values
+
+    (d,) = unpack("<I")
+    if d < 1:
+        raise ValueError(f"{path}: dimension d = {d} in the header; need d >= 1")
+    ns = unpack(f"<{d}I")
+    period, time = unpack("<dd")
+    (kind,) = unpack("<B")
     if len(set(ns)) != 1:
         raise ValueError(f"{path}: unequal axis sizes {ns} are not supported")
     grid = GridSpec(d, ns[0], period)

@@ -130,12 +130,33 @@ def nonlinearity(u: ComplexField, policy: DealiasPolicy = TWO_THIRDS) -> Complex
     return ComplexField(u.grid, u.time, PHYSICAL, samples_of(nl_hat[0]))
 
 
-def cross_rhs(s: SphereField) -> np.ndarray:
-    """Sphere-form right-hand side s x Laplacian(s) as a raw (3, *grid) array.
+def sphere_rhs(values: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """Sphere-form right-hand side s x Laplacian(s) of a raw (3, *grid) array.
 
     The Laplacian is spectral (multiplier -|xi|^2) for consistency with the
-    chart-side computation; tangency s . (s x Lap s) = 0 holds pointwise by
-    the triple-product identity, up to rounding.
+    chart-side computation and costs one real-input round trip; tangency
+    s . (s x Lap s) = 0 holds pointwise by the triple-product identity, up
+    to rounding. The product is formed component by component into ``out``
+    (which must not overlap ``values``) with the multiply/subtract sequence
+    of np.cross, so it matches np.cross(values, lap, axis=0) bit for bit.
     """
-    lap = laplacian_values(s.values, s.grid)
-    return np.cross(s.values, lap, axis=0)
+    lap = laplacian_values(values, grid)
+    if out is None:
+        out = np.empty_like(values)
+    a0, a1, a2 = values
+    b0, b1, b2 = lap
+    tmp = np.multiply(a2, b1)
+    np.multiply(a1, b2, out=out[0])
+    out[0] -= tmp
+    np.multiply(a0, b2, out=tmp)
+    np.multiply(a2, b0, out=out[1])
+    out[1] -= tmp
+    np.multiply(a1, b0, out=tmp)
+    np.multiply(a0, b1, out=out[2])
+    out[2] -= tmp
+    return out
+
+
+def cross_rhs(s: SphereField) -> np.ndarray:
+    """Sphere-form right-hand side s x Laplacian(s) of a field; see sphere_rhs."""
+    return sphere_rhs(s.values, s.grid)

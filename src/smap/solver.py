@@ -28,16 +28,16 @@ from .errors import (
 )
 from .geometry import SphereField
 from .grid import GridSpec
-from .nonlinearity import TWO_THIRDS, DealiasPolicy, nonlinearity_spectrum
+from .nonlinearity import TWO_THIRDS, DealiasPolicy, nonlinearity_spectrum, sphere_rhs
 from .report import NormReport
 from .spectral import (
     PHYSICAL,
     ComplexField,
     grid_axes,
+    hsigma_energy_real,
     hsigma_norm,
     hsigma_norm_spectra,
     hsigma_norm_stack,
-    laplacian_values,
     samples_of,
     spectrum_of,
     to_frequency,
@@ -344,18 +344,26 @@ def midpoint_solve(
     vals = np.empty((times.size, 3) + grid.shape)
     vals[0] = s0.values
 
-    def rhs(v):
-        return np.cross(v, laplacian_values(v, grid), axis=0)
-
-    prev_step = None
+    # Sweep buffers: the midpoint, the current and candidate iterates, their
+    # difference and the last step's increment (the next warm start).
+    mid, v, cand, diff, step = (np.empty_like(s0.values) for _ in range(5))
     for m in range(times.size - 1):
         sm = vals[m]
-        v = sm + prev_step if prev_step is not None else sm + dt * rhs(sm)
+        if m == 0:
+            sphere_rhs(sm, grid, out=step)
+            step *= dt
+        np.add(sm, step, out=v)
         converged = False
         for _ in range(max_sweeps):
-            v_new = sm + dt * rhs(0.5 * (sm + v))
-            change = float(np.max(np.abs(v_new - v)))
-            v = v_new
+            np.add(sm, v, out=mid)
+            mid *= 0.5
+            sphere_rhs(mid, grid, out=cand)
+            cand *= dt
+            cand += sm
+            np.subtract(cand, v, out=diff)
+            np.abs(diff, out=diff)
+            change = float(np.max(diff))
+            v, cand = cand, v
             if not math.isfinite(change):
                 raise InnerDivergence(
                     f"inner fixed point gave a non-finite change at step {m}; "
@@ -369,7 +377,7 @@ def midpoint_solve(
                 f"inner fixed point stalled at step {m} (last change {change:.3e}); "
                 "reduce dt or the grid resolution"
             )
-        prev_step = v - sm
+        np.subtract(v, sm, out=step)
         vals[m + 1] = v / np.sqrt(np.sum(v**2, axis=0))
     return Trajectory(grid, times, vals, SPHERE)
 
@@ -393,12 +401,10 @@ def gronwall_diagnostic(traj: Trajectory, other: Trajectory) -> NormReport:
         raise ValueError("trajectories must share their time grid")
 
     grid = traj.grid
-    q = other.values - traj.values  # (M+1, 3, *grid)
-    space_axes = tuple(range(2, 2 + grid.d))
-    q_hat = spectrum_of(q, axes=space_axes)
-    weight = 1.0 + grid.wavenumber_sq()  # 1 + |xi|^2 = L2 + gradient energy
-    energy = grid.cell_volume * np.sum(
-        weight * np.abs(q_hat) ** 2, axis=(1,) + space_axes
+    # H^1 weight 1 + |xi|^2 = L2 + gradient energy of q = other - traj, summed
+    # over components; one snapshot at a time, so no stack-sized temporary.
+    energy = np.array(
+        [np.sum(hsigma_energy_real(b - a, grid, 1.0)) for a, b in zip(traj.values, other.values)]
     )
 
     report = NormReport(

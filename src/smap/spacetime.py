@@ -432,8 +432,11 @@ def lpq_norm(values, grid: GridSpec, dt: float, e, p, q) -> float:
     return float(np.max(inner))
 
 
-def _sigma_upper(F: SpaceTimeSpectrum, sigma: float, paraboloid_weight: bool = False) -> float:
-    return _square_sum(_xk_values(_shell_tables(F, paraboloid_weight)[0]), sigma)
+def _sigma_uppers(traj, sigmas, t_window: float, paraboloid_weight: bool = False) -> list:
+    """Square sums for each sigma, all from one set of shell tables."""
+    F = traj if isinstance(traj, SpaceTimeSpectrum) else spacetime_transform(traj, t_window)
+    xk = _xk_values(_shell_tables(F, paraboloid_weight)[0])
+    return [_square_sum(xk, sigma) for sigma in sigmas]
 
 
 def fsigma_upper(traj, sigma: float, t_window: float = 1.0) -> float:
@@ -442,14 +445,17 @@ def fsigma_upper(traj, sigma: float, t_window: float = 1.0) -> float:
     The per-shell building block is the ell-1-in-j norm, which dominates the
     sharper decomposition norm from above, so this is a one-sided bound.
     """
-    F = traj if isinstance(traj, SpaceTimeSpectrum) else spacetime_transform(traj, t_window)
-    return _sigma_upper(F, sigma)
+    return _sigma_uppers(traj, (sigma,), t_window)[0]
+
+
+def fsigma_uppers(traj, sigmas, t_window: float = 1.0) -> list:
+    """fsigma_upper for several sigmas, from one set of shell tables."""
+    return _sigma_uppers(traj, sigmas, t_window)
 
 
 def nsigma_upper(traj, sigma: float, t_window: float = 1.0) -> float:
     """Same square-summed bound with the inverse paraboloid weight attached."""
-    F = traj if isinstance(traj, SpaceTimeSpectrum) else spacetime_transform(traj, t_window)
-    return _sigma_upper(F, sigma, paraboloid_weight=True)
+    return _sigma_uppers(traj, (sigma,), t_window, paraboloid_weight=True)[0]
 
 
 # ---------------------------------------------------------------------------

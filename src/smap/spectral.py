@@ -1,5 +1,8 @@
 """Discrete Fourier infrastructure for complex scalar fields.
 
+Real arrays (sphere components) have their own real-input transforms over
+the half spectrum: the Laplacian and the Sobolev energy of a real stack.
+
 Contains the unitary transform pair, the smooth dyadic cutoff family, the
 Bessel-potential multiplier, Littlewood-Paley shell projections, spectral
 derivatives and the free Schrodinger propagator. All operators act as pure
@@ -216,13 +219,28 @@ def gradient(u: ComplexField, axis: int) -> ComplexField:
 
 
 def laplacian_values(values: np.ndarray, grid: GridSpec, axes=None) -> np.ndarray:
-    """Spectral Laplacian of a raw array whose trailing axes are the grid axes."""
+    """Spectral Laplacian of a raw array whose trailing axes are the grid axes.
+
+    Real input goes through the real-input half spectrum and comes back real.
+    """
     if axes is None:
         axes = grid_axes(values, grid)
-    spec = spectrum_of(values, axes=axes)
-    spec *= -grid.wavenumber_sq()
-    out = samples_of(spec, axes=axes)
-    return out.real if np.isrealobj(values) else out
+    if np.iscomplexobj(values):
+        spec = spectrum_of(values, axes=axes)
+        spec *= -grid.wavenumber_sq()
+        return samples_of(spec, axes=axes)
+    spec = _half_spectrum(values, axes)
+    spec *= grid.half_wavenumber_sq()
+    np.negative(spec, out=spec)
+    return scipy.fft.irfftn(
+        spec, s=[values.shape[a] for a in axes], axes=axes, norm="ortho",
+        workers=fft_workers(),
+    )
+
+
+def _half_spectrum(values: np.ndarray, axes) -> np.ndarray:
+    """Unitary real-input DFT over the grid axes; the last one keeps n/2 + 1 columns."""
+    return scipy.fft.rfftn(values, axes=axes, norm="ortho", workers=fft_workers())
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +276,24 @@ def hsigma_norm_spectra(spec: np.ndarray, grid: GridSpec, sigma: float) -> np.nd
     power += np.square(spec.imag)
     power *= jsigma_weights(grid, sigma) ** 2
     return np.sqrt(grid.cell_volume * np.sum(power, axis=grid_axes(spec, grid)))
+
+
+def hsigma_energy_real(values: np.ndarray, grid: GridSpec, sigma: float) -> np.ndarray:
+    """Squared Sobolev norms of a real stack (trailing axes = grid axes).
+
+    Plancherel over the half spectrum: each column other than 0 and n/2 of
+    the halved axis stands for itself and its conjugate mirror, so it counts
+    twice. One value per leading index.
+    """
+    axes = grid_axes(values, grid)
+    spec = _half_spectrum(values, axes)
+    power = np.square(spec.real)
+    power += np.square(spec.imag)
+    del spec
+    weight = (1.0 + grid.half_wavenumber_sq()) ** sigma
+    weight[..., 1 : grid.n // 2] *= 2.0
+    power *= weight
+    return grid.cell_volume * np.sum(power, axis=axes)
 
 
 def require_same_grid(a, b):

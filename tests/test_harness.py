@@ -1,8 +1,12 @@
 import subprocess
 import sys
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from smap.errors import ConfigError, NoContraction
 from smap.geometry import SphereField
@@ -175,6 +179,42 @@ class TestSnapshots:
             read_snapshot(path)
 
 
+def _valid_snapshot_bytes(directory, kind, d):
+    grid = GridSpec(d, 8, 1.5)
+    rng = np.random.default_rng(d)
+    if kind == "complex":
+        field = ComplexField(grid, 0.25, PHYSICAL, rng.standard_normal(grid.shape) + 0j)
+    else:
+        field = SphereField(grid, 0.25, rng.standard_normal((3,) + grid.shape))
+    return write_snapshot(directory / f"{kind}{d}.fld", field).read_bytes()
+
+
+class TestSnapshotDecoding:
+    @given(st.sampled_from(["complex", "sphere"]), st.sampled_from([1, 2, 3]), st.data())
+    def test_every_strict_prefix_raises_value_error(self, tmp_path_factory, kind, d, data):
+        directory = tmp_path_factory.mktemp("prefix")
+        raw = _valid_snapshot_bytes(directory, kind, d)
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        path = directory / "cut.fld"
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("length", [10, 14, 30])
+    def test_truncated_header(self, tmp_path, length):
+        raw = _valid_snapshot_bytes(tmp_path, "sphere", 2)
+        path = tmp_path / "cut.fld"
+        path.write_bytes(raw[:length])
+        with pytest.raises(ValueError, match="header truncated"):
+            read_snapshot(path)
+
+    def test_zero_dimension_rejected(self, tmp_path):
+        path = tmp_path / "d0.fld"
+        path.write_bytes(b"SMAPFLD1" + struct.pack("<I", 0) + struct.pack("<ddB", 1.0, 0.0, 0))
+        with pytest.raises(ValueError, match="d >= 1"):
+            read_snapshot(path)
+
+
 class TestSeededData:
     @pytest.mark.parametrize("kind", ["gaussian_bump", "mode_sum", "random_bandlimited"])
     def test_norm_scaled_to_amplitude(self, grid32, kind):
@@ -314,6 +354,25 @@ class TestRunnerAndCli:
         assert res.returncode == 2
         assert "ConfigError" in res.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            # dt divides T but not the linear-estimate window 2 * t_window = 2.
+            "T = 0.3\ndt = 0.003\n",
+            # The ensemble step 2 * t_window / ensemble_samples = 0.002 does not divide T.
+            "T = 0.125\nensemble_samples = 1000\n",
+        ],
+    )
+    def test_cli_norms_window_exit_two(self, tmp_path, lines):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(lines)
+        out = tmp_path / "o"
+        res = self.run_cli("norms", "--config", str(bad), "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert "ConfigError" in res.stderr and "norms:" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not list(out.glob("*.csv"))
 
     def test_cli_no_contraction_exit_four(self, tmp_path, small_cfg):
         big = tmp_path / "big.cfg"

@@ -13,6 +13,7 @@ from smap.nonlinearity import (
     n_zero,
     nonlinearity,
     nonlinearity_spectrum,
+    sphere_rhs,
 )
 from smap.solver import picard_solve
 from smap.spectral import (
@@ -194,6 +195,36 @@ class TestCrossRhs:
             expected = chain_rule_pushforward(g.values, 1j * (lap - nl))
             errs[n] = np.max(np.abs(got - expected))
         assert errs[32] < errs[16] / 50.0
+
+
+@st.composite
+def sphere_values(draw):
+    """Random unit 3-vector fields on small grids, d = 1, 2, 3."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.sampled_from([8, 16]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = GridSpec(d, n, draw(st.sampled_from([0.5, 1.0, 3.0])))
+    vals = rng.standard_normal((3,) + grid.shape)
+    return grid, vals / np.sqrt(np.sum(vals**2, axis=0))
+
+
+class TestSphereRhs:
+    @given(sphere_values())
+    def test_bitwise_np_cross_of_the_same_laplacian(self, case):
+        grid, vals = case
+        expected = np.cross(vals, laplacian_values(vals, grid), axis=0)
+        assert np.array_equal(sphere_rhs(vals, grid), expected)
+        out = np.full_like(vals, np.nan)
+        assert sphere_rhs(vals, grid, out=out) is out
+        assert np.array_equal(out, expected)
+
+    @given(sphere_values())
+    def test_cross_rhs_is_sphere_rhs_of_the_values(self, case):
+        from smap.geometry import SphereField
+
+        grid, vals = case
+        s = SphereField(grid, 0.0, vals)
+        assert np.array_equal(cross_rhs(s), sphere_rhs(s.values, grid))
 
 
 class TestDealiasPolicy:

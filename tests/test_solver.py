@@ -27,7 +27,7 @@ from smap.spectral import (
 )
 
 from conftest import random_smooth_field
-from oracles import duhamel_constant_mode, mesh, plane_wave
+from oracles import duhamel_constant_mode, mesh, midpoint_direct, plane_wave
 
 SIGMA0 = 1.6
 
@@ -255,6 +255,14 @@ class TestMidpoint:
         traj = midpoint_solve(s0, 0.25, 1.0 / 64.0, inner_tol=inner_tol)
         dev = np.max(np.abs(np.sqrt(np.sum(traj.values**2, axis=1)) - 1.0))
         assert dev <= 10.0 * inner_tol
+
+    def test_matches_np_cross_oracle_d3(self, rng):
+        grid = GridSpec(3, 16, 2.0)
+        s0 = stereo_lift(random_smooth_field(grid, rng, amp=0.3))
+        traj = midpoint_solve(s0, 0.125, 1.0 / 64.0, inner_tol=1e-12)
+        oracle = midpoint_direct(s0.values, 3, 16, 2.0, 0.125, 1.0 / 64.0, 1e-12)
+        assert traj.values.shape == oracle.shape
+        assert np.max(np.abs(traj.values - oracle)) <= 1e-12
 
     def test_dt_must_divide_t(self):
         grid = GridSpec(2, 32, 4.0)

@@ -12,6 +12,7 @@ from smap.spacetime import (
     DirectionSet,
     SpaceTimeSpectrum,
     fsigma_upper,
+    fsigma_uppers,
     inverse_spacetime,
     lattice_vector,
     lemma_diagnostics,
@@ -374,8 +375,10 @@ class TestSigmaUpper:
         times, _ = window_grid()
         traj = free_trajectory(random_smooth_field(grid32, rng, band=6.0), times)
         F = spacetime_transform(traj, 1.0)
-        values = [fsigma_upper(F, s) for s in (0.0, 0.8, 1.6, 2.6)]
+        sigmas = (0.0, 0.8, 1.6, 2.6)
+        values = [fsigma_upper(F, s) for s in sigmas]
         assert all(a < b for a, b in zip(values, values[1:]))
+        assert fsigma_uppers(F, sigmas) == values  # one table, same bits
 
     def test_free_mode_closed_form(self, grid32):
         # For a single wave the sigma = 0 bound is the window shell sum times

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from smap.errors import AxisOutOfRange, RepresentationMismatch
 from smap.grid import GridSpec
@@ -15,8 +17,10 @@ from smap.spectral import (
     eta_shell,
     free_propagate,
     gradient,
+    hsigma_energy_real,
     hsigma_norm,
     l2_norm,
+    laplacian_values,
     lp_project,
     psi,
     to_physical,
@@ -28,8 +32,10 @@ from oracles import (
     free_gaussian_evolution,
     free_gaussian_quadrature,
     gradient_fd,
+    laplacian_c2c,
     mesh,
     plane_wave,
+    sobolev_energy_full,
 )
 
 
@@ -262,3 +268,40 @@ class TestMultiplierAlgebra:
         roundtrip = transform(out, "inverse")
         direct = apply_jsigma(u, 2.0)
         assert np.max(np.abs(roundtrip.values - direct.values)) < 1e-12
+
+
+@st.composite
+def real_stacks(draw):
+    """Random real arrays whose trailing d axes are a grid, d = 1, 2, 3."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.sampled_from([8, 16] if d == 3 else [8, 16, 32]))
+    period = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = GridSpec(d, n, period)
+    return grid, rng.standard_normal(lead + grid.shape)
+
+
+class TestRealPath:
+    @given(real_stacks())
+    def test_laplacian_matches_c2c_oracle(self, case):
+        grid, vals = case
+        got = laplacian_values(vals, grid)
+        oracle = laplacian_c2c(vals, grid.d, grid.n, grid.period)
+        assert got.dtype == np.float64 and got.shape == vals.shape
+        assert np.max(np.abs(got - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+    @given(real_stacks(), st.sampled_from([0.0, 1.0, 1.6, -0.7]))
+    def test_half_spectrum_energy_matches_full_spectrum(self, case, sigma):
+        grid, vals = case
+        got = hsigma_energy_real(vals, grid, sigma)
+        oracle = sobolev_energy_full(vals, grid.d, grid.n, grid.period, sigma)
+        assert got.shape == vals.shape[: vals.ndim - grid.d]
+        assert np.all(np.abs(got - oracle) <= 1e-13 * oracle)
+
+    def test_complex_laplacian_unchanged(self, grid32, rng):
+        u = random_smooth_field(grid32, rng).values
+        got = laplacian_values(u, grid32)
+        assert np.iscomplexobj(got)
+        oracle = laplacian_c2c(u, 2, grid32.n, grid32.period)
+        assert np.max(np.abs(got - oracle)) <= 1e-13 * np.max(np.abs(oracle))
