@@ -7,6 +7,8 @@ fields.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..geometry import SphereField, stereo_lift
@@ -110,17 +112,26 @@ def build_lemma_ensemble(
     sigma0: float,
     picard_amplitude: float = 1e-3,
 ) -> list:
-    """Twenty windowed members: free plane waves and shell mode sums across
-    the requested shells, frequency-localized bumps, a broadband field, one
-    fixed-point solution of the flow, and one zero member.
+    """Windowed members as (name, factory) pairs: two free plane waves and
+    one free three-mode sum per requested shell, three frequency-localized
+    bumps, a free broadband field, and one fixed-point solution of the flow
+    (twenty members for five shells).
+
+    Every random draw and every initial field is made here, in a fixed
+    order; a factory takes no argument and only evolves its field on
+    window_times (or runs the Picard solve), so a member's trajectory
+    exists only while it is analysed.
     """
     rng = np.random.default_rng(seed)
     X = _mesh(grid)
     members = []
 
+    def free(vals, representation=PHYSICAL):
+        field = ComplexField(grid, 0.0, representation, vals)
+        return partial(free_trajectory, field, window_times)
+
     def plane_wave(k0):
-        vals = np.exp(1j * sum(k0[a] * X[a] for a in range(grid.d)))
-        return free_trajectory(ComplexField(grid, 0.0, PHYSICAL, vals), window_times)
+        return free(np.exp(1j * sum(k0[a] * X[a] for a in range(grid.d))))
 
     shell_list = list(shells)
     per_shell = {}
@@ -140,9 +151,7 @@ def build_lemma_ensemble(
         for k0 in modes:
             coef = rng.standard_normal() + 1j * rng.standard_normal()
             vals += coef * np.exp(1j * sum(k0[a] * X[a] for a in range(grid.d)))
-        members.append(
-            (f"multi_k{k}", free_trajectory(ComplexField(grid, 0.0, PHYSICAL, vals), window_times))
-        )
+        members.append((f"multi_k{k}", free(vals)))
 
     # Frequency-localized bumps: spatially concentrated, one per mid shell.
     for scale in (8.0, 16.0, 28.0):
@@ -152,18 +161,17 @@ def build_lemma_ensemble(
         width = max(2.0, scale / 4.0)
         env = np.exp(-sum(x**2 for x in X) * width**2 / 2.0)
         vals = env * np.exp(1j * sum(k0[a] * X[a] for a in range(grid.d)))
-        members.append(
-            (f"bump{int(scale)}", free_trajectory(ComplexField(grid, 0.0, PHYSICAL, vals), window_times))
-        )
+        members.append((f"bump{int(scale)}", free(vals)))
 
     spec = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     radius = np.sqrt(grid.wavenumber_sq())
     spec *= (radius < 0.95 * np.sqrt(grid.d) * grid.nyquist) / (1.0 + radius)
-    members.append(
-        ("broadband", free_trajectory(ComplexField(grid, 0.0, FREQUENCY, spec), window_times))
-    )
+    members.append(("broadband", free(spec, FREQUENCY)))
 
     phi = seeded_data("gaussian_bump", picard_amplitude, seed + 1, grid, sigma0)
-    solution, _ = picard_solve(phi, T=T, dt=dt, sigma0=sigma0)
+
+    def solution():
+        return picard_solve(phi, T=T, dt=dt, sigma0=sigma0)[0]
+
     members.append(("picard", solution))
     return members

@@ -145,7 +145,8 @@ def propagator_stack(times: np.ndarray, k2: np.ndarray) -> np.ndarray:
 def _free_evolution(phi: ComplexField, times: np.ndarray) -> Trajectory:
     """W(t) phi on the given times, carrying its spectra."""
     times = np.asarray(times, dtype=np.float64)
-    spectra = propagator_stack(times, phi.grid.wavenumber_sq()) * to_frequency(phi).values
+    spectra = propagator_stack(times, phi.grid.wavenumber_sq())
+    spectra *= to_frequency(phi).values
     vals = samples_of(spectra, axes=grid_axes(spectra, phi.grid))
     return Trajectory(phi.grid, times, vals, COMPLEX_CHART, spectra=spectra)
 

@@ -255,14 +255,28 @@ def spacetime_transform(traj: Trajectory, t_window: float = 1.0) -> SpaceTimeSpe
     _, samples = windowed_samples(traj, t_window)
     grid = traj.grid
     m_t = samples.shape[0]
-    spec = spectrum_of(samples) * _st_phase(grid, m_t) * _st_scale(grid, t_window, m_t)
+    spec = spectrum_of(samples, overwrite=True)
+    spec *= _st_phase(grid, m_t)
+    spec *= _st_scale(grid, t_window, m_t)
     return SpaceTimeSpectrum(grid, t_window, spec)
 
 
-def inverse_spacetime(F: SpaceTimeSpectrum) -> np.ndarray:
-    """Physical-space samples (M_t, *grid) of a space-time spectrum."""
+def inverse_spacetime(F: SpaceTimeSpectrum, weights=None, out=None) -> np.ndarray:
+    """Physical-space samples (M_t, *grid) of a space-time spectrum.
+
+    weights, a spatial multiplier such as F.shell_weights(k), is applied
+    first, exactly as F.shell_project(k) applies it. out, a complex buffer
+    of the spectrum's shape, receives the samples (transformed in place).
+    """
     scale = _st_scale(F.grid, F.t_window, F.m_t)
-    return samples_of(F.values * _st_phase(F.grid, F.m_t) / scale)
+    phase = _st_phase(F.grid, F.m_t)
+    if weights is None:
+        out = np.multiply(F.values, phase, out=out)
+    else:
+        out = np.multiply(F.values, weights, out=out)
+        out *= phase
+    out /= scale
+    return samples_of(out, overwrite=True)
 
 
 # ---------------------------------------------------------------------------
@@ -462,22 +476,24 @@ def nsigma_upper(traj, sigma: float, t_window: float = 1.0) -> float:
 # Ratio diagnostics
 # ---------------------------------------------------------------------------
 
-def _physical_l2_slices(u: np.ndarray, grid: GridSpec) -> np.ndarray:
-    axes = tuple(range(1, grid.d + 1))
-    return np.sqrt(grid.cell_volume * np.sum(np.abs(u) ** 2, axis=axes))
-
-
 def _direction_label(e):
     return "(" + " ".join(f"{c:+.3f}" for c in e) + ")"
 
 
 def _member_rows(name, member, directions, shells, t_window, mass_floor, fsigma_sigma):
-    """Diagnostic rows for one ensemble member (thread-safe, pure)."""
+    """Diagnostic rows for one ensemble member (thread-safe, pure).
+
+    A callable member is built here and its trajectory dropped once it is
+    transformed; every shell then reuses one sample and one modulus buffer.
+    """
+    if callable(member):
+        member = member()
     F = (
         member
         if isinstance(member, SpaceTimeSpectrum)
         else spacetime_transform(member, t_window)
     )
+    del member
     ks = list(shells) if shells is not None else list(range(F.grid.max_shell + 1))
     total = F.l2_mass()
     if total <= mass_floor:
@@ -489,19 +505,24 @@ def _member_rows(name, member, directions, shells, t_window, mass_floor, fsigma_
     xks = _xk_values(power)
     r1s = _section_sanity(diag, overlap, xks)
     rows = []
+    buf = np.empty_like(F.values)
+    mag = np.empty(F.values.shape)
+    flat_mag = mag.reshape(F.m_t, -1)
     for k in ks:
         xk = _at_shell(xks, k)
         if xk <= mass_floor * max(total, 1.0):
             continue
-        Fk = F.shell_project(k)
-        u_k = inverse_spacetime(Fk)
-        r4 = float(np.max(_physical_l2_slices(u_k, grid))) / xk
+        u_k = inverse_spacetime(F, F.shell_weights(k), out=buf)
+        np.abs(u_k, out=mag)
 
-        # Per-point time reductions, shared by all lattice directions.
-        flat_u = u_k.reshape(F.m_t, -1)
-        sq_time = F.dt * np.sum(np.abs(flat_u) ** 2, axis=0)
-        kept = flat_u if time_keep.all() else flat_u[time_keep]
-        max_time = np.max(np.abs(kept), axis=0)
+        # Per-point time reductions, shared by all lattice directions; the
+        # time-slice ratio R4 sums the same squares over space.
+        kept = flat_mag if time_keep.all() else flat_mag[time_keep]
+        max_time = np.max(kept, axis=0)
+        np.square(mag, out=mag)
+        slices = np.sqrt(grid.cell_volume * np.sum(mag, axis=tuple(range(1, d + 1))))
+        r4 = float(np.max(slices)) / xk
+        sq_time = F.dt * np.sum(flat_mag, axis=0)
 
         r2_best, r2_dir = 0.0, "-"
         r3_best, r3_dir = 0.0, "-"
@@ -556,8 +577,11 @@ def lemma_diagnostics(
     the time-slice ratio R4, the j-section sanity R1 and the shell norm
     itself; per-(k, quantity) maxima are appended with id 'max'. Passing
     fsigma_sigma adds one whole-trajectory Fsigma row per member. Members may
-    be Trajectory objects, SpaceTimeSpectrum objects, or (id, member) pairs,
-    and are processed independently (in parallel when SMAP_THREADS allows).
+    be Trajectory objects, SpaceTimeSpectrum objects, zero-argument callables
+    returning either, or (id, member) pairs of those, and are processed
+    independently (in parallel when SMAP_THREADS allows). A callable member is
+    called once, on the thread that analyses it, so only the members in
+    flight hold a trajectory.
     """
     members = []
     for i, entry in enumerate(ensemble):

@@ -92,14 +92,21 @@ def to_physical(u: ComplexField) -> ComplexField:
     return u if u.representation == PHYSICAL else transform(u, "inverse")
 
 
-def spectrum_of(values: np.ndarray, axes=None) -> np.ndarray:
-    """Unitary forward DFT of a raw array over the given axes."""
-    return scipy.fft.fftn(values, axes=axes, norm="ortho", workers=fft_workers())
+def spectrum_of(values: np.ndarray, axes=None, overwrite: bool = False) -> np.ndarray:
+    """Unitary forward DFT of a raw array over the given axes.
+
+    overwrite lets a complex input buffer receive the result in place.
+    """
+    return scipy.fft.fftn(
+        values, axes=axes, norm="ortho", workers=fft_workers(), overwrite_x=overwrite
+    )
 
 
-def samples_of(spectrum: np.ndarray, axes=None) -> np.ndarray:
-    """Unitary inverse DFT of a raw array over the given axes."""
-    return scipy.fft.ifftn(spectrum, axes=axes, norm="ortho", workers=fft_workers())
+def samples_of(spectrum: np.ndarray, axes=None, overwrite: bool = False) -> np.ndarray:
+    """Unitary inverse DFT of a raw array over the given axes (see spectrum_of)."""
+    return scipy.fft.ifftn(
+        spectrum, axes=axes, norm="ortho", workers=fft_workers(), overwrite_x=overwrite
+    )
 
 
 def grid_axes(values: np.ndarray, grid: GridSpec) -> tuple:

@@ -9,7 +9,7 @@ finite differences. Tests compare library output against these values.
 import numpy as np
 
 from smap.grid import GridSpec
-from smap.spectral import PHYSICAL, ComplexField, eta_shell
+from smap.spectral import PHYSICAL, ComplexField, eta_shell, samples_of
 
 
 def mesh(grid):
@@ -175,6 +175,21 @@ def section_sanity_direct(F, k):
     if xk == 0.0:
         return 0.0
     return max(xk_of(bj**2) for bj in bumps) / xk
+
+
+def shell_samples_oracle(F, k):
+    """Physical samples of the shell-k piece, in the reference operation order.
+
+    Project onto shell k, multiply by the centring sign pattern, divide by
+    the transform scale, then one unitary inverse DFT. The R2/R3 direction
+    ties of symmetric members are decided by this rounding, so the library's
+    buffered shell inverse is compared against it bit for bit.
+    """
+    grid = F.grid
+    idx = np.indices(F.values.shape).sum(axis=0)
+    phase = np.where(idx % 2 == 0, 1.0, -1.0)
+    scale = np.sqrt(grid.cell_volume * F.dt / F.cell_measure)
+    return samples_of(F.shell_project(k).values * phase / scale)
 
 
 def sigma_sum_direct(F, sigma, paraboloid_weight=False):

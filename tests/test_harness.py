@@ -1,21 +1,27 @@
+import math
+import os
+import struct
 import subprocess
 import sys
-
-import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import smap
 from smap.errors import ConfigError, NoContraction
 from smap.geometry import SphereField
 from smap.grid import GridSpec
+from smap.harness import data as data_module
 from smap.harness.config import ExperimentConfig, load_config, parse_config
 from smap.harness.data import build_lemma_ensemble, seeded_data, sphere_seeded_data
 from smap.harness.runner import run
 from smap.harness.snapshots import read_snapshot, write_snapshot
 from smap.solver import uniform_times
+from smap.spacetime import DirectionSet, lemma_diagnostics
 from smap.spectral import PHYSICAL, ComplexField, hsigma_norm, to_frequency
 
 SMALL_CONFIG = """
@@ -258,6 +264,57 @@ class TestSeededData:
         assert len(members) == 20
         assert len(set(names)) == 20
 
+    def small_ensemble(self):
+        grid = GridSpec(2, 32, 1.0)
+        times = uniform_times(2.0, 2.0 / 128, t0=-1.0)
+        members = build_lemma_ensemble(
+            grid, range(2, 5), times, seed=7, T=0.125, dt=2.0 / 128, sigma0=1.6
+        )
+        return members, (times.size,) + grid.shape
+
+    def test_ensemble_members_built_on_call(self, monkeypatch):
+        calls = []
+        for name in ("free_trajectory", "picard_solve"):
+            original = getattr(data_module, name)
+            monkeypatch.setattr(
+                data_module,
+                name,
+                lambda *a, _f=original, _n=name, **kw: calls.append(_n) or _f(*a, **kw),
+            )
+        members, _ = self.small_ensemble()
+        assert calls == []
+        built = []
+
+        def counted(name, factory):
+            def call():
+                built.append(name)
+                return factory()
+
+            return call
+
+        lemma_diagnostics(
+            [(name, counted(name, f)) for name, f in members],
+            DirectionSet.default(2),
+            shells=range(2, 5),
+        )
+        assert sorted(built) == sorted(name for name, _ in members)
+        assert calls.count("picard_solve") == 1
+        assert calls.count("free_trajectory") == len(members) - 1
+
+    def test_streamed_ensemble_memory_bound(self, monkeypatch):
+        # One member's trajectory at a time: the whole run stays below six
+        # trajectory sizes, where holding all 14 members would need more.
+        monkeypatch.setenv("SMAP_THREADS", "1")
+        tracemalloc.start()
+        try:
+            members, shape = self.small_ensemble()
+            lemma_diagnostics(members, DirectionSet.default(2), shells=range(2, 5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        trajectory_bytes = 16 * math.prod(shape)
+        assert peak < 6 * trajectory_bytes
+
 
 class TestRunnerAndCli:
     @pytest.fixture
@@ -267,11 +324,15 @@ class TestRunnerAndCli:
         return path
 
     def run_cli(self, *args):
+        # The child imports the same package as this test process.
+        src = str(Path(smap.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         return subprocess.run(
             [sys.executable, "-m", "smap.cli", *args],
             capture_output=True,
             text=True,
             timeout=600,
+            env={**os.environ, "PYTHONPATH": path},
         )
 
     def test_picard_writes_history_csv(self, tmp_path, small_cfg):

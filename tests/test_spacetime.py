@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smap.errors import EmptyEnsemble, UnsupportedDirection, WindowTooShort
+from smap.errors import EmptyEnsemble, NoContraction, UnsupportedDirection, WindowTooShort
 from smap.grid import GridSpec
 from smap.solver import Trajectory, free_trajectory, uniform_times
 from smap.spacetime import (
@@ -32,6 +32,7 @@ from oracles import (
     lpq_separable_1d,
     plane_wave,
     section_sanity_direct,
+    shell_samples_oracle,
     sigma_sum_direct,
     window_dft,
     xk_direct,
@@ -477,12 +478,43 @@ class TestLemmaDiagnostics:
 
     def test_parallel_member_processing_deterministic(self, grid32, rng, monkeypatch):
         members = self.build_ensemble(grid32, rng, m_t=64)
+        # The same members built on call, on whichever thread analyses them.
+        lazy = [
+            (name, lambda t=traj: Trajectory(t.grid, t.times, t.values.copy(), t.kind))
+            for name, traj in members
+        ]
         dirs = DirectionSet.default(2)
         monkeypatch.setenv("SMAP_THREADS", "1")
         serial = lemma_diagnostics(members, dirs, shells=range(2, 4))
+        assert lemma_diagnostics(lazy, dirs, shells=range(2, 4)).rows == serial.rows
         monkeypatch.setenv("SMAP_THREADS", "3")
         threaded = lemma_diagnostics(members, dirs, shells=range(2, 4))
         assert serial.rows == threaded.rows
+        assert lemma_diagnostics(lazy, dirs, shells=range(2, 4)).rows == serial.rows
+
+    def test_factory_error_surfaces(self, grid32, rng, monkeypatch):
+        members = self.build_ensemble(grid32, rng, m_t=64)[:2]
+
+        def diverging():
+            raise NoContraction("iterate grew")
+
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SMAP_THREADS", threads)
+            with pytest.raises(NoContraction, match="iterate grew"):
+                lemma_diagnostics(members + [("bad", diverging)], DirectionSet.default(2))
+
+    def test_buffered_shell_inverse_matches_reference_rounding(self, grid32, rng):
+        # The R2/R3 direction of a symmetric member is a tie that rounding
+        # decides, so the reused-buffer inverse must reproduce the reference
+        # operation order exactly, not merely to tolerance.
+        times, _ = window_grid(1.0, 128)
+        for field in (plane_wave(grid32, np.array([4.0, 1.0])), random_smooth_field(grid32, rng)):
+            F = spacetime_transform(free_trajectory(field, times), 1.0)
+            buf = np.empty_like(F.values)
+            for k in range(grid32.max_shell + 1):
+                u_k = inverse_spacetime(F, F.shell_weights(k), out=buf)
+                assert np.shares_memory(u_k, buf)
+                assert np.array_equal(u_k, shell_samples_oracle(F, k))
 
     def test_single_mode_ratio_uniformity(self):
         # Mirrors the per-shell uniformity study: plane waves across shells
