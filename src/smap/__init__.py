@@ -47,7 +47,6 @@ from .spacetime import (
 from .spectral import (
     ComplexField,
     apply_jsigma,
-    chi,
     eta0,
     eta_shell,
     free_propagate,

@@ -217,7 +217,7 @@ def run_checks(config, tmpdir) -> list:
     wtimes = uniform_times(2 * config.t_window, wdt, t0=-config.t_window)
     ftraj = free_trajectory(_random_field(grid, rng, band=4.0), wtimes)
     F = spacetime_transform(ftraj, config.t_window)
-    _, wsamp = windowed_samples(ftraj, config.t_window)
+    wsamp = windowed_samples(ftraj, config.t_window)
     st_mass = np.sqrt(grid.cell_volume * wdt * np.sum(np.abs(wsamp) ** 2))
     check("spacetime_plancherel", abs(F.l2_mass() - st_mass) / st_mass, 1e-12)
     total2 = F.l2_mass() ** 2

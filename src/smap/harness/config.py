@@ -26,7 +26,6 @@ class ExperimentConfig:
     dt: float = 1.0 / 256.0
     sigma0: float = 1.6
     amplitudes: tuple = (1e-3, 1e-2)
-    perturbations: tuple = (1e-3, 1e-4, 1e-5)
     tol: float = 1e-10
     max_iter: int = 40
     dealias: str = "two_thirds"
@@ -74,8 +73,6 @@ class ExperimentConfig:
             raise ConfigError("max_iter, snapshot_stride >= 1; ensemble_samples >= 16")
         if any(a < 0 for a in self.amplitudes) or not self.amplitudes:
             raise ConfigError("amplitudes must be non-negative and non-empty")
-        if any(p <= 0 for p in self.perturbations) or not self.perturbations:
-            raise ConfigError("perturbations must be positive and non-empty")
         if self.dealias not in ("two_thirds", "none"):
             raise ConfigError(f"unknown dealias rule {self.dealias!r}")
         if self.directions not in ("axes", "axes_diagonals"):
@@ -116,7 +113,7 @@ class ExperimentConfig:
 
 _INT_KEYS = {"d", "n", "max_iter", "seed", "snapshot_stride", "ensemble_samples"}
 _FLOAT_KEYS = {"period", "T", "dt", "sigma0", "tol", "inner_tol", "t_window", "ensemble_period"}
-_LIST_FLOAT_KEYS = {"amplitudes", "perturbations"}
+_LIST_FLOAT_KEYS = {"amplitudes"}
 _LIST_INT_KEYS = {"shells"}
 _STR_KEYS = {"dealias", "directions", "out_dir", "data_kind"}
 _BOOL_KEYS = {"allow_subcritical"}

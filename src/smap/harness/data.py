@@ -8,6 +8,7 @@ fields.
 from __future__ import annotations
 
 from functools import partial
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -79,23 +80,27 @@ def sphere_seeded_data(kind: str, amplitude: float, seed: int, grid: GridSpec, s
 def _pure_shell_modes(grid: GridSpec, k: int, count: int, rng) -> list:
     """Integer wavevectors whose radius carries the shell-k bump.
 
-    Prefers the band where only shell k is active; near the grid edge it
-    falls back to the radii with the largest available bump value.
+    Searches descending index tuples (one per vector up to sign and
+    permutation) in lexicographic order. Prefers the band where only shell
+    k is active; near the grid edge it falls back to the radii with the
+    largest available bump value.
     """
     nyq_idx = grid.n // 2 - 1
     lo, hi = 1.6 * 2.0 ** (k - 1) * grid.period, 1.25 * 2.0**k * grid.period
+    tuples = sorted(
+        vec[::-1] for vec in combinations_with_replacement(range(nyq_idx + 1), grid.d)
+    )
     candidates = []
     fallback = []
-    for a in range(0, nyq_idx + 1):
-        for b in range(0, a + 1):
-            r = np.hypot(a, b)
-            if lo <= r <= hi:
-                candidates.append((a, b))
-            elif 2.0 ** (k - 1) * grid.period < r <= min(hi, np.sqrt(2) * nyq_idx):
-                fallback.append((r, (a, b)))
+    for vec in tuples:
+        r = np.hypot.reduce(np.array(vec, dtype=float))
+        if lo <= r <= hi:
+            candidates.append(vec)
+        elif 2.0 ** (k - 1) * grid.period < r <= min(hi, np.sqrt(grid.d) * nyq_idx):
+            fallback.append((r, vec))
     if not candidates and fallback:
         fallback.sort()
-        candidates = [pair for _, pair in fallback[-8:]]
+        candidates = [vec for _, vec in fallback[-8:]]
     if not candidates:
         return []
     order = rng.permutation(len(candidates))

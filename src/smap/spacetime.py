@@ -87,23 +87,17 @@ def lattice_vector(e: np.ndarray, d: int) -> np.ndarray:
     """Integer vector with entries in {-1,0,1} aligned with e, if any.
 
     Only such directions fibrate the sampling lattice exactly (axes and
-    diagonals); anything else raises UnsupportedDirection.
+    diagonals); anything else raises UnsupportedDirection. A normalised
+    {-1,0,1} vector has entries 0 or at least 1/sqrt(d) in size, so the
+    signs of e's entries above half that are the only candidate.
     """
     e = np.asarray(e, dtype=np.float64)
     if e.shape != (d,):
         raise UnsupportedDirection(f"direction shape {e.shape} does not match d={d}")
-    best = None
-    for flat in range(3**d):
-        m = np.array([(flat // 3**a) % 3 - 1 for a in range(d)], dtype=np.float64)
-        if not m.any():
-            continue
-        unit = m / np.sqrt(np.sum(m**2))
-        if np.max(np.abs(unit - e)) <= 1e-12:
-            best = m.astype(np.int64)
-            break
-    if best is None:
+    m = np.where(np.abs(e) > 0.5 / math.sqrt(d), np.sign(e), 0.0)
+    if not m.any() or not np.max(np.abs(m / np.sqrt(np.sum(m**2)) - e)) <= 1e-12:
         raise UnsupportedDirection(f"direction {e} is not lattice-aligned")
-    return best
+    return m.astype(np.int64)
 
 
 @dataclass
@@ -117,7 +111,6 @@ class SpaceTimeSpectrum:
     grid: GridSpec
     t_window: float
     values: np.ndarray
-    windowed: bool = True
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
@@ -142,23 +135,15 @@ class SpaceTimeSpectrum:
     def tau(self) -> np.ndarray:
         return (math.pi / self.t_window) * np.fft.fftfreq(self.m_t, d=1.0 / self.m_t)
 
-    def tau_broadcast(self) -> np.ndarray:
-        return self.tau().reshape((self.m_t,) + (1,) * self.grid.d)
-
     def omega(self) -> np.ndarray:
         """Distance coordinate tau + |xi|^2 from the free paraboloid."""
-        return self.tau_broadcast() + self.grid.wavenumber_sq()
+        return self.tau().reshape((self.m_t,) + (1,) * self.grid.d) + self.grid.wavenumber_sq()
 
     def l2_mass(self) -> float:
         return float(np.sqrt(self.cell_measure * np.sum(np.abs(self.values) ** 2)))
 
     def shell_weights(self, k: int) -> np.ndarray:
         return eta_shell(k, np.sqrt(self.grid.wavenumber_sq()))
-
-    def shell_project(self, k: int) -> "SpaceTimeSpectrum":
-        return SpaceTimeSpectrum(
-            self.grid, self.t_window, self.values * self.shell_weights(k), self.windowed
-        )
 
     def region_mask(self, k: int, j: int) -> np.ndarray:
         """Indicator of the dyadic region |xi| ~ 2^k, |tau + |xi|^2| <= 2^(j+1)."""
@@ -180,28 +165,22 @@ class SpaceTimeSpectrum:
         return float(np.sqrt(self.cell_measure * total))
 
 
-def _st_scale(grid: GridSpec, t_window: float, m_t: int) -> float:
-    # C with F = C * phase * fft_ortho(u); fixed by the exact Plancherel identity.
-    dt = 2.0 * t_window / m_t
-    dxi_dtau = (1.0 / grid.period) ** grid.d * (math.pi / t_window)
-    return math.sqrt(grid.cell_volume * dt / dxi_dtau)
-
-
-def _st_phase(grid: GridSpec, m_t: int) -> np.ndarray:
-    return _st_phase_cached(grid.d, grid.n, m_t)
-
-
 @lru_cache(maxsize=8)
-def _st_phase_cached(d: int, n: int, m_t: int) -> np.ndarray:
-    # Sign pattern translating FFT output to transforms with centered coordinates.
-    sign_t = (-1.0) ** np.arange(m_t)
-    out = sign_t.reshape((m_t,) + (1,) * d).copy()
-    for axis in range(d):
-        shape = [1] * (d + 1)
-        shape[axis + 1] = n
-        out = out * ((-1.0) ** np.arange(n)).reshape(shape)
-    out.flags.writeable = False
-    return out
+def _centring(d: int, n: int, period: float, t_window: float, m_t: int) -> tuple:
+    """Spatial sign pattern and time sign times scale, read-only.
+
+    F = fft_ortho(u) * space * signed_scale: the signs translate FFT output
+    to centred coordinates, and the scale C is fixed by the exact Plancherel
+    identity. Factors of +-1 are exact, so splitting them does not round.
+    """
+    space = np.where(np.indices((n,) * d).sum(axis=0) % 2, -1.0, 1.0)
+    dt = 2.0 * t_window / m_t
+    dxi_dtau = (1.0 / period) ** d * (math.pi / t_window)
+    scale = math.sqrt(GridSpec(d, n, period).cell_volume * dt / dxi_dtau)
+    signed_scale = ((-1.0) ** np.arange(m_t) * scale).reshape((m_t,) + (1,) * d)
+    for arr in (space, signed_scale):
+        arr.flags.writeable = False
+    return space, signed_scale
 
 
 def window_profile(times: np.ndarray, t_window: float) -> np.ndarray:
@@ -209,11 +188,11 @@ def window_profile(times: np.ndarray, t_window: float) -> np.ndarray:
     return psi(SUPPORT * np.asarray(times) / t_window)
 
 
-def windowed_samples(traj: Trajectory, t_window: float = 1.0):
+def windowed_samples(traj: Trajectory, t_window: float = 1.0) -> np.ndarray:
     """Symmetric-window samples of a trajectory, extended by free evolution.
 
-    Returns (times, samples) with times = -T_w + dt*m, m = 0..M_t-1, matching
-    the trajectory's own step; samples are multiplied by the smooth window.
+    Row m is the sample at time -T_w + dt*m, m = 0..M_t-1, matching the
+    trajectory's own step, multiplied by the smooth window.
     """
     if traj.kind != COMPLEX_CHART:
         raise ValueError("space-time analysis needs a complex_chart trajectory")
@@ -233,7 +212,12 @@ def windowed_samples(traj: Trajectory, t_window: float = 1.0):
     inside = (idx >= 0) & (idx < len(traj)) & (
         np.abs(t0 + idx * dt - times) <= 1e-9 * max(1.0, t_window)
     )
-    samples[inside] = traj.values[idx[inside]]
+    # idx steps by one and the time test holds for all rows or none, so the
+    # matching rows are one run: copy it by slice.
+    run = np.flatnonzero(inside)
+    if run.size:
+        first = idx[run[0]]
+        samples[run[0] : run[-1] + 1] = traj.values[first : first + run.size]
     left = times < t0
     left &= ~inside
     if np.any(left):
@@ -247,17 +231,16 @@ def windowed_samples(traj: Trajectory, t_window: float = 1.0):
 
     window = window_profile(times, t_window)
     samples *= window.reshape((m_t,) + (1,) * traj.grid.d)
-    return times, samples
+    return samples
 
 
 def spacetime_transform(traj: Trajectory, t_window: float = 1.0) -> SpaceTimeSpectrum:
     """Window the trajectory in time and transform in all d+1 axes."""
-    _, samples = windowed_samples(traj, t_window)
     grid = traj.grid
-    m_t = samples.shape[0]
-    spec = spectrum_of(samples, overwrite=True)
-    spec *= _st_phase(grid, m_t)
-    spec *= _st_scale(grid, t_window, m_t)
+    spec = spectrum_of(windowed_samples(traj, t_window), overwrite=True)
+    space, signed_scale = _centring(grid.d, grid.n, grid.period, t_window, spec.shape[0])
+    spec *= space
+    spec *= signed_scale
     return SpaceTimeSpectrum(grid, t_window, spec)
 
 
@@ -265,17 +248,12 @@ def inverse_spacetime(F: SpaceTimeSpectrum, weights=None, out=None) -> np.ndarra
     """Physical-space samples (M_t, *grid) of a space-time spectrum.
 
     weights, a spatial multiplier such as F.shell_weights(k), is applied
-    first, exactly as F.shell_project(k) applies it. out, a complex buffer
-    of the spectrum's shape, receives the samples (transformed in place).
+    first. out, a complex buffer of the spectrum's shape, receives the
+    samples (transformed in place).
     """
-    scale = _st_scale(F.grid, F.t_window, F.m_t)
-    phase = _st_phase(F.grid, F.m_t)
-    if weights is None:
-        out = np.multiply(F.values, phase, out=out)
-    else:
-        out = np.multiply(F.values, weights, out=out)
-        out *= phase
-    out /= scale
+    space, signed_scale = _centring(F.grid.d, F.grid.n, F.grid.period, F.t_window, F.m_t)
+    out = np.multiply(F.values, space if weights is None else weights * space, out=out)
+    out /= signed_scale
     return samples_of(out, overwrite=True)
 
 
@@ -401,49 +379,54 @@ def xk_section_sanity(F: SpaceTimeSpectrum, k: int) -> float:
     return _at_shell(_section_sanity(diag, overlap, _xk_values(power)), k)
 
 
-def _fiber_index(grid: GridSpec, m: np.ndarray) -> np.ndarray:
-    idx = np.indices(grid.shape)
-    c = np.zeros(grid.shape, dtype=np.int64)
-    for axis in range(grid.d):
-        c += int(m[axis]) * idx[axis]
-    return np.mod(c, grid.n)
+@lru_cache(maxsize=32)
+def _fibration(d: int, n: int, period: float, m: tuple) -> tuple:
+    """Fibration of the grid along the lattice vector m, read-only.
 
-
-def lpq_norm(values, grid: GridSpec, dt: float, e, p, q) -> float:
-    """Discrete mixed norm: L^q over the hyperplane fiber x time, L^p across
-    the fiber offsets along a lattice-aligned direction e.
-
-    values is a (M_t, *grid.shape) stack of physical samples (a Trajectory is
-    accepted too); weights are the Riemann weights of the fibration, so
-    p = q = 2 reproduces the space-time L2 norm for every lattice direction.
+    Returns the fiber offset (m . i mod n) of every flattened grid point, the
+    Riemann weight w_perp of one point within its fiber, and the spacing dr
+    of the fiber offsets along m / |m|.
     """
-    if isinstance(values, Trajectory):
-        if values.kind != COMPLEX_CHART:
-            raise ValueError("lpq_norm expects complex samples")
-        grid, dt = values.grid, values.dt
-        values = values.values
-    if p not in (1, 2, np.inf) or q not in (2, np.inf):
-        raise ValueError(f"unsupported exponents p={p}, q={q}")
-    m = lattice_vector(np.asarray(e, dtype=np.float64), grid.d)
-    m_len = math.sqrt(float(np.sum(m.astype(np.float64) ** 2)))
-    dr = grid.spacing / m_len
-    w_perp = grid.spacing ** (grid.d - 1) * m_len
+    spacing = GridSpec(d, n, period).spacing
+    offset = np.mod(np.tensordot(m, np.indices((n,) * d), axes=1), n).ravel()
+    offset.flags.writeable = False
+    m_len = math.sqrt(float(np.sum(np.asarray(m, dtype=np.float64) ** 2)))
+    return offset, spacing ** (d - 1) * m_len, spacing / m_len
 
-    c = _fiber_index(grid, m).ravel()
-    flat = values.reshape(values.shape[0], -1)
+
+def _fiber_norm(per_point: np.ndarray, e, grid: GridSpec, p, q) -> float:
+    """L^p across the fibers along e of the L^q(fiber x time) norms.
+
+    per_point is the time reduction at each flattened grid point: dt * sum_t
+    |u|^2 for q = 2, max_t |u| for q = inf.
+    """
+    m = tuple(lattice_vector(e, grid.d).tolist())
+    offset, w_perp, dr = _fibration(grid.d, grid.n, grid.period, m)
     if q == 2:
-        per_point = dt * np.sum(np.abs(flat) ** 2, axis=0)
-        fiber = w_perp * np.bincount(c, weights=per_point, minlength=grid.n)
-        inner = np.sqrt(fiber)
+        inner = np.sqrt(w_perp * np.bincount(offset, weights=per_point, minlength=grid.n))
     else:
-        per_point = np.max(np.abs(flat), axis=0)
         inner = np.zeros(grid.n)
-        np.maximum.at(inner, c, per_point)
+        np.maximum.at(inner, offset, per_point)
     if p == 1:
         return float(dr * np.sum(inner))
     if p == 2:
-        return float(np.sqrt(dr * np.sum(inner**2)))
+        return math.sqrt(dr * float(np.sum(inner**2)))
     return float(np.max(inner))
+
+
+def lpq_norm(values: np.ndarray, grid: GridSpec, dt: float, e, p, q) -> float:
+    """Discrete mixed norm: L^q over the hyperplane fiber x time, L^p across
+    the fiber offsets along a lattice-aligned direction e.
+
+    values is a (M_t, *grid.shape) stack of physical samples; weights are the
+    Riemann weights of the fibration, so p = q = 2 reproduces the space-time
+    L2 norm for every lattice direction.
+    """
+    if p not in (1, 2, np.inf) or q not in (2, np.inf):
+        raise ValueError(f"unsupported exponents p={p}, q={q}")
+    mag = np.abs(values.reshape(values.shape[0], -1))
+    per_point = dt * np.sum(mag**2, axis=0) if q == 2 else np.max(mag, axis=0)
+    return _fiber_norm(per_point, e, grid, p, q)
 
 
 def _sigma_uppers(traj, sigmas, t_window: float, paraboloid_weight: bool = False) -> list:
@@ -527,19 +510,11 @@ def _member_rows(name, member, directions, shells, t_window, mass_floor, fsigma_
         r2_best, r2_dir = 0.0, "-"
         r3_best, r3_dir = 0.0, "-"
         for e in directions:
-            m = lattice_vector(e, d)
-            m_len = math.sqrt(float(np.sum(m.astype(np.float64) ** 2)))
-            c = _fiber_index(grid, m).ravel()
-            w_perp = grid.spacing ** (d - 1) * m_len
-            fiber_sq = w_perp * np.bincount(c, weights=sq_time, minlength=grid.n)
-            r2 = 2.0 ** (k / 2.0) * math.sqrt(float(np.max(fiber_sq))) / xk
-            fiber_max = np.zeros(grid.n)
-            np.maximum.at(fiber_max, c, max_time)
-            dr = grid.spacing / m_len
+            r2 = 2.0 ** (k / 2.0) * _fiber_norm(sq_time, e, grid, np.inf, 2) / xk
             r3 = (
                 2.0 ** (-(d - 1) * k / 2.0)
                 / (k + 1.0) ** 2
-                * math.sqrt(dr * float(np.sum(fiber_max**2)))
+                * _fiber_norm(max_time, e, grid, 2, np.inf)
                 / xk
             )
             if r2 > r2_best:
@@ -624,20 +599,6 @@ def lemma_diagnostics(
     for (k, quantity), value in sorted(maxima.items()):
         report.add("max", k, quantity, "-", value)
     return report
-
-
-def ratio_slope(report: NormReport, quantity: str) -> float:
-    """Least-squares slope of log2(per-k max ratio) against k."""
-    ks, vals = [], []
-    for row in report.rows:
-        if row[0] == "max" and row[2] == quantity and row[4] > 0.0:
-            ks.append(row[1])
-            vals.append(math.log2(row[4]))
-    if len(ks) < 2:
-        raise ValueError(f"not enough shells with data for {quantity}")
-    ks = np.asarray(ks, dtype=np.float64)
-    vals = np.asarray(vals)
-    return float(np.polyfit(ks, vals, 1)[0])
 
 
 def pooled_max_slope(report: NormReport, quantities=("R2", "R3", "R4")) -> float:

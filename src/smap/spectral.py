@@ -159,25 +159,6 @@ def eta_shell(k: int, r):
     return eta0(r / 2.0**k) - eta0(r / 2.0 ** (k - 1))
 
 
-def chi(k: int, l: int, r):
-    """One-sided high-pass cutoff at scale 2^(k-l); identically 1 for k <= 99.
-
-    No representable grid reaches k >= 100 (it needs n ~ 2^99 points per axis).
-    """
-    if k < 0:
-        raise ValueError(f"shell index must be >= 0, got {k}")
-    if not 0 <= l <= 60:
-        raise ValueError(f"offset l must lie in [0, 60], got {l}")
-    r = np.asarray(r, dtype=np.float64)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    if k <= 99:
-        out = np.ones(r.shape)
-    else:
-        out = (1.0 - eta0(r / 2.0 ** (k - l))) * (r >= 0.0)
-    return float(out[0]) if scalar else out
-
-
 def psi(t):
     """Even smooth time window: 1 on [-5/4, 5/4], supported in [-8/5, 8/5]."""
     return eta0(t)
@@ -255,12 +236,11 @@ def _half_spectrum(values: np.ndarray, axes) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def l2_norm(u: ComplexField) -> float:
-    """Continuum-normalized L2 norm (rectangle rule; exact for trig interpolants)."""
-    if u.representation == PHYSICAL:
-        weight = u.grid.cell_volume
-    else:
-        weight = u.grid.cell_volume  # unitary transform preserves the sum
-    return float(np.sqrt(weight * np.sum(np.abs(u.values) ** 2)))
+    """Continuum-normalized L2 norm (rectangle rule; exact for trig interpolants).
+
+    The unitary transform preserves the sum, so either representation works.
+    """
+    return float(np.sqrt(u.grid.cell_volume * np.sum(np.abs(u.values) ** 2)))
 
 
 def hsigma_norm(u: ComplexField, sigma: float) -> float:

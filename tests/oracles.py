@@ -9,7 +9,9 @@ finite differences. Tests compare library output against these values.
 import numpy as np
 
 from smap.grid import GridSpec
-from smap.spectral import PHYSICAL, ComplexField, eta_shell, samples_of
+from smap.solver import free_trajectory
+from smap.spacetime import window_profile
+from smap.spectral import PHYSICAL, ComplexField, eta_shell, samples_of, spectrum_of
 
 
 def mesh(grid):
@@ -177,6 +179,15 @@ def section_sanity_direct(F, k):
     return max(xk_of(bj**2) for bj in bumps) / xk
 
 
+def _centring_sign(shape):
+    """(-1)^(sum of indices) over an array shape: the full centring sign."""
+    return np.where(np.indices(shape).sum(axis=0) % 2 == 0, 1.0, -1.0)
+
+
+def _transform_scale(grid, dt, cell_measure):
+    return np.sqrt(grid.cell_volume * dt / cell_measure)
+
+
 def shell_samples_oracle(F, k):
     """Physical samples of the shell-k piece, in the reference operation order.
 
@@ -185,11 +196,48 @@ def shell_samples_oracle(F, k):
     ties of symmetric members are decided by this rounding, so the library's
     buffered shell inverse is compared against it bit for bit.
     """
-    grid = F.grid
-    idx = np.indices(F.values.shape).sum(axis=0)
-    phase = np.where(idx % 2 == 0, 1.0, -1.0)
-    scale = np.sqrt(grid.cell_volume * F.dt / F.cell_measure)
-    return samples_of(F.shell_project(k).values * phase / scale)
+    scale = _transform_scale(F.grid, F.dt, F.cell_measure)
+    projected = F.values * F.shell_weights(k)
+    return samples_of(projected * _centring_sign(F.values.shape) / scale)
+
+
+def spacetime_spectrum_oracle(samples, grid, t_window):
+    """Space-time spectrum of windowed samples in the reference operation order:
+    one unitary forward DFT, times the full centring sign, times the scale."""
+    m_t = samples.shape[0]
+    dt = 2.0 * t_window / m_t
+    cell_measure = (1.0 / grid.period) ** grid.d * (np.pi / t_window)
+    scale = _transform_scale(grid, dt, cell_measure)
+    return spectrum_of(samples) * _centring_sign(samples.shape) * scale
+
+
+def windowed_samples_fancy(traj, t_window):
+    """Window samples gathered by a fancy index over every matching time."""
+    dt = traj.dt
+    m_t = int(round(2.0 * t_window / dt))
+    times = -t_window + dt * np.arange(m_t)
+    samples = np.empty((m_t,) + traj.grid.shape, dtype=np.complex128)
+    t0, t_end = float(traj.times[0]), float(traj.times[-1])
+    idx = np.round((times - t0) / dt).astype(int)
+    tol = 1e-9 * max(1.0, t_window)
+    inside = (idx >= 0) & (idx < len(traj)) & (np.abs(t0 + idx * dt - times) <= tol)
+    samples[inside] = traj.values[idx[inside]]
+    for side, edge, snap in ((times < t0, t0, 0), (times > t_end, t_end, len(traj) - 1)):
+        side &= ~inside
+        if np.any(side):
+            samples[side] = free_trajectory(traj.snapshot(snap), times[side] - edge).values
+    samples *= window_profile(times, t_window).reshape((m_t,) + (1,) * traj.grid.d)
+    return samples
+
+
+def lattice_vector_search(e, d):
+    """The {-1,0,1}^d vector whose normalisation is within 1e-12 of e, by
+    searching all 3^d of them; None if there is none."""
+    for flat in range(3**d):
+        m = np.array([(flat // 3**a) % 3 - 1 for a in range(d)], dtype=np.float64)
+        if m.any() and np.max(np.abs(m / np.sqrt(np.sum(m**2)) - e)) <= 1e-12:
+            return m.astype(np.int64)
+    return None
 
 
 def sigma_sum_direct(F, sigma, paraboloid_weight=False):

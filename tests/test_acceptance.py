@@ -26,7 +26,6 @@ from smap.spacetime import (
     fsigma_upper,
     lemma_diagnostics,
     pooled_max_slope,
-    ratio_slope,
     spacetime_transform,
     xk_norm,
 )
@@ -229,7 +228,7 @@ def test_criterion_7_lemma_ratio_suite():
     finite = all(np.isfinite(v) for v in ratios) and len(ratios) > 0
     r4_max = max(row[4] for row in rep.rows if row[0] == "max" and row[2] == "R4")
     slope = pooled_max_slope(rep)
-    per_quantity = {q: ratio_slope(rep, q) for q in ("R2", "R3", "R4")}
+    per_quantity = {q: pooled_max_slope(rep, (q,)) for q in ("R2", "R3", "R4")}
     ok = finite and -0.5 <= slope <= 0.5 and r4_max <= 2.0
     report(
         7,

@@ -21,7 +21,7 @@ from smap.harness.data import build_lemma_ensemble, seeded_data, sphere_seeded_d
 from smap.harness.runner import run
 from smap.harness.snapshots import read_snapshot, write_snapshot
 from smap.solver import uniform_times
-from smap.spacetime import DirectionSet, lemma_diagnostics
+from smap.spacetime import DirectionSet, lemma_diagnostics, spacetime_transform, xk_norm
 from smap.spectral import PHYSICAL, ComplexField, hsigma_norm, to_frequency
 
 SMALL_CONFIG = """
@@ -33,7 +33,6 @@ T = 0.125
 dt = 0.015625
 sigma0 = 1.6
 amplitudes = 1e-3
-perturbations = 1e-4
 tol = 1e-10
 max_iter = 40
 dealias = two_thirds
@@ -91,7 +90,6 @@ class TestConfig:
             "amplitudes = nan",
             "amplitudes = 1e-3, inf",
             "sigma0 = nan",
-            "perturbations = inf",
             "period = inf",
             "tol = nan",
         ],
@@ -263,6 +261,21 @@ class TestSeededData:
         names = [name for name, _ in members]
         assert len(members) == 20
         assert len(set(names)) == 20
+
+    @pytest.mark.parametrize("d, n, top", [(1, 64, 5), (2, 32, 4), (3, 16, 3)])
+    def test_plane_wave_members_peak_at_their_shell(self, d, n, top):
+        # Shells 1..top have a band where only their own bump is active.
+        grid = GridSpec(d, n, 1.0)
+        times = uniform_times(2.0, 2.0 / 64, t0=-1.0)
+        members = build_lemma_ensemble(
+            grid, range(1, top + 1), times, seed=7, T=0.125, dt=2.0 / 64, sigma0=1.6
+        )
+        modes = [(name, f) for name, f in members if name.startswith("mode_k")]
+        assert len(modes) >= 2 * top - 1  # shell 1 may hold a single mode
+        for name, factory in modes:
+            F = spacetime_transform(factory(), 1.0)
+            xk = [xk_norm(F, k) for k in range(grid.max_shell + 1)]
+            assert int(np.argmax(xk)) == int(name[len("mode_k") : -1]), (name, xk)
 
     def small_ensemble(self):
         grid = GridSpec(2, 32, 1.0)

@@ -12,7 +12,6 @@ from smap.spectral import (
     SUPPORT,
     ComplexField,
     apply_jsigma,
-    chi,
     eta0,
     eta_shell,
     free_propagate,
@@ -91,22 +90,6 @@ class TestCutoffFamily:
         for k in range(8):
             vals = eta_shell(k, radii)
             assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
-
-    def test_chi_small_shell_is_one(self):
-        r = np.linspace(0.0, 1e6, 50)
-        assert np.all(chi(99, 30, r) == 1.0)
-        assert chi(0, 0, 5.0) == 1.0
-
-    def test_chi_high_shell_profile(self):
-        k, l = 120, 30
-        scale = 2.0 ** (k - l)
-        assert chi(k, l, -1.0) == 0.0  # one-sided
-        assert chi(k, l, 0.5 * scale) == 0.0  # below the plateau of 1 - eta0
-        assert chi(k, l, 2.0 * scale) == 1.0
-
-    def test_chi_validates_offset(self):
-        with pytest.raises(ValueError):
-            chi(5, 61, 1.0)
 
     def test_psi_window(self):
         assert psi(0.0) == 1.0
