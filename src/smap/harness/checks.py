@@ -211,6 +211,7 @@ def run_checks(config, tmpdir) -> list:
         0.0 if rep.meta.get("identical_trajectories") else 1.0,
         0.5,
     )
+    del zero_prev, free_out, expect, traj, again, const_traj, straj
 
     # space-time analysis
     wdt = 2.0 * config.t_window / 64
@@ -218,6 +219,7 @@ def run_checks(config, tmpdir) -> list:
     ftraj = free_trajectory(_random_field(grid, rng, band=4.0), wtimes)
     F = spacetime_transform(ftraj, config.t_window)
     wsamp = windowed_samples(ftraj, config.t_window)
+    del ftraj  # each stack here is trajectory-sized: drop it after its last use
     st_mass = np.sqrt(grid.cell_volume * wdt * np.sum(np.abs(wsamp) ** 2))
     check("spacetime_plancherel", abs(F.l2_mass() - st_mass) / st_mass, 1e-12)
     total2 = F.l2_mass() ** 2
@@ -225,7 +227,12 @@ def run_checks(config, tmpdir) -> list:
     check("shell_completeness", abs(shells2 - total2) / total2, 1e-10)
     mask = F.region_mask(2, 3)
     once = F.values * mask
-    check("region_mask_idempotent", np.max(np.abs(once * mask - once)), 0.0)
+    del F
+    twice = once * mask
+    twice -= once
+    del mask, once
+    check("region_mask_idempotent", np.max(np.abs(twice)), 0.0)
+    del twice
     worst = 0.0
     extent_ok = True
     for e in DirectionSet.default(grid.d):
@@ -236,6 +243,7 @@ def run_checks(config, tmpdir) -> list:
         extent = grid.n * grid.spacing / np.sqrt((np.abs(e) > 1e-12).sum())
         if l12 > np.sqrt(extent) * l22 * (1.0 + 1e-10):
             extent_ok = False
+    del wsamp
     check("lpq_fubini", worst, 1e-12)
     check("lpq_cauchy_schwarz", 0.0 if extent_ok else 1.0, 0.5)
 

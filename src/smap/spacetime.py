@@ -28,6 +28,7 @@ from .grid import GridSpec
 from .report import NormReport
 from .solver import COMPLEX_CHART, Trajectory, free_trajectory
 from .spectral import (
+    PHYSICAL,
     PLATEAU,
     SUPPORT,
     eta0,
@@ -196,6 +197,8 @@ def windowed_samples(traj: Trajectory, t_window: float = 1.0) -> np.ndarray:
     """
     if traj.kind != COMPLEX_CHART:
         raise ValueError("space-time analysis needs a complex_chart trajectory")
+    if traj.representation != PHYSICAL:
+        raise ValueError("space-time analysis needs physical samples")
     dt = traj.dt
     if dt <= 0:
         raise WindowTooShort("trajectory has fewer than two samples")

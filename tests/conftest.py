@@ -1,4 +1,6 @@
 import sys
+import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -36,3 +38,21 @@ def random_smooth_field(grid, rng, band=None, amp=1.0):
     field = to_physical(ComplexField(grid, 0.0, FREQUENCY, spec))
     field.values *= amp / np.max(np.abs(field.values))
     return field
+
+
+class TracedPeak:
+    """Peak of the bytes traced inside a traced_peak block, set when it ends."""
+
+    bytes = 0
+
+
+@contextmanager
+def traced_peak():
+    """Trace Python allocations in the block; yields a TracedPeak filled at exit."""
+    peak = TracedPeak()
+    tracemalloc.start()
+    try:
+        yield peak
+        peak.bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -9,6 +9,7 @@ finite differences. Tests compare library output against these values.
 import numpy as np
 
 from smap.grid import GridSpec
+from smap.nonlinearity import nonlinearity_spectrum
 from smap.solver import free_trajectory
 from smap.spacetime import window_profile
 from smap.spectral import PHYSICAL, ComplexField, eta_shell, samples_of, spectrum_of
@@ -324,3 +325,52 @@ def midpoint_direct(s0_values, d, n, period, T, dt, inner_tol, max_sweeps=100):
         step = v - sm
         vals.append(v / np.sqrt(np.sum(v**2, axis=0)))
     return np.stack(vals)
+
+
+def propagator_recurrence(times, k2):
+    """e^{-i t_m k2} over the whole time stack: the stepwise recurrence on
+    uniform grids of more than two times, one exp per row otherwise."""
+    flat = k2.ravel()
+    out = np.empty((times.size, flat.size), dtype=np.complex128)
+    diffs = np.diff(times)
+    if times.size > 2 and np.all(np.abs(diffs - diffs[0]) < 1e-14 * (1 + abs(diffs[0]))):
+        step = np.exp(-1j * diffs[0] * flat)
+        out[0] = np.exp(-1j * times[0] * flat)
+        for m in range(1, times.size):
+            np.multiply(out[m - 1], step, out=out[m])
+    else:
+        for m, t in enumerate(times):
+            out[m] = np.exp(-1j * t * flat)
+    return out.reshape((times.size,) + k2.shape)
+
+
+def propagator_longdouble(times, k2):
+    """e^{-i t_m k2} with the phase t_m * k2 and its cosine and sine in long
+    double, at the float64 times as given; returns (real, imaginary)."""
+    angle = np.asarray(times, np.longdouble)[:, None] * np.asarray(k2, np.longdouble).ravel()
+    shape = (len(times),) + np.shape(k2)
+    return np.cos(angle).reshape(shape), -np.sin(angle).reshape(shape)
+
+
+def duhamel_map_unblocked(phi_hat, prev_values, prev_hat, times, grid, policy):
+    """Spectra of the integral map over the whole time stack at once.
+
+    The reference operation order: one nonlinearity over every snapshot,
+    the integrand g = conj(forward) * nl_hat, its running sum S row by row,
+    then forward * (phi_hat - i dt (S - (g + g_0) / 2)).
+    """
+    nl_hat = nonlinearity_spectrum(prev_values, prev_hat, grid, policy)
+    forward = propagator_recurrence(times, grid.wavenumber_sq())
+    integrand = np.conj(forward)
+    integrand *= nl_hat
+    u_hat = np.empty_like(integrand)
+    u_hat[0] = integrand[0]
+    for m in range(1, times.size):
+        np.add(u_hat[m - 1], integrand[m], out=u_hat[m])
+    integrand += integrand[0].copy()
+    np.multiply(0.5, integrand, out=integrand)
+    u_hat -= integrand
+    np.multiply(1j * (times[1] - times[0]), u_hat, out=u_hat)
+    np.subtract(phi_hat, u_hat, out=u_hat)
+    np.multiply(forward, u_hat, out=u_hat)
+    return u_hat

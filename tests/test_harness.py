@@ -3,7 +3,6 @@ import os
 import struct
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,16 +12,25 @@ from hypothesis import strategies as st
 
 import smap
 from smap.errors import ConfigError, NoContraction
-from smap.geometry import SphereField
+from smap.geometry import SphereField, stereo_lift
 from smap.grid import GridSpec
 from smap.harness import data as data_module
 from smap.harness.config import ExperimentConfig, load_config, parse_config
 from smap.harness.data import build_lemma_ensemble, seeded_data, sphere_seeded_data
 from smap.harness.runner import run
 from smap.harness.snapshots import read_snapshot, write_snapshot
-from smap.solver import uniform_times
+from smap.nonlinearity import DealiasPolicy
+from smap.solver import (
+    Trajectory,
+    gronwall_diagnostic,
+    midpoint_solve,
+    picard_solve,
+    uniform_times,
+)
 from smap.spacetime import DirectionSet, lemma_diagnostics, spacetime_transform, xk_norm
-from smap.spectral import PHYSICAL, ComplexField, hsigma_norm, to_frequency
+from smap.spectral import PHYSICAL, ComplexField, hsigma_norm, to_frequency, to_physical
+
+from conftest import traced_peak
 
 SMALL_CONFIG = """
 # small deterministic run
@@ -318,15 +326,11 @@ class TestSeededData:
         # One member's trajectory at a time: the whole run stays below six
         # trajectory sizes, where holding all 14 members would need more.
         monkeypatch.setenv("SMAP_THREADS", "1")
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             members, shape = self.small_ensemble()
             lemma_diagnostics(members, DirectionSet.default(2), shells=range(2, 5))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         trajectory_bytes = 16 * math.prod(shape)
-        assert peak < 6 * trajectory_bytes
+        assert peak.bytes < 6 * trajectory_bytes
 
 
 class TestRunnerAndCli:
@@ -389,6 +393,25 @@ class TestRunnerAndCli:
         assert (out / "compare.csv").exists()
         growth = (out / "gronwall.csv").read_text().splitlines()
         assert growth[1] == "t,energy,rate"
+
+    def test_compare_growth_matches_lifted_trajectory(self, tmp_path, small_cfg):
+        # compare takes the difference energy snapshot by snapshot; the CSV
+        # body equals the diagnostic of the whole lifted chart trajectory.
+        out = tmp_path / "out"
+        cfg = load_config(small_cfg, out_dir=str(out))
+        assert run("compare", cfg) == 0
+        grid = cfg.grid()
+        phi = seeded_data(cfg.data_kind, cfg.amplitudes[0], cfg.seed, grid, cfg.sigma0)
+        chart, _ = picard_solve(
+            phi, cfg.T, cfg.dt, tol=cfg.tol, max_iter=cfg.max_iter, sigma0=cfg.sigma0,
+            policy=DealiasPolicy(cfg.dealias),
+        )
+        s0 = stereo_lift(to_physical(phi))
+        sphere = midpoint_solve(s0, cfg.T, cfg.dt, inner_tol=cfg.inner_tol)
+        lifted = np.stack([stereo_lift(chart.snapshot(m)).values for m in range(len(chart))])
+        want = gronwall_diagnostic(sphere, Trajectory(grid, chart.times, lifted, "sphere"))
+        body = (out / "gronwall.csv").read_text().split("\n", 1)[1]
+        assert body == want.to_csv(timestamp=False).split("\n", 1)[1]
 
     def test_norms_emits_schema_report(self, tmp_path, small_cfg):
         out = tmp_path / "out"

@@ -5,7 +5,8 @@ import scipy.fft
 from smap.errors import GridMismatch, InnerDivergence, NoContraction
 from smap.geometry import SphereField, stereo_lift
 from smap.grid import GridSpec
-from smap.nonlinearity import NO_DEALIAS, nonlinearity
+from smap.nonlinearity import NO_DEALIAS, TWO_THIRDS, nonlinearity
+from smap import solver
 from smap.solver import (
     Trajectory,
     duhamel_map,
@@ -16,7 +17,9 @@ from smap.solver import (
     propagator_stack,
     uniform_times,
 )
+from smap.spacetime import windowed_samples
 from smap.spectral import (
+    FREQUENCY,
     PHYSICAL,
     ComplexField,
     hsigma_norm,
@@ -24,10 +27,18 @@ from smap.spectral import (
     samples_of,
     spectrum_of,
     to_frequency,
+    to_physical,
 )
 
-from conftest import random_smooth_field
-from oracles import duhamel_constant_mode, mesh, midpoint_direct, plane_wave
+from conftest import random_smooth_field, traced_peak
+from oracles import (
+    duhamel_constant_mode,
+    duhamel_map_unblocked,
+    mesh,
+    midpoint_direct,
+    plane_wave,
+    propagator_longdouble,
+)
 
 SIGMA0 = 1.6
 
@@ -97,45 +108,68 @@ class TestDuhamel:
         assert 3.2 < ratio < 4.8
 
 
-class TestCarriedSpectra:
-    @staticmethod
-    def free_with_spectra(phi, times):
-        spectra = propagator_stack(times, phi.grid.wavenumber_sq()) * to_frequency(phi).values
-        axes = tuple(range(1, phi.grid.d + 1))
-        return Trajectory(
-            phi.grid, times, samples_of(spectra, axes=axes), "complex_chart", spectra=spectra
-        )
+def frequency_free(phi, times):
+    """Free evolution of phi kept as a frequency-representation trajectory."""
+    spectra = propagator_stack(times, phi.grid.wavenumber_sq()) * to_frequency(phi).values
+    return Trajectory(phi.grid, times, spectra, "complex_chart", FREQUENCY)
 
+
+def physical_of(traj):
+    axes = tuple(range(1, traj.grid.d + 1))
+    return Trajectory(traj.grid, traj.times, samples_of(traj.values, axes=axes), "complex_chart")
+
+
+class TestCarriedSpectra:
     def test_duhamel_same_with_and_without_spectra(self, grid32, rng):
         phi = random_smooth_field(grid32, rng, amp=0.3)
-        carried = self.free_with_spectra(phi, uniform_times(0.25, 1.0 / 64.0))
-        bare = Trajectory(grid32, carried.times, carried.values, "complex_chart")
+        carried = frequency_free(phi, uniform_times(0.25, 1.0 / 64.0))
         with_spec = duhamel_map(phi, carried)
-        without = duhamel_map(phi, bare)
+        without = duhamel_map(phi, physical_of(carried))
+        assert with_spec.representation == FREQUENCY
+        assert without.representation == PHYSICAL
         scale = np.max(np.abs(without.values))
-        assert np.max(np.abs(with_spec.values - without.values)) <= 1e-14 * scale
+        assert np.max(np.abs(physical_of(with_spec).values - without.values)) <= 1e-14 * scale
         assert np.max(
-            np.abs(with_spec.spectra - spectrum_of(with_spec.values, axes=(1, 2)))
+            np.abs(with_spec.values - spectrum_of(without.values, axes=(1, 2)))
         ) <= 1e-14 * scale
 
     def test_results_do_not_keep_spectra(self, grid32):
         phi = small_bump(grid32, 1e-3)
         times = uniform_times(0.25, 1.0 / 64.0)
         traj, _ = picard_solve(phi, 0.25, 1.0 / 64.0, sigma0=SIGMA0)
-        assert traj.spectra is None
-        assert free_trajectory(phi, times).spectra is None
+        assert traj.representation == PHYSICAL
+        assert free_trajectory(phi, times).representation == PHYSICAL
 
     def test_spectra_shape_checked(self, grid32):
         times = uniform_times(0.25, 1.0 / 64.0)
         vals = np.zeros((times.size,) + grid32.shape, complex)
-        with pytest.raises(ValueError, match="spectra shape"):
-            Trajectory(grid32, times, vals, "complex_chart", spectra=vals[1:])
+        with pytest.raises(ValueError, match="values shape"):
+            Trajectory(grid32, times, vals[1:], "complex_chart", FREQUENCY)
+        with pytest.raises(ValueError, match="representation"):
+            Trajectory(grid32, times, vals, "complex_chart", "spectral")
+        sphere = np.zeros((times.size, 3) + grid32.shape)
+        with pytest.raises(ValueError, match="representation"):
+            Trajectory(grid32, times, sphere, "sphere", FREQUENCY)
+
+    def test_physical_only_consumers(self, grid32, rng):
+        phi = random_smooth_field(grid32, rng, amp=0.3)
+        spectral = frequency_free(phi, uniform_times(2.0, 1.0 / 32.0, t0=-1.0))
+        physical = physical_of(spectral)
+        with pytest.raises(ValueError, match="physical"):
+            windowed_samples(spectral, 1.0)
+        assert spectral.sup_hsigma(SIGMA0) == pytest.approx(
+            physical.sup_hsigma(SIGMA0), rel=1e-14
+        )
+        snap = spectral.snapshot(5)
+        assert snap.representation == FREQUENCY
+        assert np.max(np.abs(to_physical(snap).values - physical.values[5])) <= 1e-14
 
     @pytest.mark.parametrize("d, n", [(1, 32), (2, 32), (3, 16)])
     def test_one_map_transform_count(self, monkeypatch, rng, d, n):
         grid = GridSpec(d, n, 1.0)
         phi = random_smooth_field(grid, rng, amp=0.1)
-        prev = self.free_with_spectra(phi, uniform_times(0.125, 1.0 / 64.0))
+        spectral = frequency_free(phi, uniform_times(0.125, 1.0 / 64.0))
+        monkeypatch.setattr(solver, "BLOCK_BYTES", spectral.values.nbytes)  # one block
         calls = []
         for name in ("fftn", "ifftn"):
             original = getattr(scipy.fft, name)
@@ -145,9 +179,91 @@ class TestCarriedSpectra:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(scipy.fft, name, counted)
-        duhamel_map(phi, prev)
-        assert len(calls) <= d + 7
-        assert sum(shape == grid.shape for shape in calls) <= 1  # phi_hat only
+        # Stack transforms: the missing representation of prev, d + 5 for the
+        # nonlinearity and, for a physical prev, the inverse of the result.
+        for prev, budget in ((physical_of(spectral), d + 7), (spectral, d + 6)):
+            calls.clear()
+            duhamel_map(phi, prev)
+            grid_shaped = sum(shape == grid.shape for shape in calls)
+            assert grid_shaped <= 1  # phi_hat only
+            assert len(calls) - grid_shaped <= budget
+
+
+class TestBlockedMap:
+    """The map walks time in blocks; every block size gives the unblocked result."""
+
+    @pytest.mark.parametrize("representation", [PHYSICAL, FREQUENCY])
+    @pytest.mark.parametrize("policy", [TWO_THIRDS, NO_DEALIAS], ids=["two_thirds", "none"])
+    @pytest.mark.parametrize("d, n", [(1, 32), (2, 16), (3, 8)])
+    @pytest.mark.parametrize("samples", [17, 2])  # no block size divides 17; 2 takes exp per row
+    def test_matches_unblocked_oracle(self, monkeypatch, d, n, policy, representation, samples):
+        grid = GridSpec(d, n, 2.0)
+        rng = np.random.default_rng(d * 100 + samples)
+        phi = random_smooth_field(grid, rng, amp=0.2)
+        times = uniform_times((samples - 1) / 64.0, 1.0 / 64.0)
+        spectral = frequency_free(random_smooth_field(grid, rng, amp=0.4), times)
+        physical = physical_of(spectral)
+        axes = tuple(range(1, d + 1))
+        if representation == PHYSICAL:
+            prev, prev_hat = physical, spectrum_of(physical.values, axes=axes)
+        else:
+            prev, prev_hat = spectral, spectral.values
+        want = duhamel_map_unblocked(
+            to_frequency(phi).values, physical.values, prev_hat, times, grid, policy
+        )
+        if representation == PHYSICAL:
+            want = samples_of(want, axes=axes)
+        row_bytes = 16 * grid.num_points
+        for rows in (1, 3, 7, samples):
+            monkeypatch.setattr(solver, "BLOCK_BYTES", rows * row_bytes)
+            got = duhamel_map(phi, prev, policy)
+            assert got.representation == representation
+            assert np.array_equal(got.values, want), rows
+
+    def test_picard_peak_below_three_stacks(self, monkeypatch):
+        grid = GridSpec(2, 32, 4.0)
+        phi = small_bump(grid, 1e-2)
+        times = uniform_times(0.5, 1.0 / 128.0)
+        stack_bytes = 16 * times.size * grid.num_points
+        monkeypatch.setattr(solver, "BLOCK_BYTES", 4 * 16 * grid.num_points)  # 17 blocks
+        picard_solve(phi, 0.5, 1.0 / 128.0, sigma0=SIGMA0)  # warm the caches
+        with traced_peak() as peak:
+            _, hist = picard_solve(phi, 0.5, 1.0 / 128.0, sigma0=SIGMA0)
+        assert len(hist.records) >= 2
+        assert peak.bytes < 3 * stack_bytes
+
+
+class TestPropagator:
+    # (grid, (T, dt, t0), rows, error): the `norms` ensemble window
+    # (max |t |xi|^2| = 2048), its Picard member (1024), and the chart_sweep
+    # (64) and route_d3 (24) Picard windows, with the recurrence's largest
+    # component error against long double.
+    CASES = [
+        ((2, 64, 1.0), (2.0, 2.0 / 1280.0, -1.0), 1281, 5.7e-11),
+        ((2, 64, 1.0), (0.5, 1.0 / 640.0, 0.0), 321, 1.25e-13),
+        ((2, 64, 4.0), (0.5, 1.0 / 256.0, 0.0), 129, 7.9e-15),
+        ((3, 32, 4.0), (0.5, 1.0 / 256.0, 0.0), 129, 7.2e-15),
+    ]
+
+    @staticmethod
+    def error(stack, times, k2):
+        re, im = propagator_longdouble(times, k2)
+        return float(max(np.max(np.abs(stack.real - re)), np.max(np.abs(stack.imag - im))))
+
+    @pytest.mark.parametrize("grid_args, window, rows, bound", CASES)
+    def test_recurrence_error_matches_documented_bounds(self, grid_args, window, rows, bound):
+        k2 = np.unique(GridSpec(*grid_args).wavenumber_sq())  # the phase depends on |xi|^2 only
+        T, dt, t0 = window
+        times = uniform_times(T, dt, t0=t0)
+        assert times.size == rows
+        err = self.error(propagator_stack(times, k2), times, k2)
+        assert bound / 2.0 <= err <= 2.0 * bound
+
+    def test_direct_exp_on_norms_window(self):
+        k2 = np.unique(GridSpec(2, 64, 1.0).wavenumber_sq())
+        times = uniform_times(2.0, 2.0 / 1280.0, t0=-1.0)
+        direct = np.exp(-1j * times[:, None] * k2[None, :])
+        assert self.error(direct, times, k2) <= 2.0 * 1.1e-13
 
 
 class TestPicard:
@@ -357,6 +473,21 @@ class TestGronwall:
         chart = free_trajectory(random_smooth_field(grid32, rng), traj.times)
         with pytest.raises(ValueError):
             gronwall_diagnostic(traj, chart)
+
+
+class TestFreeTrajectory:
+    def test_inverts_in_place(self, rng):
+        grid = GridSpec(2, 32, 1.0)
+        phi = to_frequency(random_smooth_field(grid, rng))
+        times = uniform_times(0.5, 1.0 / 128.0)
+        spectra = propagator_stack(times, grid.wavenumber_sq())
+        spectra *= phi.values
+        want = samples_of(spectra, axes=(1, 2))
+        free_trajectory(phi, times)  # warm the caches
+        with traced_peak() as peak:
+            traj = free_trajectory(phi, times)
+        assert np.array_equal(traj.values, want)
+        assert peak.bytes < 1.5 * traj.values.nbytes
 
 
 class TestTrajectory:

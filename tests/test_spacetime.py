@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +28,7 @@ from smap.spacetime import (
 )
 from smap.spectral import PLATEAU, SUPPORT, eta_shell
 
-from conftest import random_smooth_field
+from conftest import random_smooth_field, traced_peak
 from oracles import (
     lattice_vector_search,
     lpq_separable_1d,
@@ -148,13 +147,9 @@ class TestTransform:
         times, _ = window_grid(1.0, 128)
         traj = free_trajectory(random_smooth_field(grid32, rng), times)
         spacetime_transform(traj, 1.0)  # warm the caches
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             spacetime_transform(traj, 1.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * traj.values.nbytes
+        assert peak.bytes < 1.5 * traj.values.nbytes
 
     def test_window_too_short(self, grid32, rng):
         traj = free_trajectory(
