@@ -14,7 +14,8 @@ import numpy as np
 
 from ..geometry import SphereField, stereo_lift
 from ..grid import GridSpec
-from ..solver import free_trajectory, picard_solve
+from ..solver import picard_solve
+from ..spacetime import free_spectrum
 from ..spectral import FREQUENCY, PHYSICAL, ComplexField, hsigma_norm, to_physical
 
 DATA_KINDS = ("gaussian_bump", "mode_sum", "random_bandlimited")
@@ -116,6 +117,7 @@ def build_lemma_ensemble(
     dt: float,
     sigma0: float,
     picard_amplitude: float = 1e-3,
+    t_window: float = 1.0,
 ) -> list:
     """Windowed members as (name, factory) pairs: two free plane waves and
     one free three-mode sum per requested shell, three frequency-localized
@@ -123,9 +125,11 @@ def build_lemma_ensemble(
     (twenty members for five shells).
 
     Every random draw and every initial field is made here, in a fixed
-    order; a factory takes no argument and only evolves its field on
-    window_times (or runs the Picard solve), so a member's trajectory
-    exists only while it is analysed.
+    order; a factory takes no argument. A free member's factory evolves its
+    field on window_times and returns the space-time spectrum on the window
+    [-t_window, t_window], built in the evolution's buffer; the Picard
+    member's runs the solve and returns its trajectory. So a member's
+    samples exist only while it is analysed.
     """
     rng = np.random.default_rng(seed)
     X = _mesh(grid)
@@ -133,7 +137,7 @@ def build_lemma_ensemble(
 
     def free(vals, representation=PHYSICAL):
         field = ComplexField(grid, 0.0, representation, vals)
-        return partial(free_trajectory, field, window_times)
+        return partial(free_spectrum, field, window_times, t_window)
 
     def plane_wave(k0):
         return free(np.exp(1j * sum(k0[a] * X[a] for a in range(grid.d))))

@@ -17,7 +17,6 @@ from ..nonlinearity import DealiasPolicy
 from ..report import NormReport
 from ..solver import (
     difference_energy,
-    free_trajectory,
     gronwall_report,
     midpoint_solve,
     picard_solve,
@@ -25,10 +24,10 @@ from ..solver import (
 )
 from ..spacetime import (
     DirectionSet,
+    free_spectrum,
     fsigma_uppers,
     lemma_diagnostics,
     pooled_max_slope,
-    spacetime_transform,
 )
 from ..spectral import hsigma_norm, to_physical
 from .checks import run_checks
@@ -142,6 +141,7 @@ def _cmd_norms(config, out) -> int:
         T=config.T,
         dt=wdt,
         sigma0=config.sigma0,
+        t_window=config.t_window,
     )
     rep = lemma_diagnostics(
         ensemble,
@@ -167,8 +167,7 @@ def _cmd_norms(config, out) -> int:
     sigmas = (config.sigma0, config.sigma0 + 1.0)
     for i in range(10):
         phi = seeded_data("random_bandlimited", 1.0, config.seed + i, solve_grid, config.sigma0)
-        traj = free_trajectory(to_physical(phi), swin)
-        F = spacetime_transform(traj, config.t_window)
+        F = free_spectrum(to_physical(phi), swin, config.t_window)
         for sigma, fs in zip(sigmas, fsigma_uppers(F, sigmas)):
             hs = hsigma_norm(phi, sigma)
             lin.add(i, sigma, fs, hs, fs / hs)

@@ -17,6 +17,7 @@ k-uniformity of the linear estimates.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -26,11 +27,12 @@ import numpy as np
 from .errors import EmptyEnsemble, UnsupportedDirection, WindowTooShort
 from .grid import GridSpec
 from .report import NormReport
-from .solver import COMPLEX_CHART, Trajectory, free_trajectory
+from .solver import COMPLEX_CHART, Trajectory, _block_rows, free_trajectory
 from .spectral import (
     PHYSICAL,
     PLATEAU,
     SUPPORT,
+    ComplexField,
     eta0,
     eta_shell,
     fft_workers,
@@ -189,11 +191,15 @@ def window_profile(times: np.ndarray, t_window: float) -> np.ndarray:
     return psi(SUPPORT * np.asarray(times) / t_window)
 
 
-def windowed_samples(traj: Trajectory, t_window: float = 1.0) -> np.ndarray:
+def windowed_samples(
+    traj: Trajectory, t_window: float = 1.0, overwrite: bool = False
+) -> np.ndarray:
     """Symmetric-window samples of a trajectory, extended by free evolution.
 
     Row m is the sample at time -T_w + dt*m, m = 0..M_t-1, matching the
-    trajectory's own step, multiplied by the smooth window.
+    trajectory's own step, multiplied by the smooth window. overwrite lets
+    the samples take the trajectory's own buffer when it covers the whole
+    window, so the trajectory's values are windowed in place.
     """
     if traj.kind != COMPLEX_CHART:
         raise ValueError("space-time analysis needs a complex_chart trajectory")
@@ -209,7 +215,6 @@ def windowed_samples(traj: Trajectory, t_window: float = 1.0) -> np.ndarray:
         raise WindowTooShort(f"window has {m_t} samples, need at least 16")
     times = -t_window + dt * np.arange(m_t)
 
-    samples = np.empty((m_t,) + traj.grid.shape, dtype=np.complex128)
     t0, t_end = float(traj.times[0]), float(traj.times[-1])
     idx = np.round((times - t0) / dt).astype(int)
     inside = (idx >= 0) & (idx < len(traj)) & (
@@ -218,9 +223,13 @@ def windowed_samples(traj: Trajectory, t_window: float = 1.0) -> np.ndarray:
     # idx steps by one and the time test holds for all rows or none, so the
     # matching rows are one run: copy it by slice.
     run = np.flatnonzero(inside)
-    if run.size:
-        first = idx[run[0]]
-        samples[run[0] : run[-1] + 1] = traj.values[first : first + run.size]
+    if overwrite and run.size == m_t:
+        samples = traj.values[idx[0] : idx[0] + m_t]
+    else:
+        samples = np.empty((m_t,) + traj.grid.shape, dtype=np.complex128)
+        if run.size:
+            first = idx[run[0]]
+            samples[run[0] : run[-1] + 1] = traj.values[first : first + run.size]
     left = times < t0
     left &= ~inside
     if np.any(left):
@@ -237,27 +246,84 @@ def windowed_samples(traj: Trajectory, t_window: float = 1.0) -> np.ndarray:
     return samples
 
 
-def spacetime_transform(traj: Trajectory, t_window: float = 1.0) -> SpaceTimeSpectrum:
-    """Window the trajectory in time and transform in all d+1 axes."""
+def spacetime_transform(
+    traj: Trajectory, t_window: float = 1.0, overwrite: bool = False
+) -> SpaceTimeSpectrum:
+    """Window the trajectory in time and transform in all d+1 axes.
+
+    overwrite is passed to windowed_samples: the spectrum may then take the
+    trajectory's buffer, which the caller must not use afterwards.
+    """
     grid = traj.grid
-    spec = spectrum_of(windowed_samples(traj, t_window), overwrite=True)
+    spec = spectrum_of(windowed_samples(traj, t_window, overwrite), overwrite=True)
     space, signed_scale = _centring(grid.d, grid.n, grid.period, t_window, spec.shape[0])
     spec *= space
     spec *= signed_scale
     return SpaceTimeSpectrum(grid, t_window, spec)
 
 
-def inverse_spacetime(F: SpaceTimeSpectrum, weights=None, out=None) -> np.ndarray:
-    """Physical-space samples (M_t, *grid) of a space-time spectrum.
+def free_spectrum(phi: ComplexField, times: np.ndarray, t_window: float = 1.0) -> SpaceTimeSpectrum:
+    """Space-time spectrum of the free evolution W(t) phi sampled on times.
 
-    weights, a spatial multiplier such as F.shell_weights(k), is applied
-    first. out, a complex buffer of the spectrum's shape, receives the
-    samples (transformed in place).
+    Equal to spacetime_transform(free_trajectory(phi, times), t_window); the
+    evolution is windowed and transformed in its own buffer when times cover
+    the window, so one trajectory-sized array is alive throughout.
     """
-    space, signed_scale = _centring(F.grid.d, F.grid.n, F.grid.period, F.t_window, F.m_t)
-    out = np.multiply(F.values, space if weights is None else weights * space, out=out)
-    out /= signed_scale
-    return samples_of(out, overwrite=True)
+    return spacetime_transform(free_trajectory(phi, times), t_window, overwrite=True)
+
+
+def _ortho_factor(points: int) -> float:
+    """1/sqrt(points) rounded from long double, as pocketfft scales a unitary transform."""
+    return float(1 / np.sqrt(np.longdouble(points)))
+
+
+def _shell_reductions(F: SpaceTimeSpectrum, weights: np.ndarray, time_keep: np.ndarray):
+    """Reductions of |u|, u the physical samples of F times a spatial multiplier.
+
+    Returns max_t |u| over the rows time_keep marks and sum_t |u|^2 at each
+    flattened grid point, and sum_x |u|^2 of each time row, without building
+    u. Only the columns where the multiplier is nonzero take the time
+    transform; the grid transforms then run on time blocks of about
+    BLOCK_BYTES. This splits one unitary inverse over all d+1 axes without
+    changing a bit: pocketfft scales the first (time) pass by the rounded
+    ortho factor, and the zero columns add exact zeros in the grid passes.
+    """
+    grid = F.grid
+    m_t, points = F.m_t, grid.num_points
+    space, signed_scale = _centring(grid.d, grid.n, grid.period, F.t_window, m_t)
+    mult = (weights * space).ravel()
+    cols = np.flatnonzero(mult)
+    part = F.values.reshape(m_t, points)[:, cols]
+    part *= mult[cols]
+    part /= signed_scale.reshape(m_t, 1)
+    part = samples_of(part, axes=(0,), overwrite=True, scaled=False)
+    factor = _ortho_factor(F.values.size)
+    part.real *= factor
+    part.imag *= factor
+
+    rows = _block_rows(grid)
+    axes = tuple(range(1, grid.d + 1))
+    block = np.zeros((rows, points), dtype=np.complex128)
+    # Row 0 carries the running time sum: numpy's axis-0 sum adds rows in
+    # order, so summing it with each block adds every row in the parent order.
+    sq = np.empty((rows + 1, points))
+    sq_time = np.zeros(points)
+    max_time = np.zeros(points)
+    row_sq = np.empty(m_t)
+    for start in range(0, m_t, rows):
+        count = min(rows, m_t - start)
+        block[:count, cols] = part[start : start + count]
+        u = samples_of(block[:count].reshape((count,) + grid.shape), axes=axes, scaled=False)
+        mag = sq[1 : count + 1]
+        np.abs(u.reshape(count, points), out=mag)
+        keep = time_keep[start : start + count]
+        if keep.any():
+            np.maximum(max_time, np.max(mag[keep], axis=0), out=max_time)
+        np.square(mag, out=mag)
+        row_sq[start : start + count] = np.sum(mag.reshape(u.shape), axis=axes)
+        sq[0] = sq_time
+        np.sum(sq[: count + 1], axis=0, out=sq_time)
+    return max_time, sq_time, row_sq
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +333,7 @@ def inverse_spacetime(F: SpaceTimeSpectrum, weights=None, out=None) -> np.ndarra
 class _ShellKernel(NamedTuple):
     """Member-independent part of the (k, j) power tables on one grid."""
 
-    bins: np.ndarray  # (tau, |xi|^2 class) cell of every spectrum point
+    block_bins: np.ndarray  # (tau row, |xi|^2 class) cell of every point of one time block
     abs_omega: np.ndarray  # |tau + |xi|^2| per cell
     upper: np.ndarray  # (class, j) table slot of the cell's upper bump j
     lower: np.ndarray  # slot of bump j - 1 (weight 0 where j = 0)
@@ -277,8 +343,18 @@ class _ShellKernel(NamedTuple):
     table_shape: tuple  # (classes, J)
 
 
-@lru_cache(maxsize=8)
+_kernel_lock = threading.Lock()
+
+
 def _shell_kernel(d: int, n: int, period: float, m_t: int, t_window: float) -> _ShellKernel:
+    """The cached kernel of one grid and window, built once even when
+    several pool threads ask for it at the same time."""
+    with _kernel_lock:
+        return _build_shell_kernel(d, n, period, m_t, t_window)
+
+
+@lru_cache(maxsize=8)
+def _build_shell_kernel(d: int, n: int, period: float, m_t: int, t_window: float) -> _ShellKernel:
     # Every weight depends on xi only through |xi|^2, so spectrum points are
     # first pooled into (tau, |xi|^2 class) cells. A cell at distance r from
     # the paraboloid lies in at most two adjacent bumps j - 1 and j, with
@@ -286,7 +362,8 @@ def _shell_kernel(d: int, n: int, period: float, m_t: int, t_window: float) -> _
     # since eta_j = 1 - eta_{j-1} on the overlap band.
     grid = GridSpec(d, n, period)
     kappa, cls = np.unique(grid.wavenumber_sq(), return_inverse=True)
-    bins = (np.arange(m_t)[:, None] * kappa.size + cls.ravel()[None, :]).ravel()
+    rows = min(_block_rows(grid), m_t)
+    block_bins = (np.arange(rows)[:, None] * kappa.size + cls.ravel()[None, :]).ravel()
     tau = (math.pi / t_window) * np.fft.fftfreq(m_t, d=1.0 / m_t)
     r = np.abs(tau[:, None] + kappa[None, :]).ravel()
     # j is the least index with r <= PLATEAU 2^j, found against exact edges.
@@ -298,7 +375,7 @@ def _shell_kernel(d: int, n: int, period: float, m_t: int, t_window: float) -> _
     radius = np.sqrt(kappa)
     weights = np.array([eta_shell(k, radius) for k in range(grid.max_shell + 1)]) ** 2
     kern = _ShellKernel(
-        bins, r, upper, upper - (j > 0), (1.0 - g) ** 2, g**2, weights, (kappa.size, n_j)
+        block_bins, r, upper, upper - (j > 0), (1.0 - g) ** 2, g**2, weights, (kappa.size, n_j)
     )
     for arr in kern[:-1]:
         arr.flags.writeable = False
@@ -313,9 +390,15 @@ def _shell_tables(F: SpaceTimeSpectrum, paraboloid_weight: bool = False) -> np.n
     paraboloid_weight attaches the N^sigma weight |1 / (omega + i)|^2.
     """
     kern = _shell_kernel(F.grid.d, F.grid.n, F.grid.period, F.m_t, F.t_window)
-    p = np.abs(F.values.reshape(-1))
-    p *= p
-    q = np.bincount(kern.bins, weights=p, minlength=kern.abs_omega.size)
+    # Every (tau, |xi|^2 class) cell lies in one time row, so pooling |F|^2
+    # block by block adds the same terms in the same order.
+    rows = kern.block_bins.size // F.grid.num_points
+    q = np.empty((F.m_t, kern.table_shape[0]))
+    for start in range(0, F.m_t, rows):
+        p = np.abs(F.values[start : start + rows].reshape(-1))
+        p *= p
+        q[start : start + rows] = np.bincount(kern.block_bins[: p.size], p).reshape(-1, q.shape[1])
+    q = q.reshape(-1)
     if paraboloid_weight:
         q /= kern.abs_omega**2 + 1.0
     hi = q * kern.upper_sq
@@ -470,7 +553,8 @@ def _member_rows(name, member, directions, shells, t_window, mass_floor, fsigma_
     """Diagnostic rows for one ensemble member (thread-safe, pure).
 
     A callable member is built here and its trajectory dropped once it is
-    transformed; every shell then reuses one sample and one modulus buffer.
+    transformed. The shell samples are never built: every shell reads its
+    reductions from _shell_reductions.
     """
     if callable(member):
         member = member()
@@ -491,24 +575,16 @@ def _member_rows(name, member, directions, shells, t_window, mass_floor, fsigma_
     xks = _xk_values(power)
     r1s = _section_sanity(diag, overlap, xks)
     rows = []
-    buf = np.empty_like(F.values)
-    mag = np.empty(F.values.shape)
-    flat_mag = mag.reshape(F.m_t, -1)
     for k in ks:
         xk = _at_shell(xks, k)
         if xk <= mass_floor * max(total, 1.0):
             continue
-        u_k = inverse_spacetime(F, F.shell_weights(k), out=buf)
-        np.abs(u_k, out=mag)
-
-        # Per-point time reductions, shared by all lattice directions; the
-        # time-slice ratio R4 sums the same squares over space.
-        kept = flat_mag if time_keep.all() else flat_mag[time_keep]
-        max_time = np.max(kept, axis=0)
-        np.square(mag, out=mag)
-        slices = np.sqrt(grid.cell_volume * np.sum(mag, axis=tuple(range(1, d + 1))))
+        # Per-point time reductions of |u_k|, shared by all lattice
+        # directions; the time-slice ratio R4 sums the same squares over space.
+        max_time, sq_time, row_sq = _shell_reductions(F, F.shell_weights(k), time_keep)
+        slices = np.sqrt(grid.cell_volume * row_sq)
         r4 = float(np.max(slices)) / xk
-        sq_time = F.dt * np.sum(flat_mag, axis=0)
+        sq_time = F.dt * sq_time
 
         r2_best, r2_dir = 0.0, "-"
         r3_best, r3_dir = 0.0, "-"

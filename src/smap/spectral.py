@@ -102,10 +102,19 @@ def spectrum_of(values: np.ndarray, axes=None, overwrite: bool = False) -> np.nd
     )
 
 
-def samples_of(spectrum: np.ndarray, axes=None, overwrite: bool = False) -> np.ndarray:
-    """Unitary inverse DFT of a raw array over the given axes (see spectrum_of)."""
+def samples_of(
+    spectrum: np.ndarray, axes=None, overwrite: bool = False, scaled: bool = True
+) -> np.ndarray:
+    """Unitary inverse DFT of a raw array over the given axes (see spectrum_of).
+
+    scaled=False leaves out the 1/sqrt(points) factor.
+    """
     return scipy.fft.ifftn(
-        spectrum, axes=axes, norm="ortho", workers=fft_workers(), overwrite_x=overwrite
+        spectrum,
+        axes=axes,
+        norm="ortho" if scaled else "forward",
+        workers=fft_workers(),
+        overwrite_x=overwrite,
     )
 
 

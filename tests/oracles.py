@@ -189,17 +189,35 @@ def _transform_scale(grid, dt, cell_measure):
     return np.sqrt(grid.cell_volume * dt / cell_measure)
 
 
-def shell_samples_oracle(F, k):
-    """Physical samples of the shell-k piece, in the reference operation order.
-
-    Project onto shell k, multiply by the centring sign pattern, divide by
-    the transform scale, then one unitary inverse DFT. The R2/R3 direction
-    ties of symmetric members are decided by this rounding, so the library's
-    buffered shell inverse is compared against it bit for bit.
-    """
+def spacetime_samples_oracle(F, weights=1.0):
+    """Physical samples of a space-time spectrum times a spatial multiplier,
+    in the reference operation order: multiply by the weights and by the
+    centring sign pattern, divide by the transform scale, then one unitary
+    inverse DFT over all d+1 axes."""
     scale = _transform_scale(F.grid, F.dt, F.cell_measure)
-    projected = F.values * F.shell_weights(k)
+    projected = F.values * weights
     return samples_of(projected * _centring_sign(F.values.shape) / scale)
+
+
+def shell_samples_oracle(F, k):
+    """Physical samples of the shell-k piece, in the reference operation order."""
+    return spacetime_samples_oracle(F, F.shell_weights(k))
+
+
+def shell_reductions_oracle(F, k, time_keep):
+    """max_t |u_k| over the kept rows and sum_t |u_k|^2 per grid point, and
+    sum_x |u_k|^2 per time row, from the whole stack of shell samples.
+
+    The R2/R3 direction ties of symmetric members are decided by the
+    rounding of these reductions, so the library's are compared against
+    them bit for bit.
+    """
+    mag = np.abs(shell_samples_oracle(F, k))
+    flat = mag.reshape(F.m_t, -1)
+    max_time = np.max(flat[time_keep], axis=0)
+    sq = np.square(mag)
+    row_sq = np.sum(sq, axis=tuple(range(1, mag.ndim)))
+    return max_time, np.sum(sq.reshape(F.m_t, -1), axis=0), row_sq
 
 
 def spacetime_spectrum_oracle(samples, grid, t_window):

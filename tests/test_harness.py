@@ -27,7 +27,7 @@ from smap.solver import (
     picard_solve,
     uniform_times,
 )
-from smap.spacetime import DirectionSet, lemma_diagnostics, spacetime_transform, xk_norm
+from smap.spacetime import DirectionSet, lemma_diagnostics, xk_norm
 from smap.spectral import PHYSICAL, ComplexField, hsigma_norm, to_frequency, to_physical
 
 from conftest import traced_peak
@@ -281,7 +281,7 @@ class TestSeededData:
         modes = [(name, f) for name, f in members if name.startswith("mode_k")]
         assert len(modes) >= 2 * top - 1  # shell 1 may hold a single mode
         for name, factory in modes:
-            F = spacetime_transform(factory(), 1.0)
+            F = factory()
             xk = [xk_norm(F, k) for k in range(grid.max_shell + 1)]
             assert int(np.argmax(xk)) == int(name[len("mode_k") : -1]), (name, xk)
 
@@ -295,7 +295,7 @@ class TestSeededData:
 
     def test_ensemble_members_built_on_call(self, monkeypatch):
         calls = []
-        for name in ("free_trajectory", "picard_solve"):
+        for name in ("free_spectrum", "picard_solve"):
             original = getattr(data_module, name)
             monkeypatch.setattr(
                 data_module,
@@ -320,7 +320,7 @@ class TestSeededData:
         )
         assert sorted(built) == sorted(name for name, _ in members)
         assert calls.count("picard_solve") == 1
-        assert calls.count("free_trajectory") == len(members) - 1
+        assert calls.count("free_spectrum") == len(members) - 1
 
     def test_streamed_ensemble_memory_bound(self, monkeypatch):
         # One member's trajectory at a time: the whole run stays below six

@@ -1,20 +1,26 @@
 import itertools
 import math
+import sys
+import time
+from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given
 from hypothesis import strategies as st
 
+from smap import solver, spacetime
 from smap.errors import EmptyEnsemble, NoContraction, UnsupportedDirection, WindowTooShort
 from smap.grid import GridSpec
 from smap.solver import Trajectory, free_trajectory, uniform_times
 from smap.spacetime import (
+    TIME_CUT,
     DirectionSet,
     SpaceTimeSpectrum,
+    free_spectrum,
     fsigma_upper,
     fsigma_uppers,
-    inverse_spacetime,
     lattice_vector,
     lemma_diagnostics,
     lpq_norm,
@@ -26,7 +32,7 @@ from smap.spacetime import (
     xk_norm,
     xk_section_sanity,
 )
-from smap.spectral import PLATEAU, SUPPORT, eta_shell
+from smap.spectral import FREQUENCY, PLATEAU, SUPPORT, ComplexField, eta_shell, samples_of
 
 from conftest import random_smooth_field, traced_peak
 from oracles import (
@@ -34,8 +40,10 @@ from oracles import (
     lpq_separable_1d,
     plane_wave,
     section_sanity_direct,
+    shell_reductions_oracle,
     shell_samples_oracle,
     sigma_sum_direct,
+    spacetime_samples_oracle,
     spacetime_spectrum_oracle,
     window_dft,
     windowed_samples_fancy,
@@ -119,7 +127,7 @@ class TestTransform:
         samples = windowed_samples(traj, 1.0)
         mass = np.sqrt(grid32.cell_volume * dt * np.sum(np.abs(samples) ** 2))
         assert abs(F.l2_mass() - mass) < 1e-12 * mass
-        back = inverse_spacetime(F)
+        back = spacetime_samples_oracle(F)
         assert np.max(np.abs(back - samples)) < 1e-13
 
     @pytest.mark.parametrize("d, n", [(1, 16), (2, 16), (3, 8)])
@@ -150,6 +158,32 @@ class TestTransform:
         with traced_peak() as peak:
             spacetime_transform(traj, 1.0)
         assert peak.bytes < 1.5 * traj.values.nbytes
+
+    def test_free_spectrum_in_one_buffer(self, grid32, rng):
+        # Same bits as transforming the free trajectory, with the samples
+        # windowed and transformed in the evolution's own buffer.
+        times, _ = window_grid(1.0, 128)
+        phi = random_smooth_field(grid32, rng)
+        want = spacetime_transform(free_trajectory(phi, times), 1.0).values
+        assert np.array_equal(free_spectrum(phi, times, 1.0).values, want)
+        with traced_peak() as peak:
+            free_spectrum(phi, times, 1.0)
+        trajectory_bytes = 16 * times.size * grid32.num_points
+        assert peak.bytes < 1.3 * trajectory_bytes
+
+    def test_transform_leaves_trajectory_unchanged(self, grid32, rng):
+        # Without overwrite the caller's samples stay as they are, even when
+        # the trajectory covers the window; with it, a trajectory that does
+        # not cover the window is copied, never windowed in place.
+        times, _ = window_grid(1.0, 64)
+        phi = random_smooth_field(grid32, rng)
+        for traj, overwrite in (
+            (free_trajectory(phi, times), False),
+            (free_trajectory(phi, uniform_times(0.5, 2.0 / 64)), True),
+        ):
+            before = traj.values.copy()
+            spacetime_transform(traj, 1.0, overwrite=overwrite)
+            assert np.array_equal(traj.values, before)
 
     def test_window_too_short(self, grid32, rng):
         traj = free_trajectory(
@@ -424,6 +458,60 @@ class TestLpqNorm:
             lpq_norm(vals, grid32, 0.1, np.array([0.8, 0.6]), 2, 2)
 
 
+def spectrum_with_cut_rows(d, n, m_t, t_window, seed):
+    grid = GridSpec(d, n, 1.0)
+    rng = np.random.default_rng(seed)
+    shape = (m_t,) + grid.shape
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return SpaceTimeSpectrum(grid, t_window, vals)
+
+
+class TestShellReductions:
+    @pytest.mark.parametrize("d, n", [(1, 64), (2, 16), (3, 8)])
+    @pytest.mark.parametrize("m_t", [48, 1280])
+    @pytest.mark.parametrize("block_rows", [None, 5])
+    def test_match_reference_rounding(self, d, n, m_t, block_rows, monkeypatch):
+        # Equal to the reductions of the whole shell-sample stack, exactly,
+        # on every shell up to the grid edge, with rows past TIME_CUT.
+        F = spectrum_with_cut_rows(d, n, m_t, 3.0, seed=d * m_t)
+        if block_rows is not None:
+            monkeypatch.setattr(solver, "BLOCK_BYTES", block_rows * 16 * F.grid.num_points)
+        keep = np.abs(-F.t_window + F.dt * np.arange(m_t)) <= TIME_CUT
+        assert 0 < keep.sum() < m_t
+        for k in range(F.grid.max_shell + 1):
+            got = spacetime._shell_reductions(F, F.shell_weights(k), keep)
+            want = shell_reductions_oracle(F, k, keep)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), k
+
+    @pytest.mark.parametrize("shape", [(48, 64), (1280, 16, 16), (48, 8, 8, 8), (1280, 4, 4, 4)])
+    def test_split_inverse_matches_unitary_inverse(self, shape):
+        # The shell reductions rest on this: an unscaled time pass, times
+        # 1/sqrt(points) rounded from long double, then unscaled grid passes
+        # gives the unitary inverse over all axes bit for bit.
+        rng = np.random.default_rng(len(shape))
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        part = samples_of(x, axes=(0,), scaled=False)
+        factor = spacetime._ortho_factor(x.size)
+        part.real *= factor
+        part.imag *= factor
+        got = samples_of(part, axes=tuple(range(1, x.ndim)), scaled=False)
+        assert np.array_equal(got, scipy.fft.ifftn(x, norm="ortho"))
+
+    def test_tables_do_not_depend_on_block_size(self, monkeypatch):
+        F = spectrum_with_cut_rows(2, 16, 96, 1.0, seed=5)
+        # One block of every row pools |F|^2 over the whole spectrum at once.
+        tables = {}
+        for rows in (96, 7, 1):
+            spacetime._build_shell_kernel.cache_clear()
+            monkeypatch.setattr(solver, "BLOCK_BYTES", rows * 16 * F.grid.num_points)
+            tables[rows] = (spacetime._shell_tables(F), spacetime._shell_tables(F, True))
+        spacetime._build_shell_kernel.cache_clear()
+        for rows in (7, 1):
+            for got, want in zip(tables[rows], tables[96]):
+                assert np.array_equal(got, want)
+
+
 class TestSigmaUpper:
     def test_zero(self, grid32):
         F = SpaceTimeSpectrum(grid32, 1.0, np.zeros((64,) + grid32.shape, complex))
@@ -500,7 +588,7 @@ class TestLemmaDiagnostics:
         F = spacetime_transform(traj, 1.0)
         k = 2
         xk = xk_norm(F, k)
-        u_k = inverse_spacetime(F, F.shell_weights(k))
+        u_k = shell_samples_oracle(F, k)
         keep = np.abs(-1.0 + F.dt * np.arange(F.m_t)) <= 2.0
         r2 = max(
             2.0 ** (k / 2.0) * lpq_norm(u_k, grid32, F.dt, e, np.inf, 2) / xk
@@ -560,18 +648,45 @@ class TestLemmaDiagnostics:
             with pytest.raises(NoContraction, match="iterate grew"):
                 lemma_diagnostics(members + [("bad", diverging)], DirectionSet.default(2))
 
-    def test_buffered_shell_inverse_matches_reference_rounding(self, grid32, rng):
-        # The R2/R3 direction of a symmetric member is a tie that rounding
-        # decides, so the reused-buffer inverse must reproduce the reference
-        # operation order exactly, not merely to tolerance.
-        times, _ = window_grid(1.0, 128)
-        for field in (plane_wave(grid32, np.array([4.0, 1.0])), random_smooth_field(grid32, rng)):
-            F = spacetime_transform(free_trajectory(field, times), 1.0)
-            buf = np.empty_like(F.values)
-            for k in range(grid32.max_shell + 1):
-                u_k = inverse_spacetime(F, F.shell_weights(k), out=buf)
-                assert np.shares_memory(u_k, buf)
-                assert np.array_equal(u_k, shell_samples_oracle(F, k))
+    @pytest.mark.parametrize("threads", ["2", "4"])
+    def test_shell_kernel_built_once_across_threads(self, grid32, rng, monkeypatch, threads):
+        # The pool threads ask for the same kernel while its first build is
+        # still running (also with more threads than cores, and frequent
+        # thread switches); it is built once.
+        built = []
+        build = spacetime._build_shell_kernel.__wrapped__
+
+        def slow_build(*key):
+            built.append(key)
+            time.sleep(0.2)
+            return build(*key)
+
+        monkeypatch.setattr(spacetime, "_build_shell_kernel", lru_cache(maxsize=8)(slow_build))
+        monkeypatch.setenv("SMAP_THREADS", threads)
+        members = self.build_ensemble(grid32, rng, m_t=64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rep = lemma_diagnostics(members, DirectionSet.default(2), shells=range(2, 4))
+        finally:
+            sys.setswitchinterval(interval)
+        assert {row[0] for row in rep.rows if row[2] == "Xk"} == {"mode_k2", "mode_k3", "broad"}
+        assert len(built) == 1
+
+    def test_shell_loop_memory_bound(self):
+        # The shell loop of one broadband member holds less than one spectrum
+        # beside F: the time transform runs on the shell's columns only and
+        # the grid transforms on time blocks.
+        grid = GridSpec(2, 64, 1.0)
+        rng = np.random.default_rng(3)
+        spec = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        times, _ = window_grid(1.0, 256)
+        F = free_spectrum(ComplexField(grid, 0.0, FREQUENCY, spec), times, 1.0)
+        args = ("broadband", F, DirectionSet.default(2), None, 1.0, 1e-12, None)
+        spacetime._member_rows(*args)  # warm the caches
+        with traced_peak() as peak:
+            spacetime._member_rows(*args)
+        assert peak.bytes < 1.0 * F.values.nbytes
 
     def test_single_mode_ratio_uniformity(self):
         # Mirrors the per-shell uniformity study: plane waves across shells
