@@ -79,6 +79,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown direction set {self.directions!r}")
         if any(k < 0 for k in self.shells) or not self.shells:
             raise ConfigError("shells must be non-negative and non-empty")
+        if len(set(self.shells)) != len(self.shells):
+            raise ConfigError(f"shells must not repeat, got {self.shells}")
         max_shell = self.ensemble_grid().max_shell
         if max(self.shells) > max_shell:
             raise ConfigError(

@@ -15,10 +15,11 @@ import numpy as np
 from ..geometry import SphereField, stereo_lift
 from ..grid import GridSpec
 from ..solver import picard_solve
-from ..spacetime import free_spectrum
+from ..spacetime import free_spectrum, spacetime_transform
 from ..spectral import FREQUENCY, PHYSICAL, ComplexField, hsigma_norm, to_physical
 
 DATA_KINDS = ("gaussian_bump", "mode_sum", "random_bandlimited")
+PICARD_AMPLITUDE = 1e-3  # H^sigma0 norm of the ensemble's fixed-point member
 
 
 def _mesh(grid: GridSpec):
@@ -111,12 +112,10 @@ def _pure_shell_modes(grid: GridSpec, k: int, count: int, rng) -> list:
 def build_lemma_ensemble(
     grid: GridSpec,
     shells,
-    window_times: np.ndarray,
+    m_t: int,
     seed: int,
     T: float,
-    dt: float,
     sigma0: float,
-    picard_amplitude: float = 1e-3,
     t_window: float = 1.0,
 ) -> list:
     """Windowed members as (name, factory) pairs: two free plane waves and
@@ -125,11 +124,11 @@ def build_lemma_ensemble(
     (twenty members for five shells).
 
     Every random draw and every initial field is made here, in a fixed
-    order; a factory takes no argument. A free member's factory evolves its
-    field on window_times and returns the space-time spectrum on the window
-    [-t_window, t_window], built in the evolution's buffer; the Picard
-    member's runs the solve and returns its trajectory. So a member's
-    samples exist only while it is analysed.
+    order; a factory takes no argument and returns the member's space-time
+    spectrum on m_t rows of the window [-t_window, t_window]. A free
+    member's comes from free_spectrum; the Picard member's solves on [0, T]
+    with the window step 2 t_window / m_t and transforms the solution. So a
+    member's samples exist only while it is analysed.
     """
     rng = np.random.default_rng(seed)
     X = _mesh(grid)
@@ -137,7 +136,7 @@ def build_lemma_ensemble(
 
     def free(vals, representation=PHYSICAL):
         field = ComplexField(grid, 0.0, representation, vals)
-        return partial(free_spectrum, field, window_times, t_window)
+        return partial(free_spectrum, field, m_t, t_window)
 
     def plane_wave(k0):
         return free(np.exp(1j * sum(k0[a] * X[a] for a in range(grid.d))))
@@ -177,10 +176,11 @@ def build_lemma_ensemble(
     spec *= (radius < 0.95 * np.sqrt(grid.d) * grid.nyquist) / (1.0 + radius)
     members.append(("broadband", free(spec, FREQUENCY)))
 
-    phi = seeded_data("gaussian_bump", picard_amplitude, seed + 1, grid, sigma0)
+    phi = seeded_data("gaussian_bump", PICARD_AMPLITUDE, seed + 1, grid, sigma0)
+    dt = 2.0 * t_window / m_t
 
     def solution():
-        return picard_solve(phi, T=T, dt=dt, sigma0=sigma0)[0]
+        return spacetime_transform(picard_solve(phi, T=T, dt=dt, sigma0=sigma0)[0], t_window)
 
     members.append(("picard", solution))
     return members

@@ -107,8 +107,8 @@ def _picard_report(history, config, amplitude) -> NormReport:
     return rep
 
 
-def _norms_windows(config):
-    """Ensemble step and the sample times of the two windows `norms` uses.
+def _norms_windows(config) -> int:
+    """Check the two windows `norms` uses; returns the linear-estimate rows.
 
     Checked before any work, because the config validation does not cover
     them (no other command uses these windows): the ensemble step must
@@ -125,30 +125,22 @@ def _norms_windows(config):
             uniform_times(total, step)
         except ValueError as exc:
             raise ConfigError(f"norms: {what} ({exc})") from exc
-    wtimes = uniform_times(span, wdt, t0=-config.t_window)
-    swin = uniform_times(span, config.dt, t0=-config.t_window)
-    return wdt, wtimes, swin
+    return int(round(span / config.dt))
 
 
 def _cmd_norms(config, out) -> int:
-    wdt, wtimes, swin = _norms_windows(config)
-    grid = config.ensemble_grid()
+    lin_samples = _norms_windows(config)
     ensemble = build_lemma_ensemble(
-        grid,
+        config.ensemble_grid(),
         config.shells,
-        wtimes,
+        config.ensemble_samples,
         config.seed,
         T=config.T,
-        dt=wdt,
         sigma0=config.sigma0,
         t_window=config.t_window,
     )
     rep = lemma_diagnostics(
-        ensemble,
-        _directions(config),
-        shells=config.shells,
-        t_window=config.t_window,
-        fsigma_sigma=config.sigma0,
+        ensemble, _directions(config), shells=config.shells, fsigma_sigma=config.sigma0
     )
     rep.meta.update(config.meta())
     try:
@@ -167,7 +159,7 @@ def _cmd_norms(config, out) -> int:
     sigmas = (config.sigma0, config.sigma0 + 1.0)
     for i in range(10):
         phi = seeded_data("random_bandlimited", 1.0, config.seed + i, solve_grid, config.sigma0)
-        F = free_spectrum(to_physical(phi), swin, config.t_window)
+        F = free_spectrum(to_physical(phi), lin_samples, config.t_window)
         for sigma, fs in zip(sigmas, fsigma_uppers(F, sigmas)):
             hs = hsigma_norm(phi, sigma)
             lin.add(i, sigma, fs, hs, fs / hs)

@@ -42,6 +42,7 @@ from .spectral import (
 )
 
 TIME_CUT = 2.0  # physical-time restriction used by the maximal-function norm
+MASS_FLOOR = 1e-12  # members and shells with no more mass than this are skipped
 
 
 @dataclass
@@ -191,21 +192,8 @@ def window_profile(times: np.ndarray, t_window: float) -> np.ndarray:
     return psi(SUPPORT * np.asarray(times) / t_window)
 
 
-def windowed_samples(
-    traj: Trajectory, t_window: float = 1.0, overwrite: bool = False
-) -> np.ndarray:
-    """Symmetric-window samples of a trajectory, extended by free evolution.
-
-    Row m is the sample at time -T_w + dt*m, m = 0..M_t-1, matching the
-    trajectory's own step, multiplied by the smooth window. overwrite lets
-    the samples take the trajectory's own buffer when it covers the whole
-    window, so the trajectory's values are windowed in place.
-    """
-    if traj.kind != COMPLEX_CHART:
-        raise ValueError("space-time analysis needs a complex_chart trajectory")
-    if traj.representation != PHYSICAL:
-        raise ValueError("space-time analysis needs physical samples")
-    dt = traj.dt
+def _window_times(dt: float, t_window: float) -> np.ndarray:
+    """Times -T_w + dt*m of the M_t = 2 T_w / dt rows of the window."""
     if dt <= 0:
         raise WindowTooShort("trajectory has fewer than two samples")
     m_t = int(round(2.0 * t_window / dt))
@@ -213,63 +201,75 @@ def windowed_samples(
         raise ValueError(f"dt={dt} does not divide the window [-{t_window}, {t_window}]")
     if m_t < 16:
         raise WindowTooShort(f"window has {m_t} samples, need at least 16")
-    times = -t_window + dt * np.arange(m_t)
+    return -t_window + dt * np.arange(m_t)
 
-    t0, t_end = float(traj.times[0]), float(traj.times[-1])
-    idx = np.round((times - t0) / dt).astype(int)
-    inside = (idx >= 0) & (idx < len(traj)) & (
-        np.abs(t0 + idx * dt - times) <= 1e-9 * max(1.0, t_window)
-    )
-    # idx steps by one and the time test holds for all rows or none, so the
-    # matching rows are one run: copy it by slice.
-    run = np.flatnonzero(inside)
-    if overwrite and run.size == m_t:
-        samples = traj.values[idx[0] : idx[0] + m_t]
-    else:
-        samples = np.empty((m_t,) + traj.grid.shape, dtype=np.complex128)
-        if run.size:
-            first = idx[run[0]]
-            samples[run[0] : run[-1] + 1] = traj.values[first : first + run.size]
-    left = times < t0
-    left &= ~inside
-    if np.any(left):
-        ext = free_trajectory(traj.snapshot(0), times[left] - t0)
-        samples[left] = ext.values
-    right = times > t_end
-    right &= ~inside
-    if np.any(right):
-        ext = free_trajectory(traj.snapshot(len(traj) - 1), times[right] - t_end)
-        samples[right] = ext.values
 
-    window = window_profile(times, t_window)
-    samples *= window.reshape((m_t,) + (1,) * traj.grid.d)
+def _windowed(samples: np.ndarray, times: np.ndarray, t_window: float) -> np.ndarray:
+    """The samples at the given window times times the window, in place."""
+    samples *= window_profile(times, t_window).reshape((times.size,) + (1,) * (samples.ndim - 1))
     return samples
 
 
-def spacetime_transform(
-    traj: Trajectory, t_window: float = 1.0, overwrite: bool = False
-) -> SpaceTimeSpectrum:
-    """Window the trajectory in time and transform in all d+1 axes.
-
-    overwrite is passed to windowed_samples: the spectrum may then take the
-    trajectory's buffer, which the caller must not use afterwards.
-    """
-    grid = traj.grid
-    spec = spectrum_of(windowed_samples(traj, t_window, overwrite), overwrite=True)
+def _transform(samples: np.ndarray, grid: GridSpec, t_window: float) -> SpaceTimeSpectrum:
+    """Spectrum of windowed samples, transformed and centred in their own buffer."""
+    spec = spectrum_of(samples, overwrite=True)
     space, signed_scale = _centring(grid.d, grid.n, grid.period, t_window, spec.shape[0])
     spec *= space
     spec *= signed_scale
     return SpaceTimeSpectrum(grid, t_window, spec)
 
 
-def free_spectrum(phi: ComplexField, times: np.ndarray, t_window: float = 1.0) -> SpaceTimeSpectrum:
-    """Space-time spectrum of the free evolution W(t) phi sampled on times.
+def windowed_samples(traj: Trajectory, t_window: float = 1.0) -> np.ndarray:
+    """Symmetric-window samples of a trajectory, extended by free evolution.
 
-    Equal to spacetime_transform(free_trajectory(phi, times), t_window); the
-    evolution is windowed and transformed in its own buffer when times cover
-    the window, so one trajectory-sized array is alive throughout.
+    Row m is the sample at time -T_w + dt*m, m = 0..M_t-1, matching the
+    trajectory's own step, multiplied by the smooth window. The samples are
+    a new array; a trajectory whose times are off that grid is rejected.
     """
-    return spacetime_transform(free_trajectory(phi, times), t_window, overwrite=True)
+    if traj.kind != COMPLEX_CHART:
+        raise ValueError("space-time analysis needs a complex_chart trajectory")
+    if traj.representation != PHYSICAL:
+        raise ValueError("space-time analysis needs physical samples")
+    dt = traj.dt
+    times = _window_times(dt, t_window)
+    t0, t_end = float(traj.times[0]), float(traj.times[-1])
+    idx = np.round((times - t0) / dt).astype(int)
+    inside = (idx >= 0) & (idx < len(traj)) & (
+        np.abs(t0 + idx * dt - times) <= 1e-9 * max(1.0, t_window)
+    )
+    if np.any(~inside & (times >= t0) & (times <= t_end)):
+        raise ValueError(f"trajectory times from {t0} are off the window grid -{t_window} + {dt}*m")
+    samples = np.empty((times.size,) + traj.grid.shape, dtype=np.complex128)
+    # idx steps by one and the time test holds for all rows or none, so the
+    # matching rows are one run: copy it by slice.
+    run = np.flatnonzero(inside)
+    if run.size:
+        first = idx[run[0]]
+        samples[run[0] : run[-1] + 1] = traj.values[first : first + run.size]
+    for side, edge, m in ((times < t0, t0, 0), (times > t_end, t_end, len(traj) - 1)):
+        side &= ~inside
+        if np.any(side):
+            samples[side] = free_trajectory(traj.snapshot(m), times[side] - edge).values
+    return _windowed(samples, times, t_window)
+
+
+def spacetime_transform(traj: Trajectory, t_window: float = 1.0) -> SpaceTimeSpectrum:
+    """Window the trajectory in time and transform in all d+1 axes."""
+    return _transform(windowed_samples(traj, t_window), traj.grid, t_window)
+
+
+def free_spectrum(phi: ComplexField, m_t: int, t_window: float = 1.0) -> SpaceTimeSpectrum:
+    """Space-time spectrum of the free evolution W(t) phi on the window.
+
+    Evolves exactly the m_t window rows, at times -T_w + (2 T_w / m_t) m,
+    and windows and transforms them in the evolution's own buffer, so one
+    trajectory-sized array is alive throughout. Equal to spacetime_transform
+    of the same evolution. The window profile reads its times from the
+    evolution's step, times[1] - times[0], as windowed_samples does.
+    """
+    traj = free_trajectory(phi, -t_window + (2.0 * t_window / m_t) * np.arange(m_t))
+    samples = _windowed(traj.values, _window_times(traj.dt, t_window), t_window)
+    return _transform(samples, phi.grid, t_window)
 
 
 def _ortho_factor(points: int) -> float:
@@ -346,11 +346,11 @@ class _ShellKernel(NamedTuple):
 _kernel_lock = threading.Lock()
 
 
-def _shell_kernel(d: int, n: int, period: float, m_t: int, t_window: float) -> _ShellKernel:
-    """The cached kernel of one grid and window, built once even when
-    several pool threads ask for it at the same time."""
+def _shell_kernel(F: SpaceTimeSpectrum) -> _ShellKernel:
+    """The cached kernel of the spectrum's grid and window, built once even
+    when several pool threads ask for it at the same time."""
     with _kernel_lock:
-        return _build_shell_kernel(d, n, period, m_t, t_window)
+        return _build_shell_kernel(F.grid.d, F.grid.n, F.grid.period, F.m_t, F.t_window)
 
 
 @lru_cache(maxsize=8)
@@ -382,25 +382,34 @@ def _build_shell_kernel(d: int, n: int, period: float, m_t: int, t_window: float
     return kern
 
 
-def _shell_tables(F: SpaceTimeSpectrum, paraboloid_weight: bool = False) -> np.ndarray:
-    """Stacked (power, diag, overlap) tables, shape (3, max_shell + 1, J).
-
-    power[k, j] = sum eta_k(|xi|)^2 eta_j(|omega|)^2 |F|^2, diag carries
-    eta_j^4 and overlap eta_j^2 eta_{j+1}^2, each times the cell measure.
-    paraboloid_weight attaches the N^sigma weight |1 / (omega + i)|^2.
-    """
-    kern = _shell_kernel(F.grid.d, F.grid.n, F.grid.period, F.m_t, F.t_window)
-    # Every (tau, |xi|^2 class) cell lies in one time row, so pooling |F|^2
-    # block by block adds the same terms in the same order.
+def _cell_power(F: SpaceTimeSpectrum) -> np.ndarray:
+    """|F|^2 pooled into the (tau, |xi|^2 class) cells, flattened."""
+    kern = _shell_kernel(F)
+    # Every cell lies in one time row, so pooling |F|^2 block by block adds
+    # the same terms in the same order.
     rows = kern.block_bins.size // F.grid.num_points
     q = np.empty((F.m_t, kern.table_shape[0]))
     for start in range(0, F.m_t, rows):
         p = np.abs(F.values[start : start + rows].reshape(-1))
         p *= p
         q[start : start + rows] = np.bincount(kern.block_bins[: p.size], p).reshape(-1, q.shape[1])
-    q = q.reshape(-1)
+    return q.reshape(-1)
+
+
+def _shell_tables(
+    F: SpaceTimeSpectrum, paraboloid_weight: bool = False, cells: np.ndarray | None = None
+) -> np.ndarray:
+    """Stacked (power, diag, overlap) tables, shape (3, max_shell + 1, J).
+
+    power[k, j] = sum eta_k(|xi|)^2 eta_j(|omega|)^2 |F|^2, diag carries
+    eta_j^4 and overlap eta_j^2 eta_{j+1}^2, each times the cell measure.
+    paraboloid_weight attaches the N^sigma weight |1 / (omega + i)|^2.
+    cells is _cell_power(F) when the caller has pooled it already.
+    """
+    kern = _shell_kernel(F)
+    q = _cell_power(F) if cells is None else cells
     if paraboloid_weight:
-        q /= kern.abs_omega**2 + 1.0
+        q = q / (kern.abs_omega**2 + 1.0)
     hi = q * kern.upper_sq
     lo = q * kern.lower_sq
     size = kern.table_shape[0] * kern.table_shape[1]
@@ -515,30 +524,29 @@ def lpq_norm(values: np.ndarray, grid: GridSpec, dt: float, e, p, q) -> float:
     return _fiber_norm(per_point, e, grid, p, q)
 
 
-def _sigma_uppers(traj, sigmas, t_window: float, paraboloid_weight: bool = False) -> list:
+def _sigma_uppers(F: SpaceTimeSpectrum, sigmas, paraboloid_weight: bool = False) -> list:
     """Square sums for each sigma, all from one set of shell tables."""
-    F = traj if isinstance(traj, SpaceTimeSpectrum) else spacetime_transform(traj, t_window)
     xk = _xk_values(_shell_tables(F, paraboloid_weight)[0])
     return [_square_sum(xk, sigma) for sigma in sigmas]
 
 
-def fsigma_upper(traj, sigma: float, t_window: float = 1.0) -> float:
-    """Square-summed shell bound on the solution-space norm of a trajectory.
+def fsigma_upper(F: SpaceTimeSpectrum, sigma: float) -> float:
+    """Square-summed shell bound on the solution-space norm of a spectrum.
 
     The per-shell building block is the ell-1-in-j norm, which dominates the
     sharper decomposition norm from above, so this is a one-sided bound.
     """
-    return _sigma_uppers(traj, (sigma,), t_window)[0]
+    return _sigma_uppers(F, (sigma,))[0]
 
 
-def fsigma_uppers(traj, sigmas, t_window: float = 1.0) -> list:
+def fsigma_uppers(F: SpaceTimeSpectrum, sigmas) -> list:
     """fsigma_upper for several sigmas, from one set of shell tables."""
-    return _sigma_uppers(traj, sigmas, t_window)
+    return _sigma_uppers(F, sigmas)
 
 
-def nsigma_upper(traj, sigma: float, t_window: float = 1.0) -> float:
+def nsigma_upper(F: SpaceTimeSpectrum, sigma: float) -> float:
     """Same square-summed bound with the inverse paraboloid weight attached."""
-    return _sigma_uppers(traj, (sigma,), t_window, paraboloid_weight=True)[0]
+    return _sigma_uppers(F, (sigma,), paraboloid_weight=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -549,35 +557,32 @@ def _direction_label(e):
     return "(" + " ".join(f"{c:+.3f}" for c in e) + ")"
 
 
-def _member_rows(name, member, directions, shells, t_window, mass_floor, fsigma_sigma):
+def _member_rows(name, member, directions, shells, fsigma_sigma):
     """Diagnostic rows for one ensemble member (thread-safe, pure).
 
-    A callable member is built here and its trajectory dropped once it is
-    transformed. The shell samples are never built: every shell reads its
+    A factory member is called here, so its spectrum exists only while it is
+    analysed. The shell samples are never built: every shell reads its
     reductions from _shell_reductions.
     """
-    if callable(member):
-        member = member()
-    F = (
-        member
-        if isinstance(member, SpaceTimeSpectrum)
-        else spacetime_transform(member, t_window)
-    )
-    del member
+    F = member() if callable(member) else member
+    if not isinstance(F, SpaceTimeSpectrum):
+        raise TypeError(f"member {name!r} is not a SpaceTimeSpectrum")
     ks = list(shells) if shells is not None else list(range(F.grid.max_shell + 1))
-    total = F.l2_mass()
-    if total <= mass_floor:
+    # The total mass comes from the same pooled |F|^2 as the shell tables.
+    cells = _cell_power(F)
+    total = math.sqrt(F.cell_measure * float(np.sum(cells)))
+    if total <= MASS_FLOOR:
         return [(name, -1, "skipped", "-", 0.0)]
     grid = F.grid
     d = grid.d
     time_keep = np.abs(-F.t_window + F.dt * np.arange(F.m_t)) <= TIME_CUT
-    power, diag, overlap = _shell_tables(F)
+    power, diag, overlap = _shell_tables(F, cells=cells)
     xks = _xk_values(power)
     r1s = _section_sanity(diag, overlap, xks)
     rows = []
     for k in ks:
         xk = _at_shell(xks, k)
-        if xk <= mass_floor * max(total, 1.0):
+        if xk <= MASS_FLOOR * max(total, 1.0):
             continue
         # Per-point time reductions of |u_k|, shared by all lattice
         # directions; the time-slice ratio R4 sums the same squares over space.
@@ -620,8 +625,6 @@ def lemma_diagnostics(
     ensemble,
     directions: DirectionSet,
     shells=None,
-    t_window: float = 1.0,
-    mass_floor: float = 1e-12,
     fsigma_sigma: float | None = None,
 ) -> NormReport:
     """Ratio statistics probing k-uniformity of the directional estimates.
@@ -630,34 +633,27 @@ def lemma_diagnostics(
     shell norm) the local-smoothing ratio R2, the maximal-function ratio R3,
     the time-slice ratio R4, the j-section sanity R1 and the shell norm
     itself; per-(k, quantity) maxima are appended with id 'max'. Passing
-    fsigma_sigma adds one whole-trajectory Fsigma row per member. Members may
-    be Trajectory objects, SpaceTimeSpectrum objects, zero-argument callables
-    returning either, or (id, member) pairs of those, and are processed
-    independently (in parallel when SMAP_THREADS allows). A callable member is
-    called once, on the thread that analyses it, so only the members in
-    flight hold a trajectory.
+    fsigma_sigma adds one whole-trajectory Fsigma row per member. The
+    ensemble is a sequence of (id, member) pairs; a member is a
+    SpaceTimeSpectrum or a zero-argument factory returning one. Members are
+    processed independently (in parallel when SMAP_THREADS allows); a
+    factory is called once, on the thread that analyses it, so only the
+    members in flight hold a spectrum.
     """
-    members = []
-    for i, entry in enumerate(ensemble):
-        if isinstance(entry, tuple):
-            members.append((str(entry[0]), entry[1]))
-        else:
-            members.append((f"member{i}", entry))
+    members = [(str(name), member) for name, member in ensemble]
     if not members:
         raise EmptyEnsemble("ensemble is empty")
 
     report = NormReport(
         kind="lemma_diagnostics",
         columns=["trajectory_id", "k", "quantity", "direction", "value"],
-        meta={"t_window": t_window, "num_members": len(members)},
+        meta={"num_members": len(members)},
     )
     if shells is not None:
         report.meta["shells"] = ",".join(str(k) for k in shells)
 
     def process(pair):
-        return _member_rows(
-            pair[0], pair[1], directions, shells, t_window, mass_floor, fsigma_sigma
-        )
+        return _member_rows(pair[0], pair[1], directions, shells, fsigma_sigma)
 
     workers = min(fft_workers(), len(members))
     if workers > 1:

@@ -215,14 +215,9 @@ def test_criterion_6_linear_estimate(grid):
 def test_criterion_7_lemma_ratio_suite():
     shells = range(2, 7)
     egrid = GridSpec(D, N, 1.0)
-    m_t = 1280
-    wdt = 2.0 / m_t
-    wtimes = uniform_times(2.0, wdt, t0=-1.0)
-    ensemble = build_lemma_ensemble(
-        egrid, shells, wtimes, seed=SEED, T=T, dt=wdt, sigma0=SIGMA0
-    )
+    ensemble = build_lemma_ensemble(egrid, shells, 1280, seed=SEED, T=T, sigma0=SIGMA0)
     assert len(ensemble) == 20
-    rep = lemma_diagnostics(ensemble, DirectionSet.default(D), shells=shells, t_window=1.0)
+    rep = lemma_diagnostics(ensemble, DirectionSet.default(D), shells=shells)
 
     ratios = [row[4] for row in rep.rows if row[2] in ("R2", "R3", "R4") and row[0] != "max"]
     finite = all(np.isfinite(v) for v in ratios) and len(ratios) > 0

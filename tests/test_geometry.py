@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from smap.errors import ChartViolation, GridMismatch
 from smap.geometry import SphereField, sobolev_distance, stereo_lift, stereo_project
@@ -27,6 +30,22 @@ class TestStereoProject:
         g = random_smooth_field(grid32, rng, amp=0.4)
         back = stereo_project(stereo_lift(g))
         assert np.max(np.abs(back.values - g.values)) < 1e-12
+
+    @given(
+        st.sampled_from([(1, 8), (2, 8), (3, 8)]).flatmap(
+            lambda dn: st.tuples(
+                st.just(GridSpec(dn[0], dn[1], 1.0)),
+                arrays(np.float64, (2,) + (dn[1],) * dn[0], elements=st.floats(-1.0, 1.0)),
+            )
+        )
+    )
+    def test_roundtrip_property(self, case):
+        # The threshold of verify's stereo_roundtrip check, for any chart
+        # values with real and imaginary parts in [-1, 1].
+        grid, parts = case
+        g = ComplexField(grid, 0.0, PHYSICAL, parts[0] + 1j * parts[1])
+        back = stereo_project(stereo_lift(g))
+        assert np.max(np.abs(back.values - g.values)) <= 1e-12
 
     def test_chart_violation_reports_worst_point(self, grid32):
         vals = np.broadcast_to(

@@ -1,8 +1,10 @@
 import math
 import os
+import string
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,17 +18,11 @@ from smap.geometry import SphereField, stereo_lift
 from smap.grid import GridSpec
 from smap.harness import data as data_module
 from smap.harness.config import ExperimentConfig, load_config, parse_config
-from smap.harness.data import build_lemma_ensemble, seeded_data, sphere_seeded_data
+from smap.harness.data import DATA_KINDS, build_lemma_ensemble, seeded_data, sphere_seeded_data
 from smap.harness.runner import run
 from smap.harness.snapshots import read_snapshot, write_snapshot
 from smap.nonlinearity import DealiasPolicy
-from smap.solver import (
-    Trajectory,
-    gronwall_diagnostic,
-    midpoint_solve,
-    picard_solve,
-    uniform_times,
-)
+from smap.solver import Trajectory, gronwall_diagnostic, midpoint_solve, picard_solve
 from smap.spacetime import DirectionSet, lemma_diagnostics, xk_norm
 from smap.spectral import PHYSICAL, ComplexField, hsigma_norm, to_frequency, to_physical
 
@@ -50,6 +46,64 @@ ensemble_samples = 64
 shells = 1,2
 snapshot_stride = 4
 """
+
+
+CONFIG_KEYS = {f.name for f in fields(ExperimentConfig) if f.init}
+NUMERIC_KEYS = sorted(
+    key
+    for key in CONFIG_KEYS
+    if isinstance(getattr(ExperimentConfig(), key), (int, float, tuple))
+    and not isinstance(getattr(ExperimentConfig(), key), bool)
+)
+
+
+@st.composite
+def valid_config_values(draw):
+    """A valid value for every config key, of every field type."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.sampled_from([8, 16, 32, 64]))
+    ensemble_period = draw(st.floats(0.25, 4.0))
+    T = draw(st.floats(1e-3, 1.0))
+    subcritical = draw(st.booleans())
+    threshold = (d + 1) / 2.0
+    last_shell = GridSpec(d, n, ensemble_period).max_shell
+    return {
+        "d": d,
+        "n": n,
+        "period": draw(st.floats(0.25, 8.0)),
+        "T": T,
+        "dt": T / draw(st.integers(1, 1000)),
+        "sigma0": draw(st.floats(0.5 if subcritical else threshold, 8.0, exclude_min=True)),
+        "amplitudes": tuple(draw(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=4))),
+        "tol": draw(st.floats(1e-300, 1.0)),
+        "max_iter": draw(st.integers(1, 1000)),
+        "dealias": draw(st.sampled_from(["two_thirds", "none"])),
+        "directions": draw(st.sampled_from(["axes", "axes_diagonals"])),
+        "seed": draw(st.integers(0, 2**63 - 1)),
+        "out_dir": draw(st.text(alphabet=string.ascii_letters + "/._-", min_size=1, max_size=20)),
+        "inner_tol": draw(st.floats(1e-300, 1.0)),
+        "t_window": draw(st.floats(1e-3, 10.0)),
+        "data_kind": draw(st.sampled_from(DATA_KINDS)),
+        "snapshot_stride": draw(st.integers(1, 1000)),
+        "ensemble_period": ensemble_period,
+        "ensemble_samples": draw(st.integers(16, 1 << 20)),
+        "shells": tuple(
+            draw(st.lists(st.integers(0, last_shell), min_size=1, max_size=5, unique=True))
+        ),
+        "allow_subcritical": subcritical,
+    }
+
+
+def render_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ", ".join(repr(x) for x in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def render_config(values) -> str:
+    return "".join(f"{key} = {render_value(value)}\n" for key, value in values.items())
 
 
 class TestConfig:
@@ -122,11 +176,46 @@ class TestConfig:
             ("seed = -1", "seed must be non-negative"),
             ("data_kind = nope", "unknown data kind"),
             ("T = 0.5\ndt = 0.003", "does not divide"),
+            ("shells = 2, 2, 3", "shells must not repeat"),
         ],
     )
     def test_bad_input_is_config_error(self, line, match):
         with pytest.raises(ConfigError, match=match):
             parse_config(line)
+
+    @given(valid_config_values())
+    def test_parse_round_trips_every_field(self, values):
+        assert parse_config(render_config(values)) == ExperimentConfig(**values)
+
+    @given(
+        st.text(alphabet=string.ascii_letters + string.digits + " _.,;:-+", min_size=1).filter(
+            str.strip
+        )
+    )
+    def test_line_without_equals_rejected(self, line):
+        with pytest.raises(ConfigError, match="line 2: expected 'key = value'"):
+            parse_config("seed = 3\n" + line)
+
+    @given(st.from_regex(r"[a-z_]{1,16}", fullmatch=True).filter(lambda k: k not in CONFIG_KEYS))
+    def test_unknown_key_rejected_everywhere(self, key):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(f"{key} = 1")
+
+    @given(
+        st.sampled_from(NUMERIC_KEYS),
+        st.from_regex(r"[a-z]{1,8}", fullmatch=True).filter(
+            lambda raw: raw not in ("inf", "nan", "infinity")
+        ),
+    )
+    def test_non_numeric_value_rejected(self, key, raw):
+        with pytest.raises(ConfigError, match=f"bad value for {key}"):
+            parse_config(f"{key} = {raw}")
+
+    @given(st.sampled_from(sorted(CONFIG_KEYS)))
+    def test_any_duplicate_key_rejected(self, key):
+        line = f"{key} = {render_value(getattr(ExperimentConfig(), key))}\n"
+        with pytest.raises(ConfigError, match="duplicate"):
+            parse_config(line + line)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -262,10 +351,7 @@ class TestSeededData:
 
     def test_ensemble_has_twenty_members(self):
         grid = GridSpec(2, 64, 1.0)
-        times = uniform_times(2.0, 2.0 / 64, t0=-1.0)
-        members = build_lemma_ensemble(
-            grid, range(2, 7), times, seed=7, T=0.125, dt=2.0 / 64, sigma0=1.6
-        )
+        members = build_lemma_ensemble(grid, range(2, 7), 64, seed=7, T=0.125, sigma0=1.6)
         names = [name for name, _ in members]
         assert len(members) == 20
         assert len(set(names)) == 20
@@ -274,10 +360,7 @@ class TestSeededData:
     def test_plane_wave_members_peak_at_their_shell(self, d, n, top):
         # Shells 1..top have a band where only their own bump is active.
         grid = GridSpec(d, n, 1.0)
-        times = uniform_times(2.0, 2.0 / 64, t0=-1.0)
-        members = build_lemma_ensemble(
-            grid, range(1, top + 1), times, seed=7, T=0.125, dt=2.0 / 64, sigma0=1.6
-        )
+        members = build_lemma_ensemble(grid, range(1, top + 1), 64, seed=7, T=0.125, sigma0=1.6)
         modes = [(name, f) for name, f in members if name.startswith("mode_k")]
         assert len(modes) >= 2 * top - 1  # shell 1 may hold a single mode
         for name, factory in modes:
@@ -287,11 +370,8 @@ class TestSeededData:
 
     def small_ensemble(self):
         grid = GridSpec(2, 32, 1.0)
-        times = uniform_times(2.0, 2.0 / 128, t0=-1.0)
-        members = build_lemma_ensemble(
-            grid, range(2, 5), times, seed=7, T=0.125, dt=2.0 / 128, sigma0=1.6
-        )
-        return members, (times.size,) + grid.shape
+        members = build_lemma_ensemble(grid, range(2, 5), 128, seed=7, T=0.125, sigma0=1.6)
+        return members, (128,) + grid.shape
 
     def test_ensemble_members_built_on_call(self, monkeypatch):
         calls = []
@@ -422,6 +502,22 @@ class TestRunnerAndCli:
         quantities = {line.split(",")[2] for line in lines[2:]}
         assert {"Xk", "R1", "R2", "R3", "R4", "Fsigma"} <= quantities
         assert (out / "linear_estimate.csv").exists()
+
+    def test_norms_bodies_deterministic(self, tmp_path, small_cfg, monkeypatch):
+        # Both CSV bodies repeat byte for byte across runs and thread counts,
+        # with the members built by their factories on the pool threads.
+        bodies = []
+        for sub, threads in (("a", "1"), ("b", "1"), ("c", "2")):
+            monkeypatch.setenv("SMAP_THREADS", threads)
+            out = tmp_path / sub
+            assert run("norms", load_config(small_cfg, out_dir=str(out))) == 0
+            bodies.append(
+                [
+                    (out / name).read_text().split("\n", 1)[1]
+                    for name in ("lemma_diagnostics.csv", "linear_estimate.csv")
+                ]
+            )
+        assert bodies[0] == bodies[1] == bodies[2]
 
     def test_axes_only_direction_set(self, tmp_path, small_cfg):
         out = tmp_path / "out"

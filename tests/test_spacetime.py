@@ -146,10 +146,22 @@ class TestTransform:
         for traj in (
             free_trajectory(phi, uniform_times(2.0, dt, t0=-1.0)),  # covers the window
             free_trajectory(phi, uniform_times(0.5, dt)),  # [0, T]: extends both ways
-            free_trajectory(phi, uniform_times(1.0, dt, t0=-0.5 + dt / 2)),  # off the grid
         ):
             want = windowed_samples_fancy(traj, 1.0)
             assert np.array_equal(windowed_samples(traj, 1.0), want)
+
+    def test_off_grid_trajectory_rejected(self, grid32, rng):
+        # Times half a step off the window grid match no window row, so the
+        # rows inside [t0, t_end] would have no sample: rejected, never filled
+        # with whatever the buffer held.
+        dt = 2.0 / 64.0
+        traj = free_trajectory(
+            random_smooth_field(grid32, rng), uniform_times(1.0, dt, t0=-0.5 + dt / 2)
+        )
+        with pytest.raises(ValueError, match="off the window grid"):
+            windowed_samples(traj, 1.0)
+        with pytest.raises(ValueError, match="off the window grid"):
+            spacetime_transform(traj, 1.0)
 
     def test_transform_holds_one_trajectory_beside_its_samples(self, grid32, rng):
         times, _ = window_grid(1.0, 128)
@@ -165,24 +177,34 @@ class TestTransform:
         times, _ = window_grid(1.0, 128)
         phi = random_smooth_field(grid32, rng)
         want = spacetime_transform(free_trajectory(phi, times), 1.0).values
-        assert np.array_equal(free_spectrum(phi, times, 1.0).values, want)
+        assert np.array_equal(free_spectrum(phi, 128, 1.0).values, want)
         with traced_peak() as peak:
-            free_spectrum(phi, times, 1.0)
+            free_spectrum(phi, 128, 1.0)
         trajectory_bytes = 16 * times.size * grid32.num_points
         assert peak.bytes < 1.3 * trajectory_bytes
 
+    @pytest.mark.parametrize("m_t", [640, 1280])
+    def test_free_spectrum_bits_off_a_power_of_two(self, m_t, rng):
+        # Where 2 T_w / m_t is inexact, times[1] - times[0] differs from it
+        # in the last bits; the window profile reads the former, as the
+        # transform of the evolved trajectory does.
+        grid = GridSpec(1, 16, 1.0)
+        phi = random_smooth_field(grid, rng)
+        times = uniform_times(2.0, 2.0 / m_t, t0=-1.0)
+        want = spacetime_transform(free_trajectory(phi, times), 1.0).values
+        assert np.array_equal(free_spectrum(phi, m_t, 1.0).values, want)
+
     def test_transform_leaves_trajectory_unchanged(self, grid32, rng):
-        # Without overwrite the caller's samples stay as they are, even when
-        # the trajectory covers the window; with it, a trajectory that does
-        # not cover the window is copied, never windowed in place.
+        # The caller's samples stay as they are, whether the trajectory
+        # covers the window or is extended by free evolution.
         times, _ = window_grid(1.0, 64)
         phi = random_smooth_field(grid32, rng)
-        for traj, overwrite in (
-            (free_trajectory(phi, times), False),
-            (free_trajectory(phi, uniform_times(0.5, 2.0 / 64)), True),
+        for traj in (
+            free_trajectory(phi, times),
+            free_trajectory(phi, uniform_times(0.5, 2.0 / 64)),
         ):
             before = traj.values.copy()
-            spacetime_transform(traj, 1.0, overwrite=overwrite)
+            spacetime_transform(traj, 1.0)
             assert np.array_equal(traj.values, before)
 
     def test_window_too_short(self, grid32, rng):
@@ -565,7 +587,7 @@ class TestSigmaUpper:
 class TestLemmaDiagnostics:
     def build_ensemble(self, grid, rng, m_t=256):
         times, _ = window_grid(1.0, m_t)
-        members = [
+        trajectories = [
             ("mode_k2", free_trajectory(plane_wave(grid, np.array([4.0, 1.0])), times)),
             ("mode_k3", free_trajectory(plane_wave(grid, np.array([7.0, 4.0])), times)),
             ("broad", free_trajectory(random_smooth_field(grid, rng, band=10.0), times)),
@@ -576,16 +598,15 @@ class TestLemmaDiagnostics:
                 ),
             ),
         ]
-        return members
+        return [(name, spacetime_transform(traj, 1.0)) for name, traj in trajectories]
 
     def test_values_match_direct_computation(self, grid32, rng):
         # Oracle: recompute R2, R3, R4 for one member with the public norms.
         members = self.build_ensemble(grid32, rng)
         dirs = DirectionSet.default(2)
-        rep = lemma_diagnostics(members, dirs, shells=range(2, 4), t_window=1.0)
+        rep = lemma_diagnostics(members, dirs, shells=range(2, 4))
 
-        name, traj = members[0]
-        F = spacetime_transform(traj, 1.0)
+        name, F = members[0]
         k = 2
         xk = xk_norm(F, k)
         u_k = shell_samples_oracle(F, k)
@@ -621,12 +642,21 @@ class TestLemmaDiagnostics:
         with pytest.raises(EmptyEnsemble):
             lemma_diagnostics([], DirectionSet.default(2))
 
+    def test_trajectory_member_rejected(self, grid32, rng):
+        # Members are spectra or factories of spectra; a solved trajectory
+        # goes through spacetime_transform first.
+        times, _ = window_grid()
+        traj = free_trajectory(random_smooth_field(grid32, rng), times)
+        for member in (traj, lambda: traj):
+            with pytest.raises(TypeError, match="not a SpaceTimeSpectrum"):
+                lemma_diagnostics([("traj", member)], DirectionSet.default(2))
+
     def test_parallel_member_processing_deterministic(self, grid32, rng, monkeypatch):
         members = self.build_ensemble(grid32, rng, m_t=64)
         # The same members built on call, on whichever thread analyses them.
         lazy = [
-            (name, lambda t=traj: Trajectory(t.grid, t.times, t.values.copy(), t.kind))
-            for name, traj in members
+            (name, lambda F=F: SpaceTimeSpectrum(F.grid, F.t_window, F.values.copy()))
+            for name, F in members
         ]
         dirs = DirectionSet.default(2)
         monkeypatch.setenv("SMAP_THREADS", "1")
@@ -680,9 +710,8 @@ class TestLemmaDiagnostics:
         grid = GridSpec(2, 64, 1.0)
         rng = np.random.default_rng(3)
         spec = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        times, _ = window_grid(1.0, 256)
-        F = free_spectrum(ComplexField(grid, 0.0, FREQUENCY, spec), times, 1.0)
-        args = ("broadband", F, DirectionSet.default(2), None, 1.0, 1e-12, None)
+        F = free_spectrum(ComplexField(grid, 0.0, FREQUENCY, spec), 256, 1.0)
+        args = ("broadband", F, DirectionSet.default(2), None, None)
         spacetime._member_rows(*args)  # warm the caches
         with traced_peak() as peak:
             spacetime._member_rows(*args)
@@ -697,11 +726,9 @@ class TestLemmaDiagnostics:
         # test_values_match_direct_computation.
         grid = GridSpec(2, 64, 1.0)
         m_t = 640
-        times, dt = window_grid(1.0, m_t)
         modes = {3: np.array([8.0, 0.0]), 4: np.array([16.0, 0.0]), 5: np.array([28.0, 7.0])}
         members = [
-            (f"k{k}", free_trajectory(plane_wave(grid, k0), times))
-            for k, k0 in modes.items()
+            (f"k{k}", free_spectrum(plane_wave(grid, k0), m_t, 1.0)) for k, k0 in modes.items()
         ]
         rep = lemma_diagnostics(members, DirectionSet.default(2), shells=range(3, 6))
         r4 = {row[1]: row[4] for row in rep.rows if row[0] == "max" and row[2] == "R4"}

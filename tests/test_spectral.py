@@ -85,6 +85,13 @@ class TestCutoffFamily:
         total = sum(eta_shell(k, radii) for k in range(11))
         assert np.max(np.abs(total - 1.0)) < 1e-12
 
+    @given(st.lists(st.floats(0.0, PLATEAU * 2.0**10), min_size=1, max_size=64))
+    def test_partition_of_unity_property(self, radii):
+        # The thresholds of verify's partition_of_unity check: shells 0..10
+        # sum to 1 within 1e-12 on [0, PLATEAU 2^10].
+        total = sum(eta_shell(k, np.array(radii)) for k in range(11))
+        assert np.max(np.abs(total - 1.0)) <= 1e-12
+
     def test_shell_values_in_unit_interval(self, rng):
         radii = rng.uniform(0.0, 100.0, size=500)
         for k in range(8):
