@@ -7,12 +7,14 @@ seed; timestamps appear only in CSV comment lines.
 
 from __future__ import annotations
 
+import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import ConfigError, MaxIterExceeded, NoContraction, ValidationFailure
-from ..geometry import sobolev_distance, stereo_lift
+from ..geometry import stereo_lift
 from ..nonlinearity import DealiasPolicy
 from ..report import NormReport
 from ..solver import (
@@ -25,11 +27,10 @@ from ..solver import (
 from ..spacetime import (
     DirectionSet,
     free_spectrum,
-    fsigma_uppers,
     lemma_diagnostics,
     pooled_max_slope,
 )
-from ..spectral import hsigma_norm, to_physical
+from ..spectral import eta_shell, hsigma_norm, to_physical
 from .checks import run_checks
 from .config import ExperimentConfig
 from .data import build_lemma_ensemble, seeded_data, sphere_seeded_data
@@ -113,7 +114,10 @@ def _norms_windows(config) -> int:
     Checked before any work, because the config validation does not cover
     them (no other command uses these windows): the ensemble step must
     divide T for the members' Picard solve, and dt must divide the
-    linear-estimate window.
+    linear-estimate window. Each window's step must also resolve the
+    paraboloid tau = -|xi|^2 of the frequencies it analyses: a window of
+    step h samples |tau| < pi / h, and a free mode at |xi|^2 beyond that
+    aliases in time and reads a wrong X_k.
     """
     wdt = 2.0 * config.t_window / config.ensemble_samples
     span = 2.0 * config.t_window
@@ -125,11 +129,60 @@ def _norms_windows(config) -> int:
             uniform_times(total, step)
         except ValueError as exc:
             raise ConfigError(f"norms: {what} ({exc})") from exc
+
+    shell_top = _top_wavenumber_sq(config.ensemble_grid(), config.shells)
+    if shell_top >= math.pi / wdt:
+        least = math.floor(2.0 * config.t_window * shell_top / math.pi) + 1
+        raise ConfigError(
+            f"norms: the ensemble window resolves |xi|^2 < pi*ensemble_samples/(2*t_window) "
+            f"= {math.pi / wdt:g}, but shells {','.join(map(str, config.shells))} reach "
+            f"|xi|^2 = {shell_top:g} and would alias in time; raise ensemble_samples "
+            f"to at least {least}, or drop the top shells"
+        )
+    solve_top = _top_wavenumber_sq(config.grid())
+    if solve_top >= math.pi / config.dt:
+        raise ConfigError(
+            f"norms: the linear-estimate window resolves |xi|^2 < pi/dt = "
+            f"{math.pi / config.dt:g}, but the solve grid reaches |xi|^2 = {solve_top:g} "
+            f"and would alias in time; lower dt below {math.pi / solve_top:g}"
+        )
     return int(round(span / config.dt))
+
+
+def _top_wavenumber_sq(grid, shells=None) -> float:
+    """Largest |xi|^2 of the grid's modes below the spatial Nyquist index on
+    every axis, where one of the shells (if given) has nonzero weight.
+
+    A mode with index n/2 on some axis is left out: the grid cannot tell it
+    from its mirror -n/2, so its frequency is ambiguous in space already.
+    """
+    keep = np.ones(grid.shape, dtype=bool)
+    for axis in range(grid.d):
+        keep &= np.abs(grid.wavenumber_component(axis)) < grid.nyquist
+    kappa = grid.wavenumber_sq()
+    if shells is not None:
+        radius = np.sqrt(kappa)
+        keep &= np.any([eta_shell(k, radius) != 0.0 for k in shells], axis=0)
+    return float(np.max(kappa[keep], initial=0.0))
 
 
 def _cmd_norms(config, out) -> int:
     lin_samples = _norms_windows(config)
+    # Linear-estimate constants: windowed free evolution vs data norm. The
+    # data join the ensemble's pool as bound-only members; their Fsigma rows
+    # follow the main report's max rows, and the richer table goes to its
+    # own file.
+    solve_grid = config.grid()
+    sigmas = (config.sigma0, config.sigma0 + 1.0)
+    lin_data = [
+        seeded_data("random_bandlimited", 1.0, config.seed + i, solve_grid, config.sigma0)
+        for i in range(10)
+    ]
+    bound_members = [
+        (f"free_phi{i}", partial(free_spectrum, to_physical(phi), lin_samples, config.t_window),
+         sigmas)
+        for i, phi in enumerate(lin_data)
+    ]
     ensemble = build_lemma_ensemble(
         config.ensemble_grid(),
         config.shells,
@@ -140,7 +193,11 @@ def _cmd_norms(config, out) -> int:
         t_window=config.t_window,
     )
     rep = lemma_diagnostics(
-        ensemble, _directions(config), shells=config.shells, fsigma_sigma=config.sigma0
+        ensemble,
+        _directions(config),
+        shells=config.shells,
+        fsigma_sigma=config.sigma0,
+        bound_members=bound_members,
     )
     rep.meta.update(config.meta())
     try:
@@ -148,22 +205,16 @@ def _cmd_norms(config, out) -> int:
     except ValueError:
         pass
 
-    # Linear-estimate constants: windowed free evolution vs data norm. The
-    # ratio rows join the main report; the richer table goes to its own file.
     lin = NormReport(
         kind="linear_estimate",
         columns=["phi_id", "sigma", "fsigma_upper", "hsigma", "ratio"],
         meta=config.meta(),
     )
-    solve_grid = config.grid()
-    sigmas = (config.sigma0, config.sigma0 + 1.0)
-    for i in range(10):
-        phi = seeded_data("random_bandlimited", 1.0, config.seed + i, solve_grid, config.sigma0)
-        F = free_spectrum(to_physical(phi), lin_samples, config.t_window)
-        for sigma, fs in zip(sigmas, fsigma_uppers(F, sigmas)):
+    for i, phi in enumerate(lin_data):
+        uppers = [row[4] for row in rep.rows if row[0] == f"free_phi{i}"]
+        for sigma, fs in zip(sigmas, uppers):
             hs = hsigma_norm(phi, sigma)
             lin.add(i, sigma, fs, hs, fs / hs)
-            rep.add(f"free_phi{i}", -1, "Fsigma", f"sigma={sigma:g}", fs)
     rep.write(out / "lemma_diagnostics.csv")
     lin.write(out / "linear_estimate.csv")
     return 0
@@ -213,10 +264,11 @@ def _cmd_compare(config, out) -> int:
     energy = []
     for m in range(len(chart_traj)):
         lifted = stereo_lift(chart_traj.snapshot(m))
-        dist = sobolev_distance(lifted, sphere_traj.snapshot(m), 1.0)
+        # The H^1 distance is the square root of the same energy.
+        energy.append(difference_energy(sphere_traj.values[m], lifted.values, grid))
+        dist = math.sqrt(energy[-1])
         worst = max(worst, dist)
         rep.add(m, float(chart_traj.times[m]), dist)
-        energy.append(difference_energy(sphere_traj.values[m], lifted.values, grid))
     rep.meta["sup_h1_distance"] = worst
     rep.write(out / "compare.csv")
 

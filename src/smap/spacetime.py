@@ -33,6 +33,7 @@ from .spectral import (
     PLATEAU,
     SUPPORT,
     ComplexField,
+    _one_fft_worker,
     eta0,
     eta_shell,
     fft_workers,
@@ -214,8 +215,10 @@ def _transform(samples: np.ndarray, grid: GridSpec, t_window: float) -> SpaceTim
     """Spectrum of windowed samples, transformed and centred in their own buffer."""
     spec = spectrum_of(samples, overwrite=True)
     space, signed_scale = _centring(grid.d, grid.n, grid.period, t_window, spec.shape[0])
-    spec *= space
-    spec *= signed_scale
+    # Rows of one parity share the factor space * signed_scale, the spatial
+    # signs times +-scale, so one pass over the rows has the bits of two.
+    for parity in (0, 1):
+        spec[parity::2] *= space * signed_scale[parity]
     return SpaceTimeSpectrum(grid, t_window, spec)
 
 
@@ -293,7 +296,7 @@ def _shell_reductions(F: SpaceTimeSpectrum, weights: np.ndarray, time_keep: np.n
     space, signed_scale = _centring(grid.d, grid.n, grid.period, F.t_window, m_t)
     mult = (weights * space).ravel()
     cols = np.flatnonzero(mult)
-    part = F.values.reshape(m_t, points)[:, cols]
+    part = np.take(F.values.reshape(m_t, points), cols, axis=1)
     part *= mult[cols]
     part /= signed_scale.reshape(m_t, 1)
     part = samples_of(part, axes=(0,), overwrite=True, scaled=False)
@@ -524,10 +527,9 @@ def lpq_norm(values: np.ndarray, grid: GridSpec, dt: float, e, p, q) -> float:
     return _fiber_norm(per_point, e, grid, p, q)
 
 
-def _sigma_uppers(F: SpaceTimeSpectrum, sigmas, paraboloid_weight: bool = False) -> list:
-    """Square sums for each sigma, all from one set of shell tables."""
-    xk = _xk_values(_shell_tables(F, paraboloid_weight)[0])
-    return [_square_sum(xk, sigma) for sigma in sigmas]
+def _sigma_upper(F: SpaceTimeSpectrum, sigma: float, paraboloid_weight: bool = False) -> float:
+    """Square sum of the spectrum's shell norms at sigma."""
+    return _square_sum(_xk_values(_shell_tables(F, paraboloid_weight)[0]), sigma)
 
 
 def fsigma_upper(F: SpaceTimeSpectrum, sigma: float) -> float:
@@ -536,17 +538,12 @@ def fsigma_upper(F: SpaceTimeSpectrum, sigma: float) -> float:
     The per-shell building block is the ell-1-in-j norm, which dominates the
     sharper decomposition norm from above, so this is a one-sided bound.
     """
-    return _sigma_uppers(F, (sigma,))[0]
-
-
-def fsigma_uppers(F: SpaceTimeSpectrum, sigmas) -> list:
-    """fsigma_upper for several sigmas, from one set of shell tables."""
-    return _sigma_uppers(F, sigmas)
+    return _sigma_upper(F, sigma)
 
 
 def nsigma_upper(F: SpaceTimeSpectrum, sigma: float) -> float:
     """Same square-summed bound with the inverse paraboloid weight attached."""
-    return _sigma_uppers(F, (sigma,), paraboloid_weight=True)[0]
+    return _sigma_upper(F, sigma, paraboloid_weight=True)
 
 
 # ---------------------------------------------------------------------------
@@ -557,12 +554,32 @@ def _direction_label(e):
     return "(" + " ".join(f"{c:+.3f}" for c in e) + ")"
 
 
-def _member_rows(name, member, directions, shells, fsigma_sigma):
+def _ordered_map(fn, items) -> list:
+    """fn over items on min(fft_workers(), len(items)) threads, in input order.
+
+    Tasks start in input order and their results come back in it; the
+    first exception in that order reaches the caller. Each pool thread runs
+    its FFTs with one worker, so the pool spends the SMAP_THREADS budget
+    once. With one worker the items run serially on the calling thread.
+    """
+    items = list(items)
+    workers = min(fft_workers(), len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor  # kept out of start-up
+
+    with ThreadPoolExecutor(max_workers=workers, initializer=_one_fft_worker) as pool:
+        return list(pool.map(fn, items))
+
+
+def _member_rows(name, member, directions, shells, sigmas):
     """Diagnostic rows for one ensemble member (thread-safe, pure).
 
     A factory member is called here, so its spectrum exists only while it is
     analysed. The shell samples are never built: every shell reads its
-    reductions from _shell_reductions.
+    reductions from _shell_reductions. One Fsigma row per sigma follows the
+    shell rows. A bound-only member has no shells: it reports just those
+    rows, and is not skipped when it has no mass.
     """
     F = member() if callable(member) else member
     if not isinstance(F, SpaceTimeSpectrum):
@@ -571,7 +588,7 @@ def _member_rows(name, member, directions, shells, fsigma_sigma):
     # The total mass comes from the same pooled |F|^2 as the shell tables.
     cells = _cell_power(F)
     total = math.sqrt(F.cell_measure * float(np.sum(cells)))
-    if total <= MASS_FLOOR:
+    if ks and total <= MASS_FLOOR:
         return [(name, -1, "skipped", "-", 0.0)]
     grid = F.grid
     d = grid.d
@@ -614,10 +631,7 @@ def _member_rows(name, member, directions, shells, fsigma_sigma):
             (name, k, "R4", "-", r4),
         ]
 
-    if fsigma_sigma is not None:
-        rows.append(
-            (name, -1, "Fsigma", f"sigma={fsigma_sigma:g}", _square_sum(xks, fsigma_sigma))
-        )
+    rows += [(name, -1, "Fsigma", f"sigma={s:g}", _square_sum(xks, s)) for s in sigmas]
     return rows
 
 
@@ -626,6 +640,7 @@ def lemma_diagnostics(
     directions: DirectionSet,
     shells=None,
     fsigma_sigma: float | None = None,
+    bound_members=(),
 ) -> NormReport:
     """Ratio statistics probing k-uniformity of the directional estimates.
 
@@ -635,14 +650,21 @@ def lemma_diagnostics(
     itself; per-(k, quantity) maxima are appended with id 'max'. Passing
     fsigma_sigma adds one whole-trajectory Fsigma row per member. The
     ensemble is a sequence of (id, member) pairs; a member is a
-    SpaceTimeSpectrum or a zero-argument factory returning one. Members are
-    processed independently (in parallel when SMAP_THREADS allows); a
-    factory is called once, on the thread that analyses it, so only the
-    members in flight hold a spectrum.
+    SpaceTimeSpectrum or a zero-argument factory returning one.
+    bound_members are (id, member, sigmas) triples that report only their
+    Fsigma rows, one per sigma, after the max rows.
+
+    Every member is an independent task: the ensemble, then the bound-only
+    members, run in that order on one pool (_ordered_map), and a factory is
+    called once, on the thread that analyses it, so only the members in
+    flight hold a spectrum.
     """
     members = [(str(name), member) for name, member in ensemble]
     if not members:
         raise EmptyEnsemble("ensemble is empty")
+    sigmas = () if fsigma_sigma is None else (fsigma_sigma,)
+    tasks = [(name, member, directions, shells, sigmas) for name, member in members]
+    tasks += [(str(name), member, directions, (), tuple(s)) for name, member, s in bound_members]
 
     report = NormReport(
         kind="lemma_diagnostics",
@@ -652,20 +674,9 @@ def lemma_diagnostics(
     if shells is not None:
         report.meta["shells"] = ",".join(str(k) for k in shells)
 
-    def process(pair):
-        return _member_rows(pair[0], pair[1], directions, shells, fsigma_sigma)
-
-    workers = min(fft_workers(), len(members))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            row_blocks = list(pool.map(process, members))
-    else:
-        row_blocks = [process(pair) for pair in members]
-
+    row_blocks = _ordered_map(lambda task: _member_rows(*task), tasks)
     maxima = {}
-    for block in row_blocks:
+    for block in row_blocks[: len(members)]:
         for row in block:
             report.add(*row)
             if row[2] in ("R1", "R2", "R3", "R4"):
@@ -673,6 +684,9 @@ def lemma_diagnostics(
                 maxima[key] = max(maxima.get(key, 0.0), row[4])
     for (k, quantity), value in sorted(maxima.items()):
         report.add("max", k, quantity, "-", value)
+    for block in row_blocks[len(members) :]:
+        for row in block:
+            report.add(*row)
     return report
 
 

@@ -12,6 +12,7 @@ functions on immutable field snapshots.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,8 +29,17 @@ PLATEAU = 5.0 / 4.0
 SUPPORT = 8.0 / 5.0
 
 
+_pool_thread = threading.local()
+
+
 def fft_workers() -> int:
-    """Worker cap for the FFT backend, settable through SMAP_THREADS."""
+    """Worker cap for the FFT backend, settable through SMAP_THREADS.
+
+    SMAP_THREADS (default: the CPU count) is the total thread budget. A
+    thread pool spends it on its threads, so on a pool thread this is 1.
+    """
+    if getattr(_pool_thread, "one_worker", False):
+        return 1
     env = os.environ.get("SMAP_THREADS")
     if env:
         try:
@@ -37,6 +47,11 @@ def fft_workers() -> int:
         except ValueError:
             pass
     return os.cpu_count() or 1
+
+
+def _one_fft_worker() -> None:
+    """Make fft_workers() return 1 on the calling thread (a pool initializer)."""
+    _pool_thread.one_worker = True
 
 
 @dataclass

@@ -19,7 +19,7 @@ from smap.grid import GridSpec
 from smap.harness import data as data_module
 from smap.harness.config import ExperimentConfig, load_config, parse_config
 from smap.harness.data import DATA_KINDS, build_lemma_ensemble, seeded_data, sphere_seeded_data
-from smap.harness.runner import run
+from smap.harness.runner import _norms_windows, run
 from smap.harness.snapshots import read_snapshot, write_snapshot
 from smap.nonlinearity import DealiasPolicy
 from smap.solver import Trajectory, gronwall_diagnostic, midpoint_solve, picard_solve
@@ -507,7 +507,7 @@ class TestRunnerAndCli:
         # Both CSV bodies repeat byte for byte across runs and thread counts,
         # with the members built by their factories on the pool threads.
         bodies = []
-        for sub, threads in (("a", "1"), ("b", "1"), ("c", "2")):
+        for sub, threads in (("a", "1"), ("b", "1"), ("c", "2"), ("d", "3")):
             monkeypatch.setenv("SMAP_THREADS", threads)
             out = tmp_path / sub
             assert run("norms", load_config(small_cfg, out_dir=str(out))) == 0
@@ -517,7 +517,7 @@ class TestRunnerAndCli:
                     for name in ("lemma_diagnostics.csv", "linear_estimate.csv")
                 ]
             )
-        assert bodies[0] == bodies[1] == bodies[2]
+        assert bodies[0] == bodies[1] == bodies[2] == bodies[3]
 
     def test_axes_only_direction_set(self, tmp_path, small_cfg):
         out = tmp_path / "out"
@@ -555,6 +555,12 @@ class TestRunnerAndCli:
             "T = 0.3\ndt = 0.003\n",
             # The ensemble step 2 * t_window / ensemble_samples = 0.002 does not divide T.
             "T = 0.125\nensemble_samples = 1000\n",
+            # Shell 5 reaches |xi|^2 = 961 on the ensemble grid, past the
+            # pi * 256 / 2 ~ 402 that its window resolves: it would alias.
+            "d = 1\nn = 64\nensemble_samples = 256\nshells = 2, 3, 4, 5\n",
+            # The solve grid reaches |xi|^2 ~ 120, past the pi / dt ~ 101
+            # that the linear-estimate window resolves.
+            "dt = 0.03125\n",
         ],
     )
     def test_cli_norms_window_exit_two(self, tmp_path, lines):
@@ -566,6 +572,17 @@ class TestRunnerAndCli:
         assert "ConfigError" in res.stderr and "norms:" in res.stderr
         assert "Traceback" not in res.stderr
         assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("text", [None, SMALL_CONFIG], ids=["default", "small"])
+    def test_norms_windows_resolve_default_and_small(self, tmp_path, text):
+        # Default: shells reach |xi|^2 = 1922 < pi * 1280 / 2 ~ 2010.6, and
+        # the solve grid 120.1 < pi / dt ~ 804.2.
+        path = None
+        if text is not None:
+            path = tmp_path / "small.cfg"
+            path.write_text(text)
+        cfg = load_config(path)
+        assert _norms_windows(cfg) == round(2.0 * cfg.t_window / cfg.dt)
 
     def test_cli_no_contraction_exit_four(self, tmp_path, small_cfg):
         big = tmp_path / "big.cfg"

@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import threading
 import time
 from functools import lru_cache
 
@@ -20,7 +21,6 @@ from smap.spacetime import (
     SpaceTimeSpectrum,
     free_spectrum,
     fsigma_upper,
-    fsigma_uppers,
     lattice_vector,
     lemma_diagnostics,
     lpq_norm,
@@ -32,7 +32,15 @@ from smap.spacetime import (
     xk_norm,
     xk_section_sanity,
 )
-from smap.spectral import FREQUENCY, PLATEAU, SUPPORT, ComplexField, eta_shell, samples_of
+from smap.spectral import (
+    FREQUENCY,
+    PLATEAU,
+    SUPPORT,
+    ComplexField,
+    eta_shell,
+    fft_workers,
+    samples_of,
+)
 
 from conftest import random_smooth_field, traced_peak
 from oracles import (
@@ -546,7 +554,6 @@ class TestSigmaUpper:
         sigmas = (0.0, 0.8, 1.6, 2.6)
         values = [fsigma_upper(F, s) for s in sigmas]
         assert all(a < b for a, b in zip(values, values[1:]))
-        assert fsigma_uppers(F, sigmas) == values  # one table, same bits
 
     def test_free_mode_closed_form(self, grid32):
         # For a single wave the sigma = 0 bound is the window shell sum times
@@ -678,6 +685,40 @@ class TestLemmaDiagnostics:
             with pytest.raises(NoContraction, match="iterate grew"):
                 lemma_diagnostics(members + [("bad", diverging)], DirectionSet.default(2))
 
+    def test_bound_members_follow_the_max_rows(self, grid32, rng, monkeypatch):
+        # Bound-only members report one Fsigma row per sigma, all from one
+        # table with fsigma_upper's bits, after the max rows and in their
+        # order; one without mass is reported, not skipped.
+        members = self.build_ensemble(grid32, rng, m_t=64)
+        broad, zero = members[2][1], members[3][1]
+        bounds = [("free", lambda: broad, (0.0, 1.6)), ("nil", zero, (1.6,))]
+        want = [
+            ("free", -1, "Fsigma", "sigma=0", fsigma_upper(broad, 0.0)),
+            ("free", -1, "Fsigma", "sigma=1.6", fsigma_upper(broad, 1.6)),
+            ("nil", -1, "Fsigma", "sigma=1.6", 0.0),
+        ]
+        dirs = DirectionSet.default(2)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SMAP_THREADS", threads)
+            alone = lemma_diagnostics(members, dirs, shells=range(2, 4))
+            rep = lemma_diagnostics(members, dirs, shells=range(2, 4), bound_members=bounds)
+            assert rep.rows == alone.rows + want
+            assert alone.rows[-1][0] == "max"
+            assert rep.meta["num_members"] == len(members)
+
+    def test_bound_member_error_surfaces(self, grid32, rng, monkeypatch):
+        members = self.build_ensemble(grid32, rng, m_t=64)[:2]
+
+        def diverging():
+            raise NoContraction("datum grew")
+
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SMAP_THREADS", threads)
+            with pytest.raises(NoContraction, match="datum grew"):
+                lemma_diagnostics(
+                    members, DirectionSet.default(2), bound_members=[("bad", diverging, (1.6,))]
+                )
+
     @pytest.mark.parametrize("threads", ["2", "4"])
     def test_shell_kernel_built_once_across_threads(self, grid32, rng, monkeypatch, threads):
         # The pool threads ask for the same kernel while its first build is
@@ -711,7 +752,7 @@ class TestLemmaDiagnostics:
         rng = np.random.default_rng(3)
         spec = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         F = free_spectrum(ComplexField(grid, 0.0, FREQUENCY, spec), 256, 1.0)
-        args = ("broadband", F, DirectionSet.default(2), None, None)
+        args = ("broadband", F, DirectionSet.default(2), None, ())
         spacetime._member_rows(*args)  # warm the caches
         with traced_peak() as peak:
             spacetime._member_rows(*args)
@@ -739,3 +780,34 @@ class TestLemmaDiagnostics:
         assert abs(slope_r4) < 0.15
         normalized = [r2[k] / 2.0 ** (k / 2.0) for k in sorted(r2)]
         assert max(normalized) / min(normalized) < 1.5
+
+
+class TestOrderedMap:
+    def test_pool_threads_run_one_fft_worker(self, monkeypatch):
+        # SMAP_THREADS is the total budget: the pool takes it, and each pool
+        # thread's FFTs get one worker; the calling thread keeps the budget.
+        monkeypatch.setenv("SMAP_THREADS", "3")
+        assert fft_workers() == 3
+        seen = spacetime._ordered_map(
+            lambda _: (threading.get_ident(), fft_workers()), range(6)
+        )
+        assert [workers for _, workers in seen] == [1] * 6
+        assert threading.get_ident() not in {tid for tid, _ in seen}
+        assert fft_workers() == 3
+        monkeypatch.setenv("SMAP_THREADS", "1")
+        assert spacetime._ordered_map(lambda _: threading.get_ident(), range(3)) == [
+            threading.get_ident()
+        ] * 3
+
+    def test_results_in_input_order(self, monkeypatch):
+        monkeypatch.setenv("SMAP_THREADS", "2")
+        finished = []
+
+        def task(i):
+            if i == 0:
+                time.sleep(0.3)
+            finished.append(i)
+            return i * i
+
+        assert spacetime._ordered_map(task, range(5)) == [0, 1, 4, 9, 16]
+        assert finished[-1] == 0  # the slowed first task finished last
