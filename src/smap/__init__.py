@@ -31,6 +31,7 @@ from .solver import (
     duhamel_map,
     free_trajectory,
     gronwall_diagnostic,
+    midpoint_snapshots,
     midpoint_solve,
     picard_solve,
 )

@@ -130,17 +130,21 @@ def nonlinearity(u: ComplexField, policy: DealiasPolicy = TWO_THIRDS) -> Complex
     return ComplexField(u.grid, u.time, PHYSICAL, samples_of(nl_hat[0]))
 
 
-def sphere_rhs(values: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
-    """Sphere-form right-hand side s x Laplacian(s) of a raw (3, *grid) array.
+def sphere_rhs(
+    values: np.ndarray, grid: GridSpec, out: np.ndarray | None = None, scale: float = 1.0
+) -> np.ndarray:
+    """Sphere-form right-hand side s x Laplacian(s) of a raw (3, *grid) array,
+    with the Laplacian times ``scale``.
 
-    The Laplacian is spectral (multiplier -|xi|^2) for consistency with the
-    chart-side computation and costs one real-input round trip; tangency
-    s . (s x Lap s) = 0 holds pointwise by the triple-product identity, up
-    to rounding. The product is formed component by component into ``out``
-    (which must not overlap ``values``) with the multiply/subtract sequence
-    of np.cross, so it matches np.cross(values, lap, axis=0) bit for bit.
+    The Laplacian is spectral (multiplier -scale |xi|^2) for consistency
+    with the chart-side computation and costs one real-input round trip;
+    tangency s . (s x Lap s) = 0 holds pointwise by the triple-product
+    identity, up to rounding. The product is formed component by component
+    into ``out`` (which must not overlap ``values``) with the
+    multiply/subtract sequence of np.cross, so it matches
+    np.cross(values, lap, axis=0) bit for bit.
     """
-    lap = laplacian_values(values, grid)
+    lap = laplacian_values(values, grid, scale=scale)
     if out is None:
         out = np.empty_like(values)
     a0, a1, a2 = values

@@ -2,6 +2,10 @@
 independent structure-preserving sphere integrator, plus the stability
 diagnostic comparing two sphere trajectories.
 
+The sphere integrator is implicit midpoint. midpoint_snapshots steps it
+one snapshot at a time, so a consumer that reads each snapshot once holds
+no stack; midpoint_solve stacks the same snapshots into a Trajectory.
+
 The chart solver iterates the integral (Duhamel) form of the flow,
 
     u_{n+1}(t) = W(t) phi  -  i * int_0^t W(t - s) N(u_n(s)) ds,
@@ -396,40 +400,55 @@ def picard_solve(
     )
 
 
-def midpoint_solve(
+def midpoint_snapshots(
     s0: SphereField,
     T: float,
     dt: float,
     inner_tol: float = 1e-12,
     max_sweeps: int = 100,
-) -> Trajectory:
-    """Implicit midpoint integration of the sphere flow d_t s = s x Lap s.
+):
+    """Implicit midpoint integration of the sphere flow d_t s = s x Lap s,
+    one snapshot at a time.
 
-    Each step solves s_{m+1} = s_m + dt * F((s_m + s_{m+1})/2) by warm-started
-    fixed-point sweeps. The increment is orthogonal to the midpoint, so the
+    Yields (t_m, s_m, sweeps_m) for m = 0..M: the time, the (3, *grid)
+    snapshot, and the inner sweeps its step took (0 for the initial data).
+    A yielded array is not written to again, so a consumer may keep it or
+    drop it; only the sweep buffers and the current snapshot stay alive.
+
+    Each step solves s_{m+1} = s_m + dt * F((s_m + s_{m+1})/2) by fixed-point
+    sweeps that stop once the largest change falls below inner_tol. A sweep
+    forms the doubled midpoint w = s_m + v and takes
+    v <- s_m + w x ((dt/4) Lap w), which is s_m + dt F(w/2): one sphere_rhs
+    with the Laplacian multiplier -(dt/4)|xi|^2 and no halving or scaling
+    pass (bit-identical to the plain form when dt is a power of two). The
+    first step starts from s_0 + dt F(s_0); step m >= 1 extrapolates the
+    last two increments linearly, v = s_m + 2 step_m - step_{m-1}, where
+    step_m = v_m - s_{m-1} and step_0 is the first step's start
+    increment. The increment is orthogonal to the midpoint, so the
     pointwise norm is conserved up to the inner tolerance; snapshots are
     renormalized, a projection no larger than the inner residual.
     """
     times = uniform_times(T, dt)
     grid = s0.grid
-    vals = np.empty((times.size, 3) + grid.shape)
-    vals[0] = s0.values
+    sm = s0.values
+    yield float(times[0]), sm, 0
 
-    # Sweep buffers: the midpoint, the current and candidate iterates, their
-    # difference and the last step's increment (the next warm start).
-    mid, v, cand, diff, step = (np.empty_like(s0.values) for _ in range(5))
+    scale = 0.25 * dt
+    # Sweep buffers: the doubled midpoint, the current and candidate
+    # iterates, their difference, and the last two increments.
+    mid, v, cand, diff, step, prev = (np.empty_like(sm) for _ in range(6))
     for m in range(times.size - 1):
-        sm = vals[m]
         if m == 0:
             sphere_rhs(sm, grid, out=step)
             step *= dt
-        np.add(sm, step, out=v)
-        converged = False
-        for _ in range(max_sweeps):
+            np.add(sm, step, out=v)
+        else:
+            np.multiply(2.0, step, out=v)
+            v -= prev
+            v += sm
+        for sweeps in range(1, max_sweeps + 1):
             np.add(sm, v, out=mid)
-            mid *= 0.5
-            sphere_rhs(mid, grid, out=cand)
-            cand *= dt
+            sphere_rhs(mid, grid, out=cand, scale=scale)
             cand += sm
             np.subtract(cand, v, out=diff)
             np.abs(diff, out=diff)
@@ -441,16 +460,31 @@ def midpoint_solve(
                     "check the data, or reduce dt or the grid resolution"
                 )
             if change < inner_tol:
-                converged = True
                 break
-        if not converged:
+        else:
             raise InnerDivergence(
                 f"inner fixed point stalled at step {m} (last change {change:.3e}); "
                 "reduce dt or the grid resolution"
             )
+        step, prev = prev, step
         np.subtract(v, sm, out=step)
-        vals[m + 1] = v / np.sqrt(np.sum(v**2, axis=0))
-    return Trajectory(grid, times, vals, SPHERE)
+        sm = v / np.sqrt(np.sum(v**2, axis=0))
+        yield float(times[m + 1]), sm, sweeps
+
+
+def midpoint_solve(
+    s0: SphereField,
+    T: float,
+    dt: float,
+    inner_tol: float = 1e-12,
+    max_sweeps: int = 100,
+) -> Trajectory:
+    """The snapshots of midpoint_snapshots stacked into a sphere Trajectory."""
+    times = uniform_times(T, dt)
+    vals = np.empty((times.size, 3) + s0.grid.shape)
+    for m, (_, values, _) in enumerate(midpoint_snapshots(s0, T, dt, inner_tol, max_sweeps)):
+        vals[m] = values
+    return Trajectory(s0.grid, times, vals, SPHERE)
 
 
 def difference_energy(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> float:

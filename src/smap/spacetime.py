@@ -492,11 +492,11 @@ def _fibration(d: int, n: int, period: float, m: tuple) -> tuple:
     return offset, spacing ** (d - 1) * m_len, spacing / m_len
 
 
-def _fiber_norm(per_point: np.ndarray, e, grid: GridSpec, p, q) -> float:
+def fiber_norm(per_point: np.ndarray, e, grid: GridSpec, p, q) -> float:
     """L^p across the fibers along e of the L^q(fiber x time) norms.
 
-    per_point is the time reduction at each flattened grid point: dt * sum_t
-    |u|^2 for q = 2, max_t |u| for q = inf.
+    per_point is the time reduction at each flattened grid point (see
+    time_reduction): dt * sum_t |u|^2 for q = 2, max_t |u| for q = inf.
     """
     m = tuple(lattice_vector(e, grid.d).tolist())
     offset, w_perp, dr = _fibration(grid.d, grid.n, grid.period, m)
@@ -512,6 +512,17 @@ def _fiber_norm(per_point: np.ndarray, e, grid: GridSpec, p, q) -> float:
     return float(np.max(inner))
 
 
+def time_reduction(values: np.ndarray, dt: float, q) -> np.ndarray:
+    """Per-point time reduction of a (M_t, *grid.shape) stack, flattened over
+    space: dt * sum_t |u|^2 for q = 2, max_t |u| for q = inf.
+
+    Every direction and every p of lpq_norm at one q share it, so a caller
+    that needs several can reduce once and run fiber_norm per direction.
+    """
+    mag = np.abs(values.reshape(values.shape[0], -1))
+    return dt * np.sum(mag**2, axis=0) if q == 2 else np.max(mag, axis=0)
+
+
 def lpq_norm(values: np.ndarray, grid: GridSpec, dt: float, e, p, q) -> float:
     """Discrete mixed norm: L^q over the hyperplane fiber x time, L^p across
     the fiber offsets along a lattice-aligned direction e.
@@ -522,9 +533,7 @@ def lpq_norm(values: np.ndarray, grid: GridSpec, dt: float, e, p, q) -> float:
     """
     if p not in (1, 2, np.inf) or q not in (2, np.inf):
         raise ValueError(f"unsupported exponents p={p}, q={q}")
-    mag = np.abs(values.reshape(values.shape[0], -1))
-    per_point = dt * np.sum(mag**2, axis=0) if q == 2 else np.max(mag, axis=0)
-    return _fiber_norm(per_point, e, grid, p, q)
+    return fiber_norm(time_reduction(values, dt, q), e, grid, p, q)
 
 
 def _sigma_upper(F: SpaceTimeSpectrum, sigma: float, paraboloid_weight: bool = False) -> float:
@@ -611,11 +620,11 @@ def _member_rows(name, member, directions, shells, sigmas):
         r2_best, r2_dir = 0.0, "-"
         r3_best, r3_dir = 0.0, "-"
         for e in directions:
-            r2 = 2.0 ** (k / 2.0) * _fiber_norm(sq_time, e, grid, np.inf, 2) / xk
+            r2 = 2.0 ** (k / 2.0) * fiber_norm(sq_time, e, grid, np.inf, 2) / xk
             r3 = (
                 2.0 ** (-(d - 1) * k / 2.0)
                 / (k + 1.0) ** 2
-                * _fiber_norm(max_time, e, grid, 2, np.inf)
+                * fiber_norm(max_time, e, grid, 2, np.inf)
                 / xk
             )
             if r2 > r2_best:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 import scipy.fft
@@ -230,24 +231,36 @@ def gradient(u: ComplexField, axis: int) -> ComplexField:
     return _apply_multiplier(u, 1j * u.grid.wavenumber_component(axis - 1))
 
 
-def laplacian_values(values: np.ndarray, grid: GridSpec, axes=None) -> np.ndarray:
-    """Spectral Laplacian of a raw array whose trailing axes are the grid axes.
+def laplacian_values(
+    values: np.ndarray, grid: GridSpec, axes=None, scale: float = 1.0
+) -> np.ndarray:
+    """Spectral Laplacian of a raw array whose trailing axes are the grid axes,
+    times ``scale``.
 
-    Real input goes through the real-input half spectrum and comes back real.
+    Real input goes through the real-input half spectrum and comes back real,
+    with one cached multiplier -scale |xi|^2 applied in one pass. A
+    power-of-two scale changes no bit beyond the exact scaling.
     """
     if axes is None:
         axes = grid_axes(values, grid)
     if np.iscomplexobj(values):
         spec = spectrum_of(values, axes=axes)
-        spec *= -grid.wavenumber_sq()
+        spec *= -scale * grid.wavenumber_sq()
         return samples_of(spec, axes=axes)
     spec = _half_spectrum(values, axes)
-    spec *= grid.half_wavenumber_sq()
-    np.negative(spec, out=spec)
+    spec *= _half_laplacian(grid.d, grid.n, grid.period, scale)
     return scipy.fft.irfftn(
         spec, s=[values.shape[a] for a in axes], axes=axes, norm="ortho",
         workers=fft_workers(),
     )
+
+
+@lru_cache(maxsize=64)
+def _half_laplacian(d: int, n: int, period: float, scale: float) -> np.ndarray:
+    """Read-only half-spectrum multiplier -scale |xi|^2."""
+    out = GridSpec(d, n, period).half_wavenumber_sq() * -scale
+    out.flags.writeable = False
+    return out
 
 
 def _half_spectrum(values: np.ndarray, axes) -> np.ndarray:

@@ -315,12 +315,18 @@ def sobolev_energy_full(values, d, n, period, sigma):
     return cell * np.sum(weight * np.abs(spec) ** 2, axis=axes)
 
 
-def midpoint_direct(s0_values, d, n, period, T, dt, inner_tol, max_sweeps=100):
+def midpoint_direct(
+    s0_values, d, n, period, T, dt, inner_tol, max_sweeps=100, extrapolate=True
+):
     """Implicit midpoint for d_t s = s x Lap s with np.cross and the c2c Laplacian.
 
-    Same warm start (the previous step's increment), stopping rule and
-    renormalization as the library integrator; returns the (M+1, 3, *grid)
-    stack.
+    Same warm start, stopping rule and renormalization as the library
+    integrator: the first step starts from s_0 + dt F(s_0), and every later
+    one extrapolates the last two increments linearly (the first step's
+    start increment counts as the one before the first). extrapolate=False
+    starts every step from the previous increment instead, the integrator's
+    former warm start. Returns the (M+1, 3, *grid) stack and the sweeps of
+    each step.
     """
     steps = int(round(T / dt))
 
@@ -328,11 +334,13 @@ def midpoint_direct(s0_values, d, n, period, T, dt, inner_tol, max_sweeps=100):
         return np.cross(v, laplacian_c2c(v, d, n, period), axis=0)
 
     vals = [np.asarray(s0_values, dtype=np.float64)]
+    sweeps = []
     step = dt * rhs(vals[0])
+    prev = None
     for _ in range(steps):
         sm = vals[-1]
-        v = sm + step
-        for _ in range(max_sweeps):
+        v = sm + step if prev is None or not extrapolate else sm + 2.0 * step - prev
+        for count in range(1, max_sweeps + 1):
             v_new = sm + dt * rhs(0.5 * (sm + v))
             change = np.max(np.abs(v_new - v))
             v = v_new
@@ -340,9 +348,10 @@ def midpoint_direct(s0_values, d, n, period, T, dt, inner_tol, max_sweeps=100):
                 break
         else:
             raise RuntimeError("oracle midpoint sweep did not converge")
-        step = v - sm
+        sweeps.append(count)
+        prev, step = step, v - sm
         vals.append(v / np.sqrt(np.sum(v**2, axis=0)))
-    return np.stack(vals)
+    return np.stack(vals), sweeps
 
 
 def propagator_recurrence(times, k2):

@@ -22,7 +22,13 @@ from smap.harness.data import DATA_KINDS, build_lemma_ensemble, seeded_data, sph
 from smap.harness.runner import _norms_windows, run
 from smap.harness.snapshots import read_snapshot, write_snapshot
 from smap.nonlinearity import DealiasPolicy
-from smap.solver import Trajectory, gronwall_diagnostic, midpoint_solve, picard_solve
+from smap.solver import (
+    Trajectory,
+    gronwall_diagnostic,
+    midpoint_snapshots,
+    midpoint_solve,
+    picard_solve,
+)
 from smap.spacetime import DirectionSet, lemma_diagnostics, xk_norm
 from smap.spectral import PHYSICAL, ComplexField, hsigma_norm, to_frequency, to_physical
 
@@ -492,6 +498,27 @@ class TestRunnerAndCli:
         want = gronwall_diagnostic(sphere, Trajectory(grid, chart.times, lifted, "sphere"))
         body = (out / "gronwall.csv").read_text().split("\n", 1)[1]
         assert body == want.to_csv(timestamp=False).split("\n", 1)[1]
+
+    def test_sweep_telemetry_in_comment_lines(self, tmp_path, small_cfg):
+        out = tmp_path / "out"
+        cfg = load_config(small_cfg, out_dir=str(out))
+        assert run("evolve", cfg) == 0
+        assert run("compare", cfg) == 0
+        grid = cfg.grid()
+        starts = {
+            "evolve.csv": sphere_seeded_data(
+                cfg.data_kind, cfg.amplitudes[0], cfg.seed, grid, cfg.sigma0
+            ),
+            "compare.csv": stereo_lift(
+                seeded_data(cfg.data_kind, cfg.amplitudes[0], cfg.seed, grid, cfg.sigma0)
+            ),
+        }
+        for name, s0 in starts.items():
+            comment = (out / name).read_text().splitlines()[0]
+            meta = dict(part.split("=", 1) for part in comment.split()[1:])
+            sweeps = [n for _, _, n in midpoint_snapshots(s0, cfg.T, cfg.dt, cfg.inner_tol)]
+            assert int(meta["inner_sweeps"]) == sum(sweeps)
+            assert int(meta["inner_sweeps_max"]) == max(sweeps)
 
     def test_norms_emits_schema_report(self, tmp_path, small_cfg):
         out = tmp_path / "out"

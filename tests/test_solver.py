@@ -5,13 +5,14 @@ import scipy.fft
 from smap.errors import GridMismatch, InnerDivergence, NoContraction
 from smap.geometry import SphereField, stereo_lift
 from smap.grid import GridSpec
-from smap.nonlinearity import NO_DEALIAS, TWO_THIRDS, nonlinearity
+from smap.nonlinearity import NO_DEALIAS, TWO_THIRDS, nonlinearity, sphere_rhs
 from smap import solver
 from smap.solver import (
     Trajectory,
     duhamel_map,
     free_trajectory,
     gronwall_diagnostic,
+    midpoint_snapshots,
     midpoint_solve,
     picard_solve,
     propagator_stack,
@@ -376,9 +377,46 @@ class TestMidpoint:
         grid = GridSpec(3, 16, 2.0)
         s0 = stereo_lift(random_smooth_field(grid, rng, amp=0.3))
         traj = midpoint_solve(s0, 0.125, 1.0 / 64.0, inner_tol=1e-12)
-        oracle = midpoint_direct(s0.values, 3, 16, 2.0, 0.125, 1.0 / 64.0, 1e-12)
+        oracle, _ = midpoint_direct(s0.values, 3, 16, 2.0, 0.125, 1.0 / 64.0, 1e-12)
         assert traj.values.shape == oracle.shape
         assert np.max(np.abs(traj.values - oracle)) <= 1e-12
+
+    def test_snapshots_stack_to_solve_bit_for_bit(self, rng):
+        grid = GridSpec(3, 16, 2.0)
+        s0 = stereo_lift(random_smooth_field(grid, rng, amp=0.3))
+        traj = midpoint_solve(s0, 0.125, 1.0 / 64.0, inner_tol=1e-12)
+        steps = list(midpoint_snapshots(s0, 0.125, 1.0 / 64.0, inner_tol=1e-12))
+        assert len(steps) == len(traj)
+        assert np.array_equal([t for t, _, _ in steps], traj.times)
+        assert np.array_equal(np.stack([v for _, v, _ in steps]), traj.values)
+        sweeps = [n for _, _, n in steps]
+        assert sweeps[0] == 0 and all(1 <= n < 100 for n in sweeps[1:])
+
+    def test_fused_sweep_matches_sphere_rhs_path(self, rng):
+        # A sweep takes w x ((dt/4) Lap w) for the doubled midpoint w; with a
+        # power-of-two dt every scaling is exact, so it equals dt * F(w/2).
+        grid = GridSpec(3, 16, 2.0)
+        sm = stereo_lift(random_smooth_field(grid, rng, amp=0.3)).values
+        v = stereo_lift(random_smooth_field(grid, rng, amp=0.3)).values
+        for dt in (1.0 / 64.0, 1.0 / 256.0):
+            fused = sphere_rhs(sm + v, grid, scale=0.25 * dt)
+            fused += sm
+            plain = sphere_rhs(0.5 * (sm + v), grid)
+            plain *= dt
+            plain += sm
+            assert np.array_equal(fused, plain)
+
+    def test_extrapolated_start_cuts_sweeps(self, rng):
+        # A well-resolved step (dt |xi|^2 / 4 well below 1, as on the d = 3
+        # benchmark run): the start is what the sweeps have to make up. On
+        # stiff steps the contraction rate sets the count and the start
+        # gains little.
+        grid = GridSpec(3, 16, 4.0)
+        s0 = stereo_lift(random_smooth_field(grid, rng, amp=0.5))
+        dt = 1.0 / 256.0
+        sweeps = [n for _, _, n in midpoint_snapshots(s0, 0.125, dt, inner_tol=1e-12)]
+        _, former = midpoint_direct(s0.values, 3, 16, 4.0, 0.125, dt, 1e-12, extrapolate=False)
+        assert sum(sweeps) <= 0.85 * sum(former)
 
     def test_dt_must_divide_t(self):
         grid = GridSpec(2, 32, 4.0)

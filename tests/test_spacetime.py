@@ -19,6 +19,7 @@ from smap.spacetime import (
     TIME_CUT,
     DirectionSet,
     SpaceTimeSpectrum,
+    fiber_norm,
     free_spectrum,
     fsigma_upper,
     lattice_vector,
@@ -27,6 +28,7 @@ from smap.spacetime import (
     nsigma_upper,
     pooled_max_slope,
     spacetime_transform,
+    time_reduction,
     window_profile,
     windowed_samples,
     xk_norm,
@@ -486,6 +488,20 @@ class TestLpqNorm:
         vals = np.zeros((16,) + grid32.shape, complex)
         with pytest.raises(UnsupportedDirection):
             lpq_norm(vals, grid32, 0.1, np.array([0.8, 0.6]), 2, 2)
+
+    def test_shared_time_reduction_reproduces_lpq_norm(self, rng):
+        # verify reduces its window once and runs the fibre kernel for each
+        # of the 18 d = 3 directions and both p: the same bits as lpq_norm.
+        grid = GridSpec(3, 8, 1.0)
+        vals = rng.standard_normal((6,) + grid.shape) + 1j * rng.standard_normal(
+            (6,) + grid.shape
+        )
+        dt = 0.1
+        for q in (2, np.inf):
+            per_point = time_reduction(vals, dt, q)
+            for e in DirectionSet.default(3):
+                for p in (1, 2, np.inf):
+                    assert fiber_norm(per_point, e, grid, p, q) == lpq_norm(vals, grid, dt, e, p, q)
 
 
 def spectrum_with_cut_rows(d, n, m_t, t_window, seed):
