@@ -30,9 +30,7 @@ from .solver import (
     Trajectory,
     duhamel_map,
     free_trajectory,
-    gronwall_diagnostic,
     midpoint_snapshots,
-    midpoint_solve,
     picard_solve,
 )
 from .spacetime import (

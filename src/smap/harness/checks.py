@@ -17,10 +17,11 @@ from ..grid import GridSpec
 from ..nonlinearity import NO_DEALIAS, DealiasPolicy, cross_rhs, n_zero, nonlinearity
 from ..report import NormReport
 from ..solver import (
+    difference_energy,
     duhamel_map,
     free_trajectory,
-    gronwall_diagnostic,
-    midpoint_solve,
+    gronwall_report,
+    midpoint_snapshots,
     picard_solve,
     uniform_times,
 )
@@ -181,8 +182,10 @@ def run_checks(config, tmpdir) -> list:
         rel = np.max(np.abs(spec_nl[outside])) / max(np.max(np.abs(spec_nl)), 1e-300)
         check("dealias_support", rel, 1e-14)
 
-    # solver
-    dt = config.dt * 4
+    # solver: a reduced run of at least 8 steps of min(4 dt, 1/64), so its
+    # window stays near 0.125 and the midpoint sweeps converge for any
+    # configured dt
+    dt = min(config.dt * 4, 0.125 / 8)
     T = min(config.T, 0.125)
     steps = max(int(round(T / dt)), 8)
     T = steps * dt
@@ -200,19 +203,23 @@ def run_checks(config, tmpdir) -> list:
     check("picard_fixed_point", res, 2 * config.tol * max(hsigma_norm(phi, sigma0), 1e-30))
 
     pole = SphereField.constant(grid, (0.0, 0.0, 1.0))
-    const_traj = midpoint_solve(pole, T, dt, inner_tol=config.inner_tol)
-    check("midpoint_equilibrium", np.max(np.abs(const_traj.values - pole.values)), 1e-14)
-    s0 = stereo_lift(phi)
-    straj = midpoint_solve(s0, T, dt, inner_tol=config.inner_tol)
-    dev = np.max(np.abs(np.sqrt(np.sum(straj.values**2, axis=1)) - 1.0))
+    drift = max(
+        np.max(np.abs(values - pole.values))
+        for _, values, _ in midpoint_snapshots(pole, T, dt, inner_tol=config.inner_tol)
+    )
+    check("midpoint_equilibrium", drift, 1e-14)
+    dev, energy = 0.0, []
+    for _, values, _ in midpoint_snapshots(stereo_lift(phi), T, dt, inner_tol=config.inner_tol):
+        dev = max(dev, np.max(np.abs(np.sqrt(np.sum(values**2, axis=0)) - 1.0)))
+        energy.append(difference_energy(values, values, grid))
     check("midpoint_sphere_constraint", dev, 10 * config.inner_tol)
-    rep = gronwall_diagnostic(straj, straj)
+    rep = gronwall_report(uniform_times(T, dt), energy)
     check(
         "gronwall_identical_flag",
         0.0 if rep.meta.get("identical_trajectories") else 1.0,
         0.5,
     )
-    del zero_prev, free_out, expect, traj, again, const_traj, straj
+    del zero_prev, free_out, expect, traj, again
 
     # space-time analysis
     wdt = 2.0 * config.t_window / 64

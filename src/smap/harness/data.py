@@ -14,6 +14,7 @@ import numpy as np
 
 from ..geometry import SphereField, stereo_lift
 from ..grid import GridSpec
+from ..nonlinearity import TWO_THIRDS, DealiasPolicy
 from ..solver import picard_solve
 from ..spacetime import free_spectrum, spacetime_transform
 from ..spectral import FREQUENCY, PHYSICAL, ComplexField, hsigma_norm, to_physical
@@ -117,6 +118,9 @@ def build_lemma_ensemble(
     T: float,
     sigma0: float,
     t_window: float = 1.0,
+    tol: float = 1e-10,
+    max_iter: int = 40,
+    policy: DealiasPolicy = TWO_THIRDS,
 ) -> list:
     """Windowed members as (name, factory) pairs: two free plane waves and
     one free three-mode sum per requested shell, three frequency-localized
@@ -127,8 +131,9 @@ def build_lemma_ensemble(
     order; a factory takes no argument and returns the member's space-time
     spectrum on m_t rows of the window [-t_window, t_window]. A free
     member's comes from free_spectrum; the Picard member's solves on [0, T]
-    with the window step 2 t_window / m_t and transforms the solution. So a
-    member's samples exist only while it is analysed.
+    with the window step 2 t_window / m_t, under tol, max_iter and policy,
+    and transforms the solution. So a member's samples exist only while it
+    is analysed.
     """
     rng = np.random.default_rng(seed)
     X = _mesh(grid)
@@ -180,7 +185,10 @@ def build_lemma_ensemble(
     dt = 2.0 * t_window / m_t
 
     def solution():
-        return spacetime_transform(picard_solve(phi, T=T, dt=dt, sigma0=sigma0)[0], t_window)
+        traj, _ = picard_solve(
+            phi, T=T, dt=dt, tol=tol, max_iter=max_iter, sigma0=sigma0, policy=policy
+        )
+        return spacetime_transform(traj, t_window)
 
     members.append(("picard", solution))
     return members

@@ -201,6 +201,9 @@ def _cmd_norms(config, out) -> int:
         T=config.T,
         sigma0=config.sigma0,
         t_window=config.t_window,
+        tol=config.tol,
+        max_iter=config.max_iter,
+        policy=DealiasPolicy(config.dealias),
     )
     rep = lemma_diagnostics(
         ensemble,

@@ -1,10 +1,11 @@
 """Time integration: fixed-point construction on the chart side and an
-independent structure-preserving sphere integrator, plus the stability
-diagnostic comparing two sphere trajectories.
+independent structure-preserving sphere integrator, plus the growth report
+of the difference energy of two sphere solutions.
 
 The sphere integrator is implicit midpoint. midpoint_snapshots steps it
 one snapshot at a time, so a consumer that reads each snapshot once holds
-no stack; midpoint_solve stacks the same snapshots into a Trajectory.
+no stack; a difference energy is taken per snapshot pair
+(difference_energy) and its series goes to gronwall_report.
 
 The chart solver iterates the integral (Duhamel) form of the flow,
 
@@ -42,14 +43,10 @@ from .spectral import (
     hsigma_energy_real,
     hsigma_norm,
     hsigma_norm_spectra,
-    hsigma_norm_stack,
     samples_of,
     spectrum_of,
     to_frequency,
 )
-
-COMPLEX_CHART = "complex_chart"
-SPHERE = "sphere"
 
 # Consecutive-difference ratio above which the iteration counts as stalled,
 # and how many consecutive stalls trigger the failure.
@@ -71,19 +68,17 @@ def default_sigma0(d: int) -> float:
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled evolution on [t0, t0+T]; snapshots share one grid.
+    """Uniformly sampled chart evolution on [t0, t0+T]; snapshots share one grid.
 
-    values has the time axis first: (M+1, *grid.shape) for complex_chart,
-    (M+1, 3, *grid.shape) for sphere. A complex_chart trajectory holds
-    either physical samples or their unitary spatial spectra, as its
-    representation says; the Picard iteration keeps its iterates in
-    frequency form, and every trajectory the solvers return is physical.
+    values has the time axis first, (M+1, *grid.shape), and holds either
+    physical samples or their unitary spatial spectra, as representation
+    says; the Picard iteration keeps its iterates in frequency form, and
+    every trajectory the solvers return is physical.
     """
 
     grid: GridSpec
     times: np.ndarray
     values: np.ndarray
-    kind: str
     representation: str = PHYSICAL
 
     def __post_init__(self):
@@ -95,18 +90,9 @@ class Trajectory:
             dt = diffs[0]
             if dt <= 0 or np.any(np.abs(diffs - dt) > 1e-14 * (1.0 + abs(dt))):
                 raise ValueError("times must be strictly increasing and uniform")
-        if self.kind == COMPLEX_CHART:
-            expected = (self.times.size,) + self.grid.shape
-            representations = (PHYSICAL, FREQUENCY)
-        elif self.kind == SPHERE:
-            expected = (self.times.size, 3) + self.grid.shape
-            representations = (PHYSICAL,)
-        else:
-            raise ValueError(f"unknown trajectory kind {self.kind!r}")
-        if self.representation not in representations:
-            raise ValueError(
-                f"representation {self.representation!r} is not valid for {self.kind}"
-            )
+        if self.representation not in (PHYSICAL, FREQUENCY):
+            raise ValueError(f"unknown representation {self.representation!r}")
+        expected = (self.times.size,) + self.grid.shape
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape}, expected {expected}")
 
@@ -120,16 +106,7 @@ class Trajectory:
     def snapshot(self, m: int):
         """Snapshot m as a field, in the trajectory's representation."""
         t = float(self.times[m])
-        if self.kind == COMPLEX_CHART:
-            return ComplexField(self.grid, t, self.representation, self.values[m].copy())
-        return SphereField(self.grid, t, self.values[m].copy())
-
-    def sup_hsigma(self, sigma: float) -> float:
-        if self.kind != COMPLEX_CHART:
-            raise ValueError("sup_hsigma applies to complex_chart trajectories")
-        if self.representation == FREQUENCY:
-            return _sup_hsigma(self.values, self.grid, sigma)
-        return float(np.max(hsigma_norm_stack(self.values, self.grid, sigma)))
+        return ComplexField(self.grid, t, self.representation, self.values[m].copy())
 
 
 def uniform_times(T: float, dt: float, t0: float = 0.0) -> np.ndarray:
@@ -200,7 +177,7 @@ def free_trajectory(phi: ComplexField, times: np.ndarray) -> Trajectory:
     spectra = propagator_stack(times, phi.grid.wavenumber_sq())
     spectra *= to_frequency(phi).values
     vals = samples_of(spectra, axes=grid_axes(spectra, phi.grid), overwrite=True)
-    return Trajectory(phi.grid, times, vals, COMPLEX_CHART)
+    return Trajectory(phi.grid, times, vals)
 
 
 @dataclass
@@ -257,8 +234,6 @@ def duhamel_map(
     on the block size, and only block-sized temporaries sit beside the
     input and the output.
     """
-    if prev.kind != COMPLEX_CHART:
-        raise ValueError("duhamel_map needs a complex_chart trajectory")
     if abs(prev.times[0]) > 1e-14:
         raise ValueError("the integral starts at t = 0; trajectory must too")
     if not phi.grid.same_as(prev.grid):
@@ -306,7 +281,7 @@ def duhamel_map(
         np.multiply(forward, u_hat, out=u_hat)
         if not in_frequency:
             u_hat[...] = samples_of(u_hat, axes=space_axes)
-    return Trajectory(grid, prev.times.copy(), out, COMPLEX_CHART, prev.representation)
+    return Trajectory(grid, prev.times.copy(), out, prev.representation)
 
 
 def _sup_hsigma(spectra: np.ndarray, grid: GridSpec, sigma: float, minus=None) -> float:
@@ -358,11 +333,11 @@ def picard_solve(
         )
     if phi_norm == 0.0:
         vals = np.zeros((times.size,) + grid.shape, dtype=np.complex128)
-        return Trajectory(grid, times, vals, COMPLEX_CHART), history
+        return Trajectory(grid, times, vals), history
 
     spectra = propagator_stack(times, grid.wavenumber_sq())
     spectra *= phi.values
-    current = Trajectory(grid, times, spectra, COMPLEX_CHART, FREQUENCY)
+    current = Trajectory(grid, times, spectra, FREQUENCY)
     del spectra
     prev_diff = _sup_hsigma(current.values, grid, sigma0)
     stall = 0
@@ -392,7 +367,7 @@ def picard_solve(
         current = nxt
         if diff < tol * phi_norm:
             vals = samples_of(current.values, axes=grid_axes(current.values, grid), overwrite=True)
-            return Trajectory(grid, times, vals, COMPLEX_CHART), history
+            return Trajectory(grid, times, vals), history
         prev_diff = diff if diff > 0.0 else prev_diff
 
     raise MaxIterExceeded(
@@ -472,21 +447,6 @@ def midpoint_snapshots(
         yield float(times[m + 1]), sm, sweeps
 
 
-def midpoint_solve(
-    s0: SphereField,
-    T: float,
-    dt: float,
-    inner_tol: float = 1e-12,
-    max_sweeps: int = 100,
-) -> Trajectory:
-    """The snapshots of midpoint_snapshots stacked into a sphere Trajectory."""
-    times = uniform_times(T, dt)
-    vals = np.empty((times.size, 3) + s0.grid.shape)
-    for m, (_, values, _) in enumerate(midpoint_snapshots(s0, T, dt, inner_tol, max_sweeps)):
-        vals[m] = values
-    return Trajectory(s0.grid, times, vals, SPHERE)
-
-
 def difference_energy(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> float:
     """H^1 energy of q = b - a for one pair of (3, *grid) sphere snapshots.
 
@@ -494,25 +454,6 @@ def difference_energy(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> float:
     summed over the components.
     """
     return float(np.sum(hsigma_energy_real(b - a, grid, 1.0)))
-
-
-def gronwall_diagnostic(traj: Trajectory, other: Trajectory) -> NormReport:
-    """Energy-growth diagnostic for the difference of two sphere trajectories.
-
-    Computes E(t) = ||q||_L2^2 + sum_l ||d_l q||_L2^2 for q = other - traj one
-    snapshot at a time (difference_energy) and reports its growth with
-    gronwall_report.
-    """
-    if traj.kind != SPHERE or other.kind != SPHERE:
-        raise ValueError("gronwall_diagnostic expects sphere trajectories")
-    if not traj.grid.same_as(other.grid):
-        raise GridMismatch("trajectories live on different grids")
-    if traj.times.shape != other.times.shape or np.any(
-        np.abs(traj.times - other.times) > 1e-12
-    ):
-        raise ValueError("trajectories must share their time grid")
-    energy = [difference_energy(a, b, traj.grid) for a, b in zip(traj.values, other.values)]
-    return gronwall_report(traj.times, energy)
 
 
 def gronwall_report(times: np.ndarray, energy) -> NormReport:

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import EmptyEnsemble, UnsupportedDirection, WindowTooShort
 from .grid import GridSpec
 from .report import NormReport
-from .solver import COMPLEX_CHART, Trajectory, _block_rows, free_trajectory
+from .solver import Trajectory, _block_rows, free_trajectory
 from .spectral import (
     PHYSICAL,
     PLATEAU,
@@ -229,8 +229,6 @@ def windowed_samples(traj: Trajectory, t_window: float = 1.0) -> np.ndarray:
     trajectory's own step, multiplied by the smooth window. The samples are
     a new array; a trajectory whose times are off that grid is rejected.
     """
-    if traj.kind != COMPLEX_CHART:
-        raise ValueError("space-time analysis needs a complex_chart trajectory")
     if traj.representation != PHYSICAL:
         raise ValueError("space-time analysis needs physical samples")
     dt = traj.dt

@@ -289,11 +289,6 @@ def hsigma_norm(u: ComplexField, sigma: float) -> float:
     )
 
 
-def hsigma_norm_stack(values: np.ndarray, grid: GridSpec, sigma: float) -> np.ndarray:
-    """Sobolev norms of a stack of physical snapshots (leading axis = time)."""
-    return hsigma_norm_spectra(spectrum_of(values, axes=grid_axes(values, grid)), grid, sigma)
-
-
 def hsigma_norm_spectra(spec: np.ndarray, grid: GridSpec, sigma: float) -> np.ndarray:
     """Sobolev norms of a stack of unitary spectra, by Plancherel."""
     power = np.square(spec.real)

@@ -10,6 +10,7 @@ from hypothesis import settings
 sys.path.insert(0, str(Path(__file__).parent))
 
 from smap.grid import GridSpec
+from smap.solver import difference_energy, gronwall_report, midpoint_snapshots
 from smap.spectral import FREQUENCY, ComplexField, to_physical
 
 # Property tests draw the same examples on every run and stay short.
@@ -38,6 +39,16 @@ def random_smooth_field(grid, rng, band=None, amp=1.0):
     field = to_physical(ComplexField(grid, 0.0, FREQUENCY, spec))
     field.values *= amp / np.max(np.abs(field.values))
     return field
+
+
+def midpoint_stack(s0, T, dt, inner_tol=1e-12):
+    """The snapshots of midpoint_snapshots stacked: (M+1, 3, *grid)."""
+    return np.stack([values for _, values, _ in midpoint_snapshots(s0, T, dt, inner_tol)])
+
+
+def gronwall_of(times, a, b, grid):
+    """gronwall_report of the difference energy of two sphere stacks, pair by pair."""
+    return gronwall_report(times, [difference_energy(x, y, grid) for x, y in zip(a, b)])
 
 
 class TracedPeak:

@@ -7,7 +7,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines live.
 import numpy as np
 import pytest
 
-from smap.geometry import sobolev_distance, stereo_lift
+from smap.geometry import SphereField, sobolev_distance, stereo_lift
 from smap.grid import GridSpec
 from smap.harness.data import build_lemma_ensemble, seeded_data
 from smap.nonlinearity import NO_DEALIAS, nonlinearity
@@ -15,8 +15,6 @@ from smap.solver import (
     Trajectory,
     duhamel_map,
     free_trajectory,
-    gronwall_diagnostic,
-    midpoint_solve,
     picard_solve,
     uniform_times,
 )
@@ -36,12 +34,14 @@ from smap.spectral import (
     free_propagate,
     gradient,
     hsigma_norm,
-    hsigma_norm_stack,
+    hsigma_norm_spectra,
     l2_norm,
+    spectrum_of,
     to_physical,
     transform,
 )
 
+from conftest import gronwall_of, midpoint_stack
 from oracles import (
     chain_rule_pushforward,
     duhamel_constant_mode,
@@ -83,7 +83,7 @@ def picard_small(grid, phi_small):
 
 @pytest.fixture(scope="module")
 def midpoint_small(grid, phi_small):
-    return midpoint_solve(stereo_lift(phi_small), T, DT, inner_tol=1e-12)
+    return midpoint_stack(stereo_lift(phi_small), T, DT, inner_tol=1e-12)
 
 
 def test_criterion_1_picard_contraction(grid):
@@ -99,11 +99,12 @@ def test_criterion_1_picard_contraction(grid):
 
 
 def test_criterion_2_gauge_equivalence(grid, phi_small, picard_small, midpoint_small):
-    def sup_h1(chart_traj, sphere_traj):
+    def sup_h1(chart_traj, sphere_stack):
         worst = 0.0
         for m in range(0, len(chart_traj), 4):
             lifted = stereo_lift(chart_traj.snapshot(m))
-            worst = max(worst, sobolev_distance(lifted, sphere_traj.snapshot(m), 1.0))
+            sphere = SphereField(lifted.grid, lifted.time, sphere_stack[m])
+            worst = max(worst, sobolev_distance(lifted, sphere, 1.0))
         return worst
 
     chart, _ = picard_small
@@ -112,7 +113,7 @@ def test_criterion_2_gauge_equivalence(grid, phi_small, picard_small, midpoint_s
     fine = GridSpec(D, 2 * N, PERIOD)
     phi_fine = seeded_data("gaussian_bump", 1e-3, SEED, fine, SIGMA0)
     chart_fine, _ = picard_solve(phi_fine, T, DT / 2, tol=TOL, sigma0=SIGMA0)
-    sphere_fine = midpoint_solve(stereo_lift(phi_fine), T, DT / 2, inner_tol=1e-12)
+    sphere_fine = midpoint_stack(stereo_lift(phi_fine), T, DT / 2, inner_tol=1e-12)
     d_fine = sup_h1(chart_fine, sphere_fine)
 
     order = np.log2(d_base / d_fine)
@@ -126,7 +127,7 @@ def test_criterion_2_gauge_equivalence(grid, phi_small, picard_small, midpoint_s
 
 
 def test_criterion_3_sphere_constraint(midpoint_small):
-    dev = float(np.max(np.abs(np.sqrt(np.sum(midpoint_small.values**2, axis=1)) - 1.0)))
+    dev = float(np.max(np.abs(np.sqrt(np.sum(midpoint_small**2, axis=1)) - 1.0)))
     report(3, "sphere constraint", dev <= 1e-10, f"max | |s|-1 | = {dev:.2e} (<= 1e-10)")
 
 
@@ -134,9 +135,10 @@ def test_criterion_4_uniqueness_gronwall(grid):
     amplitude = 1e-2
     phi = seeded_data("gaussian_bump", amplitude, SEED, grid, SIGMA0)
     s0 = stereo_lift(phi)
-    run_a = midpoint_solve(s0, T, DT, inner_tol=1e-12)
-    run_b = midpoint_solve(s0, T, DT, inner_tol=1e-13)
-    energy = gronwall_diagnostic(run_a, run_b).column("energy")
+    times = uniform_times(T, DT)
+    run_a = midpoint_stack(s0, T, DT, inner_tol=1e-12)
+    run_b = midpoint_stack(s0, T, DT, inner_tol=1e-13)
+    energy = gronwall_of(times, run_a, run_b, grid).column("energy")
     same_ok = max(energy) <= 1e-18
 
     constants = {}
@@ -145,8 +147,8 @@ def test_criterion_4_uniqueness_gronwall(grid):
         pert = ComplexField(
             grid, 0.0, PHYSICAL, phi.values + delta * amplitude * direction.values
         )
-        other = midpoint_solve(stereo_lift(pert), T, DT, inner_tol=1e-12)
-        rep = gronwall_diagnostic(run_a, other)
+        other = midpoint_stack(stereo_lift(pert), T, DT, inner_tol=1e-12)
+        rep = gronwall_of(times, run_a, other, grid)
         constants[delta] = rep.meta["gronwall_constant"]
     vals = [abs(c) for c in constants.values()]
     stable = np.isfinite(list(constants.values())).all() and max(vals) <= 2.0 * min(vals)
@@ -171,11 +173,8 @@ def test_criterion_5_lipschitz_flow(grid, phi_small, picard_small):
         )
         traj, _ = picard_solve(pert, T, DT, tol=TOL, sigma0=SIGMA0)
         for extra in (0.0, 1.0):
-            num = float(
-                np.max(
-                    hsigma_norm_stack(traj.values - base_traj.values, grid, SIGMA0 + extra)
-                )
-            )
+            diff_hat = spectrum_of(traj.values - base_traj.values, axes=(1, 2))
+            num = float(np.max(hsigma_norm_spectra(diff_hat, grid, SIGMA0 + extra)))
             den = hsigma_norm(
                 ComplexField(grid, 0.0, PHYSICAL, pert.values - phi_small.values),
                 SIGMA0 + extra,
@@ -332,7 +331,6 @@ def test_criterion_8_unit_test_oracles():
         small,
         times,
         np.broadcast_to(plane_wave(small, k0, amp=eps).values, (times.size,) + small.shape).copy(),
-        "complex_chart",
     )
     out_traj = duhamel_map(plane_wave(small, k0, amp=0.02), prev, NO_DEALIAS)
     unit = plane_wave(small, k0).values

@@ -22,17 +22,11 @@ from smap.harness.data import DATA_KINDS, build_lemma_ensemble, seeded_data, sph
 from smap.harness.runner import _norms_windows, run
 from smap.harness.snapshots import read_snapshot, write_snapshot
 from smap.nonlinearity import DealiasPolicy
-from smap.solver import (
-    Trajectory,
-    gronwall_diagnostic,
-    midpoint_snapshots,
-    midpoint_solve,
-    picard_solve,
-)
+from smap.solver import midpoint_snapshots, picard_solve
 from smap.spacetime import DirectionSet, lemma_diagnostics, xk_norm
 from smap.spectral import PHYSICAL, ComplexField, hsigma_norm, to_frequency, to_physical
 
-from conftest import traced_peak
+from conftest import gronwall_of, midpoint_stack, traced_peak
 
 SMALL_CONFIG = """
 # small deterministic run
@@ -493,9 +487,9 @@ class TestRunnerAndCli:
             policy=DealiasPolicy(cfg.dealias),
         )
         s0 = stereo_lift(to_physical(phi))
-        sphere = midpoint_solve(s0, cfg.T, cfg.dt, inner_tol=cfg.inner_tol)
+        sphere = midpoint_stack(s0, cfg.T, cfg.dt, inner_tol=cfg.inner_tol)
         lifted = np.stack([stereo_lift(chart.snapshot(m)).values for m in range(len(chart))])
-        want = gronwall_diagnostic(sphere, Trajectory(grid, chart.times, lifted, "sphere"))
+        want = gronwall_of(chart.times, sphere, lifted, grid)
         body = (out / "gronwall.csv").read_text().split("\n", 1)[1]
         assert body == want.to_csv(timestamp=False).split("\n", 1)[1]
 
@@ -546,6 +540,19 @@ class TestRunnerAndCli:
             )
         assert bodies[0] == bodies[1] == bodies[2] == bodies[3]
 
+    def test_norms_picard_member_follows_config(self, tmp_path, small_cfg):
+        # The ensemble's fixed-point member solves under the config's
+        # dealias rule (and tol, max_iter); the free members do not solve.
+        rows = {}
+        for dealias in ("two_thirds", "none"):
+            out = tmp_path / dealias
+            assert run("norms", load_config(small_cfg, out_dir=str(out), dealias=dealias)) == 0
+            rows[dealias] = (out / "lemma_diagnostics.csv").read_text().splitlines()[2:]
+        picard = {rule: [r for r in body if r.startswith("picard,")] for rule, body in rows.items()}
+        assert picard["two_thirds"] and picard["two_thirds"] != picard["none"]
+        free = {rule: [r for r in body if r.startswith("mode_")] for rule, body in rows.items()}
+        assert free["two_thirds"] and free["two_thirds"] == free["none"]
+
     def test_axes_only_direction_set(self, tmp_path, small_cfg):
         out = tmp_path / "out"
         cfg = load_config(small_cfg, out_dir=str(out), directions="axes")
@@ -555,6 +562,17 @@ class TestRunnerAndCli:
         res = self.run_cli("verify", "--config", str(small_cfg), "--out", str(tmp_path / "v"))
         assert res.returncode == 0, res.stdout + res.stderr
         assert "all" in res.stdout and "passed" in res.stdout
+
+    @pytest.mark.parametrize("dt", ["0.0625", "0.03125", "0.25"])
+    def test_cli_verify_coarse_dt_exit_zero(self, tmp_path, dt):
+        # verify's reduced run steps by at most 1/64: a step of 4 dt overran
+        # its own T <= 0.125 and picard's T <= 1 (dt = 1/16, 1/4) or stalled
+        # the midpoint sweeps (dt = 1/32).
+        cfg = tmp_path / "coarse.cfg"
+        cfg.write_text(f"T = 0.5\ndt = {dt}\n")
+        res = self.run_cli("verify", "--config", str(cfg), "--out", str(tmp_path / "v"))
+        assert res.returncode == 0, res.stdout + res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_cli_config_error_exit_two(self, tmp_path):
         bad = tmp_path / "bad.cfg"

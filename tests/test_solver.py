@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given
+from hypothesis import strategies as st
 
 from smap.errors import GridMismatch, InnerDivergence, NoContraction
 from smap.geometry import SphereField, stereo_lift
@@ -11,9 +13,7 @@ from smap.solver import (
     Trajectory,
     duhamel_map,
     free_trajectory,
-    gronwall_diagnostic,
     midpoint_snapshots,
-    midpoint_solve,
     picard_solve,
     propagator_stack,
     uniform_times,
@@ -24,14 +24,14 @@ from smap.spectral import (
     PHYSICAL,
     ComplexField,
     hsigma_norm,
-    hsigma_norm_stack,
+    hsigma_norm_spectra,
     samples_of,
     spectrum_of,
     to_frequency,
     to_physical,
 )
 
-from conftest import random_smooth_field, traced_peak
+from conftest import gronwall_of, midpoint_stack, random_smooth_field, traced_peak
 from oracles import (
     duhamel_constant_mode,
     duhamel_map_unblocked,
@@ -56,9 +56,7 @@ class TestDuhamel:
     def test_zero_prev_gives_free_evolution(self, grid32, rng):
         phi = random_smooth_field(grid32, rng, amp=0.1)
         times = uniform_times(0.25, 1.0 / 64.0)
-        zero = Trajectory(
-            grid32, times, np.zeros((times.size,) + grid32.shape, complex), "complex_chart"
-        )
+        zero = Trajectory(grid32, times, np.zeros((times.size,) + grid32.shape, complex))
         out = duhamel_map(phi, zero)
         free = free_trajectory(phi, times)
         assert np.max(np.abs(out.values - free.values)) < 1e-12
@@ -97,7 +95,6 @@ class TestDuhamel:
                 grid32,
                 times,
                 np.broadcast_to(mode.values, (times.size,) + grid32.shape).copy(),
-                "complex_chart",
             )
             out = duhamel_map(phi, prev, NO_DEALIAS)
             # project each snapshot onto the sampled plane wave
@@ -112,12 +109,12 @@ class TestDuhamel:
 def frequency_free(phi, times):
     """Free evolution of phi kept as a frequency-representation trajectory."""
     spectra = propagator_stack(times, phi.grid.wavenumber_sq()) * to_frequency(phi).values
-    return Trajectory(phi.grid, times, spectra, "complex_chart", FREQUENCY)
+    return Trajectory(phi.grid, times, spectra, FREQUENCY)
 
 
 def physical_of(traj):
     axes = tuple(range(1, traj.grid.d + 1))
-    return Trajectory(traj.grid, traj.times, samples_of(traj.values, axes=axes), "complex_chart")
+    return Trajectory(traj.grid, traj.times, samples_of(traj.values, axes=axes))
 
 
 class TestCarriedSpectra:
@@ -145,12 +142,14 @@ class TestCarriedSpectra:
         times = uniform_times(0.25, 1.0 / 64.0)
         vals = np.zeros((times.size,) + grid32.shape, complex)
         with pytest.raises(ValueError, match="values shape"):
-            Trajectory(grid32, times, vals[1:], "complex_chart", FREQUENCY)
+            Trajectory(grid32, times, vals[1:], FREQUENCY)
         with pytest.raises(ValueError, match="representation"):
-            Trajectory(grid32, times, vals, "complex_chart", "spectral")
+            Trajectory(grid32, times, vals, "spectral")
+        with pytest.raises(ValueError, match="unknown representation"):
+            Trajectory(grid32, times, vals, "complex_chart")  # the former kind argument
         sphere = np.zeros((times.size, 3) + grid32.shape)
-        with pytest.raises(ValueError, match="representation"):
-            Trajectory(grid32, times, sphere, "sphere", FREQUENCY)
+        with pytest.raises(ValueError, match="values shape"):
+            Trajectory(grid32, times, sphere, FREQUENCY)
 
     def test_physical_only_consumers(self, grid32, rng):
         phi = random_smooth_field(grid32, rng, amp=0.3)
@@ -158,8 +157,9 @@ class TestCarriedSpectra:
         physical = physical_of(spectral)
         with pytest.raises(ValueError, match="physical"):
             windowed_samples(spectral, 1.0)
-        assert spectral.sup_hsigma(SIGMA0) == pytest.approx(
-            physical.sup_hsigma(SIGMA0), rel=1e-14
+        physical_hat = spectrum_of(physical.values, axes=(1, 2))
+        assert np.max(hsigma_norm_spectra(spectral.values, grid32, SIGMA0)) == pytest.approx(
+            np.max(hsigma_norm_spectra(physical_hat, grid32, SIGMA0)), rel=1e-14
         )
         snap = spectral.snapshot(5)
         assert snap.representation == FREQUENCY
@@ -285,9 +285,8 @@ class TestPicard:
         tol = 1e-10
         traj, _ = picard_solve(phi, 0.5, 1.0 / 128.0, tol=tol, sigma0=SIGMA0)
         again = duhamel_map(phi, traj)
-        res = float(
-            np.max(hsigma_norm_stack(again.values - traj.values, grid32, SIGMA0))
-        )
+        diff_hat = spectrum_of(again.values - traj.values, axes=(1, 2))
+        res = float(np.max(hsigma_norm_spectra(diff_hat, grid32, SIGMA0)))
         assert res <= 2.0 * tol * hsigma_norm(phi, SIGMA0)
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -322,7 +321,10 @@ class TestPicard:
         sups = {}
         for dt in (1.0 / 64.0, 1.0 / 128.0):
             traj, _ = picard_solve(phi, 0.5, dt, sigma0=SIGMA0)
-            sups[dt] = [traj.sup_hsigma(SIGMA0 + extra) for extra in (1.0, 2.0)]
+            spectra = spectrum_of(traj.values, axes=(1, 2))
+            sups[dt] = [
+                np.max(hsigma_norm_spectra(spectra, grid32, SIGMA0 + extra)) for extra in (1.0, 2.0)
+            ]
         for a, b in zip(*sups.values()):
             assert np.isfinite(a) and np.isfinite(b)
             assert abs(a - b) < 0.05 * abs(b)
@@ -362,33 +364,26 @@ class TestMidpoint:
     def test_north_pole_equilibrium(self):
         grid = GridSpec(2, 32, 4.0)
         s0 = SphereField.constant(grid, (0.0, 0.0, 1.0))
-        traj = midpoint_solve(s0, 0.25, 1.0 / 32.0, inner_tol=1e-12)
-        assert np.max(np.abs(traj.values - s0.values)) < 1e-13
+        stack = midpoint_stack(s0, 0.25, 1.0 / 32.0, inner_tol=1e-12)
+        assert np.max(np.abs(stack - s0.values)) < 1e-13
 
     def test_norm_preservation(self, rng):
         grid = GridSpec(2, 32, 4.0)
         s0 = stereo_lift(random_smooth_field(grid, rng, amp=0.05))
         inner_tol = 1e-12
-        traj = midpoint_solve(s0, 0.25, 1.0 / 64.0, inner_tol=inner_tol)
-        dev = np.max(np.abs(np.sqrt(np.sum(traj.values**2, axis=1)) - 1.0))
+        stack = midpoint_stack(s0, 0.25, 1.0 / 64.0, inner_tol=inner_tol)
+        dev = np.max(np.abs(np.sqrt(np.sum(stack**2, axis=1)) - 1.0))
         assert dev <= 10.0 * inner_tol
 
     def test_matches_np_cross_oracle_d3(self, rng):
         grid = GridSpec(3, 16, 2.0)
         s0 = stereo_lift(random_smooth_field(grid, rng, amp=0.3))
-        traj = midpoint_solve(s0, 0.125, 1.0 / 64.0, inner_tol=1e-12)
-        oracle, _ = midpoint_direct(s0.values, 3, 16, 2.0, 0.125, 1.0 / 64.0, 1e-12)
-        assert traj.values.shape == oracle.shape
-        assert np.max(np.abs(traj.values - oracle)) <= 1e-12
-
-    def test_snapshots_stack_to_solve_bit_for_bit(self, rng):
-        grid = GridSpec(3, 16, 2.0)
-        s0 = stereo_lift(random_smooth_field(grid, rng, amp=0.3))
-        traj = midpoint_solve(s0, 0.125, 1.0 / 64.0, inner_tol=1e-12)
         steps = list(midpoint_snapshots(s0, 0.125, 1.0 / 64.0, inner_tol=1e-12))
-        assert len(steps) == len(traj)
-        assert np.array_equal([t for t, _, _ in steps], traj.times)
-        assert np.array_equal(np.stack([v for _, v, _ in steps]), traj.values)
+        stack = np.stack([v for _, v, _ in steps])
+        oracle, _ = midpoint_direct(s0.values, 3, 16, 2.0, 0.125, 1.0 / 64.0, 1e-12)
+        assert stack.shape == oracle.shape
+        assert np.max(np.abs(stack - oracle)) <= 1e-12
+        assert np.array_equal([t for t, _, _ in steps], uniform_times(0.125, 1.0 / 64.0))
         sweeps = [n for _, _, n in steps]
         assert sweeps[0] == 0 and all(1 <= n < 100 for n in sweeps[1:])
 
@@ -406,6 +401,28 @@ class TestMidpoint:
             plain += sm
             assert np.array_equal(fused, plain)
 
+    @given(
+        d=st.sampled_from([1, 2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+        amp=st.floats(1e-3, 0.5),
+    )
+    def test_stream_keeps_integral_and_constraint(self, d, seed, amp):
+        # int s dx is a linear invariant of d_t s = s x Lap s (the flux
+        # s x grad s has no mean), which implicit midpoint keeps up to its
+        # inner solve; |s| = 1 holds up to the inner tolerance.
+        grid = GridSpec(d, {1: 64, 2: 32, 3: 16}[d], 4.0)
+        s0 = stereo_lift(random_smooth_field(grid, np.random.default_rng(seed), amp=amp))
+        inner_tol = 1e-12
+        axes = tuple(range(1, d + 1))
+        integral0 = grid.cell_volume * np.sum(s0.values, axis=axes)
+        drift = dev = 0.0
+        for _, values, _ in midpoint_snapshots(s0, 1.0 / 32.0, 1.0 / 256.0, inner_tol):
+            integral = grid.cell_volume * np.sum(values, axis=axes)
+            drift = max(drift, np.max(np.abs(integral - integral0)))
+            dev = max(dev, np.max(np.abs(np.sqrt(np.sum(values**2, axis=0)) - 1.0)))
+        assert drift <= 1e-13 * grid.volume
+        assert dev <= 10.0 * inner_tol
+
     def test_extrapolated_start_cuts_sweeps(self, rng):
         # A well-resolved step (dt |xi|^2 / 4 well below 1, as on the d = 3
         # benchmark run): the start is what the sweeps have to make up. On
@@ -422,7 +439,7 @@ class TestMidpoint:
         grid = GridSpec(2, 32, 4.0)
         s0 = SphereField.constant(grid, (0.0, 0.0, 1.0))
         with pytest.raises(ValueError):
-            midpoint_solve(s0, 0.25, 0.107, inner_tol=1e-10)
+            midpoint_stack(s0, 0.25, 0.107, inner_tol=1e-10)
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_inner_divergence_on_stiff_setup(self, rng):
@@ -431,37 +448,38 @@ class TestMidpoint:
         vals = rng.standard_normal((3,) + grid.shape)
         s0 = SphereField(grid, 0.0, vals + np.array([0, 0, 2.0]).reshape(3, 1, 1))
         with pytest.raises(InnerDivergence):
-            midpoint_solve(s0, 0.125, 1.0 / 8.0, inner_tol=1e-12)
+            midpoint_stack(s0, 0.125, 1.0 / 8.0, inner_tol=1e-12)
 
     def test_non_finite_data_fails_at_once(self):
         grid = GridSpec(2, 32, 4.0)
         vals = SphereField.constant(grid, (0.0, 0.0, 1.0)).values.copy()
         vals[:, 4, 7] = np.nan
         with pytest.raises(InnerDivergence, match="non-finite change at step 0"):
-            midpoint_solve(SphereField(grid, 0.0, vals), 0.25, 1.0 / 64.0)
+            midpoint_stack(SphereField(grid, 0.0, vals), 0.25, 1.0 / 64.0)
 
 
 class TestGronwall:
     def test_identical_trajectories_flagged(self, rng):
         grid32 = GridSpec(2, 32, 4.0)
         s0 = stereo_lift(random_smooth_field(grid32, rng, amp=0.02))
-        traj = midpoint_solve(s0, 0.25, 1.0 / 64.0, inner_tol=1e-12)
-        rep = gronwall_diagnostic(traj, traj)
+        stack = midpoint_stack(s0, 0.25, 1.0 / 64.0, inner_tol=1e-12)
+        rep = gronwall_of(uniform_times(0.25, 1.0 / 64.0), stack, stack, grid32)
         assert rep.meta["identical_trajectories"] is True
         assert rep.meta["flag"] == "DegenerateInput"
 
     def test_perturbed_data_growth_and_stability(self, rng):
         grid32 = GridSpec(2, 32, 4.0)
         base = random_smooth_field(grid32, rng, amp=0.05)
-        ref = midpoint_solve(stereo_lift(base), 0.25, 1.0 / 64.0, inner_tol=1e-12)
+        times = uniform_times(0.25, 1.0 / 64.0)
+        ref = midpoint_stack(stereo_lift(base), 0.25, 1.0 / 64.0, inner_tol=1e-12)
         direction = random_smooth_field(grid32, rng, amp=1.0)
         constants = {}
         for delta in (1e-4, 1e-5):
             pert = ComplexField(
                 grid32, 0.0, PHYSICAL, base.values + delta * direction.values
             )
-            other = midpoint_solve(stereo_lift(pert), 0.25, 1.0 / 64.0, inner_tol=1e-12)
-            rep = gronwall_diagnostic(ref, other)
+            other = midpoint_stack(stereo_lift(pert), 0.25, 1.0 / 64.0, inner_tol=1e-12)
+            rep = gronwall_of(times, ref, other, grid32)
             c_s = rep.meta["gronwall_constant"]
             energy = np.array(rep.column("energy"))
             times = np.array(rep.column("t"))
@@ -477,9 +495,9 @@ class TestGronwall:
     def test_same_data_different_integrator_tolerance(self, rng):
         grid32 = GridSpec(2, 32, 4.0)
         s0 = stereo_lift(random_smooth_field(grid32, rng, amp=0.02))
-        a = midpoint_solve(s0, 0.25, 1.0 / 64.0, inner_tol=1e-11)
-        b = midpoint_solve(s0, 0.25, 1.0 / 64.0, inner_tol=1e-13)
-        rep = gronwall_diagnostic(a, b)
+        a = midpoint_stack(s0, 0.25, 1.0 / 64.0, inner_tol=1e-11)
+        b = midpoint_stack(s0, 0.25, 1.0 / 64.0, inner_tol=1e-13)
+        rep = gronwall_of(uniform_times(0.25, 1.0 / 64.0), a, b, grid32)
         energy = rep.column("energy")
         assert max(energy) < 1e-18
 
@@ -494,23 +512,13 @@ class TestGronwall:
         peaks = {}
         for dt in (1.0 / 64.0, 1.0 / 128.0):
             chart, _ = picard_solve(phi, 0.25, dt, sigma0=SIGMA0)
-            sphere = midpoint_solve(stereo_lift(phi), 0.25, dt, inner_tol=1e-13)
+            sphere = midpoint_stack(stereo_lift(phi), 0.25, dt, inner_tol=1e-13)
             lifted = np.stack(
                 [stereo_lift(chart.snapshot(m)).values for m in range(len(chart))]
             )
-            rep = gronwall_diagnostic(
-                sphere, Trajectory(grid, chart.times.copy(), lifted, "sphere")
-            )
+            rep = gronwall_of(chart.times, sphere, lifted, grid)
             peaks[dt] = max(rep.column("energy"))
         assert peaks[1.0 / 128.0] < peaks[1.0 / 64.0] / 8.0
-
-    def test_kind_and_grid_validation(self, rng):
-        grid32 = GridSpec(2, 32, 4.0)
-        s0 = stereo_lift(random_smooth_field(grid32, rng, amp=0.02))
-        traj = midpoint_solve(s0, 0.125, 1.0 / 64.0, inner_tol=1e-12)
-        chart = free_trajectory(random_smooth_field(grid32, rng), traj.times)
-        with pytest.raises(ValueError):
-            gronwall_diagnostic(traj, chart)
 
 
 class TestFreeTrajectory:
@@ -532,9 +540,7 @@ class TestTrajectory:
     def test_nonuniform_times_rejected(self, grid32):
         times = np.array([0.0, 0.1, 0.25])
         with pytest.raises(ValueError):
-            Trajectory(
-                grid32, times, np.zeros((3,) + grid32.shape, complex), "complex_chart"
-            )
+            Trajectory(grid32, times, np.zeros((3,) + grid32.shape, complex))
 
     def test_snapshot_roundtrip(self, grid32, rng):
         traj = free_trajectory(

@@ -124,9 +124,7 @@ class TestDirections:
 class TestTransform:
     def test_zero_trajectory(self, grid32):
         times, _ = window_grid()
-        traj = Trajectory(
-            grid32, times, np.zeros((times.size,) + grid32.shape, complex), "complex_chart"
-        )
+        traj = Trajectory(grid32, times, np.zeros((times.size,) + grid32.shape, complex))
         F = spacetime_transform(traj, 1.0)
         assert F.l2_mass() == 0.0
 
@@ -616,9 +614,7 @@ class TestLemmaDiagnostics:
             ("broad", free_trajectory(random_smooth_field(grid, rng, band=10.0), times)),
             (
                 "zero",
-                Trajectory(
-                    grid, times, np.zeros((times.size,) + grid.shape, complex), "complex_chart"
-                ),
+                Trajectory(grid, times, np.zeros((times.size,) + grid.shape, complex)),
             ),
         ]
         return [(name, spacetime_transform(traj, 1.0)) for name, traj in trajectories]
