@@ -27,8 +27,8 @@ from ..solver import (
 )
 from ..spacetime import (
     DirectionSet,
+    _transform,
     fiber_norm,
-    spacetime_transform,
     time_reduction,
     windowed_samples,
 )
@@ -224,11 +224,18 @@ def run_checks(config, tmpdir) -> list:
     # space-time analysis
     wdt = 2.0 * config.t_window / 64
     wtimes = uniform_times(2 * config.t_window, wdt, t0=-config.t_window)
+    # At most two window-sized stacks are alive at once: the windowed
+    # samples are reduced first, then transformed in their own buffer, which
+    # is spacetime_transform of the evolution without its copy.
     ftraj = free_trajectory(_random_field(grid, rng, band=4.0), wtimes)
-    F = spacetime_transform(ftraj, config.t_window)
     wsamp = windowed_samples(ftraj, config.t_window)
-    del ftraj  # each stack here is trajectory-sized: drop it after its last use
+    del ftraj
     st_mass = np.sqrt(grid.cell_volume * wdt * np.sum(np.abs(wsamp) ** 2))
+    # lpq_norm(wsamp, grid, wdt, e, p, 2) for every e and p, with the time
+    # reduction they share taken once.
+    per_point = time_reduction(wsamp, wdt, 2)
+    F = _transform(wsamp, grid, config.t_window)
+    del wsamp
     check("spacetime_plancherel", abs(F.l2_mass() - st_mass) / st_mass, 1e-12)
     total2 = F.l2_mass() ** 2
     shells2 = sum(F.shell_mass_disjoint(k) ** 2 for k in range(grid.max_shell + 2))
@@ -241,10 +248,6 @@ def run_checks(config, tmpdir) -> list:
     del mask, once
     check("region_mask_idempotent", np.max(np.abs(twice)), 0.0)
     del twice
-    # lpq_norm(wsamp, grid, wdt, e, p, 2) for every e and p, with the time
-    # reduction they share taken once.
-    per_point = time_reduction(wsamp, wdt, 2)
-    del wsamp
     worst = 0.0
     extent_ok = True
     for e in DirectionSet.default(grid.d):

@@ -43,14 +43,19 @@ class DealiasPolicy:
     def mask(self, grid: GridSpec) -> np.ndarray:
         return _dealias_mask(grid.d, grid.n, grid.period, self.rule)
 
-    def apply_values(self, values: np.ndarray, grid: GridSpec) -> np.ndarray:
-        """Truncate a raw array whose trailing axes are the grid axes."""
+    def apply_values(
+        self, values: np.ndarray, grid: GridSpec, overwrite: bool = False
+    ) -> np.ndarray:
+        """Truncate a raw array whose trailing axes are the grid axes.
+
+        overwrite lets a complex input buffer receive the result in place.
+        """
         if self.rule == "none":
             return values
         axes = grid_axes(values, grid)
-        spec = spectrum_of(values, axes=axes)
+        spec = spectrum_of(values, axes=axes, overwrite=overwrite)
         spec *= self.mask(grid)
-        return samples_of(spec, axes=axes)
+        return samples_of(spec, axes=axes, overwrite=True)
 
     def apply(self, u: ComplexField) -> ComplexField:
         if self.rule == "none":
@@ -74,6 +79,14 @@ def _dealias_mask(d: int, n: int, period: float, rule: str) -> np.ndarray:
     return mask
 
 
+@lru_cache(maxsize=64)
+def _derivative(d: int, n: int, period: float, axis: int) -> np.ndarray:
+    """Read-only derivative multiplier 1j * xi_axis (0-based axis)."""
+    out = 1j * GridSpec(d, n, period).wavenumber_component(axis)
+    out.flags.writeable = False
+    return out
+
+
 def _prefactor(values: np.ndarray, grid: GridSpec, policy: DealiasPolicy) -> np.ndarray:
     """Dealiased 2*conj(u)/(1+|u|^2) of a raw array over any leading axes."""
     denom = np.abs(values)
@@ -83,7 +96,7 @@ def _prefactor(values: np.ndarray, grid: GridSpec, policy: DealiasPolicy) -> np.
     np.multiply(2.0, vals, out=vals)
     vals /= denom
     del denom
-    return policy.apply_values(vals, grid)
+    return policy.apply_values(vals, grid, overwrite=True)
 
 
 def n_zero(u: ComplexField, policy: DealiasPolicy = TWO_THIRDS) -> ComplexField:
@@ -104,20 +117,23 @@ def nonlinearity_spectrum(
     trailing axes are the grid axes and any leading axes (time) are batched.
     Costs d inverse transforms for the gradients, one round trip each to
     dealias the squared gradient and the prefactor, and one forward
-    transform of the product, masked in frequency space. Each temporary is
-    dropped once used, so at most four stacks are alive beside the inputs.
+    transform of the product, masked in frequency space. Each transform of
+    a temporary runs in that temporary's buffer, and each temporary is
+    dropped once used, so at most three stacks are alive beside the inputs,
+    which are left unchanged; the result is the product's buffer.
     """
     axes = grid_axes(u, grid)
     grad_sq = np.zeros(u.shape, dtype=np.complex128)
     for axis in range(grid.d):
-        g = samples_of(u_hat * (1j * grid.wavenumber_component(axis)), axes=axes)
+        mult = _derivative(grid.d, grid.n, grid.period, axis)
+        g = samples_of(u_hat * mult, axes=axes, overwrite=True)
         grad_sq += np.square(g, out=g)
         del g
-    grad_sq = policy.apply_values(grad_sq, grid)
+    grad_sq = policy.apply_values(grad_sq, grid, overwrite=True)
     prod = _prefactor(u, grid, policy)
     prod *= grad_sq
     del grad_sq
-    nl_hat = spectrum_of(prod, axes=axes)
+    nl_hat = spectrum_of(prod, axes=axes, overwrite=True)
     if policy.rule != "none":
         nl_hat *= policy.mask(grid)
     return nl_hat

@@ -218,7 +218,9 @@ def duhamel_map(
     phi: ComplexField,
     prev: Trajectory,
     policy: DealiasPolicy = TWO_THIRDS,
-) -> Trajectory:
+    *,
+    sigma: float | None = None,
+):
     """One application of the integral map to a stored trajectory.
 
     Returns t_m -> W(t_m) phi - i * int_0^{t_m} W(t_m - s) N(prev(s)) ds with
@@ -233,6 +235,14 @@ def duhamel_map(
     integrand row carry over between blocks, so the result does not depend
     on the block size, and only block-sized temporaries sit beside the
     input and the output.
+
+    With sigma given, prev must be in frequency form and the image
+    overwrites it: a block is read before it is written, and later blocks
+    read only the carried running sum and g_0, so nothing larger than a
+    block is allocated. The map then returns the pair
+    (max_m ||image_m - prev_m||_{H^sigma}, max_m ||image_m||_{H^sigma}),
+    taken block by block before each block is written, with the bits of
+    _sup_hsigma of the two stacks.
     """
     if abs(prev.times[0]) > 1e-14:
         raise ValueError("the integral starts at t = 0; trajectory must too")
@@ -242,29 +252,32 @@ def duhamel_map(
     grid = prev.grid
     space_axes = grid_axes(prev.values, grid)
     in_frequency = prev.representation == FREQUENCY
+    in_place = sigma is not None
+    if in_place and not in_frequency:
+        raise ValueError("the in-place map needs a trajectory in frequency form")
     phi_hat = to_frequency(phi).values
-    out = np.empty_like(prev.values)
+    out = prev.values if in_place else np.empty_like(prev.values)
+    diffs, sups = np.empty(len(prev)), np.empty(len(prev))
     rows = _block_rows(grid)
     # u_hat = forward * (phi_hat - i dt (S_m - (g_m + g_0) / 2)) with
     # forward = e^{-i t_m |xi|^2}, the integrand g = e^{+i s |xi|^2} nl_hat
     # and its running sum S_m. Carried between blocks: the raw S of the
-    # previous row and a copy of g_0.
+    # previous row and a copy of g_0. The block's u_hat is built in the
+    # buffer of its nl_hat.
     running = first = None
     blocks = _propagator_blocks(prev.times, grid.wavenumber_sq(), rows)
     for start, forward in zip(range(0, len(prev), rows), blocks):
         block = prev.values[start : start + rows]
         if in_frequency:
-            nl_hat = nonlinearity_spectrum(samples_of(block, axes=space_axes), block, grid, policy)
+            u_hat = nonlinearity_spectrum(samples_of(block, axes=space_axes), block, grid, policy)
         else:
-            nl_hat = nonlinearity_spectrum(block, spectrum_of(block, axes=space_axes), grid, policy)
+            u_hat = nonlinearity_spectrum(block, spectrum_of(block, axes=space_axes), grid, policy)
         integrand = np.conj(forward)
-        integrand *= nl_hat
-        del nl_hat
+        integrand *= u_hat
         if first is None:
             first = integrand[0].copy()
         # Running sum row by row: np.cumsum along the time axis walks the
         # stack with a stride of one snapshot and is about 10x slower.
-        u_hat = out[start : start + rows]
         if running is None:
             u_hat[0] = integrand[0]
         else:
@@ -279,19 +292,23 @@ def duhamel_map(
         np.multiply(1j * prev.dt, u_hat, out=u_hat)
         np.subtract(phi_hat, u_hat, out=u_hat)
         np.multiply(forward, u_hat, out=u_hat)
-        if not in_frequency:
-            u_hat[...] = samples_of(u_hat, axes=space_axes)
+        if in_place:
+            diffs[start : start + rows] = hsigma_norm_spectra(u_hat - block, grid, sigma)
+            sups[start : start + rows] = hsigma_norm_spectra(u_hat, grid, sigma)
+        elif not in_frequency:
+            u_hat = samples_of(u_hat, axes=space_axes, overwrite=True)
+        out[start : start + rows] = u_hat
+    if in_place:
+        return float(np.max(diffs)), float(np.max(sups))
     return Trajectory(grid, prev.times.copy(), out, prev.representation)
 
 
-def _sup_hsigma(spectra: np.ndarray, grid: GridSpec, sigma: float, minus=None) -> float:
-    """max_m ||spectra[m] - minus[m]||_{H^sigma}, a block of rows at a time."""
+def _sup_hsigma(spectra: np.ndarray, grid: GridSpec, sigma: float) -> float:
+    """max_m ||spectra[m]||_{H^sigma}, a block of rows at a time."""
     rows = _block_rows(grid)
     norms = np.empty(len(spectra))
     for start in range(0, len(spectra), rows):
         block = spectra[start : start + rows]
-        if minus is not None:
-            block = block - minus[start : start + rows]
         norms[start : start + rows] = hsigma_norm_spectra(block, grid, sigma)
     return float(np.max(norms))
 
@@ -313,9 +330,10 @@ def picard_solve(
     smallness regime was left) or at the first non-finite norm, and
     MaxIterExceeded past the budget. The smallness threshold itself is
     empirical and is probed by amplitude sweeps rather than enforced up front.
-    Iterates stay in frequency form, so the norms need no transform and
-    only the current and the next iterate are alive; the fixed point is
-    inverted in place and returned physical.
+    The iterate stays in frequency form and each map overwrites it in
+    place (duhamel_map with sigma), returning the two norms, so one
+    trajectory-sized stack is alive; the fixed point is inverted in place
+    and returned physical.
     """
     if T > 1.0 + 1e-12:
         raise ValueError(f"solve window must satisfy T <= 1, got {T}")
@@ -342,9 +360,7 @@ def picard_solve(
     prev_diff = _sup_hsigma(current.values, grid, sigma0)
     stall = 0
     for n in range(1, max_iter + 1):
-        nxt = duhamel_map(phi, current, policy)
-        diff = _sup_hsigma(nxt.values, grid, sigma0, minus=current.values)
-        sup_norm = _sup_hsigma(nxt.values, grid, sigma0)
+        diff, sup_norm = duhamel_map(phi, current, policy, sigma=sigma0)
         ratio = diff / prev_diff if prev_diff > 0.0 else 0.0
         history.append(n, sup_norm, diff, ratio)
 
@@ -364,7 +380,6 @@ def picard_solve(
         else:
             stall = 0
 
-        current = nxt
         if diff < tol * phi_norm:
             vals = samples_of(current.values, axes=grid_axes(current.values, grid), overwrite=True)
             return Trajectory(grid, times, vals), history

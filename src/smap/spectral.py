@@ -212,6 +212,14 @@ def jsigma_weights(grid: GridSpec, sigma: float) -> np.ndarray:
     return (1.0 + grid.wavenumber_sq()) ** (sigma / 2.0)
 
 
+@lru_cache(maxsize=64)
+def _jsigma_sq(d: int, n: int, period: float, sigma: float) -> np.ndarray:
+    """Read-only squared Bessel-potential weights, jsigma_weights(grid, sigma) ** 2."""
+    out = jsigma_weights(GridSpec(d, n, period), sigma) ** 2
+    out.flags.writeable = False
+    return out
+
+
 def apply_jsigma(u: ComplexField, sigma: float) -> ComplexField:
     """Bessel-potential multiplier (1+|xi|^2)^(sigma/2); sigma may be negative."""
     return _apply_multiplier(u, jsigma_weights(u.grid, sigma))
@@ -283,17 +291,15 @@ def l2_norm(u: ComplexField) -> float:
 def hsigma_norm(u: ComplexField, sigma: float) -> float:
     """Sobolev norm ||(1+|xi|^2)^(sigma/2) u||_L2 computed in frequency space."""
     spec = to_frequency(u)
-    w = jsigma_weights(u.grid, sigma)
-    return float(
-        np.sqrt(u.grid.cell_volume * np.sum(w**2 * np.abs(spec.values) ** 2))
-    )
+    w2 = _jsigma_sq(u.grid.d, u.grid.n, u.grid.period, sigma)
+    return float(np.sqrt(u.grid.cell_volume * np.sum(w2 * np.abs(spec.values) ** 2)))
 
 
 def hsigma_norm_spectra(spec: np.ndarray, grid: GridSpec, sigma: float) -> np.ndarray:
     """Sobolev norms of a stack of unitary spectra, by Plancherel."""
     power = np.square(spec.real)
     power += np.square(spec.imag)
-    power *= jsigma_weights(grid, sigma) ** 2
+    power *= _jsigma_sq(grid.d, grid.n, grid.period, sigma)
     return np.sqrt(grid.cell_volume * np.sum(power, axis=grid_axes(spec, grid)))
 
 

@@ -228,6 +228,23 @@ class TestSphereRhs:
 
 
 class TestDealiasPolicy:
+    @pytest.mark.parametrize("policy", [NO_DEALIAS, TWO_THIRDS])
+    def test_inputs_left_unchanged(self, grid32, rng, policy):
+        u = random_smooth_field(grid32, rng, amp=0.4)
+        stack = np.stack([u.values, np.conj(u.values)])
+        stack_hat = spectrum_of(stack, axes=(1, 2))
+        kept = u.values.copy(), stack.copy(), stack_hat.copy()
+        policy.apply(u)
+        policy.apply_values(stack, grid32)
+        nonlinearity_spectrum(stack, stack_hat, grid32, policy)
+        for now, before in zip((u.values, stack, stack_hat), kept):
+            assert np.array_equal(now, before)
+
+    def test_overwrite_gives_the_same_bits(self, grid32, rng):
+        values = np.stack([random_smooth_field(grid32, rng, band=grid32.nyquist).values] * 2)
+        want = TWO_THIRDS.apply_values(values, grid32)
+        assert np.array_equal(TWO_THIRDS.apply_values(values.copy(), grid32, overwrite=True), want)
+
     def test_two_thirds_support(self, grid32, rng):
         u = random_smooth_field(grid32, rng, band=grid32.nyquist)
         out = nonlinearity(u, TWO_THIRDS)

@@ -234,6 +234,58 @@ class TestBlockedMap:
         assert peak.bytes < 3 * stack_bytes
 
 
+class TestInPlaceMap:
+    """duhamel_map(..., sigma=...) overwrites its frequency input with the image."""
+
+    @pytest.mark.parametrize("policy", [TWO_THIRDS, NO_DEALIAS], ids=["two_thirds", "none"])
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    def test_same_bits_as_allocating_map_and_parent_norms(self, monkeypatch, d, n, policy):
+        grid = GridSpec(d, n, 2.0)
+        rng = np.random.default_rng(10 * d + n)
+        phi = random_smooth_field(grid, rng, amp=0.2)
+        prev = frequency_free(random_smooth_field(grid, rng, amp=0.4), uniform_times(0.25, 1 / 64))
+        monkeypatch.setattr(solver, "BLOCK_BYTES", 3 * 16 * grid.num_points)  # 17 rows: 6 blocks
+        want = duhamel_map(phi, prev, policy)
+        # The parent's norms: whole-stack difference, then _sup_hsigma of both stacks.
+        want_diff = solver._sup_hsigma(want.values - prev.values, grid, SIGMA0)
+        want_sup = solver._sup_hsigma(want.values, grid, SIGMA0)
+        work = Trajectory(grid, prev.times, prev.values.copy(), FREQUENCY)
+        diff, sup = duhamel_map(phi, work, policy, sigma=SIGMA0)
+        assert np.array_equal(work.values, want.values)
+        assert (diff, sup) == (want_diff, want_sup)
+
+    @pytest.mark.parametrize("representation", [PHYSICAL, FREQUENCY])
+    def test_allocating_map_leaves_input(self, grid32, rng, representation):
+        phi = random_smooth_field(grid32, rng, amp=0.3)
+        times = uniform_times(0.25, 1 / 64)
+        prev = frequency_free(random_smooth_field(grid32, rng, amp=0.3), times)
+        if representation == PHYSICAL:
+            prev = physical_of(prev)
+        before = prev.values.copy()
+        out = duhamel_map(phi, prev)
+        assert not np.shares_memory(out.values, prev.values)
+        assert np.array_equal(prev.values, before)
+
+    def test_in_place_needs_frequency_input(self, grid32, rng):
+        phi = random_smooth_field(grid32, rng, amp=0.3)
+        prev = physical_of(frequency_free(phi, uniform_times(0.25, 1 / 64)))
+        before = prev.values.copy()
+        with pytest.raises(ValueError, match="frequency"):
+            duhamel_map(phi, prev, sigma=SIGMA0)
+        assert np.array_equal(prev.values, before)
+
+    def test_picard_peak_below_one_and_a_half_trajectories(self):
+        grid = GridSpec(2, 32, 4.0)
+        phi = small_bump(grid, 1e-2)
+        T, dt = 1.0, 1.0 / 1024.0
+        traj_bytes = 16 * uniform_times(T, dt).size * grid.num_points
+        picard_solve(phi, T, dt, sigma0=SIGMA0)  # warm the caches
+        with traced_peak() as peak:
+            _, hist = picard_solve(phi, T, dt, sigma0=SIGMA0)
+        assert len(hist.records) >= 2
+        assert peak.bytes < 1.5 * traj_bytes
+
+
 class TestPropagator:
     # (grid, (T, dt, t0), rows, error): the `norms` ensemble window
     # (max |t |xi|^2| = 2048), its Picard member (1024), and the chart_sweep

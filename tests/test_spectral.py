@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from smap.errors import AxisOutOfRange, RepresentationMismatch
 from smap.grid import GridSpec
+from smap import spectral
 from smap.spectral import (
     FREQUENCY,
     PHYSICAL,
@@ -18,6 +19,8 @@ from smap.spectral import (
     gradient,
     hsigma_energy_real,
     hsigma_norm,
+    hsigma_norm_spectra,
+    jsigma_weights,
     l2_norm,
     laplacian_values,
     lp_project,
@@ -157,6 +160,20 @@ class TestJsigma:
         direct = hsigma_norm(u, 1.6)
         via_l2 = l2_norm(apply_jsigma(u, 1.6))
         assert abs(direct - via_l2) < 1e-12 * direct
+
+
+    def test_norms_keep_their_bits_with_cached_weights(self, grid32, rng):
+        spec = np.stack([transform(random_smooth_field(grid32, rng), "forward").values] * 3)
+        spec[1] *= 0.5
+        w2 = jsigma_weights(grid32, 1.6) ** 2
+        power = np.square(spec.real)
+        power += np.square(spec.imag)
+        power *= w2
+        want = np.sqrt(grid32.cell_volume * np.sum(power, axis=(1, 2)))
+        assert np.array_equal(hsigma_norm_spectra(spec, grid32, 1.6), want)
+        single = float(np.sqrt(grid32.cell_volume * np.sum(w2 * np.abs(spec[0]) ** 2)))
+        assert hsigma_norm(ComplexField(grid32, 0.0, FREQUENCY, spec[0]), 1.6) == single
+        assert not spectral._jsigma_sq(grid32.d, grid32.n, grid32.period, 1.6).flags.writeable
 
 
 class TestFreePropagate:
