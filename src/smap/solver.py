@@ -122,14 +122,15 @@ def _block_rows(grid: GridSpec) -> int:
     return max(1, BLOCK_BYTES // (16 * grid.num_points))
 
 
-def _propagator_blocks(times: np.ndarray, k2: np.ndarray, rows: int):
+def _propagator_blocks(times: np.ndarray, k2: np.ndarray, rows: int, out=None):
     """Phases e^{-i t_m |xi|^2} for consecutive blocks of ``rows`` times.
 
     Uniform grids of more than two times use a stepwise recurrence (one exp
     per grid instead of one per sample) that runs on across blocks: the
     first row of a block is the previous block's last row times the step,
     so every row is the same whatever the block size. Other grids take one
-    exp per row.
+    exp per row. Given out, a (times, *k2.shape) stack with contiguous
+    rows, the blocks are its row slices; otherwise each is a new array.
     """
     times = np.asarray(times, dtype=np.float64)
     flat = k2.ravel()
@@ -139,18 +140,25 @@ def _propagator_blocks(times: np.ndarray, k2: np.ndarray, rows: int):
         step = np.exp(-1j * diffs[0] * flat)
     last = None
     for start in range(0, times.size, rows):
-        out = np.empty((min(rows, times.size - start), flat.size), dtype=np.complex128)
-        for i, t in enumerate(times[start : start + out.shape[0]]):
+        count = min(rows, times.size - start)
+        if out is None:
+            block = np.empty((count, flat.size), dtype=np.complex128)
+        else:
+            block = out[start : start + count].reshape(count, flat.size, copy=False)
+        for i, t in enumerate(times[start : start + count]):
             if not uniform or start + i == 0:
-                out[i] = np.exp(-1j * t * flat)
+                block[i] = np.exp(-1j * t * flat)
             else:
-                np.multiply(out[i - 1] if i else last, step, out=out[i])
-        last = out[-1]
-        yield out.reshape((out.shape[0],) + k2.shape)
+                np.multiply(block[i - 1] if i else last, step, out=block[i])
+        last = block[-1]
+        yield block.reshape((count,) + k2.shape)
 
 
-def propagator_stack(times: np.ndarray, k2: np.ndarray) -> np.ndarray:
-    """Phases e^{-i t_m |xi|^2} stacked over times.
+def propagator_stack(times: np.ndarray, k2: np.ndarray, out=None) -> np.ndarray:
+    """Phases e^{-i t_m |xi|^2} stacked over times, written into out if given.
+
+    out is a (times, *k2.shape) stack with contiguous rows, for example a
+    spectral.stack_empty one.
 
     Uniform grids use the recurrence of _propagator_blocks. Its largest
     component error against a long-double reference at the same times is
@@ -164,7 +172,7 @@ def propagator_stack(times: np.ndarray, k2: np.ndarray) -> np.ndarray:
     accurate ones.
     """
     times = np.asarray(times, dtype=np.float64)
-    return next(_propagator_blocks(times, k2, max(times.size, 1)))
+    return next(_propagator_blocks(times, k2, max(times.size, 1), out))
 
 
 def free_trajectory(phi: ComplexField, times: np.ndarray) -> Trajectory:

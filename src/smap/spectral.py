@@ -139,6 +139,25 @@ def grid_axes(values: np.ndarray, grid: GridSpec) -> tuple:
     return tuple(range(values.ndim - grid.d, values.ndim))
 
 
+# Complex values between the end of one stack row and the start of the next:
+# one 64-byte cache line.
+ROW_PAD = 4
+
+
+def stack_empty(rows: int, shape: tuple) -> np.ndarray:
+    """Uninitialised complex (rows, *shape) stack whose rows lie ROW_PAD values apart.
+
+    Each row is contiguous. Stored back to back, rows of a power-of-two
+    number of points lie a power of two bytes apart, so a transform along
+    the row axis maps every sample of a line to the same cache sets; the
+    pad breaks that. Transforms and elementwise steps give the same bits in
+    either layout.
+    """
+    points = int(np.prod(shape))
+    buf = np.empty((rows, points + ROW_PAD), dtype=np.complex128)
+    return buf[:, :points].reshape((rows,) + tuple(shape))
+
+
 # ---------------------------------------------------------------------------
 # Smooth cutoff family
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from smap.spectral import (
     eta_shell,
     fft_workers,
     samples_of,
+    stack_empty,
 )
 
 from conftest import random_smooth_field, traced_peak
@@ -769,6 +770,34 @@ class TestLemmaDiagnostics:
         with traced_peak() as peak:
             spacetime._member_rows(*args)
         assert peak.bytes < 1.0 * F.values.nbytes
+
+    def test_rows_do_not_depend_on_row_padding(self, grid32, rng):
+        # The same spectrum in a contiguous array and in a row-padded stack
+        # gives the same rows, direction labels included.
+        shape = (128,) + grid32.shape
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        padded = stack_empty(128, grid32.shape)
+        padded[...] = values
+        assert values.flags["C_CONTIGUOUS"] and not padded.flags["C_CONTIGUOUS"]
+        dirs = DirectionSet.default(2)
+        rows = [
+            spacetime._member_rows("m", SpaceTimeSpectrum(grid32, 1.0, v), dirs, None, (1.6,))
+            for v in (values, padded)
+        ]
+        assert [row[2] for row in rows[0]].count("R2") >= 4
+        assert rows[0] == rows[1]
+
+    def test_free_member_rows_peak(self, grid32, rng):
+        # Beside a free member's spectrum the shell loop holds less than one
+        # more: the shell columns are gathered from the row view without
+        # copying the spectrum, and each block's grid inverse runs in place
+        # on one padded work block.
+        F = free_spectrum(random_smooth_field(grid32, rng), 128, 1.0)
+        args = ("free", F, DirectionSet.default(2), range(1, 4), (1.6,))
+        spacetime._member_rows(*args)  # warm the caches
+        with traced_peak() as peak:
+            spacetime._member_rows(*args)
+        assert peak.bytes < 2.0 * F.values.nbytes
 
     def test_single_mode_ratio_uniformity(self):
         # Mirrors the per-shell uniformity study: plane waves across shells

@@ -68,6 +68,28 @@ class TestTransform:
             transform(transform(u, "forward"), "forward")
 
 
+class TestStackEmpty:
+    @pytest.mark.parametrize(
+        "rows, shape", [(1280, (64, 64)), (128, (32, 32)), (3, (32, 32, 32)), (7, (16,))]
+    )
+    def test_rows_padded_and_writable(self, rows, shape):
+        # Each row is contiguous, consecutive rows lie a number of bytes
+        # apart that is not a power of two, and writes land in the view.
+        stack = spectral.stack_empty(rows, shape)
+        assert stack.shape == (rows,) + shape and stack.dtype == np.complex128
+        assert stack[0].flags["C_CONTIGUOUS"]
+        stride = stack.strides[0]
+        assert stride == 16 * (int(np.prod(shape)) + spectral.ROW_PAD)
+        assert stride & (stride - 1) != 0
+        values = np.arange(stack.size).reshape(stack.shape) * (1.0 - 2.0j)
+        stack[...] = values
+        assert np.array_equal(stack, values)
+        row_view = stack.reshape(rows, -1, copy=False)
+        row_view[-1] = 7.0
+        assert np.all(stack[-1] == 7.0)
+        assert np.array_equal(stack[:-1], values[:-1])
+
+
 class TestCutoffFamily:
     def test_plateau_and_support_values(self):
         assert eta0(1.0) == 1.0
