@@ -27,10 +27,13 @@ from ..solver import (
 )
 from ..spacetime import (
     DirectionSet,
+    _rows,
     _transform,
+    _window_times,
+    _windowed,
     fiber_norm,
     time_reduction,
-    windowed_samples,
+    window_profile,
 )
 from ..spectral import (
     PHYSICAL,
@@ -69,9 +72,57 @@ def _random_field(grid, rng, band=None):
     return to_physical(ComplexField(grid, 0.0, "frequency", spec))
 
 
+def _mask_drift(row: np.ndarray, mask: np.ndarray) -> float:
+    """Largest change when a 0/1 mask is applied twice instead of once."""
+    once = row * mask
+    twice = once * mask
+    twice -= once
+    return float(np.max(np.abs(twice)))
+
+
 def _csv_body(report: NormReport) -> str:
     """The CSV text below the header comment line."""
     return report.to_csv(timestamp=False).split("\n", 1)[1]
+
+
+def _spacetime_checks(config, grid, rng, check) -> None:
+    """Space-time Plancherel, shell completeness, region-mask idempotence and
+    the mixed-norm checks, on a windowed free evolution of random data.
+
+    One window-sized stack is alive at a time: the free evolution on the
+    window's 64 times is windowed in place (windowed_samples without its
+    copy) and transformed in its own buffer, and every reduction over it
+    runs row by row or block by block.
+    """
+    wdt = 2.0 * config.t_window / 64
+    ftraj = free_trajectory(_random_field(grid, rng, band=4.0), _window_times(wdt, config.t_window))
+    window = window_profile(_window_times(ftraj.dt, config.t_window), config.t_window)
+    samples = _windowed(ftraj.values, window)
+    # time_reduction(samples, wdt, 2), shared by lpq_norm(samples, grid,
+    # wdt, e, p, 2) for every e and p, from the unscaled per-point sums.
+    power = time_reduction(samples, 1.0, 2)
+    st_mass = np.sqrt(grid.cell_volume * wdt * np.sum(power))
+    per_point = wdt * power
+    F = _transform(samples, grid, config.t_window)
+    mass = F.l2_mass()
+    check("spacetime_plancherel", abs(mass - st_mass) / st_mass, 1e-12)
+    total2 = mass**2
+    shells2 = sum(F.shell_mass_disjoint(k) ** 2 for k in range(grid.max_shell + 2))
+    check("shell_completeness", abs(shells2 - total2) / total2, 1e-10)
+    rows = zip(_rows(F.values), _rows(F.region_mask(2, 3)))
+    check("region_mask_idempotent", max(_mask_drift(row, mask) for row, mask in rows), 0.0)
+    worst = 0.0
+    extent_ok = True
+    for e in DirectionSet.default(grid.d):
+        l22 = fiber_norm(per_point, e, grid, 2, 2)
+        worst = max(worst, abs(l22 - st_mass) / st_mass)
+        l12 = fiber_norm(per_point, e, grid, 1, 2)
+        # extent of the fibration along e is n * dr
+        extent = grid.n * grid.spacing / np.sqrt((np.abs(e) > 1e-12).sum())
+        if l12 > np.sqrt(extent) * l22 * (1.0 + 1e-10):
+            extent_ok = False
+    check("lpq_fubini", worst, 1e-12)
+    check("lpq_cauchy_schwarz", 0.0 if extent_ok else 1.0, 0.5)
 
 
 def run_checks(config, tmpdir) -> list:
@@ -221,45 +272,7 @@ def run_checks(config, tmpdir) -> list:
     )
     del zero_prev, free_out, expect, traj, again
 
-    # space-time analysis
-    wdt = 2.0 * config.t_window / 64
-    wtimes = uniform_times(2 * config.t_window, wdt, t0=-config.t_window)
-    # At most two window-sized stacks are alive at once: the windowed
-    # samples are reduced first, then transformed in their own buffer, which
-    # is spacetime_transform of the evolution without its copy.
-    ftraj = free_trajectory(_random_field(grid, rng, band=4.0), wtimes)
-    wsamp = windowed_samples(ftraj, config.t_window)
-    del ftraj
-    st_mass = np.sqrt(grid.cell_volume * wdt * np.sum(np.abs(wsamp) ** 2))
-    # lpq_norm(wsamp, grid, wdt, e, p, 2) for every e and p, with the time
-    # reduction they share taken once.
-    per_point = time_reduction(wsamp, wdt, 2)
-    F = _transform(wsamp, grid, config.t_window)
-    del wsamp
-    check("spacetime_plancherel", abs(F.l2_mass() - st_mass) / st_mass, 1e-12)
-    total2 = F.l2_mass() ** 2
-    shells2 = sum(F.shell_mass_disjoint(k) ** 2 for k in range(grid.max_shell + 2))
-    check("shell_completeness", abs(shells2 - total2) / total2, 1e-10)
-    mask = F.region_mask(2, 3)
-    once = F.values * mask
-    del F
-    twice = once * mask
-    twice -= once
-    del mask, once
-    check("region_mask_idempotent", np.max(np.abs(twice)), 0.0)
-    del twice
-    worst = 0.0
-    extent_ok = True
-    for e in DirectionSet.default(grid.d):
-        l22 = fiber_norm(per_point, e, grid, 2, 2)
-        worst = max(worst, abs(l22 - st_mass) / st_mass)
-        l12 = fiber_norm(per_point, e, grid, 1, 2)
-        # extent of the fibration along e is n * dr
-        extent = grid.n * grid.spacing / np.sqrt((np.abs(e) > 1e-12).sum())
-        if l12 > np.sqrt(extent) * l22 * (1.0 + 1e-10):
-            extent_ok = False
-    check("lpq_fubini", worst, 1e-12)
-    check("lpq_cauchy_schwarz", 0.0 if extent_ok else 1.0, 0.5)
+    _spacetime_checks(config, grid, rng, check)
 
     # harness formats
     snap_path = tmpdir / "roundtrip.fld"

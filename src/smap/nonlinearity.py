@@ -22,6 +22,7 @@ from .grid import GridSpec
 from .spectral import (
     PHYSICAL,
     ComplexField,
+    RealWork,
     grid_axes,
     laplacian_values,
     samples_of,
@@ -147,7 +148,11 @@ def nonlinearity(u: ComplexField, policy: DealiasPolicy = TWO_THIRDS) -> Complex
 
 
 def sphere_rhs(
-    values: np.ndarray, grid: GridSpec, out: np.ndarray | None = None, scale: float = 1.0
+    values: np.ndarray,
+    grid: GridSpec,
+    out: np.ndarray | None = None,
+    scale: float = 1.0,
+    work: RealWork | None = None,
 ) -> np.ndarray:
     """Sphere-form right-hand side s x Laplacian(s) of a raw (3, *grid) array,
     with the Laplacian times ``scale``.
@@ -158,14 +163,16 @@ def sphere_rhs(
     identity, up to rounding. The product is formed component by component
     into ``out`` (which must not overlap ``values``) with the
     multiply/subtract sequence of np.cross, so it matches
-    np.cross(values, lap, axis=0) bit for bit.
+    np.cross(values, lap, axis=0) bit for bit. Given a workspace
+    (spectral.real_work of the values' shape), the Laplacian and the
+    product's temporary go into it, and with ``out`` nothing is allocated.
     """
-    lap = laplacian_values(values, grid, scale=scale)
+    lap = laplacian_values(values, grid, scale=scale, work=work)
     if out is None:
         out = np.empty_like(values)
     a0, a1, a2 = values
     b0, b1, b2 = lap
-    tmp = np.multiply(a2, b1)
+    tmp = np.multiply(a2, b1, out=None if work is None else work.tmp)
     np.multiply(a1, b2, out=out[0])
     out[0] -= tmp
     np.multiply(a0, b2, out=tmp)

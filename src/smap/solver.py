@@ -43,6 +43,7 @@ from .spectral import (
     hsigma_energy_real,
     hsigma_norm,
     hsigma_norm_spectra,
+    real_work,
     samples_of,
     spectrum_of,
     to_frequency,
@@ -425,6 +426,10 @@ def midpoint_snapshots(
     increment. The increment is orthogonal to the midpoint, so the
     pointwise norm is conserved up to the inner tolerance; snapshots are
     renormalized, a projection no larger than the inner residual.
+
+    The sweeps and the renormalization write into buffers the generator
+    allocates once (the six below and one spectral.real_work), so a step
+    allocates only the snapshot it yields.
     """
     times = uniform_times(T, dt)
     grid = s0.grid
@@ -435,9 +440,10 @@ def midpoint_snapshots(
     # Sweep buffers: the doubled midpoint, the current and candidate
     # iterates, their difference, and the last two increments.
     mid, v, cand, diff, step, prev = (np.empty_like(sm) for _ in range(6))
+    work = real_work(sm.shape, grid)
     for m in range(times.size - 1):
         if m == 0:
-            sphere_rhs(sm, grid, out=step)
+            sphere_rhs(sm, grid, out=step, work=work)
             step *= dt
             np.add(sm, step, out=v)
         else:
@@ -446,7 +452,7 @@ def midpoint_snapshots(
             v += sm
         for sweeps in range(1, max_sweeps + 1):
             np.add(sm, v, out=mid)
-            sphere_rhs(mid, grid, out=cand, scale=scale)
+            sphere_rhs(mid, grid, out=cand, scale=scale, work=work)
             cand += sm
             np.subtract(cand, v, out=diff)
             np.abs(diff, out=diff)
@@ -466,7 +472,12 @@ def midpoint_snapshots(
             )
         step, prev = prev, step
         np.subtract(v, sm, out=step)
-        sm = v / np.sqrt(np.sum(v**2, axis=0))
+        norm = np.sum(np.square(v, out=work.lap), axis=0, out=work.tmp)
+        np.sqrt(norm, out=norm)
+        # One component at a time: a broadcast division buffers its operands.
+        sm = np.empty_like(v)
+        for snap, comp in zip(sm, v):
+            np.divide(comp, norm, out=snap)
         yield float(times[m + 1]), sm, sweeps
 
 

@@ -34,6 +34,7 @@ from .spectral import (
     SUPPORT,
     ComplexField,
     _one_fft_worker,
+    _ortho_factor,
     eta0,
     eta_shell,
     fft_workers,
@@ -148,19 +149,41 @@ class SpaceTimeSpectrum:
         return self.tau().reshape((self.m_t,) + (1,) * self.grid.d) + self.grid.wavenumber_sq()
 
     def l2_mass(self) -> float:
-        return float(np.sqrt(self.cell_measure * np.sum(np.abs(self.values) ** 2)))
+        return self._mass(None)
+
+    def _mass(self, sel) -> float:
+        """L2 mass over the grid points a flat mask sel selects, or over all,
+        summed block by block of time rows (about solver.BLOCK_BYTES each)."""
+        rows = self.values.reshape(self.m_t, -1)
+        count = _block_rows(self.grid)
+        total = 0.0
+        for start in range(0, self.m_t, count):
+            block = rows[start : start + count]
+            power = np.abs(block if sel is None else block[:, sel])
+            total += float(np.sum(np.square(power, out=power)))
+        return math.sqrt(self.cell_measure * total)
 
     def shell_weights(self, k: int) -> np.ndarray:
         return eta_shell(k, np.sqrt(self.grid.wavenumber_sq()))
 
     def region_mask(self, k: int, j: int) -> np.ndarray:
-        """Indicator of the dyadic region |xi| ~ 2^k, |tau + |xi|^2| <= 2^(j+1)."""
-        radius = np.sqrt(self.grid.wavenumber_sq())
+        """Indicator of the dyadic region |xi| ~ 2^k, |tau + |xi|^2| <= 2^(j+1).
+
+        Built one time row at a time, from that row's tau + |xi|^2 (omega).
+        """
+        k2 = self.grid.wavenumber_sq()
+        radius = np.sqrt(k2)
         if k == 0:
             shell = radius <= 2.0
         else:
             shell = (radius >= 2.0 ** (k - 1)) & (radius <= 2.0 ** (k + 1))
-        return shell & (np.abs(self.omega()) <= 2.0 ** (j + 1))
+        mask = np.empty(self.values.shape, dtype=bool)
+        omega = np.empty(k2.shape)
+        for row, tau in zip(mask, self.tau()):
+            np.add(tau, k2, out=omega)
+            np.less_equal(np.abs(omega, out=omega), 2.0 ** (j + 1), out=row)
+            row &= shell
+        return mask
 
     def shell_mass_disjoint(self, k: int) -> float:
         """L2 mass on the disjoint annulus 2^(k-1) < |xi| <= 2^k (|xi| <= 1 for k=0)."""
@@ -169,8 +192,7 @@ class SpaceTimeSpectrum:
             sel = radius <= 1.0
         else:
             sel = (radius > 2.0 ** (k - 1)) & (radius <= 2.0**k)
-        total = np.sum(np.abs(self.values[:, sel]) ** 2)
-        return float(np.sqrt(self.cell_measure * total))
+        return self._mass(sel.ravel())
 
 
 @lru_cache(maxsize=8)
@@ -301,11 +323,6 @@ def free_spectrum(phi: ComplexField, m_t: int, t_window: float = 1.0) -> SpaceTi
         samples_of(block, axes=grid_axes(block, grid), overwrite=True)
         _windowed(block, window[start : start + rows])
     return _transform(values, grid, t_window)
-
-
-def _ortho_factor(points: int) -> float:
-    """1/sqrt(points) rounded from long double, as pocketfft scales a unitary transform."""
-    return float(1 / np.sqrt(np.longdouble(points)))
 
 
 def _shell_reductions(F: SpaceTimeSpectrum, weights: np.ndarray, time_keep: np.ndarray):
@@ -554,9 +571,19 @@ def time_reduction(values: np.ndarray, dt: float, q) -> np.ndarray:
 
     Every direction and every p of lpq_norm at one q share it, so a caller
     that needs several can reduce once and run fiber_norm per direction.
+    The rows are reduced one at a time, in order, as np.sum and np.max
+    over the time axis do, so no stack of |u| is formed.
     """
-    mag = np.abs(values.reshape(values.shape[0], -1))
-    return dt * np.sum(mag**2, axis=0) if q == 2 else np.max(mag, axis=0)
+    rows = values.reshape(values.shape[0], -1)
+    out = np.zeros(rows.shape[1])
+    mag = np.empty(rows.shape[1])
+    for row in rows:
+        np.abs(row, out=mag)
+        if q == 2:
+            out += np.square(mag, out=mag)
+        else:
+            np.maximum(out, mag, out=out)
+    return dt * out if q == 2 else out
 
 
 def lpq_norm(values: np.ndarray, grid: GridSpec, dt: float, e, p, q) -> float:

@@ -6,20 +6,26 @@ the half spectrum: the Laplacian and the Sobolev energy of a real stack.
 Contains the unitary transform pair, the smooth dyadic cutoff family, the
 Bessel-potential multiplier, Littlewood-Paley shell projections, spectral
 derivatives and the free Schrodinger propagator. All operators act as pure
-functions on immutable field snapshots.
+functions on immutable field snapshots. A caller may hand the real
+Laplacian a workspace (RealWork) to write into; a workspace belongs to one
+call or generator and is never shared, so concurrent callers stay
+independent.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
+from scipy.fft._pocketfft import pypocketfft
 
-from .errors import AxisOutOfRange, GridMismatch, RepresentationMismatch
+from .errors import AxisOutOfRange, ConfigError, GridMismatch, RepresentationMismatch
 from .grid import GridSpec
 
 PHYSICAL = "physical"
@@ -33,21 +39,36 @@ SUPPORT = 8.0 / 5.0
 _pool_thread = threading.local()
 
 
-def fft_workers() -> int:
-    """Worker cap for the FFT backend, settable through SMAP_THREADS.
+def thread_budget() -> int:
+    """The total thread budget: SMAP_THREADS, a positive integer.
 
-    SMAP_THREADS (default: the CPU count) is the total thread budget. A
-    thread pool spends it on its threads, so on a pool thread this is 1.
+    Unset or empty, it is the number of CPUs this process may run on (its
+    affinity mask, where the platform has one). Any other value that is not
+    a positive integer is a ConfigError.
+    """
+    env = os.environ.get("SMAP_THREADS")
+    if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"SMAP_THREADS must be a positive integer, got {env!r}")
+    return threads
+
+
+def fft_workers() -> int:
+    """Worker cap for the FFT backend: the thread budget (thread_budget).
+
+    A thread pool spends the budget on its threads, so on a pool thread
+    this is 1.
     """
     if getattr(_pool_thread, "one_worker", False):
         return 1
-    env = os.environ.get("SMAP_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    return thread_budget()
 
 
 def _one_fft_worker() -> None:
@@ -258,15 +279,46 @@ def gradient(u: ComplexField, axis: int) -> ComplexField:
     return _apply_multiplier(u, 1j * u.grid.wavenumber_component(axis - 1))
 
 
+class RealWork(NamedTuple):
+    """Buffers a caller owns for laplacian_values of real arrays of one shape.
+
+    half holds the half spectrum, lap the Laplacian, and tmp is one
+    grid-sized real temporary for the caller's own use (sphere_rhs forms its
+    cross product with it). Make one per call or generator, never per module:
+    whoever holds it writes into it.
+    """
+
+    half: np.ndarray
+    lap: np.ndarray
+    tmp: np.ndarray
+
+
+def real_work(shape: tuple, grid: GridSpec) -> RealWork:
+    """Uninitialised RealWork for real arrays of ``shape`` (trailing axes = grid axes)."""
+    shape = tuple(shape)
+    return RealWork(
+        np.empty(shape[:-1] + (grid.n // 2 + 1,), dtype=np.complex128),
+        np.empty(shape),
+        np.empty(grid.shape),
+    )
+
+
 def laplacian_values(
-    values: np.ndarray, grid: GridSpec, axes=None, scale: float = 1.0
+    values: np.ndarray,
+    grid: GridSpec,
+    axes=None,
+    scale: float = 1.0,
+    work: RealWork | None = None,
 ) -> np.ndarray:
     """Spectral Laplacian of a raw array whose trailing axes are the grid axes,
     times ``scale``.
 
     Real input goes through the real-input half spectrum and comes back real,
-    with one cached multiplier -scale |xi|^2 applied in one pass. A
-    power-of-two scale changes no bit beyond the exact scaling.
+    with one cached multiplier -scale |xi|^2 applied in one pass. Given a
+    workspace (real_work of the values' shape) the half spectrum and the
+    result are written into it, and work.lap is returned; without one both
+    are new arrays. A power-of-two scale changes no bit beyond the exact
+    scaling.
     """
     if axes is None:
         axes = grid_axes(values, grid)
@@ -274,12 +326,10 @@ def laplacian_values(
         spec = spectrum_of(values, axes=axes)
         spec *= -scale * grid.wavenumber_sq()
         return samples_of(spec, axes=axes)
-    spec = _half_spectrum(values, axes)
+    half, out = (None, None) if work is None else (work.half, work.lap)
+    spec = _half_spectrum(values, axes, out=half)
     spec *= _half_laplacian(grid.d, grid.n, grid.period, scale)
-    return scipy.fft.irfftn(
-        spec, s=[values.shape[a] for a in axes], axes=axes, norm="ortho",
-        workers=fft_workers(),
-    )
+    return _half_inverse(spec, values.shape, axes, out=out)
 
 
 @lru_cache(maxsize=64)
@@ -290,9 +340,44 @@ def _half_laplacian(d: int, n: int, period: float, scale: float) -> np.ndarray:
     return out
 
 
-def _half_spectrum(values: np.ndarray, axes) -> np.ndarray:
-    """Unitary real-input DFT over the grid axes; the last one keeps n/2 + 1 columns."""
-    return scipy.fft.rfftn(values, axes=axes, norm="ortho", workers=fft_workers())
+def _ortho_factor(points: int) -> float:
+    """1/sqrt(points) rounded from long double, as pocketfft scales a unitary transform."""
+    return float(1 / np.sqrt(np.longdouble(points)))
+
+
+# The real-input transforms call the pocketfft binding behind scipy.fft's
+# rfftn/irfftn and give their bits; unlike scipy.fft, the binding writes
+# into a given out=.
+
+
+def _half_spectrum(values: np.ndarray, axes, out=None) -> np.ndarray:
+    """Unitary real-input DFT over the grid axes; the last one keeps n/2 + 1 columns.
+
+    The same call as scipy.fft.rfftn(values, axes=axes, norm="ortho")
+    (inorm=1 is "ortho"), written into out if given.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    axes = [a % values.ndim for a in axes]
+    return pypocketfft.r2c(values, axes, True, 1, out, fft_workers())
+
+
+def _half_inverse(spec: np.ndarray, shape: tuple, axes, out=None) -> np.ndarray:
+    """Real array of ``shape`` whose _half_spectrum is spec, written into out if
+    given; spec is overwritten.
+
+    Bit for bit scipy.fft.irfftn(spec, s=..., axes=axes, norm="ortho"):
+    pocketfft's c2r over several axes runs unscaled c2c passes over the
+    leading axes into a temporary it allocates, then the last-axis c2r,
+    whose output it multiplies by the unitary factor. Here the c2c passes
+    run in spec itself, so a caller with a workspace allocates nothing.
+    """
+    axes = [a % spec.ndim for a in axes]
+    workers = fft_workers()
+    if len(axes) > 1:
+        pypocketfft.c2c(spec, axes[:-1], False, 0, spec, workers)
+    out = pypocketfft.c2r(spec, axes[-1:], shape[axes[-1]], False, 0, out, workers)
+    out *= _ortho_factor(math.prod(shape[a] for a in axes))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +419,18 @@ def hsigma_energy_real(values: np.ndarray, grid: GridSpec, sigma: float) -> np.n
     power = np.square(spec.real)
     power += np.square(spec.imag)
     del spec
-    weight = (1.0 + grid.half_wavenumber_sq()) ** sigma
-    weight[..., 1 : grid.n // 2] *= 2.0
-    power *= weight
+    power *= _half_energy_weight(grid.d, grid.n, grid.period, sigma)
     return grid.cell_volume * np.sum(power, axis=axes)
+
+
+@lru_cache(maxsize=64)
+def _half_energy_weight(d: int, n: int, period: float, sigma: float) -> np.ndarray:
+    """Read-only half-spectrum weights (1 + |xi|^2)^sigma of hsigma_energy_real,
+    doubled on the columns that stand for their conjugate mirrors too."""
+    out = (1.0 + GridSpec(d, n, period).half_wavenumber_sq()) ** sigma
+    out[..., 1 : n // 2] *= 2.0
+    out.flags.writeable = False
+    return out
 
 
 def require_same_grid(a, b):

@@ -401,3 +401,35 @@ def duhamel_map_unblocked(phi_hat, prev_values, prev_hat, times, grid, policy):
     np.subtract(phi_hat, u_hat, out=u_hat)
     np.multiply(forward, u_hat, out=u_hat)
     return u_hat
+
+
+def l2_mass_direct(F):
+    """SpaceTimeSpectrum.l2_mass over the whole stack at once."""
+    return float(np.sqrt(F.cell_measure * np.sum(np.abs(F.values) ** 2)))
+
+
+def shell_mass_disjoint_direct(F, k):
+    """SpaceTimeSpectrum.shell_mass_disjoint with a boolean index over the grid."""
+    radius = np.sqrt(F.grid.wavenumber_sq())
+    if k == 0:
+        sel = radius <= 1.0
+    else:
+        sel = (radius > 2.0 ** (k - 1)) & (radius <= 2.0**k)
+    return float(np.sqrt(F.cell_measure * np.sum(np.abs(F.values[:, sel]) ** 2)))
+
+
+def region_mask_direct(F, k, j):
+    """SpaceTimeSpectrum.region_mask from the whole omega = tau + |xi|^2 stack."""
+    radius = np.sqrt(F.grid.wavenumber_sq())
+    if k == 0:
+        shell = radius <= 2.0
+    else:
+        shell = (radius >= 2.0 ** (k - 1)) & (radius <= 2.0 ** (k + 1))
+    omega = F.tau().reshape((F.m_t,) + (1,) * F.grid.d) + F.grid.wavenumber_sq()
+    return shell & (np.abs(omega) <= 2.0 ** (j + 1))
+
+
+def time_reduction_direct(values, dt, q):
+    """spacetime.time_reduction through a whole |u| stack."""
+    mag = np.abs(values.reshape(values.shape[0], -1))
+    return dt * np.sum(mag**2, axis=0) if q == 2 else np.max(mag, axis=0)

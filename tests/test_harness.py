@@ -13,9 +13,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import smap
+from smap import cli
 from smap.errors import ConfigError, NoContraction
 from smap.geometry import SphereField, stereo_lift
 from smap.grid import GridSpec
+from smap.harness import checks
 from smap.harness import data as data_module
 from smap.harness.config import ExperimentConfig, load_config, parse_config
 from smap.harness.data import DATA_KINDS, build_lemma_ensemble, seeded_data, sphere_seeded_data
@@ -574,6 +576,18 @@ class TestRunnerAndCli:
         assert res.returncode == 0, res.stdout + res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_thread_budget_exit_two_before_work(
+        self, tmp_path, small_cfg, monkeypatch, capsys, value
+    ):
+        # SMAP_THREADS that is not a positive integer ends the command before
+        # it makes its output directory, instead of becoming 1 or the CPU count.
+        monkeypatch.setenv("SMAP_THREADS", value)
+        out = tmp_path / "o"
+        assert cli.main(["picard", "--config", str(small_cfg), "--out", str(out)]) == 2
+        assert "ConfigError: SMAP_THREADS must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cli_config_error_exit_two(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("frobnicate = 3\n")
@@ -671,3 +685,31 @@ class TestRunnerAndCli:
         assert res.returncode == 0
         header = (tmp_path / "o6" / "picard_amp0.csv").read_text().splitlines()[0]
         assert "subcritical=true" in header
+
+
+class TestVerifySpaceTime:
+    def test_one_window_stack_at_d3(self):
+        # verify's space-time section at d = 3, n = 32: the free evolution is
+        # windowed and transformed in its own buffer and reduced row by row,
+        # so about one 64-row window stack is alive (2.09 when the samples
+        # were copied and reduced through |u|, omega and masked stacks).
+        config = ExperimentConfig(d=3, n=32, sigma0=2.1)
+        grid = config.grid()
+        results = []
+
+        def check(name, value, threshold):
+            results.append((name, value <= threshold))
+
+        with traced_peak() as peak:
+            checks._spacetime_checks(config, grid, np.random.default_rng(7), check)
+        assert peak.bytes < 1.3 * 16 * 64 * grid.num_points
+        assert results == [
+            (name, True)
+            for name in (
+                "spacetime_plancherel",
+                "shell_completeness",
+                "region_mask_idempotent",
+                "lpq_fubini",
+                "lpq_cauchy_schwarz",
+            )
+        ]

@@ -25,6 +25,7 @@ from smap.spectral import (
     ComplexField,
     hsigma_norm,
     hsigma_norm_spectra,
+    real_work,
     samples_of,
     spectrum_of,
     to_frequency,
@@ -486,6 +487,28 @@ class TestMidpoint:
         sweeps = [n for _, _, n in midpoint_snapshots(s0, 0.125, dt, inner_tol=1e-12)]
         _, former = midpoint_direct(s0.values, 3, 16, 4.0, 0.125, dt, 1e-12, extrapolate=False)
         assert sum(sweeps) <= 0.85 * sum(former)
+
+    def test_stream_steps_in_its_own_buffers(self, rng):
+        # The generator's fixed buffers (six sweep buffers and one
+        # real_work) plus two snapshots bound the first step. After it, a
+        # step allocates only the snapshot it yields, so with each snapshot
+        # dropped two are alive, plus numpy's ufunc buffers. Allocating the
+        # transforms' outputs and the normalisation's temporaries afresh
+        # each sweep and step gave 3.27 snapshots here.
+        grid = GridSpec(3, 16, 2.0)
+        s0 = stereo_lift(random_smooth_field(grid, rng, amp=0.3))
+        dt = 1.0 / 256.0
+        snapshot = s0.values.nbytes
+        fixed = 6 * snapshot + sum(a.nbytes for a in real_work(s0.values.shape, grid))
+        steps = midpoint_snapshots(s0, 16 * dt, dt, inner_tol=1e-12)
+        with traced_peak() as first:
+            next(steps)
+            next(steps)
+        with traced_peak() as rest:
+            count = sum(1 for _ in steps)
+        assert count == 15
+        assert first.bytes < fixed + 2 * snapshot
+        assert rest.bytes < 2.5 * snapshot
 
     def test_dt_must_divide_t(self):
         grid = GridSpec(2, 32, 4.0)

@@ -47,15 +47,19 @@ from smap.spectral import (
 
 from conftest import random_smooth_field, traced_peak
 from oracles import (
+    l2_mass_direct,
     lattice_vector_search,
     lpq_separable_1d,
     plane_wave,
+    region_mask_direct,
     section_sanity_direct,
+    shell_mass_disjoint_direct,
     shell_reductions_oracle,
     shell_samples_oracle,
     sigma_sum_direct,
     spacetime_samples_oracle,
     spacetime_spectrum_oracle,
+    time_reduction_direct,
     window_dft,
     windowed_samples_fancy,
     xk_direct,
@@ -501,6 +505,42 @@ class TestLpqNorm:
             for e in DirectionSet.default(3):
                 for p in (1, 2, np.inf):
                     assert fiber_norm(per_point, e, grid, p, q) == lpq_norm(vals, grid, dt, e, p, q)
+
+
+class TestRowBlockReductions:
+    # The masses, the region mask and the time reduction run over blocks
+    # or rows of the stack; the oracles form the whole |F|, omega and |u|
+    # stacks. The d = 2, n = 64 case has 16 rows per block, so 40 rows end
+    # in a partial block; the d = 3, n = 32 case has 2.
+    CASES = [(1, 32, 64), (2, 64, 40), (3, 32, 6), (3, 8, 17)]
+
+    @pytest.mark.parametrize("d, n, m_t", CASES)
+    def test_masses_and_mask_match_whole_stack_formulas(self, d, n, m_t):
+        F = spectrum_with_cut_rows(d, n, m_t, 1.0, seed=d * n + m_t)
+        want = l2_mass_direct(F)
+        assert abs(F.l2_mass() - want) <= 1e-15 * want
+        for k in range(F.grid.max_shell + 2):
+            want = shell_mass_disjoint_direct(F, k)
+            assert abs(F.shell_mass_disjoint(k) - want) <= 1e-15 * want
+        for k, j in ((0, 0), (1, 2), (2, 3), (3, 6)):
+            assert np.array_equal(F.region_mask(k, j), region_mask_direct(F, k, j))
+
+    @pytest.mark.parametrize("d, n, m_t", CASES)
+    def test_time_reduction_bits(self, d, n, m_t):
+        vals = spectrum_with_cut_rows(d, n, m_t, 1.0, seed=m_t).values
+        for q in (2, np.inf):
+            want = time_reduction_direct(vals, 0.03125, q)
+            assert np.array_equal(time_reduction(vals, 0.03125, q), want)
+        real = vals.real.copy()
+        assert np.array_equal(time_reduction(real, 0.1, 2), time_reduction_direct(real, 0.1, 2))
+
+    def test_masses_of_a_row_padded_stack(self):
+        F = spectrum_with_cut_rows(2, 64, 40, 1.0, seed=3)
+        padded = stack_empty(F.m_t, F.grid.shape)
+        padded[...] = F.values
+        G = SpaceTimeSpectrum(F.grid, F.t_window, padded)
+        assert G.l2_mass() == F.l2_mass()
+        assert G.shell_mass_disjoint(4) == F.shell_mass_disjoint(4)
 
 
 def spectrum_with_cut_rows(d, n, m_t, t_window, seed):

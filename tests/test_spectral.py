@@ -1,9 +1,12 @@
+import os
+
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smap.errors import AxisOutOfRange, RepresentationMismatch
+from smap.errors import AxisOutOfRange, ConfigError, RepresentationMismatch
 from smap.grid import GridSpec
 from smap import spectral
 from smap.spectral import (
@@ -15,6 +18,7 @@ from smap.spectral import (
     apply_jsigma,
     eta0,
     eta_shell,
+    fft_workers,
     free_propagate,
     gradient,
     hsigma_energy_real,
@@ -25,6 +29,8 @@ from smap.spectral import (
     laplacian_values,
     lp_project,
     psi,
+    real_work,
+    thread_budget,
     to_physical,
     transform,
 )
@@ -334,3 +340,76 @@ class TestRealPath:
         assert np.iscomplexobj(got)
         oracle = laplacian_c2c(u, 2, grid32.n, grid32.period)
         assert np.max(np.abs(got - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+
+class TestRealLaplacianKernel:
+    @pytest.mark.parametrize("d, n", [(1, 64), (2, 32), (3, 16)])
+    @pytest.mark.parametrize("scale", [1.0, 0.25 / 256.0])
+    def test_bits_of_the_scipy_round_trip(self, d, n, scale):
+        # The kernel calls pocketfft's binding instead of scipy.fft, to write
+        # into its workspace; a scipy whose binding rounds differently fails
+        # here instead of moving the midpoint snapshots. Scale 1 is cross_rhs,
+        # dt/4 the midpoint sweep.
+        grid = GridSpec(d, n, 2.0)
+        x = np.random.default_rng(d).standard_normal((3,) + grid.shape)
+        axes = tuple(range(1, d + 1))
+        mult = grid.half_wavenumber_sq() * -scale
+        spec = scipy.fft.rfftn(x, axes=axes, norm="ortho") * mult
+        want = scipy.fft.irfftn(spec, s=grid.shape, axes=axes, norm="ortho")
+        given = x.copy()
+        work = real_work(x.shape, grid)
+        got = laplacian_values(x, grid, scale=scale, work=work)
+        assert got is work.lap
+        assert np.array_equal(got, want)
+        assert np.array_equal(x, given)
+        # Without a workspace: the same kernel into new arrays, also unbatched.
+        assert np.array_equal(laplacian_values(x, grid, scale=scale), want)
+        alone = scipy.fft.irfftn(
+            scipy.fft.rfftn(x[1], norm="ortho") * mult, s=grid.shape, norm="ortho"
+        )
+        assert np.array_equal(laplacian_values(x[1], grid, scale=scale), alone)
+
+    def test_workspace_reused_across_calls(self, rng):
+        grid = GridSpec(2, 16, 1.0)
+        work = real_work((3,) + grid.shape, grid)
+        for _ in range(2):
+            x = rng.standard_normal((3,) + grid.shape)
+            assert np.array_equal(laplacian_values(x, grid, work=work), laplacian_values(x, grid))
+
+    def test_energy_weights_cached_read_only(self, rng):
+        # hsigma_energy_real reads cached weights with the bits of the former
+        # per-call (1 + |xi|^2)^sigma and column doubling.
+        grid = GridSpec(3, 16, 2.0)
+        weight = spectral._half_energy_weight(3, 16, 2.0, 1.0)
+        assert weight is spectral._half_energy_weight(3, 16, 2.0, 1.0)
+        assert not weight.flags.writeable
+        want = (1.0 + grid.half_wavenumber_sq()) ** 1.0
+        want[..., 1:8] *= 2.0
+        assert np.array_equal(weight, want)
+        x = rng.standard_normal((3,) + grid.shape)
+        spec = scipy.fft.rfftn(x, axes=(1, 2, 3), norm="ortho")
+        power = np.square(spec.real) + np.square(spec.imag)
+        energy = grid.cell_volume * np.sum(power * want, axis=(1, 2, 3))
+        assert np.array_equal(hsigma_energy_real(x, grid, 1.0), energy)
+
+
+class TestThreadBudget:
+    def test_default_counts_the_affinity_mask(self, monkeypatch):
+        # Unset or empty: the CPUs this process may run on, not all of them.
+        monkeypatch.delenv("SMAP_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert thread_budget() == fft_workers() == 1
+        monkeypatch.setenv("SMAP_THREADS", "")
+        assert thread_budget() == 1
+
+    def test_positive_integer_taken(self, monkeypatch):
+        monkeypatch.setenv("SMAP_THREADS", "3")
+        assert thread_budget() == fft_workers() == 3
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+    def test_anything_else_is_a_config_error(self, monkeypatch, value):
+        monkeypatch.setenv("SMAP_THREADS", value)
+        with pytest.raises(ConfigError, match="SMAP_THREADS"):
+            thread_budget()
+        with pytest.raises(ConfigError, match="SMAP_THREADS"):
+            fft_workers()
