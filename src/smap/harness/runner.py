@@ -30,7 +30,7 @@ from ..spacetime import (
     lemma_diagnostics,
     pooled_max_slope,
 )
-from ..spectral import eta_shell, hsigma_norm, to_physical
+from ..spectral import PHYSICAL, ComplexField, eta_shell, hsigma_norm, to_physical
 from .checks import run_checks
 from .config import ExperimentConfig
 from .data import build_lemma_ensemble, seeded_data, sphere_seeded_data
@@ -272,14 +272,16 @@ def _cmd_compare(config, out) -> int:
     worst = 0.0
     # Same data through both integrators: the difference energy is pure
     # discretization error, and its growth series goes to its own CSV. The
-    # sphere route is stepped beside the lift of each chart snapshot, so
-    # neither a sphere nor a lifted stack is kept.
+    # sphere route is stepped beside the chart route's stream of physical
+    # snapshots and the lift of each, so no sphere, chart or lifted stack
+    # is kept.
     energy = []
     sweeps = []
     sphere = midpoint_snapshots(s0, config.T, config.dt, inner_tol=config.inner_tol)
-    for m, (_, values, step_sweeps) in enumerate(sphere):
+    chart = (row for _, block in chart_traj.sample_blocks() for row in block)
+    for m, ((_, values, step_sweeps), row) in enumerate(zip(sphere, chart)):
         sweeps.append(step_sweeps)
-        lifted = stereo_lift(chart_traj.snapshot(m))
+        lifted = stereo_lift(ComplexField(grid, float(chart_traj.times[m]), PHYSICAL, row))
         # The H^1 distance is the square root of the same energy.
         energy.append(difference_energy(values, lifted.values, grid))
         dist = math.sqrt(energy[-1])

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +44,13 @@ class DealiasPolicy:
             raise ValueError(f"unknown dealias rule {self.rule!r}")
 
     def mask(self, grid: GridSpec) -> np.ndarray:
+        """Read-only 0/1 multiplier of the kept modes, complex so that an
+        in-place product with a spectrum needs no cast buffer."""
         return _dealias_mask(grid.d, grid.n, grid.period, self.rule)
+
+    def band(self, grid: GridSpec) -> "Band":
+        """The modes the rule keeps, as a box of the spectrum (all of them for none)."""
+        return _band(grid.d, grid.n, grid.period, self.rule)
 
     def apply_values(
         self, values: np.ndarray, grid: GridSpec, overwrite: bool = False
@@ -69,15 +77,65 @@ TWO_THIRDS = DealiasPolicy("two_thirds")
 NO_DEALIAS = DealiasPolicy("none")
 
 
+def _axis_keep(n: int, period: float, rule: str) -> np.ndarray:
+    """Which of one axis's n wavenumbers (FFT order) the rule keeps."""
+    if rule == "none":
+        return np.ones(n, dtype=bool)
+    grid = GridSpec(1, n, period)
+    return np.abs(grid.axis_wavenumbers()) < (2.0 / 3.0) * grid.nyquist
+
+
 @lru_cache(maxsize=64)
 def _dealias_mask(d: int, n: int, period: float, rule: str) -> np.ndarray:
-    grid = GridSpec(d, n, period)
-    cutoff = (2.0 / 3.0) * grid.nyquist
-    mask = np.ones(grid.shape)
+    keep = _axis_keep(n, period, rule)
+    mask = np.ones((n,) * d, dtype=np.complex128)
     for axis in range(d):
-        mask *= np.abs(grid.wavenumber_component(axis)) < cutoff
+        shape = [1] * d
+        shape[axis] = n
+        mask *= keep.reshape(shape)
     mask.flags.writeable = False
     return mask
+
+
+class Band(NamedTuple):
+    """The box of modes a dealias rule keeps, stored apart from the rest.
+
+    In FFT order each axis keeps a low index run [0, h) and a high one
+    [n - t, n), so the box is 2^d corner blocks of the spectrum, packed
+    into an array of the box's shape in the same order. corners pairs the
+    spectrum index of each nonempty corner with its index in the box.
+    """
+
+    shape: tuple
+    corners: tuple
+
+    def gather(self, full: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Copy the box of full (any leading axes) into out."""
+        for spectrum_index, box_index in self.corners:
+            out[box_index] = full[spectrum_index]
+        return out
+
+    def scatter(self, box: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Copy the box into its modes of out; the other modes are left as they are."""
+        for spectrum_index, box_index in self.corners:
+            out[spectrum_index] = box[box_index]
+        return out
+
+
+@lru_cache(maxsize=64)
+def _band(d: int, n: int, period: float, rule: str) -> Band:
+    # |xi| < cutoff holds on the first `low` and the last `high` indices of
+    # an axis in FFT order (0, 1, .., -2, -1).
+    keep = _axis_keep(n, period, rule)
+    low = n if keep.all() else int(np.argmin(keep))
+    high = int(keep.sum()) - low
+    runs = [(slice(0, low), slice(0, low)), (slice(n - high, n), slice(low, low + high))]
+    runs = [run for run in runs if run[0].start < run[0].stop]
+    corners = tuple(
+        ((Ellipsis,) + tuple(r[0] for r in corner), (Ellipsis,) + tuple(r[1] for r in corner))
+        for corner in product(runs, repeat=d)
+    )
+    return Band((low + high,) * d, corners)
 
 
 @lru_cache(maxsize=64)

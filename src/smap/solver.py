@@ -14,7 +14,10 @@ The chart solver iterates the integral (Duhamel) form of the flow,
 where W is the free propagator and N the derivative nonlinearity. The
 stiff linear part is applied exactly as a frequency multiplier; the time
 integral uses composite trapezoid weights on the stored samples, so the
-quadrature is second order while the propagation itself is exact.
+quadrature is second order while the propagation itself is exact. N is
+dealiased, so outside the dealias band every iterate is exactly the free
+flow W(t) phi: the iterate keeps only its band (Trajectory in spectral
+form), and its physical samples are streamed block by block.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .errors import (
 )
 from .geometry import SphereField
 from .grid import GridSpec
-from .nonlinearity import TWO_THIRDS, DealiasPolicy, nonlinearity_spectrum, sphere_rhs
+from .nonlinearity import NO_DEALIAS, TWO_THIRDS, DealiasPolicy, nonlinearity_spectrum, sphere_rhs
 from .report import NormReport
 from .spectral import (
     FREQUENCY,
@@ -71,16 +74,25 @@ def default_sigma0(d: int) -> float:
 class Trajectory:
     """Uniformly sampled chart evolution on [t0, t0+T]; snapshots share one grid.
 
-    values has the time axis first, (M+1, *grid.shape), and holds either
-    physical samples or their unitary spatial spectra, as representation
-    says; the Picard iteration keeps its iterates in frequency form, and
-    every trajectory the solvers return is physical.
+    values has the time axis first and holds either physical samples,
+    (M+1, *grid.shape), or, as representation says, unitary spatial spectra.
+    A spectral trajectory stores only the modes its dealias rule keeps, its
+    band (NO_DEALIAS, the default, keeps every mode): values is
+    (M+1, *band shape), and every other mode of row m is the free flow
+    e^{-i t_m |xi|^2} free of the spectrum free, as the Duhamel map leaves it.
+    picard_solve keeps its iterate and returns its fixed point in this form.
+
+    Physical samples come from sample_blocks, a stream that holds one block
+    of rows beside the stored values, from snapshot(m), or from physical(),
+    which builds the whole physical stack.
     """
 
     grid: GridSpec
     times: np.ndarray
     values: np.ndarray
     representation: str = PHYSICAL
+    dealias: DealiasPolicy = NO_DEALIAS
+    free: np.ndarray | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
@@ -93,7 +105,12 @@ class Trajectory:
                 raise ValueError("times must be strictly increasing and uniform")
         if self.representation not in (PHYSICAL, FREQUENCY):
             raise ValueError(f"unknown representation {self.representation!r}")
-        expected = (self.times.size,) + self.grid.shape
+        if self.representation == PHYSICAL and self.dealias != NO_DEALIAS:
+            raise ValueError("a physical trajectory keeps every mode")
+        box = self.dealias.band(self.grid).shape
+        if box != self.grid.shape and self.free is None:
+            raise ValueError("a spectral trajectory with a partial band needs its free spectrum")
+        expected = (self.times.size,) + box
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape}, expected {expected}")
 
@@ -104,10 +121,65 @@ class Trajectory:
     def __len__(self) -> int:
         return self.times.size
 
+    def _blocks(self):
+        """(start, forward) per block of _block_rows rows, forward the rows'
+        propagator phases, from the recurrence of _propagator_blocks."""
+        rows = _block_rows(self.grid)
+        blocks = _propagator_blocks(self.times, self.grid.wavenumber_sq(), rows)
+        return zip(range(0, len(self), rows), blocks)
+
+    def _fill(self, start: int, forward: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Full spectra of the rows start.. of a spectral trajectory, written
+        into out; forward holds those rows' propagator phases."""
+        band = self.dealias.band(self.grid)
+        if band.shape != self.grid.shape:
+            np.multiply(forward, self.free, out=out)
+        return band.scatter(self.values[start : start + len(out)], out)
+
+    def sample_blocks(self):
+        """Yield (start, samples): the physical rows start.. of consecutive
+        blocks of _block_rows rows.
+
+        A spectral trajectory rebuilds each block's spectra in one buffer and
+        inverts them there, so a yielded block is overwritten by the next
+        one; the blocks carry the bits of one inverse of the whole stack.
+        """
+        if self.representation == PHYSICAL:
+            rows = _block_rows(self.grid)
+            for start in range(0, len(self), rows):
+                yield start, self.values[start : start + rows]
+            return
+        axes = tuple(range(1, self.grid.d + 1))
+        buf = np.empty((min(_block_rows(self.grid), len(self)),) + self.grid.shape, np.complex128)
+        for start, forward in self._blocks():
+            block = self._fill(start, forward, buf[: len(forward)])
+            yield start, samples_of(block, axes=axes, overwrite=True)
+
     def snapshot(self, m: int):
-        """Snapshot m as a field, in the trajectory's representation."""
+        """Snapshot m as a field, in the trajectory's representation.
+
+        A spectral trajectory runs its propagator recurrence to row m and
+        rebuilds that row alone.
+        """
         t = float(self.times[m])
-        return ComplexField(self.grid, t, self.representation, self.values[m].copy())
+        if self.representation == PHYSICAL:
+            return ComplexField(self.grid, t, PHYSICAL, self.values[m].copy())
+        m = range(len(self))[m]
+        for start, forward in self._blocks():
+            if m < start + len(forward):
+                row = np.empty((1,) + self.grid.shape, dtype=np.complex128)
+                self._fill(m, forward[m - start : m - start + 1], row)
+                return ComplexField(self.grid, t, FREQUENCY, row[0])
+
+    def physical(self) -> "Trajectory":
+        """This trajectory with physical samples: itself if it has them,
+        else a new trajectory-sized stack filled from sample_blocks."""
+        if self.representation == PHYSICAL:
+            return self
+        values = np.empty((len(self),) + self.grid.shape, dtype=np.complex128)
+        for start, block in self.sample_blocks():
+            values[start : start + len(block)] = block
+        return Trajectory(self.grid, self.times.copy(), values)
 
 
 def uniform_times(T: float, dt: float, t0: float = 0.0) -> np.ndarray:
@@ -235,23 +307,27 @@ def duhamel_map(
     Returns t_m -> W(t_m) phi - i * int_0^{t_m} W(t_m - s) N(prev(s)) ds with
     the integral evaluated by composite trapezoid over the stored samples and
     every term propagated exactly by the free-group multiplier. The result
-    comes in the representation of prev.
+    comes in the representation of prev, and a spectral result keeps the
+    dealias band of prev with free spectrum phi_hat: outside the dealias
+    mask the image is exactly W(t_m) phi, so a partial band must be
+    policy's own.
 
     The time axis is walked in blocks of _block_rows(grid) snapshots: each
-    block costs one transform for the representation prev lacks, one
-    batched nonlinearity and, for a physical prev, one inverse transform of
-    the result. The propagator recurrence, the running sum and the first
+    block costs one transform for the representation prev lacks (a spectral
+    prev's rows are first rebuilt in full, Trajectory._fill), one batched
+    nonlinearity and, for a physical prev, one inverse transform of the
+    result. The propagator recurrence, the running sum and the first
     integrand row carry over between blocks, so the result does not depend
     on the block size, and only block-sized temporaries sit beside the
     input and the output.
 
-    With sigma given, prev must be in frequency form and the image
-    overwrites it: a block is read before it is written, and later blocks
-    read only the carried running sum and g_0, so nothing larger than a
-    block is allocated. The map then returns the pair
+    With sigma given, prev must be spectral and the image overwrites it: a
+    block is read before it is written, and later blocks read only the
+    carried running sum and g_0, so nothing larger than a block is
+    allocated. The map then returns the pair
     (max_m ||image_m - prev_m||_{H^sigma}, max_m ||image_m||_{H^sigma}),
-    taken block by block before each block is written, with the bits of
-    _sup_hsigma of the two stacks.
+    taken on the full rows block by block before each block's band is
+    written.
     """
     if abs(prev.times[0]) > 1e-14:
         raise ValueError("the integral starts at t = 0; trajectory must too")
@@ -259,27 +335,33 @@ def duhamel_map(
         raise GridMismatch("initial data and trajectory grids differ")
 
     grid = prev.grid
-    space_axes = grid_axes(prev.values, grid)
+    space_axes = tuple(range(1, grid.d + 1))
     in_frequency = prev.representation == FREQUENCY
     in_place = sigma is not None
     if in_place and not in_frequency:
         raise ValueError("the in-place map needs a trajectory in frequency form")
+    band = prev.dealias.band(grid)
+    if band.shape != grid.shape and prev.dealias != policy:
+        raise ValueError(
+            f"a trajectory that keeps the {prev.dealias.rule} band maps under that rule only"
+        )
     phi_hat = to_frequency(phi).values
     out = prev.values if in_place else np.empty_like(prev.values)
     diffs, sups = np.empty(len(prev)), np.empty(len(prev))
     rows = _block_rows(grid)
+    full = np.empty((min(rows, len(prev)),) + grid.shape, np.complex128) if in_frequency else None
     # u_hat = forward * (phi_hat - i dt (S_m - (g_m + g_0) / 2)) with
     # forward = e^{-i t_m |xi|^2}, the integrand g = e^{+i s |xi|^2} nl_hat
     # and its running sum S_m. Carried between blocks: the raw S of the
     # previous row and a copy of g_0. The block's u_hat is built in the
     # buffer of its nl_hat.
     running = first = None
-    blocks = _propagator_blocks(prev.times, grid.wavenumber_sq(), rows)
-    for start, forward in zip(range(0, len(prev), rows), blocks):
-        block = prev.values[start : start + rows]
+    for start, forward in prev._blocks():
         if in_frequency:
+            block = prev._fill(start, forward, full[: len(forward)])
             u_hat = nonlinearity_spectrum(samples_of(block, axes=space_axes), block, grid, policy)
         else:
+            block = prev.values[start : start + rows]
             u_hat = nonlinearity_spectrum(block, spectrum_of(block, axes=space_axes), grid, policy)
         integrand = np.conj(forward)
         integrand *= u_hat
@@ -306,20 +388,13 @@ def duhamel_map(
             sups[start : start + rows] = hsigma_norm_spectra(u_hat, grid, sigma)
         elif not in_frequency:
             u_hat = samples_of(u_hat, axes=space_axes, overwrite=True)
-        out[start : start + rows] = u_hat
+        band.gather(u_hat, out[start : start + rows])
+    if not in_frequency:
+        return Trajectory(grid, prev.times.copy(), out)
     if in_place:
+        prev.free = phi_hat
         return float(np.max(diffs)), float(np.max(sups))
-    return Trajectory(grid, prev.times.copy(), out, prev.representation)
-
-
-def _sup_hsigma(spectra: np.ndarray, grid: GridSpec, sigma: float) -> float:
-    """max_m ||spectra[m]||_{H^sigma}, a block of rows at a time."""
-    rows = _block_rows(grid)
-    norms = np.empty(len(spectra))
-    for start in range(0, len(spectra), rows):
-        block = spectra[start : start + rows]
-        norms[start : start + rows] = hsigma_norm_spectra(block, grid, sigma)
-    return float(np.max(norms))
+    return Trajectory(grid, prev.times.copy(), out, FREQUENCY, prev.dealias, phi_hat)
 
 
 def picard_solve(
@@ -339,10 +414,13 @@ def picard_solve(
     smallness regime was left) or at the first non-finite norm, and
     MaxIterExceeded past the budget. The smallness threshold itself is
     empirical and is probed by amplitude sweeps rather than enforced up front.
-    The iterate stays in frequency form and each map overwrites it in
-    place (duhamel_map with sigma), returning the two norms, so one
-    trajectory-sized stack is alive; the fixed point is inverted in place
-    and returned physical.
+
+    The iterate is a spectral Trajectory that keeps only policy's band
+    (28% of the modes at d = 3 under the 2/3 rule, 45% at d = 2; all of
+    them under none) with free spectrum phi_hat, and each map overwrites it
+    in place (duhamel_map with sigma), returning the two norms. The fixed
+    point is returned in that form: a consumer streams its physical samples
+    (Trajectory.sample_blocks) or rebuilds the rows it needs.
     """
     if T > 1.0 + 1e-12:
         raise ValueError(f"solve window must satisfy T <= 1, got {T}")
@@ -350,7 +428,8 @@ def picard_solve(
         sigma0 = default_sigma0(phi.grid.d)
     times = uniform_times(T, dt)
     grid = phi.grid
-    phi = to_frequency(phi)
+    # The fixed point keeps this spectrum: a copy the caller cannot change.
+    phi = to_frequency(phi).copy()
 
     phi_norm = hsigma_norm(phi, sigma0)
     history = PicardHistory(sigma0=sigma0, phi_norm=phi_norm)
@@ -358,15 +437,22 @@ def picard_solve(
         raise NoContraction(
             f"initial data has ||phi||_H{sigma0:.2f} = {phi_norm}", history=history
         )
+    band = policy.band(grid)
+    values = np.empty((times.size,) + band.shape, dtype=np.complex128)
+    current = Trajectory(grid, times, values, FREQUENCY, policy, phi.values)
+    # The first iterate is the free flow, band and all; its norms are taken
+    # on the full rows of each block.
+    norms = np.empty(times.size)
+    full = np.empty((min(_block_rows(grid), times.size),) + grid.shape, dtype=np.complex128)
+    for start, forward in current._blocks():
+        block = np.multiply(forward, phi.values, out=full[: len(forward)])
+        norms[start : start + len(forward)] = hsigma_norm_spectra(block, grid, sigma0)
+        band.gather(block, values[start : start + len(forward)])
+    del full, block
     if phi_norm == 0.0:
-        vals = np.zeros((times.size,) + grid.shape, dtype=np.complex128)
-        return Trajectory(grid, times, vals), history
+        return current, history
 
-    spectra = propagator_stack(times, grid.wavenumber_sq())
-    spectra *= phi.values
-    current = Trajectory(grid, times, spectra, FREQUENCY)
-    del spectra
-    prev_diff = _sup_hsigma(current.values, grid, sigma0)
+    prev_diff = float(np.max(norms))
     stall = 0
     for n in range(1, max_iter + 1):
         diff, sup_norm = duhamel_map(phi, current, policy, sigma=sigma0)
@@ -390,8 +476,7 @@ def picard_solve(
             stall = 0
 
         if diff < tol * phi_norm:
-            vals = samples_of(current.values, axes=grid_axes(current.values, grid), overwrite=True)
-            return Trajectory(grid, times, vals), history
+            return current, history
         prev_diff = diff if diff > 0.0 else prev_diff
 
     raise MaxIterExceeded(

@@ -44,6 +44,7 @@ from .spectral import (
     spectrum_of,
     stack_empty,
     to_frequency,
+    to_physical,
 )
 
 TIME_CUT = 2.0  # physical-time restriction used by the maximal-function norm
@@ -259,15 +260,24 @@ def _transform(samples: np.ndarray, grid: GridSpec, t_window: float) -> SpaceTim
 
 
 def windowed_samples(traj: Trajectory, t_window: float = 1.0) -> np.ndarray:
-    """Symmetric-window samples of a trajectory, extended by free evolution.
+    """Symmetric-window samples of a physical trajectory, extended by free
+    evolution.
 
     Row m is the sample at time -T_w + dt*m, m = 0..M_t-1, matching the
     trajectory's own step, multiplied by the smooth window. The samples are
     a new row-padded stack (spectral.stack_empty); a trajectory whose times
-    are off that grid is rejected.
+    are off that grid is rejected. spacetime_transform also takes a
+    spectral trajectory, whose samples it streams into the stack.
     """
     if traj.representation != PHYSICAL:
         raise ValueError("space-time analysis needs physical samples")
+    return _window_samples(traj, t_window)
+
+
+def _window_samples(traj: Trajectory, t_window: float) -> np.ndarray:
+    """windowed_samples of either representation: the rows inside the
+    trajectory are copied from its sample_blocks stream, so a spectral
+    trajectory is inverted one block at a time, never as a whole stack."""
     dt = traj.dt
     times = _window_times(dt, t_window)
     t0, t_end = float(traj.times[0]), float(traj.times[-1])
@@ -280,21 +290,32 @@ def windowed_samples(traj: Trajectory, t_window: float = 1.0) -> np.ndarray:
     samples = stack_empty(times.size, traj.grid.shape)
     rows = _rows(samples)
     # idx steps by one and the time test holds for all rows or none, so the
-    # matching rows are one run: copy it by slice.
+    # matching rows are one run, window rows run[0].. for trajectory rows
+    # first..: copy it block by block.
     run = np.flatnonzero(inside)
     if run.size:
-        first = idx[run[0]]
-        rows[run[0] : run[-1] + 1] = _rows(traj.values[first : first + run.size])
+        first, last = idx[run[0]], idx[run[-1]] + 1
+        shift = run[0] - first
+        for start, block in traj.sample_blocks():
+            lo, hi = max(start, first), min(start + len(block), last)
+            if lo < hi:
+                rows[lo + shift : hi + shift] = _rows(block[lo - start : hi - start])
     for side, edge, m in ((times < t0, t0, 0), (times > t_end, t_end, len(traj) - 1)):
         side &= ~inside
         if np.any(side):
-            rows[side] = _rows(free_trajectory(traj.snapshot(m), times[side] - edge).values)
+            snap = to_physical(traj.snapshot(m))
+            rows[side] = _rows(free_trajectory(snap, times[side] - edge).values)
     return _windowed(samples, window_profile(times, t_window))
 
 
 def spacetime_transform(traj: Trajectory, t_window: float = 1.0) -> SpaceTimeSpectrum:
-    """Window the trajectory in time and transform in all d+1 axes."""
-    return _transform(windowed_samples(traj, t_window), traj.grid, t_window)
+    """Window the trajectory in time and transform in all d+1 axes.
+
+    A spectral trajectory (a Picard fixed point) is inverted block by block
+    as its rows are copied into the window stack, so no physical trajectory
+    is built.
+    """
+    return _transform(_window_samples(traj, t_window), traj.grid, t_window)
 
 
 def free_spectrum(phi: ComplexField, m_t: int, t_window: float = 1.0) -> SpaceTimeSpectrum:

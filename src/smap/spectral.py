@@ -334,8 +334,9 @@ def laplacian_values(
 
 @lru_cache(maxsize=64)
 def _half_laplacian(d: int, n: int, period: float, scale: float) -> np.ndarray:
-    """Read-only half-spectrum multiplier -scale |xi|^2."""
-    out = GridSpec(d, n, period).half_wavenumber_sq() * -scale
+    """Read-only half-spectrum multiplier -scale |xi|^2, complex so that an
+    in-place product with a spectrum needs no cast buffer (same bits)."""
+    out = (GridSpec(d, n, period).half_wavenumber_sq() * -scale).astype(np.complex128)
     out.flags.writeable = False
     return out
 

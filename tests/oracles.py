@@ -6,13 +6,24 @@ raw numpy FFTs, closed-form evaluation, refined quadrature, or explicit
 finite differences. Tests compare library output against these values.
 """
 
+import math
+
 import numpy as np
 
 from smap.grid import GridSpec
 from smap.nonlinearity import nonlinearity_spectrum
-from smap.solver import free_trajectory
+from smap.solver import _block_rows, _propagator_blocks, free_trajectory, uniform_times
 from smap.spacetime import window_profile
-from smap.spectral import PHYSICAL, ComplexField, eta_shell, samples_of, spectrum_of
+from smap.spectral import (
+    PHYSICAL,
+    ComplexField,
+    eta_shell,
+    hsigma_norm,
+    hsigma_norm_spectra,
+    samples_of,
+    spectrum_of,
+    to_frequency,
+)
 
 
 def mesh(grid):
@@ -401,6 +412,82 @@ def duhamel_map_unblocked(phi_hat, prev_values, prev_hat, times, grid, policy):
     np.subtract(phi_hat, u_hat, out=u_hat)
     np.multiply(forward, u_hat, out=u_hat)
     return u_hat
+
+
+def sup_hsigma(spectra, grid, sigma):
+    """max_m ||spectra[m]||_{H^sigma}, one block of solver._block_rows rows at a time."""
+    rows = _block_rows(grid)
+    norms = np.empty(len(spectra))
+    for start in range(0, len(spectra), rows):
+        block = spectra[start : start + rows]
+        norms[start : start + rows] = hsigma_norm_spectra(block, grid, sigma)
+    return float(np.max(norms))
+
+
+def duhamel_map_full_storage(phi_hat, spectra, times, grid, policy, sigma):
+    """The in-place integral map on a stack holding every mode of each row.
+
+    The reference for the band storage of solver.duhamel_map: the same
+    blocks, kernels and operation order, but every block is read from and
+    written back to the full stack. It shares the kernels with the solver
+    on purpose; what it checks is the storage. Returns (max_m ||image_m - prev_m||_{H^sigma},
+    max_m ||image_m||_{H^sigma}).
+    """
+    axes = tuple(range(1, grid.d + 1))
+    rows = _block_rows(grid)
+    diffs, sups = np.empty(len(times)), np.empty(len(times))
+    running = first = None
+    blocks = _propagator_blocks(times, grid.wavenumber_sq(), rows)
+    for start, forward in zip(range(0, len(times), rows), blocks):
+        block = spectra[start : start + rows]
+        u_hat = nonlinearity_spectrum(samples_of(block, axes=axes), block, grid, policy)
+        integrand = np.conj(forward)
+        integrand *= u_hat
+        if first is None:
+            first = integrand[0].copy()
+        if running is None:
+            u_hat[0] = integrand[0]
+        else:
+            np.add(running, integrand[0], out=u_hat[0])
+        for m in range(1, len(u_hat)):
+            np.add(u_hat[m - 1], integrand[m], out=u_hat[m])
+        running = u_hat[-1].copy()
+        integrand += first
+        np.multiply(0.5, integrand, out=integrand)
+        u_hat -= integrand
+        np.multiply(1j * (times[1] - times[0]), u_hat, out=u_hat)
+        np.subtract(phi_hat, u_hat, out=u_hat)
+        np.multiply(forward, u_hat, out=u_hat)
+        diffs[start : start + rows] = hsigma_norm_spectra(u_hat - block, grid, sigma)
+        sups[start : start + rows] = hsigma_norm_spectra(u_hat, grid, sigma)
+        spectra[start : start + rows] = u_hat
+    return float(np.max(diffs)), float(np.max(sups))
+
+
+def picard_full_storage(phi, T, dt, tol, max_iter, sigma0, policy):
+    """The Picard iteration with every mode of the iterate stored.
+
+    Starts from the free flow and stops as solver.picard_solve does, but
+    keeps the whole spectrum stack and inverts the fixed point as one stack.
+    Returns the (sup, diff, ratio) of each map and the physical samples.
+    """
+    times = uniform_times(T, dt)
+    grid = phi.grid
+    phi_hat = to_frequency(phi).values
+    spectra = np.concatenate(list(_propagator_blocks(times, grid.wavenumber_sq(), len(times))))
+    spectra *= phi_hat
+    prev_diff = sup_hsigma(spectra, grid, sigma0)
+    phi_norm = hsigma_norm(to_frequency(phi), sigma0)
+    records = []
+    for _ in range(max_iter):
+        diff, sup = duhamel_map_full_storage(phi_hat, spectra, times, grid, policy, sigma0)
+        ratio = diff / prev_diff if prev_diff > 0.0 else 0.0
+        records.append((sup, diff, ratio))
+        assert math.isfinite(diff) and math.isfinite(sup)
+        if diff < tol * phi_norm:
+            break
+        prev_diff = diff if diff > 0.0 else prev_diff
+    return records, samples_of(spectra, axes=tuple(range(1, grid.d + 1)), overwrite=True)
 
 
 def l2_mass_direct(F):

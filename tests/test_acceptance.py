@@ -78,7 +78,8 @@ def phi_small(grid):
 
 @pytest.fixture(scope="module")
 def picard_small(grid, phi_small):
-    return picard_solve(phi_small, T, DT, tol=TOL, max_iter=40, sigma0=SIGMA0)
+    traj, hist = picard_solve(phi_small, T, DT, tol=TOL, max_iter=40, sigma0=SIGMA0)
+    return traj.physical(), hist
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +114,7 @@ def test_criterion_2_gauge_equivalence(grid, phi_small, picard_small, midpoint_s
     fine = GridSpec(D, 2 * N, PERIOD)
     phi_fine = seeded_data("gaussian_bump", 1e-3, SEED, fine, SIGMA0)
     chart_fine, _ = picard_solve(phi_fine, T, DT / 2, tol=TOL, sigma0=SIGMA0)
+    chart_fine = chart_fine.physical()
     sphere_fine = midpoint_stack(stereo_lift(phi_fine), T, DT / 2, inner_tol=1e-12)
     d_fine = sup_h1(chart_fine, sphere_fine)
 
@@ -172,6 +174,7 @@ def test_criterion_5_lipschitz_flow(grid, phi_small, picard_small):
             grid, 0.0, PHYSICAL, phi_small.values + rel * amplitude * direction.values
         )
         traj, _ = picard_solve(pert, T, DT, tol=TOL, sigma0=SIGMA0)
+        traj = traj.physical()
         for extra in (0.0, 1.0):
             diff_hat = spectrum_of(traj.values - base_traj.values, axes=(1, 2))
             num = float(np.max(hsigma_norm_spectra(diff_hat, grid, SIGMA0 + extra)))

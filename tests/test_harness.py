@@ -9,22 +9,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given
 from hypothesis import strategies as st
 
 import smap
-from smap import cli
+from smap import cli, solver
 from smap.errors import ConfigError, NoContraction
 from smap.geometry import SphereField, stereo_lift
 from smap.grid import GridSpec
-from smap.harness import checks
+from smap.harness import checks, runner
 from smap.harness import data as data_module
 from smap.harness.config import ExperimentConfig, load_config, parse_config
 from smap.harness.data import DATA_KINDS, build_lemma_ensemble, seeded_data, sphere_seeded_data
 from smap.harness.runner import _norms_windows, run
 from smap.harness.snapshots import read_snapshot, write_snapshot
 from smap.nonlinearity import DealiasPolicy
-from smap.solver import midpoint_snapshots, picard_solve
+from smap.solver import midpoint_snapshots, picard_solve, uniform_times
 from smap.spacetime import DirectionSet, lemma_diagnostics, xk_norm
 from smap.spectral import PHYSICAL, ComplexField, hsigma_norm, to_frequency, to_physical
 
@@ -445,6 +446,46 @@ class TestRunnerAndCli:
         ratios = [float(line.split(",")[3]) for line in lines[2:]]
         assert all(r <= 0.5 for r in ratios)
 
+    def test_picard_rebuilds_only_the_final_row(self, tmp_path, small_cfg, monkeypatch):
+        # After each solve the command inverts one row, the snapshot it
+        # writes, and never the whole fixed point.
+        grid = load_config(small_cfg).grid()
+        solve, inverse = runner.picard_solve, scipy.fft.ifftn
+        after_solve = []
+
+        def solve_then_count(*args, **kwargs):
+            after_solve.append(None)
+            result = solve(*args, **kwargs)
+            after_solve[-1] = []
+            return result
+
+        def counted(x, *args, **kwargs):
+            if after_solve and after_solve[-1] is not None:
+                after_solve[-1].append(np.shape(x))
+            return inverse(x, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "picard_solve", solve_then_count)
+        monkeypatch.setattr(scipy.fft, "ifftn", counted)
+        cfg = load_config(small_cfg, out_dir=str(tmp_path / "out"), amplitudes=(1e-3, 1e-2))
+        assert run("picard", cfg) == 0
+        assert after_solve == [[grid.shape], [grid.shape]]
+
+    def test_compare_holds_no_chart_stack_d3(self, tmp_path, monkeypatch):
+        # d = 3: compare streams the chart route's physical snapshots beside
+        # the sphere stream, so its traced peak stays well below one physical
+        # chart trajectory, which the command held whole before.
+        monkeypatch.setenv("SMAP_THREADS", "1")
+        monkeypatch.setattr(solver, "BLOCK_BYTES", 4 * 16 * 16**3)
+        text = (
+            "d = 3\nn = 16\nT = 0.5\ndt = 0.001953125\nsigma0 = 2.1\n"
+            "amplitudes = 0.1\nshells = 2, 3\n"
+        )
+        cfg = parse_config(text, out_dir=str(tmp_path / "out"))
+        traj_bytes = 16 * uniform_times(cfg.T, cfg.dt).size * cfg.grid().num_points
+        with traced_peak() as peak:
+            assert run("compare", cfg) == 0
+        assert peak.bytes < 0.6 * traj_bytes
+
     def test_csv_determinism_excluding_comment(self, tmp_path, small_cfg):
         outs = []
         for sub in ("a", "b"):
@@ -488,6 +529,7 @@ class TestRunnerAndCli:
             phi, cfg.T, cfg.dt, tol=cfg.tol, max_iter=cfg.max_iter, sigma0=cfg.sigma0,
             policy=DealiasPolicy(cfg.dealias),
         )
+        chart = chart.physical()
         s0 = stereo_lift(to_physical(phi))
         sphere = midpoint_stack(s0, cfg.T, cfg.dt, inner_tol=cfg.inner_tol)
         lifted = np.stack([stereo_lift(chart.snapshot(m)).values for m in range(len(chart))])

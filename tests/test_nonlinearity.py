@@ -278,6 +278,7 @@ class TestGaugeConsistency:
 
         def residual(dt):
             traj, _ = picard_solve(phi, T=0.25, dt=dt, sigma0=1.6)
+            traj = traj.physical()
             lifted = np.stack(
                 [stereo_lift(traj.snapshot(m)).values for m in range(len(traj))]
             )

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from smap.errors import GridMismatch, InnerDivergence, NoContraction
 from smap.geometry import SphereField, stereo_lift
 from smap.grid import GridSpec
-from smap.nonlinearity import NO_DEALIAS, TWO_THIRDS, nonlinearity, sphere_rhs
+from smap.harness.data import DATA_KINDS, seeded_data
+from smap.nonlinearity import NO_DEALIAS, TWO_THIRDS, DealiasPolicy, nonlinearity, sphere_rhs
 from smap import solver
 from smap.solver import (
     Trajectory,
@@ -38,8 +39,10 @@ from oracles import (
     duhamel_map_unblocked,
     mesh,
     midpoint_direct,
+    picard_full_storage,
     plane_wave,
     propagator_longdouble,
+    sup_hsigma,
 )
 
 SIGMA0 = 1.6
@@ -132,11 +135,18 @@ class TestCarriedSpectra:
             np.abs(with_spec.values - spectrum_of(without.values, axes=(1, 2)))
         ) <= 1e-14 * scale
 
-    def test_results_do_not_keep_spectra(self, grid32):
+    @pytest.mark.parametrize(
+        "policy, kept", [(TWO_THIRDS, 21), (NO_DEALIAS, 32)], ids=["two_thirds", "none"]
+    )
+    def test_picard_keeps_only_the_band(self, grid32, policy, kept):
+        # The fixed point stores the 2/3 band (21 of 32 modes per axis) and
+        # the data's spectrum; free evolution stays physical.
         phi = small_bump(grid32, 1e-3)
         times = uniform_times(0.25, 1.0 / 64.0)
-        traj, _ = picard_solve(phi, 0.25, 1.0 / 64.0, sigma0=SIGMA0)
-        assert traj.representation == PHYSICAL
+        traj, _ = picard_solve(phi, 0.25, 1.0 / 64.0, sigma0=SIGMA0, policy=policy)
+        assert traj.representation == FREQUENCY and traj.dealias == policy
+        assert traj.values.shape == (times.size, kept, kept)
+        assert np.array_equal(traj.free, to_frequency(phi).values)
         assert free_trajectory(phi, times).representation == PHYSICAL
 
     def test_spectra_shape_checked(self, grid32):
@@ -247,9 +257,9 @@ class TestInPlaceMap:
         prev = frequency_free(random_smooth_field(grid, rng, amp=0.4), uniform_times(0.25, 1 / 64))
         monkeypatch.setattr(solver, "BLOCK_BYTES", 3 * 16 * grid.num_points)  # 17 rows: 6 blocks
         want = duhamel_map(phi, prev, policy)
-        # The parent's norms: whole-stack difference, then _sup_hsigma of both stacks.
-        want_diff = solver._sup_hsigma(want.values - prev.values, grid, SIGMA0)
-        want_sup = solver._sup_hsigma(want.values, grid, SIGMA0)
+        # The full-storage norms: whole-stack difference, then sup_hsigma of both stacks.
+        want_diff = sup_hsigma(want.values - prev.values, grid, SIGMA0)
+        want_sup = sup_hsigma(want.values, grid, SIGMA0)
         work = Trajectory(grid, prev.times, prev.values.copy(), FREQUENCY)
         diff, sup = duhamel_map(phi, work, policy, sigma=SIGMA0)
         assert np.array_equal(work.values, want.values)
@@ -285,6 +295,84 @@ class TestInPlaceMap:
             _, hist = picard_solve(phi, T, dt, sigma0=SIGMA0)
         assert len(hist.records) >= 2
         assert peak.bytes < 1.5 * traj_bytes
+
+
+class TestBandStorage:
+    """picard_solve stores each iterate's dealias band only; every other mode
+    of every iterate is exactly the free flow forward * phi_hat."""
+
+    @given(
+        d=st.sampled_from([1, 2, 3]),
+        rule=st.sampled_from(["two_thirds", "none"]),
+        kind=st.sampled_from(DATA_KINDS),
+        samples=st.sampled_from([5, 11, 17]),
+        amp=st.floats(1e-3, 0.5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_iterate_is_free_flow_outside_the_band(self, d, rule, kind, samples, amp, seed):
+        # The map computes and stores every mode here (a trajectory of the
+        # whole band), so the modes outside the dealias band are the map's
+        # own output, compared with the free flow in value and sign bits.
+        grid = GridSpec(d, {1: 32, 2: 16, 3: 8}[d], 2.0)
+        policy = DealiasPolicy(rule)
+        phi = to_frequency(seeded_data(kind, amp, seed, grid, SIGMA0))
+        times = uniform_times((samples - 1) / 64.0, 1.0 / 64.0)
+        free = propagator_stack(times, grid.wavenumber_sq()) * phi.values
+        traj = Trajectory(grid, times, free.copy(), FREQUENCY)
+        outside = ~policy.mask(grid).astype(bool)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "BLOCK_BYTES", 3 * 16 * grid.num_points)  # 3-row blocks
+            for _ in range(3):
+                duhamel_map(phi, traj, policy, sigma=SIGMA0)
+                got, want = (np.ascontiguousarray(a[:, outside]) for a in (traj.values, free))
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "d, n, kind, rule",
+        [
+            (1, 32, "mode_sum", "two_thirds"),
+            (2, 16, "gaussian_bump", "two_thirds"),
+            (2, 16, "random_bandlimited", "none"),
+            (3, 8, "random_bandlimited", "two_thirds"),
+        ],
+    )
+    def test_matches_full_storage_oracle(self, monkeypatch, d, n, kind, rule):
+        grid = GridSpec(d, n, 2.0)
+        policy = DealiasPolicy(rule)
+        phi = seeded_data(kind, 0.3, 5, grid, SIGMA0)
+        monkeypatch.setattr(solver, "BLOCK_BYTES", 3 * 16 * grid.num_points)  # 17 rows: 6 blocks
+        traj, hist = picard_solve(phi, 0.25, 1.0 / 64.0, sigma0=SIGMA0, policy=policy)
+        records, want = picard_full_storage(phi, 0.25, 1.0 / 64.0, 1e-10, 40, SIGMA0, policy)
+        assert [(r.sup_norm, r.diff_norm, r.ratio) for r in hist.records] == records
+        streamed = np.concatenate([block.copy() for _, block in traj.sample_blocks()])
+        assert np.array_equal(streamed, want)
+        for m in (0, 7, len(traj) - 1):
+            assert np.array_equal(to_physical(traj.snapshot(m)).values, want[m])
+        assert np.array_equal(traj.physical().values, want)
+
+    def test_band_checks(self, grid32, rng):
+        phi = random_smooth_field(grid32, rng, amp=0.1)
+        traj, _ = picard_solve(phi, 0.25, 1.0 / 64.0, sigma0=SIGMA0)
+        with pytest.raises(ValueError, match="free spectrum"):
+            Trajectory(grid32, traj.times, traj.values, FREQUENCY, TWO_THIRDS)
+        with pytest.raises(ValueError, match="keeps every mode"):
+            Trajectory(grid32, traj.times, traj.values, PHYSICAL, TWO_THIRDS)
+        with pytest.raises(ValueError, match="two_thirds band"):
+            duhamel_map(phi, traj, NO_DEALIAS, sigma=SIGMA0)
+
+    def test_picard_peak_below_half_a_trajectory_d3(self, monkeypatch):
+        # d = 3, n = 16: the band is 11^3 of the 16^3 modes (32%), and
+        # 4-row blocks keep the temporaries small beside it.
+        grid = GridSpec(3, 16, 4.0)
+        phi = small_bump(grid, 1e-2)
+        T, dt = 1.0, 1.0 / 512.0
+        traj_bytes = 16 * uniform_times(T, dt).size * grid.num_points
+        monkeypatch.setattr(solver, "BLOCK_BYTES", 4 * 16 * grid.num_points)
+        picard_solve(phi, T, dt, sigma0=SIGMA0)  # warm the caches
+        with traced_peak() as peak:
+            _, hist = picard_solve(phi, T, dt, sigma0=SIGMA0)
+        assert len(hist.records) >= 2
+        assert peak.bytes < 0.5 * traj_bytes
 
 
 class TestPropagator:
@@ -337,6 +425,7 @@ class TestPicard:
         phi = small_bump(grid32, 1e-3)
         tol = 1e-10
         traj, _ = picard_solve(phi, 0.5, 1.0 / 128.0, tol=tol, sigma0=SIGMA0)
+        traj = traj.physical()
         again = duhamel_map(phi, traj)
         diff_hat = spectrum_of(again.values - traj.values, axes=(1, 2))
         res = float(np.max(hsigma_norm_spectra(diff_hat, grid32, SIGMA0)))
@@ -374,7 +463,7 @@ class TestPicard:
         sups = {}
         for dt in (1.0 / 64.0, 1.0 / 128.0):
             traj, _ = picard_solve(phi, 0.5, dt, sigma0=SIGMA0)
-            spectra = spectrum_of(traj.values, axes=(1, 2))
+            spectra = spectrum_of(traj.physical().values, axes=(1, 2))
             sups[dt] = [
                 np.max(hsigma_norm_spectra(spectra, grid32, SIGMA0 + extra)) for extra in (1.0, 2.0)
             ]
@@ -587,6 +676,7 @@ class TestGronwall:
         peaks = {}
         for dt in (1.0 / 64.0, 1.0 / 128.0):
             chart, _ = picard_solve(phi, 0.25, dt, sigma0=SIGMA0)
+            chart = chart.physical()
             sphere = midpoint_stack(stereo_lift(phi), 0.25, dt, inner_tol=1e-13)
             lifted = np.stack(
                 [stereo_lift(chart.snapshot(m)).values for m in range(len(chart))]
