@@ -17,6 +17,7 @@ from ..grid import GridSpec
 from ..nonlinearity import NO_DEALIAS, DealiasPolicy, cross_rhs, n_zero, nonlinearity
 from ..report import NormReport
 from ..solver import (
+    Trajectory,
     difference_energy,
     duhamel_map,
     free_trajectory,
@@ -29,11 +30,9 @@ from ..spacetime import (
     DirectionSet,
     _rows,
     _transform,
-    _window_times,
-    _windowed,
     fiber_norm,
+    free_samples,
     time_reduction,
-    window_profile,
 )
 from ..spectral import (
     PHYSICAL,
@@ -80,6 +79,15 @@ def _mask_drift(row: np.ndarray, mask: np.ndarray) -> float:
     return float(np.max(np.abs(twice)))
 
 
+def _sample_gap(a: Trajectory, b: Trajectory) -> float:
+    """Largest difference of the physical samples of two trajectories on
+    the same times, streamed block by block."""
+    return max(
+        float(np.max(np.abs(x - y)))
+        for (_, x), (_, y) in zip(a.sample_blocks(), b.sample_blocks())
+    )
+
+
 def _csv_body(report: NormReport) -> str:
     """The CSV text below the header comment line."""
     return report.to_csv(timestamp=False).split("\n", 1)[1]
@@ -89,15 +97,12 @@ def _spacetime_checks(config, grid, rng, check) -> None:
     """Space-time Plancherel, shell completeness, region-mask idempotence and
     the mixed-norm checks, on a windowed free evolution of random data.
 
-    One window-sized stack is alive at a time: the free evolution on the
-    window's 64 times is windowed in place (windowed_samples without its
-    copy) and transformed in its own buffer, and every reduction over it
-    runs row by row or block by block.
+    One window-sized stack is alive at a time: the free evolution's 64
+    window rows (free_samples) are transformed in their own buffer, and
+    every reduction over them runs row by row or block by block.
     """
     wdt = 2.0 * config.t_window / 64
-    ftraj = free_trajectory(_random_field(grid, rng, band=4.0), _window_times(wdt, config.t_window))
-    window = window_profile(_window_times(ftraj.dt, config.t_window), config.t_window)
-    samples = _windowed(ftraj.values, window)
+    samples = free_samples(_random_field(grid, rng, band=4.0), 64, config.t_window)
     # time_reduction(samples, wdt, 2), shared by lpq_norm(samples, grid,
     # wdt, e, p, 2) for every e and p, from the unscaled per-point sums.
     power = time_reduction(samples, 1.0, 2)
@@ -261,17 +266,18 @@ def _solver_checks(config, grid, check):
     steps = max(int(round(T / dt)), 8)
     T = steps * dt
     phi = seeded_data(config.data_kind, config.amplitudes[0], config.seed, grid, sigma0)
-    zero_prev = free_trajectory(ComplexField.zeros(grid), uniform_times(T, dt))
-    free_out = duhamel_map(phi, zero_prev, policy)
-    expect = free_trajectory(phi, uniform_times(T, dt))
-    check("duhamel_zero_prev", np.max(np.abs(free_out.values - expect.values)), 1e-12)
+    times = uniform_times(T, dt)
+    image = Trajectory(grid, times, np.zeros((times.size,) + grid.shape, np.complex128))
+    duhamel_map(phi, image, policy, sigma0)
+    check("duhamel_zero_prev", _sample_gap(image, free_trajectory(phi, times)), 1e-12)
     traj, hist = picard_solve(
         phi, T, dt, tol=config.tol, max_iter=config.max_iter, sigma0=sigma0, policy=policy
     )
-    check("picard_contraction", max(hist.ratios), 0.5)
-    traj = traj.physical()
-    again = duhamel_map(phi, traj, policy)
-    res = np.max(np.abs(again.values - traj.values))
+    # A zero-data solve stops before its first map and records no ratio.
+    check("picard_contraction", max(hist.ratios, default=0.0), 0.5)
+    image = Trajectory(grid, times, traj.values.copy(), traj.dealias, traj.free)
+    duhamel_map(phi, image, policy, sigma0)
+    res = _sample_gap(image, traj)
     check("picard_fixed_point", res, 2 * config.tol * max(hsigma_norm(phi, sigma0), 1e-30))
 
     pole = SphereField.constant(grid, (0.0, 0.0, 1.0))

@@ -66,12 +66,6 @@ class DealiasPolicy:
         spec *= self.mask(grid)
         return samples_of(spec, axes=axes, overwrite=True)
 
-    def apply(self, u: ComplexField) -> ComplexField:
-        if self.rule == "none":
-            return u
-        u = to_physical(u)
-        return ComplexField(u.grid, u.time, PHYSICAL, self.apply_values(u.values, u.grid))
-
 
 TWO_THIRDS = DealiasPolicy("two_thirds")
 NO_DEALIAS = DealiasPolicy("none")

@@ -16,8 +16,9 @@ stiff linear part is applied exactly as a frequency multiplier; the time
 integral uses composite trapezoid weights on the stored samples, so the
 quadrature is second order while the propagation itself is exact. N is
 dealiased, so outside the dealias band every iterate is exactly the free
-flow W(t) phi: the iterate keeps only its band (Trajectory in spectral
-form), and its physical samples are streamed block by block.
+flow W(t) phi: the iterate keeps only its band of spatial spectra (a
+Trajectory), each map overwrites it in place, and its physical samples are
+streamed block by block.
 """
 
 from __future__ import annotations
@@ -40,15 +41,12 @@ from .nonlinearity import NO_DEALIAS, TWO_THIRDS, DealiasPolicy, nonlinearity_sp
 from .report import NormReport
 from .spectral import (
     FREQUENCY,
-    PHYSICAL,
     ComplexField,
-    grid_axes,
     hsigma_energy_real,
     hsigma_norm,
     hsigma_norm_spectra,
     real_work,
     samples_of,
-    spectrum_of,
     to_frequency,
 )
 
@@ -74,23 +72,21 @@ def default_sigma0(d: int) -> float:
 class Trajectory:
     """Uniformly sampled chart evolution on [t0, t0+T]; snapshots share one grid.
 
-    values has the time axis first and holds either physical samples,
-    (M+1, *grid.shape), or, as representation says, unitary spatial spectra.
-    A spectral trajectory stores only the modes its dealias rule keeps, its
-    band (NO_DEALIAS, the default, keeps every mode): values is
+    values has the time axis first and holds the unitary spatial spectra of
+    the snapshots, only the modes the dealias rule keeps, its band
+    (NO_DEALIAS, the default, keeps every mode): values is
     (M+1, *band shape), and every other mode of row m is the free flow
     e^{-i t_m |xi|^2} free of the spectrum free, as the Duhamel map leaves it.
     picard_solve keeps its iterate and returns its fixed point in this form.
 
     Physical samples come from sample_blocks, a stream that holds one block
-    of rows beside the stored values, from snapshot(m), or from physical(),
-    which builds the whole physical stack.
+    of rows beside the stored values (and, for a partial band, the
+    propagator phases of the block); snapshot(m) rebuilds one spectrum.
     """
 
     grid: GridSpec
     times: np.ndarray
     values: np.ndarray
-    representation: str = PHYSICAL
     dealias: DealiasPolicy = NO_DEALIAS
     free: np.ndarray | None = None
 
@@ -103,13 +99,9 @@ class Trajectory:
             dt = diffs[0]
             if dt <= 0 or np.any(np.abs(diffs - dt) > 1e-14 * (1.0 + abs(dt))):
                 raise ValueError("times must be strictly increasing and uniform")
-        if self.representation not in (PHYSICAL, FREQUENCY):
-            raise ValueError(f"unknown representation {self.representation!r}")
-        if self.representation == PHYSICAL and self.dealias != NO_DEALIAS:
-            raise ValueError("a physical trajectory keeps every mode")
         box = self.dealias.band(self.grid).shape
         if box != self.grid.shape and self.free is None:
-            raise ValueError("a spectral trajectory with a partial band needs its free spectrum")
+            raise ValueError("a trajectory with a partial band needs its free spectrum")
         expected = (self.times.size,) + box
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape}, expected {expected}")
@@ -128,58 +120,63 @@ class Trajectory:
         blocks = _propagator_blocks(self.times, self.grid.wavenumber_sq(), rows)
         return zip(range(0, len(self), rows), blocks)
 
-    def _fill(self, start: int, forward: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Full spectra of the rows start.. of a spectral trajectory, written
-        into out; forward holds those rows' propagator phases."""
+    def _rebuild_blocks(self):
+        """(start, forward) per block as _blocks, but forward is None where
+        every mode is stored: those rows are copies of values, no phases."""
+        if self.dealias.band(self.grid).shape != self.grid.shape:
+            return self._blocks()
+        return ((start, None) for start in range(0, len(self), _block_rows(self.grid)))
+
+    def _fill(self, start: int, forward, out: np.ndarray) -> np.ndarray:
+        """Full spectra of the rows start.., written into out; forward holds
+        those rows' propagator phases (unused, and may be None, when every
+        mode is stored)."""
         band = self.dealias.band(self.grid)
         if band.shape != self.grid.shape:
             np.multiply(forward, self.free, out=out)
         return band.scatter(self.values[start : start + len(out)], out)
 
-    def sample_blocks(self):
-        """Yield (start, samples): the physical rows start.. of consecutive
-        blocks of _block_rows rows.
+    def sample_blocks(self, first: int = 0, stop: int | None = None, out=None):
+        """Yield (start, samples): the physical rows first..stop-1 (all rows
+        by default) in consecutive blocks of at most _block_rows rows.
 
-        A spectral trajectory rebuilds each block's spectra in one buffer and
-        inverts them there, so a yielded block is overwritten by the next
-        one; the blocks carry the bits of one inverse of the whole stack.
+        Each block's spectra are rebuilt and inverted in one buffer, so a
+        yielded block is overwritten by the next one; given out, a
+        (stop - first, *grid.shape) stack with contiguous rows, they are
+        rebuilt and inverted in out's own rows, and each block is a row
+        slice of out. Either way the rows carry the bits of one inverse of
+        the whole stack.
         """
-        if self.representation == PHYSICAL:
-            rows = _block_rows(self.grid)
-            for start in range(0, len(self), rows):
-                yield start, self.values[start : start + rows]
-            return
+        stop = len(self) if stop is None else stop
         axes = tuple(range(1, self.grid.d + 1))
-        buf = np.empty((min(_block_rows(self.grid), len(self)),) + self.grid.shape, np.complex128)
-        for start, forward in self._blocks():
-            block = self._fill(start, forward, buf[: len(forward)])
-            yield start, samples_of(block, axes=axes, overwrite=True)
+        rows = _block_rows(self.grid)
+        own = out is None
+        if own:
+            out = np.empty((min(rows, stop - first),) + self.grid.shape, np.complex128)
+        for start, forward in self._rebuild_blocks():
+            if start >= stop:
+                return
+            lo, hi = max(start, first), min(start + rows, stop)
+            if lo >= hi:
+                continue
+            dest = out[: hi - lo] if own else out[lo - first : hi - first]
+            if forward is not None:
+                forward = forward[lo - start : hi - start]
+            block = self._fill(lo, forward, dest)
+            yield lo, samples_of(block, axes=axes, overwrite=True)
 
-    def snapshot(self, m: int):
-        """Snapshot m as a field, in the trajectory's representation.
-
-        A spectral trajectory runs its propagator recurrence to row m and
-        rebuilds that row alone.
-        """
+    def snapshot(self, m: int) -> ComplexField:
+        """Spectrum of snapshot m: the propagator recurrence runs to row m,
+        and that row alone is rebuilt (a copy where every mode is stored)."""
         t = float(self.times[m])
-        if self.representation == PHYSICAL:
-            return ComplexField(self.grid, t, PHYSICAL, self.values[m].copy())
         m = range(len(self))[m]
-        for start, forward in self._blocks():
-            if m < start + len(forward):
-                row = np.empty((1,) + self.grid.shape, dtype=np.complex128)
-                self._fill(m, forward[m - start : m - start + 1], row)
+        row = np.empty((1,) + self.grid.shape, dtype=np.complex128)
+        for start, forward in self._rebuild_blocks():
+            if m < start + _block_rows(self.grid):
+                if forward is not None:
+                    forward = forward[m - start : m - start + 1]
+                self._fill(m, forward, row)
                 return ComplexField(self.grid, t, FREQUENCY, row[0])
-
-    def physical(self) -> "Trajectory":
-        """This trajectory with physical samples: itself if it has them,
-        else a new trajectory-sized stack filled from sample_blocks."""
-        if self.representation == PHYSICAL:
-            return self
-        values = np.empty((len(self),) + self.grid.shape, dtype=np.complex128)
-        for start, block in self.sample_blocks():
-            values[start : start + len(block)] = block
-        return Trajectory(self.grid, self.times.copy(), values)
 
 
 def uniform_times(T: float, dt: float, t0: float = 0.0) -> np.ndarray:
@@ -249,16 +246,12 @@ def propagator_stack(times: np.ndarray, k2: np.ndarray, out=None) -> np.ndarray:
 
 
 def free_trajectory(phi: ComplexField, times: np.ndarray) -> Trajectory:
-    """Free evolution W(t) phi sampled on the given times.
-
-    The spectra are inverted in place, so one trajectory-sized array is
-    alive at the end.
-    """
+    """Free evolution W(t) phi sampled on the given times: the propagated
+    spectra e^{-i t_m |xi|^2} phi_hat, every mode kept."""
     times = np.asarray(times, dtype=np.float64)
     spectra = propagator_stack(times, phi.grid.wavenumber_sq())
     spectra *= to_frequency(phi).values
-    vals = samples_of(spectra, axes=grid_axes(spectra, phi.grid), overwrite=True)
-    return Trajectory(phi.grid, times, vals)
+    return Trajectory(phi.grid, times, spectra)
 
 
 @dataclass
@@ -295,39 +288,27 @@ class PicardHistory:
         return rep
 
 
-def duhamel_map(
-    phi: ComplexField,
-    prev: Trajectory,
-    policy: DealiasPolicy = TWO_THIRDS,
-    *,
-    sigma: float | None = None,
-):
-    """One application of the integral map to a stored trajectory.
+def duhamel_map(phi: ComplexField, prev: Trajectory, policy: DealiasPolicy, sigma: float):
+    """One application of the integral map, written over the trajectory.
 
-    Returns t_m -> W(t_m) phi - i * int_0^{t_m} W(t_m - s) N(prev(s)) ds with
-    the integral evaluated by composite trapezoid over the stored samples and
-    every term propagated exactly by the free-group multiplier. The result
-    comes in the representation of prev, and a spectral result keeps the
-    dealias band of prev with free spectrum phi_hat: outside the dealias
-    mask the image is exactly W(t_m) phi, so a partial band must be
-    policy's own.
+    Overwrites prev with t_m -> W(t_m) phi - i * int_0^{t_m} W(t_m - s)
+    N(prev(s)) ds, the integral evaluated by composite trapezoid over the
+    stored samples and every term propagated exactly by the free-group
+    multiplier, and returns the pair
+    (max_m ||image_m - prev_m||_{H^sigma}, max_m ||image_m||_{H^sigma}).
+    The image keeps the dealias band of prev with free spectrum phi_hat:
+    outside the dealias mask it is exactly W(t_m) phi, so a partial band
+    must be policy's own.
 
     The time axis is walked in blocks of _block_rows(grid) snapshots: each
-    block costs one transform for the representation prev lacks (a spectral
-    prev's rows are first rebuilt in full, Trajectory._fill), one batched
-    nonlinearity and, for a physical prev, one inverse transform of the
-    result. The propagator recurrence, the running sum and the first
-    integrand row carry over between blocks, so the result does not depend
-    on the block size, and only block-sized temporaries sit beside the
-    input and the output.
-
-    With sigma given, prev must be spectral and the image overwrites it: a
+    block's rows are rebuilt in full (Trajectory._fill), inverted once for
+    the nonlinearity and put through one batched nonlinearity. The
+    propagator recurrence, the running sum and the first integrand row carry
+    over between blocks, so the image does not depend on the block size. A
     block is read before it is written, and later blocks read only the
     carried running sum and g_0, so nothing larger than a block is
-    allocated. The map then returns the pair
-    (max_m ||image_m - prev_m||_{H^sigma}, max_m ||image_m||_{H^sigma}),
-    taken on the full rows block by block before each block's band is
-    written.
+    allocated. Both norms are taken on the full rows before each block's
+    band is written.
     """
     if abs(prev.times[0]) > 1e-14:
         raise ValueError("the integral starts at t = 0; trajectory must too")
@@ -336,20 +317,15 @@ def duhamel_map(
 
     grid = prev.grid
     space_axes = tuple(range(1, grid.d + 1))
-    in_frequency = prev.representation == FREQUENCY
-    in_place = sigma is not None
-    if in_place and not in_frequency:
-        raise ValueError("the in-place map needs a trajectory in frequency form")
     band = prev.dealias.band(grid)
     if band.shape != grid.shape and prev.dealias != policy:
         raise ValueError(
             f"a trajectory that keeps the {prev.dealias.rule} band maps under that rule only"
         )
     phi_hat = to_frequency(phi).values
-    out = prev.values if in_place else np.empty_like(prev.values)
     diffs, sups = np.empty(len(prev)), np.empty(len(prev))
     rows = _block_rows(grid)
-    full = np.empty((min(rows, len(prev)),) + grid.shape, np.complex128) if in_frequency else None
+    full = np.empty((min(rows, len(prev)),) + grid.shape, np.complex128)
     # u_hat = forward * (phi_hat - i dt (S_m - (g_m + g_0) / 2)) with
     # forward = e^{-i t_m |xi|^2}, the integrand g = e^{+i s |xi|^2} nl_hat
     # and its running sum S_m. Carried between blocks: the raw S of the
@@ -357,12 +333,8 @@ def duhamel_map(
     # buffer of its nl_hat.
     running = first = None
     for start, forward in prev._blocks():
-        if in_frequency:
-            block = prev._fill(start, forward, full[: len(forward)])
-            u_hat = nonlinearity_spectrum(samples_of(block, axes=space_axes), block, grid, policy)
-        else:
-            block = prev.values[start : start + rows]
-            u_hat = nonlinearity_spectrum(block, spectrum_of(block, axes=space_axes), grid, policy)
+        block = prev._fill(start, forward, full[: len(forward)])
+        u_hat = nonlinearity_spectrum(samples_of(block, axes=space_axes), block, grid, policy)
         integrand = np.conj(forward)
         integrand *= u_hat
         if first is None:
@@ -383,18 +355,11 @@ def duhamel_map(
         np.multiply(1j * prev.dt, u_hat, out=u_hat)
         np.subtract(phi_hat, u_hat, out=u_hat)
         np.multiply(forward, u_hat, out=u_hat)
-        if in_place:
-            diffs[start : start + rows] = hsigma_norm_spectra(u_hat - block, grid, sigma)
-            sups[start : start + rows] = hsigma_norm_spectra(u_hat, grid, sigma)
-        elif not in_frequency:
-            u_hat = samples_of(u_hat, axes=space_axes, overwrite=True)
-        band.gather(u_hat, out[start : start + rows])
-    if not in_frequency:
-        return Trajectory(grid, prev.times.copy(), out)
-    if in_place:
-        prev.free = phi_hat
-        return float(np.max(diffs)), float(np.max(sups))
-    return Trajectory(grid, prev.times.copy(), out, FREQUENCY, prev.dealias, phi_hat)
+        diffs[start : start + rows] = hsigma_norm_spectra(u_hat - block, grid, sigma)
+        sups[start : start + rows] = hsigma_norm_spectra(u_hat, grid, sigma)
+        band.gather(u_hat, prev.values[start : start + rows])
+    prev.free = phi_hat
+    return float(np.max(diffs)), float(np.max(sups))
 
 
 def picard_solve(
@@ -415,10 +380,10 @@ def picard_solve(
     MaxIterExceeded past the budget. The smallness threshold itself is
     empirical and is probed by amplitude sweeps rather than enforced up front.
 
-    The iterate is a spectral Trajectory that keeps only policy's band
-    (28% of the modes at d = 3 under the 2/3 rule, 45% at d = 2; all of
-    them under none) with free spectrum phi_hat, and each map overwrites it
-    in place (duhamel_map with sigma), returning the two norms. The fixed
+    The iterate is a Trajectory that keeps only policy's band (28% of the
+    modes at d = 3 under the 2/3 rule, 45% at d = 2; all of them under
+    none) with free spectrum phi_hat, and each map overwrites it in place
+    (duhamel_map), returning the two norms. The fixed
     point is returned in that form: a consumer streams its physical samples
     (Trajectory.sample_blocks) or rebuilds the rows it needs.
     """
@@ -439,7 +404,7 @@ def picard_solve(
         )
     band = policy.band(grid)
     values = np.empty((times.size,) + band.shape, dtype=np.complex128)
-    current = Trajectory(grid, times, values, FREQUENCY, policy, phi.values)
+    current = Trajectory(grid, times, values, policy, phi.values)
     # The first iterate is the free flow, band and all; its norms are taken
     # on the full rows of each block.
     norms = np.empty(times.size)
@@ -455,7 +420,7 @@ def picard_solve(
     prev_diff = float(np.max(norms))
     stall = 0
     for n in range(1, max_iter + 1):
-        diff, sup_norm = duhamel_map(phi, current, policy, sigma=sigma0)
+        diff, sup_norm = duhamel_map(phi, current, policy, sigma0)
         ratio = diff / prev_diff if prev_diff > 0.0 else 0.0
         history.append(n, sup_norm, diff, ratio)
 

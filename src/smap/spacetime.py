@@ -5,7 +5,10 @@ A trajectory on [0, T] is extended by free evolution to a symmetric window
 supported, and transformed in all d+1 axes with a continuum-normalized
 unitary convention: the discrete transform approximates the symmetric
 Fourier transform, so the (d+1)-dimensional Plancherel identity holds
-exactly with the grid quadrature weights.
+exactly with the grid quadrature weights. The window samples of a
+trajectory are rebuilt from its spectra block by block in their window
+rows (windowed_samples), and free evolutions, the edges past its ends and
+those of free_samples, are evolved in the window rows directly.
 
 On top of the spectrum this module computes the dyadic-shell norms that
 weight distance from the free-evolution paraboloid, directional mixed
@@ -27,9 +30,8 @@ import numpy as np
 from .errors import EmptyEnsemble, UnsupportedDirection, WindowTooShort
 from .grid import GridSpec
 from .report import NormReport
-from .solver import Trajectory, _block_rows, free_trajectory, propagator_stack
+from .solver import Trajectory, _block_rows, propagator_stack
 from .spectral import (
-    PHYSICAL,
     PLATEAU,
     SUPPORT,
     ComplexField,
@@ -145,10 +147,6 @@ class SpaceTimeSpectrum:
     def tau(self) -> np.ndarray:
         return (math.pi / self.t_window) * np.fft.fftfreq(self.m_t, d=1.0 / self.m_t)
 
-    def omega(self) -> np.ndarray:
-        """Distance coordinate tau + |xi|^2 from the free paraboloid."""
-        return self.tau().reshape((self.m_t,) + (1,) * self.grid.d) + self.grid.wavenumber_sq()
-
     def l2_mass(self) -> float:
         return self._mass(None)
 
@@ -260,24 +258,16 @@ def _transform(samples: np.ndarray, grid: GridSpec, t_window: float) -> SpaceTim
 
 
 def windowed_samples(traj: Trajectory, t_window: float = 1.0) -> np.ndarray:
-    """Symmetric-window samples of a physical trajectory, extended by free
-    evolution.
+    """Symmetric-window samples of a trajectory, extended by free evolution.
 
     Row m is the sample at time -T_w + dt*m, m = 0..M_t-1, matching the
     trajectory's own step, multiplied by the smooth window. The samples are
     a new row-padded stack (spectral.stack_empty); a trajectory whose times
-    are off that grid is rejected. spacetime_transform also takes a
-    spectral trajectory, whose samples it streams into the stack.
+    are off that grid is rejected. The rows inside the trajectory are
+    rebuilt and inverted in their window rows (Trajectory.sample_blocks),
+    and the rows past either end evolve the end snapshot freely there
+    (_free_rows), so no other trajectory-sized array is built.
     """
-    if traj.representation != PHYSICAL:
-        raise ValueError("space-time analysis needs physical samples")
-    return _window_samples(traj, t_window)
-
-
-def _window_samples(traj: Trajectory, t_window: float) -> np.ndarray:
-    """windowed_samples of either representation: the rows inside the
-    trajectory are copied from its sample_blocks stream, so a spectral
-    trajectory is inverted one block at a time, never as a whole stack."""
     dt = traj.dt
     times = _window_times(dt, t_window)
     t0, t_end = float(traj.times[0]), float(traj.times[-1])
@@ -288,62 +278,72 @@ def _window_samples(traj: Trajectory, t_window: float) -> np.ndarray:
     if np.any(~inside & (times >= t0) & (times <= t_end)):
         raise ValueError(f"trajectory times from {t0} are off the window grid -{t_window} + {dt}*m")
     samples = stack_empty(times.size, traj.grid.shape)
-    rows = _rows(samples)
+    window = window_profile(times, t_window)
     # idx steps by one and the time test holds for all rows or none, so the
     # matching rows are one run, window rows run[0].. for trajectory rows
-    # first..: copy it block by block.
+    # first.., and each side past an end is one run too.
     run = np.flatnonzero(inside)
     if run.size:
-        first, last = idx[run[0]], idx[run[-1]] + 1
-        shift = run[0] - first
-        for start, block in traj.sample_blocks():
-            lo, hi = max(start, first), min(start + len(block), last)
-            if lo < hi:
-                rows[lo + shift : hi + shift] = _rows(block[lo - start : hi - start])
+        first, shift = idx[run[0]], run[0] - idx[run[0]]
+        out = samples[run[0] : run[-1] + 1]
+        for start, block in traj.sample_blocks(first, idx[run[-1]] + 1, out=out):
+            _windowed(block, window[start + shift : start + shift + len(block)])
     for side, edge, m in ((times < t0, t0, 0), (times > t_end, t_end, len(traj) - 1)):
-        side &= ~inside
-        if np.any(side):
-            snap = to_physical(traj.snapshot(m))
-            rows[side] = _rows(free_trajectory(snap, times[side] - edge).values)
-    return _windowed(samples, window_profile(times, t_window))
+        side = np.flatnonzero(side & ~inside)
+        if side.size:
+            rows = slice(side[0], side[-1] + 1)
+            phi = to_physical(traj.snapshot(m))
+            _free_rows(phi, times[rows] - edge, window[rows], samples[rows])
+    return samples
 
 
 def spacetime_transform(traj: Trajectory, t_window: float = 1.0) -> SpaceTimeSpectrum:
-    """Window the trajectory in time and transform in all d+1 axes.
+    """Window the trajectory in time and transform in all d+1 axes."""
+    return _transform(windowed_samples(traj, t_window), traj.grid, t_window)
 
-    A spectral trajectory (a Picard fixed point) is inverted block by block
-    as its rows are copied into the window stack, so no physical trajectory
-    is built.
+
+def _free_rows(phi: ComplexField, times: np.ndarray, window: np.ndarray, out: np.ndarray):
+    """Windowed samples of the free evolution W(t) phi on the given times,
+    written into out, a (times, *grid) stack with contiguous rows.
+
+    The propagator rows are written into out, and each time block of it is
+    multiplied by phi_hat, inverted over space and windowed while it is in
+    cache: the bits of free_trajectory's spectra inverted and windowed.
     """
-    return _transform(_window_samples(traj, t_window), traj.grid, t_window)
+    grid = phi.grid
+    propagator_stack(times, grid.wavenumber_sq(), out=out)
+    phi_hat = to_frequency(phi).values.ravel()
+    rows = _block_rows(grid)
+    for start in range(0, len(out), rows):
+        block = out[start : start + rows]
+        spectra = _rows(block)
+        spectra *= phi_hat
+        samples_of(block, axes=grid_axes(block, grid), overwrite=True)
+        _windowed(block, window[start : start + rows])
+    return out
 
 
-def free_spectrum(phi: ComplexField, m_t: int, t_window: float = 1.0) -> SpaceTimeSpectrum:
-    """Space-time spectrum of the free evolution W(t) phi on the window.
+def free_samples(phi: ComplexField, m_t: int, t_window: float = 1.0) -> np.ndarray:
+    """Windowed samples of the free evolution W(t) phi on the window.
 
-    Evolves exactly the m_t window rows, at times -T_w + (2 T_w / m_t) m:
-    the propagator rows are written into one row-padded stack, and each
-    time block of it is multiplied by phi_hat, inverted over space and
-    windowed while it is in cache. The stack is then transformed in place,
-    so one trajectory-sized array is alive throughout. Equal to
-    spacetime_transform of the same evolution (free_trajectory). The window
-    profile reads its times from the evolution's step, times[1] - times[0],
-    as windowed_samples does.
+    Evolves exactly the m_t window rows, at times -T_w + (2 T_w / m_t) m,
+    in one row-padded stack (_free_rows), so one trajectory-sized array is
+    alive throughout. The window profile reads its times from the
+    evolution's step, times[1] - times[0], as windowed_samples does.
     """
     grid = phi.grid
     times = -t_window + (2.0 * t_window / m_t) * np.arange(m_t)
     dt = float(times[1] - times[0]) if m_t > 1 else 0.0
     window = window_profile(_window_times(dt, t_window), t_window)
-    values = propagator_stack(times, grid.wavenumber_sq(), out=stack_empty(m_t, grid.shape))
-    phi_hat = to_frequency(phi).values.ravel()
-    rows = _block_rows(grid)
-    for start in range(0, m_t, rows):
-        block = values[start : start + rows]
-        spectra = _rows(block)
-        spectra *= phi_hat
-        samples_of(block, axes=grid_axes(block, grid), overwrite=True)
-        _windowed(block, window[start : start + rows])
-    return _transform(values, grid, t_window)
+    return _free_rows(phi, times, window, stack_empty(m_t, grid.shape))
+
+
+def free_spectrum(phi: ComplexField, m_t: int, t_window: float = 1.0) -> SpaceTimeSpectrum:
+    """Space-time spectrum of the free evolution W(t) phi on the window:
+    free_samples transformed in their own buffer. Equal to
+    spacetime_transform of the same evolution on the window's rows
+    (free_trajectory)."""
+    return _transform(free_samples(phi, m_t, t_window), phi.grid, t_window)
 
 
 def _shell_reductions(F: SpaceTimeSpectrum, weights: np.ndarray, time_keep: np.ndarray):

@@ -41,6 +41,12 @@ def random_smooth_field(grid, rng, band=None, amp=1.0):
     return field
 
 
+def physical_stack(traj):
+    """The physical samples of a trajectory as one stack: its sample_blocks
+    concatenated."""
+    return np.concatenate([block.copy() for _, block in traj.sample_blocks()])
+
+
 def midpoint_stack(s0, T, dt, inner_tol=1e-12):
     """The snapshots of midpoint_snapshots stacked: (M+1, 3, *grid)."""
     return np.stack([values for _, values, _ in midpoint_snapshots(s0, T, dt, inner_tol)])

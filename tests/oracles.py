@@ -23,6 +23,7 @@ from smap.spectral import (
     samples_of,
     spectrum_of,
     to_frequency,
+    to_physical,
 )
 
 
@@ -140,6 +141,14 @@ def lpq_separable_1d(a_vals, b_vals, dr, w_perp, dt, p, q):
 
 
 
+def omega_direct(F):
+    """tau + |xi|^2, the distance from the free paraboloid, over the whole
+    stack of a space-time spectrum: tau = (pi / T_w) * fftfreq(m_t) integers."""
+    tau = (np.pi / F.t_window) * np.fft.fftfreq(F.m_t, d=1.0 / F.m_t)
+    k2 = _wavenumber_sq_direct(F.grid.d, F.grid.n, F.grid.period)
+    return tau.reshape((F.m_t,) + (1,) * F.grid.d) + k2
+
+
 def _bump_sums(F, paraboloid_weight=False):
     """|F|^2 (optionally over omega^2 + 1), eta_k(|xi|)^2 per k, eta_j(|omega|) per j.
 
@@ -147,7 +156,7 @@ def _bump_sums(F, paraboloid_weight=False):
     |tau + |xi|^2| on the sampled range.
     """
     power = np.abs(F.values) ** 2
-    omega = F.omega()
+    omega = omega_direct(F)
     if paraboloid_weight:
         power = power / (omega**2 + 1.0)
     radius = np.sqrt(F.grid.wavenumber_sq())
@@ -242,7 +251,12 @@ def spacetime_spectrum_oracle(samples, grid, t_window):
 
 
 def windowed_samples_fancy(traj, t_window):
-    """Window samples gathered by a fancy index over every matching time."""
+    """Window samples gathered by a fancy index over every matching time.
+
+    The trajectory keeps every mode, and its spectra and those of the
+    free-evolution edges are inverted as whole stacks.
+    """
+    axes = tuple(range(1, traj.grid.d + 1))
     dt = traj.dt
     m_t = int(round(2.0 * t_window / dt))
     times = -t_window + dt * np.arange(m_t)
@@ -251,11 +265,12 @@ def windowed_samples_fancy(traj, t_window):
     idx = np.round((times - t0) / dt).astype(int)
     tol = 1e-9 * max(1.0, t_window)
     inside = (idx >= 0) & (idx < len(traj)) & (np.abs(t0 + idx * dt - times) <= tol)
-    samples[inside] = traj.values[idx[inside]]
+    samples[inside] = samples_of(traj.values, axes=axes)[idx[inside]]
     for side, edge, snap in ((times < t0, t0, 0), (times > t_end, t_end, len(traj) - 1)):
         side &= ~inside
         if np.any(side):
-            samples[side] = free_trajectory(traj.snapshot(snap), times[side] - edge).values
+            ext = free_trajectory(to_physical(traj.snapshot(snap)), times[side] - edge)
+            samples[side] = samples_of(ext.values, axes=axes)
     samples *= window_profile(times, t_window).reshape((m_t,) + (1,) * traj.grid.d)
     return samples
 

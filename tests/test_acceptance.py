@@ -37,11 +37,12 @@ from smap.spectral import (
     hsigma_norm_spectra,
     l2_norm,
     spectrum_of,
+    to_frequency,
     to_physical,
     transform,
 )
 
-from conftest import gronwall_of, midpoint_stack
+from conftest import gronwall_of, midpoint_stack, physical_stack
 from oracles import (
     chain_rule_pushforward,
     duhamel_constant_mode,
@@ -78,8 +79,7 @@ def phi_small(grid):
 
 @pytest.fixture(scope="module")
 def picard_small(grid, phi_small):
-    traj, hist = picard_solve(phi_small, T, DT, tol=TOL, max_iter=40, sigma0=SIGMA0)
-    return traj.physical(), hist
+    return picard_solve(phi_small, T, DT, tol=TOL, max_iter=40, sigma0=SIGMA0)
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +103,7 @@ def test_criterion_2_gauge_equivalence(grid, phi_small, picard_small, midpoint_s
     def sup_h1(chart_traj, sphere_stack):
         worst = 0.0
         for m in range(0, len(chart_traj), 4):
-            lifted = stereo_lift(chart_traj.snapshot(m))
+            lifted = stereo_lift(to_physical(chart_traj.snapshot(m)))
             sphere = SphereField(lifted.grid, lifted.time, sphere_stack[m])
             worst = max(worst, sobolev_distance(lifted, sphere, 1.0))
         return worst
@@ -114,7 +114,6 @@ def test_criterion_2_gauge_equivalence(grid, phi_small, picard_small, midpoint_s
     fine = GridSpec(D, 2 * N, PERIOD)
     phi_fine = seeded_data("gaussian_bump", 1e-3, SEED, fine, SIGMA0)
     chart_fine, _ = picard_solve(phi_fine, T, DT / 2, tol=TOL, sigma0=SIGMA0)
-    chart_fine = chart_fine.physical()
     sphere_fine = midpoint_stack(stereo_lift(phi_fine), T, DT / 2, inner_tol=1e-12)
     d_fine = sup_h1(chart_fine, sphere_fine)
 
@@ -166,6 +165,7 @@ def test_criterion_4_uniqueness_gronwall(grid):
 
 def test_criterion_5_lipschitz_flow(grid, phi_small, picard_small):
     base_traj, _ = picard_small
+    base = physical_stack(base_traj)
     direction = seeded_data("mode_sum", 1.0, 55, grid, SIGMA0)
     amplitude = 1e-3
     ratios = {0.0: [], 1.0: []}
@@ -174,9 +174,9 @@ def test_criterion_5_lipschitz_flow(grid, phi_small, picard_small):
             grid, 0.0, PHYSICAL, phi_small.values + rel * amplitude * direction.values
         )
         traj, _ = picard_solve(pert, T, DT, tol=TOL, sigma0=SIGMA0)
-        traj = traj.physical()
+        diff = physical_stack(traj) - base
         for extra in (0.0, 1.0):
-            diff_hat = spectrum_of(traj.values - base_traj.values, axes=(1, 2))
+            diff_hat = spectrum_of(diff, axes=(1, 2))
             num = float(np.max(hsigma_norm_spectra(diff_hat, grid, SIGMA0 + extra)))
             den = hsigma_norm(
                 ComplexField(grid, 0.0, PHYSICAL, pert.values - phi_small.values),
@@ -330,14 +330,11 @@ def test_criterion_8_unit_test_oracles():
     lam = float(np.sum(k0**2))
     nu = -2.0 * lam * eps**3 / (1.0 + eps**2)
     times = uniform_times(0.5, 1.0 / 64.0)
-    prev = Trajectory(
-        small,
-        times,
-        np.broadcast_to(plane_wave(small, k0, amp=eps).values, (times.size,) + small.shape).copy(),
-    )
-    out_traj = duhamel_map(plane_wave(small, k0, amp=0.02), prev, NO_DEALIAS)
+    mode_hat = to_frequency(plane_wave(small, k0, amp=eps)).values
+    prev = Trajectory(small, times, np.broadcast_to(mode_hat, (times.size,) + small.shape).copy())
+    duhamel_map(plane_wave(small, k0, amp=0.02), prev, NO_DEALIAS, SIGMA0)
     unit = plane_wave(small, k0).values
-    coef = np.sum(out_traj.values * np.conj(unit), axis=(1, 2)) / small.num_points
+    coef = np.sum(physical_stack(prev) * np.conj(unit), axis=(1, 2)) / small.num_points
     oracle = duhamel_constant_mode(0.02, nu, lam, times, refine=16)
     add("duhamel_refined_quadrature", np.max(np.abs(coef - oracle)), 5e-6)
 

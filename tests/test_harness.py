@@ -29,7 +29,7 @@ from smap.solver import midpoint_snapshots, picard_solve, uniform_times
 from smap.spacetime import DirectionSet, lemma_diagnostics, xk_norm
 from smap.spectral import PHYSICAL, ComplexField, hsigma_norm, to_frequency, to_physical
 
-from conftest import gronwall_of, midpoint_stack, traced_peak
+from conftest import gronwall_of, midpoint_stack, physical_stack, traced_peak
 
 SMALL_CONFIG = """
 # small deterministic run
@@ -529,10 +529,14 @@ class TestRunnerAndCli:
             phi, cfg.T, cfg.dt, tol=cfg.tol, max_iter=cfg.max_iter, sigma0=cfg.sigma0,
             policy=DealiasPolicy(cfg.dealias),
         )
-        chart = chart.physical()
         s0 = stereo_lift(to_physical(phi))
         sphere = midpoint_stack(s0, cfg.T, cfg.dt, inner_tol=cfg.inner_tol)
-        lifted = np.stack([stereo_lift(chart.snapshot(m)).values for m in range(len(chart))])
+        lifted = np.stack(
+            [
+                stereo_lift(ComplexField(grid, float(t), PHYSICAL, row)).values
+                for t, row in zip(chart.times, physical_stack(chart))
+            ]
+        )
         want = gronwall_of(chart.times, sphere, lifted, grid)
         body = (out / "gronwall.csv").read_text().split("\n", 1)[1]
         assert body == want.to_csv(timestamp=False).split("\n", 1)[1]
@@ -606,6 +610,24 @@ class TestRunnerAndCli:
         res = self.run_cli("verify", "--config", str(small_cfg), "--out", str(tmp_path / "v"))
         assert res.returncode == 0, res.stdout + res.stderr
         assert "all" in res.stdout and "passed" in res.stdout
+
+    def test_cli_zero_amplitude_every_command(self, tmp_path):
+        # Zero data: the Picard solve stops before its first map and records
+        # no ratio, which verify's contraction check once took the max of.
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(
+            SMALL_CONFIG.replace("amplitudes = 1e-3", "amplitudes = 0").replace(
+                "T = 0.125", "T = 0.0625"
+            )
+        )
+        out = tmp_path / "out"
+        for command in runner.COMMANDS:
+            res = self.run_cli(command, "--config", str(cfg), "--out", str(out))
+            assert res.returncode in (0, 2, 3, 4), (command, res.stderr)
+            assert "Traceback" not in res.stderr, command
+        rows = (out / "verify.csv").read_text().splitlines()[2:]
+        assert len(rows) == 31
+        assert all(row.endswith(",true") for row in rows)
 
     @pytest.mark.parametrize("dt", ["0.0625", "0.03125", "0.25"])
     def test_cli_verify_coarse_dt_exit_zero(self, tmp_path, dt):

@@ -19,7 +19,7 @@ from smap.solver import (
     propagator_stack,
     uniform_times,
 )
-from smap.spacetime import windowed_samples
+from smap.spacetime import window_profile, windowed_samples
 from smap.spectral import (
     FREQUENCY,
     PHYSICAL,
@@ -33,7 +33,7 @@ from smap.spectral import (
     to_physical,
 )
 
-from conftest import gronwall_of, midpoint_stack, random_smooth_field, traced_peak
+from conftest import gronwall_of, midpoint_stack, physical_stack, random_smooth_field, traced_peak
 from oracles import (
     duhamel_constant_mode,
     duhamel_map_unblocked,
@@ -60,17 +60,17 @@ class TestDuhamel:
     def test_zero_prev_gives_free_evolution(self, grid32, rng):
         phi = random_smooth_field(grid32, rng, amp=0.1)
         times = uniform_times(0.25, 1.0 / 64.0)
-        zero = Trajectory(grid32, times, np.zeros((times.size,) + grid32.shape, complex))
-        out = duhamel_map(phi, zero)
+        image = Trajectory(grid32, times, np.zeros((times.size,) + grid32.shape, complex))
+        duhamel_map(phi, image, TWO_THIRDS, SIGMA0)
         free = free_trajectory(phi, times)
-        assert np.max(np.abs(out.values - free.values)) < 1e-12
+        assert np.max(np.abs(physical_stack(image) - physical_stack(free))) < 1e-12
 
     def test_zero_data_starts_at_zero(self, grid32, rng):
         prev = free_trajectory(
             random_smooth_field(grid32, rng, amp=1e-2), uniform_times(0.25, 1.0 / 64.0)
         )
-        out = duhamel_map(ComplexField.zeros(grid32), prev)
-        assert np.max(np.abs(out.values[0])) == 0.0
+        duhamel_map(ComplexField.zeros(grid32), prev, TWO_THIRDS, SIGMA0)
+        assert np.max(np.abs(prev.values[0])) == 0.0
 
     def test_grid_mismatch(self, grid32, rng):
         phi = random_smooth_field(GridSpec(2, 16, 1.0), rng)
@@ -78,7 +78,7 @@ class TestDuhamel:
             random_smooth_field(grid32, rng), uniform_times(0.25, 1.0 / 64.0)
         )
         with pytest.raises(GridMismatch):
-            duhamel_map(phi, prev)
+            duhamel_map(phi, prev, TWO_THIRDS, SIGMA0)
 
     def test_single_mode_matches_refined_quadrature(self, grid32):
         # Constant-in-time single-mode source: the integrand on the mode is
@@ -91,18 +91,18 @@ class TestDuhamel:
         phi = plane_wave(grid32, k0, amp=0.02)
         nu = -2.0 * lam * eps**3 / (1.0 + eps**2)  # closed-form source coefficient
         unit_wave = plane_wave(grid32, k0).values
+        mode_hat = to_frequency(mode).values
 
         errs = {}
         for dt in (1.0 / 32.0, 1.0 / 64.0):
             times = uniform_times(0.5, dt)
             prev = Trajectory(
-                grid32,
-                times,
-                np.broadcast_to(mode.values, (times.size,) + grid32.shape).copy(),
+                grid32, times, np.broadcast_to(mode_hat, (times.size,) + grid32.shape).copy()
             )
-            out = duhamel_map(phi, prev, NO_DEALIAS)
+            duhamel_map(phi, prev, NO_DEALIAS, SIGMA0)
             # project each snapshot onto the sampled plane wave
-            coef = np.sum(out.values * np.conj(unit_wave), axis=(1, 2)) / grid32.num_points
+            samples = physical_stack(prev)
+            coef = np.sum(samples * np.conj(unit_wave), axis=(1, 2)) / grid32.num_points
             oracle = duhamel_constant_mode(0.02, nu, lam, times, refine=16)
             errs[dt] = np.max(np.abs(coef - oracle))
         assert errs[1.0 / 32.0] < 5e-6
@@ -110,78 +110,52 @@ class TestDuhamel:
         assert 3.2 < ratio < 4.8
 
 
-def frequency_free(phi, times):
-    """Free evolution of phi kept as a frequency-representation trajectory."""
-    spectra = propagator_stack(times, phi.grid.wavenumber_sq()) * to_frequency(phi).values
-    return Trajectory(phi.grid, times, spectra, FREQUENCY)
-
-
-def physical_of(traj):
-    axes = tuple(range(1, traj.grid.d + 1))
-    return Trajectory(traj.grid, traj.times, samples_of(traj.values, axes=axes))
-
-
 class TestCarriedSpectra:
-    def test_duhamel_same_with_and_without_spectra(self, grid32, rng):
-        phi = random_smooth_field(grid32, rng, amp=0.3)
-        carried = frequency_free(phi, uniform_times(0.25, 1.0 / 64.0))
-        with_spec = duhamel_map(phi, carried)
-        without = duhamel_map(phi, physical_of(carried))
-        assert with_spec.representation == FREQUENCY
-        assert without.representation == PHYSICAL
-        scale = np.max(np.abs(without.values))
-        assert np.max(np.abs(physical_of(with_spec).values - without.values)) <= 1e-14 * scale
-        assert np.max(
-            np.abs(with_spec.values - spectrum_of(without.values, axes=(1, 2)))
-        ) <= 1e-14 * scale
-
     @pytest.mark.parametrize(
         "policy, kept", [(TWO_THIRDS, 21), (NO_DEALIAS, 32)], ids=["two_thirds", "none"]
     )
     def test_picard_keeps_only_the_band(self, grid32, policy, kept):
         # The fixed point stores the 2/3 band (21 of 32 modes per axis) and
-        # the data's spectrum; free evolution stays physical.
+        # the data's spectrum; free evolution keeps every mode.
         phi = small_bump(grid32, 1e-3)
         times = uniform_times(0.25, 1.0 / 64.0)
         traj, _ = picard_solve(phi, 0.25, 1.0 / 64.0, sigma0=SIGMA0, policy=policy)
-        assert traj.representation == FREQUENCY and traj.dealias == policy
+        assert traj.dealias == policy
         assert traj.values.shape == (times.size, kept, kept)
         assert np.array_equal(traj.free, to_frequency(phi).values)
-        assert free_trajectory(phi, times).representation == PHYSICAL
+        free = free_trajectory(phi, times)
+        assert free.dealias == NO_DEALIAS and free.values.shape == (times.size,) + grid32.shape
 
     def test_spectra_shape_checked(self, grid32):
         times = uniform_times(0.25, 1.0 / 64.0)
         vals = np.zeros((times.size,) + grid32.shape, complex)
         with pytest.raises(ValueError, match="values shape"):
-            Trajectory(grid32, times, vals[1:], FREQUENCY)
-        with pytest.raises(ValueError, match="representation"):
-            Trajectory(grid32, times, vals, "spectral")
-        with pytest.raises(ValueError, match="unknown representation"):
-            Trajectory(grid32, times, vals, "complex_chart")  # the former kind argument
+            Trajectory(grid32, times, vals[1:])
         sphere = np.zeros((times.size, 3) + grid32.shape)
         with pytest.raises(ValueError, match="values shape"):
-            Trajectory(grid32, times, sphere, FREQUENCY)
+            Trajectory(grid32, times, sphere)
+        with pytest.raises(ValueError, match="values shape"):
+            Trajectory(grid32, times, vals, TWO_THIRDS, vals[0])  # the full rows, not the band
 
     def test_physical_only_consumers(self, grid32, rng):
+        # Consumers that need physical samples read them from the spectra:
+        # the sample stream, one rebuilt row, and the window stack.
         phi = random_smooth_field(grid32, rng, amp=0.3)
-        spectral = frequency_free(phi, uniform_times(2.0, 1.0 / 32.0, t0=-1.0))
-        physical = physical_of(spectral)
-        with pytest.raises(ValueError, match="physical"):
-            windowed_samples(spectral, 1.0)
-        physical_hat = spectrum_of(physical.values, axes=(1, 2))
-        assert np.max(hsigma_norm_spectra(spectral.values, grid32, SIGMA0)) == pytest.approx(
-            np.max(hsigma_norm_spectra(physical_hat, grid32, SIGMA0)), rel=1e-14
-        )
+        spectral = free_trajectory(phi, uniform_times(2.0, 1.0 / 32.0, t0=-1.0))
+        physical = physical_stack(spectral)
+        assert np.array_equal(physical, samples_of(spectral.values, axes=(1, 2)))
         snap = spectral.snapshot(5)
         assert snap.representation == FREQUENCY
-        assert np.max(np.abs(to_physical(snap).values - physical.values[5])) <= 1e-14
+        assert np.array_equal(to_physical(snap).values, physical[5])
+        window = window_profile(spectral.times[:-1], 1.0).reshape(-1, 1, 1)
+        assert np.array_equal(windowed_samples(spectral, 1.0), physical[:-1] * window)
 
     @pytest.mark.parametrize("d, n", [(1, 32), (2, 32), (3, 16)])
     def test_one_map_transform_count(self, monkeypatch, rng, d, n):
         grid = GridSpec(d, n, 1.0)
         phi = random_smooth_field(grid, rng, amp=0.1)
-        spectral = frequency_free(phi, uniform_times(0.125, 1.0 / 64.0))
-        monkeypatch.setattr(solver, "BLOCK_BYTES", spectral.values.nbytes)  # one block
+        prev = free_trajectory(phi, uniform_times(0.125, 1.0 / 64.0))
+        monkeypatch.setattr(solver, "BLOCK_BYTES", prev.values.nbytes)  # one block
         calls = []
         for name in ("fftn", "ifftn"):
             original = getattr(scipy.fft, name)
@@ -191,46 +165,42 @@ class TestCarriedSpectra:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(scipy.fft, name, counted)
-        # Stack transforms: the missing representation of prev, d + 5 for the
-        # nonlinearity and, for a physical prev, the inverse of the result.
-        for prev, budget in ((physical_of(spectral), d + 7), (spectral, d + 6)):
-            calls.clear()
-            duhamel_map(phi, prev)
-            grid_shaped = sum(shape == grid.shape for shape in calls)
-            assert grid_shaped <= 1  # phi_hat only
-            assert len(calls) - grid_shaped <= budget
+        # Stack transforms: the inverse of the rebuilt rows and d + 5 for
+        # the nonlinearity.
+        duhamel_map(phi, prev, TWO_THIRDS, SIGMA0)
+        grid_shaped = sum(shape == grid.shape for shape in calls)
+        assert grid_shaped <= 1  # phi_hat only
+        assert len(calls) - grid_shaped <= d + 6
 
 
 class TestBlockedMap:
     """The map walks time in blocks; every block size gives the unblocked result."""
 
-    @pytest.mark.parametrize("representation", [PHYSICAL, FREQUENCY])
+    @pytest.mark.parametrize("output", [PHYSICAL, FREQUENCY])
     @pytest.mark.parametrize("policy", [TWO_THIRDS, NO_DEALIAS], ids=["two_thirds", "none"])
     @pytest.mark.parametrize("d, n", [(1, 32), (2, 16), (3, 8)])
     @pytest.mark.parametrize("samples", [17, 2])  # no block size divides 17; 2 takes exp per row
-    def test_matches_unblocked_oracle(self, monkeypatch, d, n, policy, representation, samples):
+    def test_matches_unblocked_oracle(self, monkeypatch, d, n, policy, output, samples):
+        # The image's spectra, and its physical samples as sample_blocks
+        # streams them, equal the whole-stack reference at every block size.
         grid = GridSpec(d, n, 2.0)
         rng = np.random.default_rng(d * 100 + samples)
         phi = random_smooth_field(grid, rng, amp=0.2)
         times = uniform_times((samples - 1) / 64.0, 1.0 / 64.0)
-        spectral = frequency_free(random_smooth_field(grid, rng, amp=0.4), times)
-        physical = physical_of(spectral)
+        prev = free_trajectory(random_smooth_field(grid, rng, amp=0.4), times)
         axes = tuple(range(1, d + 1))
-        if representation == PHYSICAL:
-            prev, prev_hat = physical, spectrum_of(physical.values, axes=axes)
-        else:
-            prev, prev_hat = spectral, spectral.values
         want = duhamel_map_unblocked(
-            to_frequency(phi).values, physical.values, prev_hat, times, grid, policy
+            to_frequency(phi).values, physical_stack(prev), prev.values, times, grid, policy
         )
-        if representation == PHYSICAL:
+        if output == PHYSICAL:
             want = samples_of(want, axes=axes)
         row_bytes = 16 * grid.num_points
         for rows in (1, 3, 7, samples):
             monkeypatch.setattr(solver, "BLOCK_BYTES", rows * row_bytes)
-            got = duhamel_map(phi, prev, policy)
-            assert got.representation == representation
-            assert np.array_equal(got.values, want), rows
+            image = Trajectory(grid, times, prev.values.copy())
+            duhamel_map(phi, image, policy, SIGMA0)
+            got = physical_stack(image) if output == PHYSICAL else image.values
+            assert np.array_equal(got, want), rows
 
     def test_picard_peak_below_three_stacks(self, monkeypatch):
         grid = GridSpec(2, 32, 4.0)
@@ -246,44 +216,27 @@ class TestBlockedMap:
 
 
 class TestInPlaceMap:
-    """duhamel_map(..., sigma=...) overwrites its frequency input with the image."""
+    """duhamel_map overwrites its trajectory with the image and returns two norms."""
 
     @pytest.mark.parametrize("policy", [TWO_THIRDS, NO_DEALIAS], ids=["two_thirds", "none"])
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
     def test_same_bits_as_allocating_map_and_parent_norms(self, monkeypatch, d, n, policy):
+        # The allocating map is the whole-stack reference duhamel_map_unblocked.
         grid = GridSpec(d, n, 2.0)
         rng = np.random.default_rng(10 * d + n)
         phi = random_smooth_field(grid, rng, amp=0.2)
-        prev = frequency_free(random_smooth_field(grid, rng, amp=0.4), uniform_times(0.25, 1 / 64))
-        monkeypatch.setattr(solver, "BLOCK_BYTES", 3 * 16 * grid.num_points)  # 17 rows: 6 blocks
-        want = duhamel_map(phi, prev, policy)
-        # The full-storage norms: whole-stack difference, then sup_hsigma of both stacks.
-        want_diff = sup_hsigma(want.values - prev.values, grid, SIGMA0)
-        want_sup = sup_hsigma(want.values, grid, SIGMA0)
-        work = Trajectory(grid, prev.times, prev.values.copy(), FREQUENCY)
-        diff, sup = duhamel_map(phi, work, policy, sigma=SIGMA0)
-        assert np.array_equal(work.values, want.values)
-        assert (diff, sup) == (want_diff, want_sup)
-
-    @pytest.mark.parametrize("representation", [PHYSICAL, FREQUENCY])
-    def test_allocating_map_leaves_input(self, grid32, rng, representation):
-        phi = random_smooth_field(grid32, rng, amp=0.3)
         times = uniform_times(0.25, 1 / 64)
-        prev = frequency_free(random_smooth_field(grid32, rng, amp=0.3), times)
-        if representation == PHYSICAL:
-            prev = physical_of(prev)
-        before = prev.values.copy()
-        out = duhamel_map(phi, prev)
-        assert not np.shares_memory(out.values, prev.values)
-        assert np.array_equal(prev.values, before)
-
-    def test_in_place_needs_frequency_input(self, grid32, rng):
-        phi = random_smooth_field(grid32, rng, amp=0.3)
-        prev = physical_of(frequency_free(phi, uniform_times(0.25, 1 / 64)))
-        before = prev.values.copy()
-        with pytest.raises(ValueError, match="frequency"):
-            duhamel_map(phi, prev, sigma=SIGMA0)
-        assert np.array_equal(prev.values, before)
+        prev = free_trajectory(random_smooth_field(grid, rng, amp=0.4), times)
+        monkeypatch.setattr(solver, "BLOCK_BYTES", 3 * 16 * grid.num_points)  # 17 rows: 6 blocks
+        want = duhamel_map_unblocked(
+            to_frequency(phi).values, physical_stack(prev), prev.values, times, grid, policy
+        )
+        # The full-storage norms: whole-stack difference, then sup_hsigma of both stacks.
+        want_diff = sup_hsigma(want - prev.values, grid, SIGMA0)
+        want_sup = sup_hsigma(want, grid, SIGMA0)
+        diff, sup = duhamel_map(phi, prev, policy, SIGMA0)
+        assert np.array_equal(prev.values, want)
+        assert (diff, sup) == (want_diff, want_sup)
 
     def test_picard_peak_below_one_and_a_half_trajectories(self):
         grid = GridSpec(2, 32, 4.0)
@@ -318,12 +271,12 @@ class TestBandStorage:
         phi = to_frequency(seeded_data(kind, amp, seed, grid, SIGMA0))
         times = uniform_times((samples - 1) / 64.0, 1.0 / 64.0)
         free = propagator_stack(times, grid.wavenumber_sq()) * phi.values
-        traj = Trajectory(grid, times, free.copy(), FREQUENCY)
+        traj = Trajectory(grid, times, free.copy())
         outside = ~policy.mask(grid).astype(bool)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver, "BLOCK_BYTES", 3 * 16 * grid.num_points)  # 3-row blocks
             for _ in range(3):
-                duhamel_map(phi, traj, policy, sigma=SIGMA0)
+                duhamel_map(phi, traj, policy, SIGMA0)
                 got, want = (np.ascontiguousarray(a[:, outside]) for a in (traj.values, free))
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -344,21 +297,17 @@ class TestBandStorage:
         traj, hist = picard_solve(phi, 0.25, 1.0 / 64.0, sigma0=SIGMA0, policy=policy)
         records, want = picard_full_storage(phi, 0.25, 1.0 / 64.0, 1e-10, 40, SIGMA0, policy)
         assert [(r.sup_norm, r.diff_norm, r.ratio) for r in hist.records] == records
-        streamed = np.concatenate([block.copy() for _, block in traj.sample_blocks()])
-        assert np.array_equal(streamed, want)
+        assert np.array_equal(physical_stack(traj), want)
         for m in (0, 7, len(traj) - 1):
             assert np.array_equal(to_physical(traj.snapshot(m)).values, want[m])
-        assert np.array_equal(traj.physical().values, want)
 
     def test_band_checks(self, grid32, rng):
         phi = random_smooth_field(grid32, rng, amp=0.1)
         traj, _ = picard_solve(phi, 0.25, 1.0 / 64.0, sigma0=SIGMA0)
         with pytest.raises(ValueError, match="free spectrum"):
-            Trajectory(grid32, traj.times, traj.values, FREQUENCY, TWO_THIRDS)
-        with pytest.raises(ValueError, match="keeps every mode"):
-            Trajectory(grid32, traj.times, traj.values, PHYSICAL, TWO_THIRDS)
+            Trajectory(grid32, traj.times, traj.values, TWO_THIRDS)
         with pytest.raises(ValueError, match="two_thirds band"):
-            duhamel_map(phi, traj, NO_DEALIAS, sigma=SIGMA0)
+            duhamel_map(phi, traj, NO_DEALIAS, SIGMA0)
 
     def test_picard_peak_below_half_a_trajectory_d3(self, monkeypatch):
         # d = 3, n = 16: the band is 11^3 of the 16^3 modes (32%), and
@@ -425,9 +374,9 @@ class TestPicard:
         phi = small_bump(grid32, 1e-3)
         tol = 1e-10
         traj, _ = picard_solve(phi, 0.5, 1.0 / 128.0, tol=tol, sigma0=SIGMA0)
-        traj = traj.physical()
-        again = duhamel_map(phi, traj)
-        diff_hat = spectrum_of(again.values - traj.values, axes=(1, 2))
+        again = Trajectory(grid32, traj.times, traj.values.copy(), traj.dealias, traj.free)
+        duhamel_map(phi, again, TWO_THIRDS, SIGMA0)
+        diff_hat = spectrum_of(physical_stack(again) - physical_stack(traj), axes=(1, 2))
         res = float(np.max(hsigma_norm_spectra(diff_hat, grid32, SIGMA0)))
         assert res <= 2.0 * tol * hsigma_norm(phi, SIGMA0)
 
@@ -463,7 +412,7 @@ class TestPicard:
         sups = {}
         for dt in (1.0 / 64.0, 1.0 / 128.0):
             traj, _ = picard_solve(phi, 0.5, dt, sigma0=SIGMA0)
-            spectra = spectrum_of(traj.physical().values, axes=(1, 2))
+            spectra = spectrum_of(physical_stack(traj), axes=(1, 2))
             sups[dt] = [
                 np.max(hsigma_norm_spectra(spectra, grid32, SIGMA0 + extra)) for extra in (1.0, 2.0)
             ]
@@ -676,10 +625,9 @@ class TestGronwall:
         peaks = {}
         for dt in (1.0 / 64.0, 1.0 / 128.0):
             chart, _ = picard_solve(phi, 0.25, dt, sigma0=SIGMA0)
-            chart = chart.physical()
             sphere = midpoint_stack(stereo_lift(phi), 0.25, dt, inner_tol=1e-13)
             lifted = np.stack(
-                [stereo_lift(chart.snapshot(m)).values for m in range(len(chart))]
+                [stereo_lift(to_physical(chart.snapshot(m))).values for m in range(len(chart))]
             )
             rep = gronwall_of(chart.times, sphere, lifted, grid)
             peaks[dt] = max(rep.column("energy"))
@@ -687,18 +635,18 @@ class TestGronwall:
 
 
 class TestFreeTrajectory:
-    def test_inverts_in_place(self, rng):
+    def test_keeps_propagated_spectra(self, rng):
         grid = GridSpec(2, 32, 1.0)
         phi = to_frequency(random_smooth_field(grid, rng))
         times = uniform_times(0.5, 1.0 / 128.0)
         spectra = propagator_stack(times, grid.wavenumber_sq())
         spectra *= phi.values
-        want = samples_of(spectra, axes=(1, 2))
         free_trajectory(phi, times)  # warm the caches
         with traced_peak() as peak:
             traj = free_trajectory(phi, times)
-        assert np.array_equal(traj.values, want)
+        assert np.array_equal(traj.values, spectra)
         assert peak.bytes < 1.5 * traj.values.nbytes
+        assert np.array_equal(physical_stack(traj), samples_of(spectra, axes=(1, 2)))
 
 
 class TestTrajectory:
@@ -714,3 +662,36 @@ class TestTrajectory:
         snap = traj.snapshot(3)
         assert snap.time == pytest.approx(traj.times[3])
         assert np.array_equal(snap.values, traj.values[3])
+
+    @pytest.mark.parametrize("rows", [1, 3, 7, 64])
+    @pytest.mark.parametrize("policy", [TWO_THIRDS, NO_DEALIAS], ids=["two_thirds", "none"])
+    def test_row_range_streams_into_out(self, grid32, rng, monkeypatch, policy, rows):
+        # Rows 4..14, rebuilt and inverted in out's own rows or in the
+        # stream's buffer, carry the bits of the whole stream at every
+        # block size.
+        phi = random_smooth_field(grid32, rng, amp=0.1)
+        traj, _ = picard_solve(phi, 0.25, 1.0 / 64.0, sigma0=SIGMA0, policy=policy)
+        want = physical_stack(traj)[4:15]
+        monkeypatch.setattr(solver, "BLOCK_BYTES", rows * 16 * grid32.num_points)
+        out = np.empty((11,) + grid32.shape, complex)
+        starts = []
+        for start, block in traj.sample_blocks(4, 15, out=out):
+            assert np.shares_memory(block, out)
+            starts.append(start)
+        assert starts[0] == 4 and len(starts) == len(range(0, 15, rows)) - 4 // rows
+        assert np.array_equal(out, want)
+        stream = [block.copy() for _, block in traj.sample_blocks(4, 15)]
+        assert np.array_equal(np.concatenate(stream), want)
+
+    def test_full_band_streams_without_phases(self, grid32, rng, monkeypatch):
+        # Every mode stored: the stream and snapshot copy the rows and run
+        # no propagator recurrence.
+        traj = free_trajectory(random_smooth_field(grid32, rng), uniform_times(0.25, 1.0 / 32.0))
+        want = samples_of(traj.values, axes=(1, 2))
+
+        def no_phases(*args, **kwargs):
+            raise AssertionError("phases computed for a full band")
+
+        monkeypatch.setattr(solver, "_propagator_blocks", no_phases)
+        assert np.array_equal(physical_stack(traj), want)
+        assert np.array_equal(traj.snapshot(5).values, traj.values[5])

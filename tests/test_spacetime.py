@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 from smap import solver, spacetime
 from smap.errors import EmptyEnsemble, NoContraction, UnsupportedDirection, WindowTooShort
 from smap.grid import GridSpec
-from smap.solver import Trajectory, free_trajectory, uniform_times
+from smap.solver import Trajectory, free_trajectory, picard_solve, uniform_times
 from smap.spacetime import (
     TIME_CUT,
     DirectionSet,
     SpaceTimeSpectrum,
     fiber_norm,
+    free_samples,
     free_spectrum,
     fsigma_upper,
     lattice_vector,
@@ -50,6 +51,7 @@ from oracles import (
     l2_mass_direct,
     lattice_vector_search,
     lpq_separable_1d,
+    omega_direct,
     plane_wave,
     region_mask_direct,
     section_sanity_direct,
@@ -162,6 +164,43 @@ class TestTransform:
         ):
             want = windowed_samples_fancy(traj, 1.0)
             assert np.array_equal(windowed_samples(traj, 1.0), want)
+
+    def test_band_trajectory_windows_as_its_full_rows(self, grid32, rng):
+        # A Picard fixed point keeps its 2/3 band; its window samples, the
+        # rows inside and the free edges on both sides, have the bits of the
+        # same rows stored with every mode.
+        phi = random_smooth_field(grid32, rng, amp=0.1)
+        traj, _ = picard_solve(phi, 0.25, 1.0 / 64.0, sigma0=1.6)
+        full = np.stack([traj.snapshot(m).values for m in range(len(traj))])
+        stored = Trajectory(grid32, traj.times, full)
+        assert np.array_equal(windowed_samples(traj, 1.0), windowed_samples(stored, 1.0))
+
+    @given(
+        d=st.sampled_from([1, 2, 3]),
+        m_t=st.sampled_from([16, 32]),
+        steps=st.integers(1, 7),
+        rows=st.integers(1, 32),
+        seed=st.integers(0, 2**16),
+    )
+    def test_streamed_window_matches_free_samples(self, d, m_t, steps, rows, seed):
+        # A trajectory on [0, T], T < T_w, needs free-evolution rows on both
+        # sides; blocks of 1 row up to the whole window stack. Inside rows
+        # and edges are rebuilt block by block in their window rows, with
+        # the bits of the whole-stack inverses. free_samples starts its
+        # propagator recurrence at -T_w instead of 0, so it agrees to
+        # rounding; on the window's own rows it agrees bit for bit.
+        grid = GridSpec(d, {1: 16, 2: 8, 3: 8}[d], 2.0)
+        phi = random_smooth_field(grid, np.random.default_rng(seed), band=grid.nyquist)
+        dt = 2.0 / m_t
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "BLOCK_BYTES", min(rows, m_t) * 16 * grid.num_points)
+            short = free_trajectory(phi, uniform_times(steps * dt, dt))
+            got = windowed_samples(short, 1.0)
+            assert np.array_equal(got, windowed_samples_fancy(short, 1.0))
+            want = free_samples(phi, m_t, 1.0)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            full = free_trajectory(phi, uniform_times(2.0 - dt, dt, t0=-1.0))
+            assert np.array_equal(windowed_samples(full, 1.0), want)
 
     def test_off_grid_trajectory_rejected(self, grid32, rng):
         # Times half a step off the window grid match no window row, so the
@@ -404,7 +443,7 @@ class TestShellTables:
     @pytest.mark.parametrize("window", sorted(EDGE_WINDOWS))
     def test_bump_edges(self, window):
         F = random_spectrum(2, 16, 1.0, window, 64, seed=3)
-        abs_omega = np.abs(F.omega())
+        abs_omega = np.abs(omega_direct(F))
         if window == "quarter":
             edges = [0.0] + [PLATEAU * 2.0**j for j in range(4)]
         elif window == "support":
