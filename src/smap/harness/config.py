@@ -81,12 +81,6 @@ class ExperimentConfig:
             raise ConfigError("shells must be non-negative and non-empty")
         if len(set(self.shells)) != len(self.shells):
             raise ConfigError(f"shells must not repeat, got {self.shells}")
-        max_shell = self.ensemble_grid().max_shell
-        if max(self.shells) > max_shell:
-            raise ConfigError(
-                f"shells must not exceed {max_shell}, the last shell of the "
-                f"ensemble grid (n={self.n}, ensemble_period={self.ensemble_period})"
-            )
         threshold = default_sigma0(self.d) - 0.1
         if self.sigma0 <= threshold:
             if not self.allow_subcritical:

@@ -26,7 +26,7 @@ from ..solver import (
 )
 from ..spacetime import (
     DirectionSet,
-    free_spectrum,
+    free_cell_power,
     lemma_diagnostics,
     pooled_max_slope,
 )
@@ -43,6 +43,8 @@ def run(command: str, config: ExperimentConfig) -> int:
     """Execute one harness command; returns 0 on success, raises on failure."""
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}; choose from {COMMANDS}")
+    if command == "norms":
+        _norms_windows(config)  # checks only norms needs, before the output directory
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return _DISPATCH[command](config, out)
@@ -119,16 +121,23 @@ def _picard_report(history, config, amplitude) -> NormReport:
 
 
 def _norms_windows(config) -> int:
-    """Check the two windows `norms` uses; returns the linear-estimate rows.
+    """Check the shells and the two windows `norms` uses; returns the
+    linear-estimate rows.
 
     Checked before any work, because the config validation does not cover
-    them (no other command uses these windows): the ensemble step must
-    divide T for the members' Picard solve, and dt must divide the
-    linear-estimate window. Each window's step must also resolve the
-    paraboloid tau = -|xi|^2 of the frequencies it analyses: a window of
-    step h samples |tau| < pi / h, and a free mode at |xi|^2 beyond that
-    aliases in time and reads a wrong X_k.
+    them (no other command reads these keys): the shells must lie on the
+    ensemble grid, the ensemble step must divide T for the members' Picard
+    solve, and dt must divide the linear-estimate window. Each window's
+    step must also resolve the paraboloid tau = -|xi|^2 of the frequencies
+    it analyses: a window of step h samples |tau| < pi / h, and a free mode
+    at |xi|^2 beyond that aliases in time and reads a wrong X_k.
     """
+    max_shell = config.ensemble_grid().max_shell
+    if max(config.shells) > max_shell:
+        raise ConfigError(
+            f"norms: shells must not exceed {max_shell}, the last shell of the ensemble "
+            f"grid (n={config.n}, ensemble_period={config.ensemble_period})"
+        )
     wdt = 2.0 * config.t_window / config.ensemble_samples
     span = 2.0 * config.t_window
     for step, total, what in (
@@ -179,9 +188,9 @@ def _top_wavenumber_sq(grid, shells=None) -> float:
 def _cmd_norms(config, out) -> int:
     lin_samples = _norms_windows(config)
     # Linear-estimate constants: windowed free evolution vs data norm. The
-    # data join the ensemble's pool as bound-only members; their Fsigma rows
-    # follow the main report's max rows, and the richer table goes to its
-    # own file.
+    # data join the ensemble's pool as bound-only members, whose pooled power
+    # comes in closed form (no spectrum is built); their Fsigma rows follow
+    # the main report's max rows, and the richer table goes to its own file.
     solve_grid = config.grid()
     sigmas = (config.sigma0, config.sigma0 + 1.0)
     lin_data = [
@@ -189,8 +198,8 @@ def _cmd_norms(config, out) -> int:
         for i in range(10)
     ]
     bound_members = [
-        (f"free_phi{i}", partial(free_spectrum, to_physical(phi), lin_samples, config.t_window),
-         sigmas)
+        (f"free_phi{i}",
+         partial(free_cell_power, to_physical(phi), lin_samples, config.t_window), sigmas)
         for i, phi in enumerate(lin_data)
     ]
     ensemble = build_lemma_ensemble(

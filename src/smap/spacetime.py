@@ -8,7 +8,15 @@ Fourier transform, so the (d+1)-dimensional Plancherel identity holds
 exactly with the grid quadrature weights. The window samples of a
 trajectory are rebuilt from its spectra block by block in their window
 rows (windowed_samples), and free evolutions, the edges past its ends and
-those of free_samples, are evolved in the window rows directly.
+those of free_samples, are evolved in the window rows directly. Every
+multiply of a complex stack by a real factor runs on a float64 view of
+the stack (_floats), with the bits of the complex multiply.
+
+For a free evolution the transform factorizes,
+F(tau, xi) = phi_hat(xi) G(tau, |xi|^2), so free_cell_power pools |F|^2
+into the (tau row, |xi|^2 class) cells of the shell tables in closed form,
+from one time transform per |xi|^2 class and no spectrum: enough for the
+shell tables and Fsigma of a bound-only member.
 
 On top of the spectrum this module computes the dyadic-shell norms that
 weight distance from the free-evolution paraboloid, directional mixed
@@ -141,8 +149,7 @@ class SpaceTimeSpectrum:
 
     @property
     def cell_measure(self) -> float:
-        """Frequency-space cell volume dxi^d * dtau."""
-        return (1.0 / self.grid.period) ** self.grid.d * (math.pi / self.t_window)
+        return _cell_measure(self.grid, self.t_window)
 
     def tau(self) -> np.ndarray:
         return (math.pi / self.t_window) * np.fft.fftfreq(self.m_t, d=1.0 / self.m_t)
@@ -194,6 +201,33 @@ class SpaceTimeSpectrum:
         return self._mass(sel.ravel())
 
 
+def _cell_measure(grid: GridSpec, t_window: float) -> float:
+    """Frequency-space cell volume dxi^d * dtau of a window's spectrum."""
+    return (1.0 / grid.period) ** grid.d * (math.pi / t_window)
+
+
+@dataclass
+class PooledPower:
+    """|F|^2 of a space-time spectrum pooled into its (tau row, |xi|^2 class)
+    cells, in _cell_power's layout, without the spectrum itself.
+
+    The shell tables and Fsigma read only these cells, so a bound-only
+    member (lemma_diagnostics) may be one; the shell reductions need F.
+    """
+
+    grid: GridSpec
+    t_window: float
+    cells: np.ndarray  # (m_t, classes), classes in np.unique order of |xi|^2
+
+    @property
+    def m_t(self) -> int:
+        return self.cells.shape[0]
+
+    @property
+    def cell_measure(self) -> float:
+        return _cell_measure(self.grid, self.t_window)
+
+
 @lru_cache(maxsize=8)
 def _centring(d: int, n: int, period: float, t_window: float, m_t: int) -> tuple:
     """Spatial sign pattern and time sign times scale, read-only.
@@ -203,9 +237,9 @@ def _centring(d: int, n: int, period: float, t_window: float, m_t: int) -> tuple
     identity. Factors of +-1 are exact, so splitting them does not round.
     """
     space = np.where(np.indices((n,) * d).sum(axis=0) % 2, -1.0, 1.0)
+    grid = GridSpec(d, n, period)
     dt = 2.0 * t_window / m_t
-    dxi_dtau = (1.0 / period) ** d * (math.pi / t_window)
-    scale = math.sqrt(GridSpec(d, n, period).cell_volume * dt / dxi_dtau)
+    scale = math.sqrt(grid.cell_volume * dt / _cell_measure(grid, t_window))
     signed_scale = ((-1.0) ** np.arange(m_t) * scale).reshape((m_t,) + (1,) * d)
     for arr in (space, signed_scale):
         arr.flags.writeable = False
@@ -235,13 +269,26 @@ def _rows(stack: np.ndarray) -> np.ndarray:
     Elementwise passes over a row-padded stack run several times faster on
     this view than on the stack's own (d+1)-dimensional one.
     """
-    return stack.reshape(stack.shape[0], -1, copy=False)
+    return stack.reshape(stack.shape[0], math.prod(stack.shape[1:]), copy=False)
+
+
+def _floats(stack: np.ndarray) -> np.ndarray:
+    """(rows, 2 * points) float64 view of a complex stack with contiguous
+    rows: the real and imaginary part of each point side by side.
+
+    numpy multiplies a complex array by a real factor as by factor + 0j, so
+    each part gets its product plus an exact zero: multiplying this view by
+    the factor gives the same values in one real pass, without the complex
+    cast buffer (only the sign of a zero product can differ). A factor per
+    point is repeated for both parts, so each row is one contiguous loop.
+    """
+    return _rows(stack).view(np.float64)
 
 
 def _windowed(samples: np.ndarray, window: np.ndarray) -> np.ndarray:
     """The samples times the window profile of their rows, in place."""
-    rows = _rows(samples)
-    rows *= window[:, None]
+    parts = _floats(samples)
+    parts *= window[:, None]
     return samples
 
 
@@ -251,9 +298,9 @@ def _transform(samples: np.ndarray, grid: GridSpec, t_window: float) -> SpaceTim
     space, signed_scale = _centring(grid.d, grid.n, grid.period, t_window, spec.shape[0])
     # Rows of one parity share the factor space * signed_scale, the spatial
     # signs times +-scale, so one pass over the rows has the bits of two.
-    rows = _rows(spec)
+    parts = _floats(spec)
     for parity in (0, 1):
-        rows[parity::2] *= (space * signed_scale[parity]).ravel()
+        parts[parity::2] *= np.repeat(space * signed_scale[parity], 2)
     return SpaceTimeSpectrum(grid, t_window, spec)
 
 
@@ -323,19 +370,23 @@ def _free_rows(phi: ComplexField, times: np.ndarray, window: np.ndarray, out: np
     return out
 
 
+def _free_window(m_t: int, t_window: float) -> tuple:
+    """Times -T_w + (2 T_w / m_t) m of the m_t window rows of a free
+    evolution, and the window profile, which reads its times from the
+    evolution's step times[1] - times[0], as windowed_samples does."""
+    times = -t_window + (2.0 * t_window / m_t) * np.arange(m_t)
+    dt = float(times[1] - times[0]) if m_t > 1 else 0.0
+    return times, window_profile(_window_times(dt, t_window), t_window)
+
+
 def free_samples(phi: ComplexField, m_t: int, t_window: float = 1.0) -> np.ndarray:
     """Windowed samples of the free evolution W(t) phi on the window.
 
-    Evolves exactly the m_t window rows, at times -T_w + (2 T_w / m_t) m,
-    in one row-padded stack (_free_rows), so one trajectory-sized array is
-    alive throughout. The window profile reads its times from the
-    evolution's step, times[1] - times[0], as windowed_samples does.
+    Evolves exactly the m_t window rows (_free_window) in one row-padded
+    stack (_free_rows), so one trajectory-sized array is alive throughout.
     """
-    grid = phi.grid
-    times = -t_window + (2.0 * t_window / m_t) * np.arange(m_t)
-    dt = float(times[1] - times[0]) if m_t > 1 else 0.0
-    window = window_profile(_window_times(dt, t_window), t_window)
-    return _free_rows(phi, times, window, stack_empty(m_t, grid.shape))
+    times, window = _free_window(m_t, t_window)
+    return _free_rows(phi, times, window, stack_empty(m_t, phi.grid.shape))
 
 
 def free_spectrum(phi: ComplexField, m_t: int, t_window: float = 1.0) -> SpaceTimeSpectrum:
@@ -344,6 +395,30 @@ def free_spectrum(phi: ComplexField, m_t: int, t_window: float = 1.0) -> SpaceTi
     spacetime_transform of the same evolution on the window's rows
     (free_trajectory)."""
     return _transform(free_samples(phi, m_t, t_window), phi.grid, t_window)
+
+
+def free_cell_power(phi: ComplexField, m_t: int, t_window: float = 1.0) -> PooledPower:
+    """_cell_power(free_spectrum(phi, m_t, t_window)) in closed form.
+
+    The free evolution's spectrum factorizes as
+    F(tau, xi) = phi_hat(xi) * space(xi) * signed_scale(tau) * G(tau, |xi|^2),
+    with G the unitary time transform of window(t) e^{-i t |xi|^2} (Tao,
+    Nonlinear Dispersive Equations, section 2.6). The signs drop out of
+    |F|^2, so a cell's power is scale^2 |G|^2 times the class sum of
+    |phi_hat|^2: one length-m_t transform per |xi|^2 class, of the same
+    propagator_stack phases as the spectrum's rows. The cells agree with the
+    pooled spectrum to rounding.
+    """
+    grid = phi.grid
+    times, window = _free_window(m_t, t_window)
+    kappa, cls = np.unique(grid.wavenumber_sq(), return_inverse=True)
+    spec = spectrum_of(_windowed(propagator_stack(times, kappa), window), axes=(0,), overwrite=True)
+    power = np.abs(spec)
+    np.square(power, out=power)
+    scale = _centring(grid.d, grid.n, grid.period, t_window, m_t)[1].flat[0]
+    phi_sq = np.abs(to_frequency(phi).values.ravel()) ** 2
+    power *= scale**2 * np.bincount(cls.ravel(), phi_sq, minlength=kappa.size)
+    return PooledPower(grid, t_window, power)
 
 
 def _shell_reductions(F: SpaceTimeSpectrum, weights: np.ndarray, time_keep: np.ndarray):
@@ -363,14 +438,17 @@ def _shell_reductions(F: SpaceTimeSpectrum, weights: np.ndarray, time_keep: np.n
     mult = (weights * space).ravel()
     cols = np.flatnonzero(mult)
     # Fancy indexing of the row view gathers the columns with time running
-    # fastest; np.take would copy a row-padded stack whole first.
+    # fastest; np.take would copy a row-padded stack whole first. So the
+    # real passes run on part.T, whose rows are the columns. Dividing by
+    # s + 0j, numpy multiplies both parts by the rounded 1 / s.
     part = _rows(F.values)[:, cols]
-    part *= mult[cols]
-    part /= signed_scale.reshape(m_t, 1)
+    parts = _floats(part.T)
+    parts *= mult[cols][:, None]
+    parts *= np.repeat(1.0 / signed_scale, 2)
+    # The time inverse runs in the gathered buffer, time still fastest.
     part = samples_of(part, axes=(0,), overwrite=True, scaled=False)
-    factor = _ortho_factor(F.values.size)
-    part.real *= factor
-    part.imag *= factor
+    parts = _floats(part.T)
+    parts *= _ortho_factor(F.values.size)
 
     rows = _block_rows(grid)
     axes = tuple(range(1, grid.d + 1))
@@ -672,20 +750,22 @@ def _member_rows(name, member, directions, shells, sigmas):
     analysed. The shell samples are never built: every shell reads its
     reductions from _shell_reductions. One Fsigma row per sigma follows the
     shell rows. A bound-only member has no shells: it reports just those
-    rows, and is not skipped when it has no mass.
+    rows, is not skipped when it has no mass, and may be a PooledPower,
+    whose cells are read directly.
     """
     F = member() if callable(member) else member
-    if not isinstance(F, SpaceTimeSpectrum):
-        raise TypeError(f"member {name!r} is not a SpaceTimeSpectrum")
+    if not isinstance(F, (SpaceTimeSpectrum, PooledPower)):
+        raise TypeError(f"member {name!r} is not a SpaceTimeSpectrum or a PooledPower")
     ks = list(shells) if shells is not None else list(range(F.grid.max_shell + 1))
+    if isinstance(F, PooledPower) and ks:
+        raise TypeError(f"member {name!r} has pooled power only; its shells need the spectrum")
     # The total mass comes from the same pooled |F|^2 as the shell tables.
-    cells = _cell_power(F)
+    cells = F.cells.ravel() if isinstance(F, PooledPower) else _cell_power(F)
     total = math.sqrt(F.cell_measure * float(np.sum(cells)))
     if ks and total <= MASS_FLOOR:
         return [(name, -1, "skipped", "-", 0.0)]
     grid = F.grid
     d = grid.d
-    time_keep = np.abs(-F.t_window + F.dt * np.arange(F.m_t)) <= TIME_CUT
     power, diag, overlap = _shell_tables(F, cells=cells)
     xks = _xk_values(power)
     r1s = _section_sanity(diag, overlap, xks)
@@ -696,6 +776,7 @@ def _member_rows(name, member, directions, shells, sigmas):
             continue
         # Per-point time reductions of |u_k|, shared by all lattice
         # directions; the time-slice ratio R4 sums the same squares over space.
+        time_keep = np.abs(-F.t_window + F.dt * np.arange(F.m_t)) <= TIME_CUT
         max_time, sq_time, row_sq = _shell_reductions(F, F.shell_weights(k), time_keep)
         slices = np.sqrt(grid.cell_volume * row_sq)
         r4 = float(np.max(slices)) / xk
@@ -745,7 +826,8 @@ def lemma_diagnostics(
     ensemble is a sequence of (id, member) pairs; a member is a
     SpaceTimeSpectrum or a zero-argument factory returning one.
     bound_members are (id, member, sigmas) triples that report only their
-    Fsigma rows, one per sigma, after the max rows.
+    Fsigma rows, one per sigma, after the max rows; their member may also be
+    a PooledPower (free_cell_power) or a factory returning one.
 
     Every member is an independent task: the ensemble, then the bound-only
     members, run in that order on one pool (_ordered_map), and a factory is

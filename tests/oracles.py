@@ -250,6 +250,25 @@ def spacetime_spectrum_oracle(samples, grid, t_window):
     return spectrum_of(samples) * _centring_sign(samples.shape) * scale
 
 
+def windowed_complex(samples, window):
+    """Samples times the window profile of their rows, as numpy multiplies a
+    complex stack by a real factor: by window + 0j, on the whole stack."""
+    return samples * window.reshape((-1,) + (1,) * (samples.ndim - 1))
+
+
+def transform_complex(samples, grid, t_window):
+    """Space-time spectrum of windowed samples, centred by numpy's complex
+    multiply: a unitary forward DFT, then each parity of rows times the
+    spatial sign pattern times +-scale, as one real factor per point."""
+    m_t = samples.shape[0]
+    cell_measure = (1.0 / grid.period) ** grid.d * (np.pi / t_window)
+    scale = _transform_scale(grid, 2.0 * t_window / m_t, cell_measure)
+    spec = spectrum_of(samples)
+    for parity in (0, 1):
+        spec[parity::2] *= _centring_sign(grid.shape) * ((-1.0) ** parity * scale)
+    return spec
+
+
 def windowed_samples_fancy(traj, t_window):
     """Window samples gathered by a fancy index over every matching time.
 

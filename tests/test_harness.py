@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import smap
-from smap import cli, solver
+from smap import cli, solver, spacetime
 from smap.errors import ConfigError, NoContraction
 from smap.geometry import SphereField, stereo_lift
 from smap.grid import GridSpec
@@ -168,10 +168,13 @@ class TestConfig:
             ExperimentConfig(sigma0=float("nan"))
 
     def test_shell_past_ensemble_grid_rejected(self):
+        # Only norms reads the shells, so the bound is one of its pre-work
+        # checks; the config itself accepts them.
         assert ExperimentConfig().ensemble_grid().max_shell == 7
-        parse_config("shells = 2, 7")
-        with pytest.raises(ConfigError, match="shells must not exceed 7"):
-            parse_config("shells = 40")
+        _norms_windows(parse_config("shells = 2, 7"))
+        cfg = parse_config("shells = 40")
+        with pytest.raises(ConfigError, match="norms: shells must not exceed 7"):
+            _norms_windows(cfg)
 
     @pytest.mark.parametrize(
         "line, match",
@@ -601,6 +604,22 @@ class TestRunnerAndCli:
         free = {rule: [r for r in body if r.startswith("mode_")] for rule, body in rows.items()}
         assert free["two_thirds"] and free["two_thirds"] == free["none"]
 
+    def test_norms_transforms_only_the_ensemble(self, tmp_path, small_cfg, monkeypatch):
+        # One space-time transform per ensemble member; the linear-estimate
+        # data are pooled in closed form, so they build no spectrum.
+        calls = []
+        transform = spacetime._transform
+        monkeypatch.setattr(
+            spacetime, "_transform", lambda *a, **kw: calls.append(None) or transform(*a, **kw)
+        )
+        out = tmp_path / "out"
+        assert run("norms", load_config(small_cfg, out_dir=str(out))) == 0
+        lines = (out / "lemma_diagnostics.csv").read_text().splitlines()
+        meta = dict(part.split("=", 1) for part in lines[0].split()[1:])
+        assert len(calls) == int(meta["num_members"]) > 0
+        free = [line for line in lines[2:] if line.startswith("free_phi")]
+        assert len(free) == 20 and all(",Fsigma," in line for line in free)
+
     def test_axes_only_direction_set(self, tmp_path, small_cfg):
         out = tmp_path / "out"
         cfg = load_config(small_cfg, out_dir=str(out), directions="axes")
@@ -628,6 +647,23 @@ class TestRunnerAndCli:
         rows = (out / "verify.csv").read_text().splitlines()[2:]
         assert len(rows) == 31
         assert all(row.endswith(",true") for row in rows)
+
+    def test_cli_small_grid_needs_shells_only_for_norms(self, tmp_path):
+        # The default shells 2..6 pass the last shell (4) of the d = 1,
+        # n = 16 ensemble grid. Only norms reads them: the other commands
+        # run, and norms exits 2 before it makes its output directory.
+        cfg = tmp_path / "small_grid.cfg"
+        cfg.write_text("d = 1\nn = 16\n")
+        out = tmp_path / "out"
+        for command in ("picard", "evolve", "compare", "verify"):
+            res = self.run_cli(command, "--config", str(cfg), "--out", str(out))
+            assert res.returncode == 0, (command, res.stderr)
+        rows = (out / "verify.csv").read_text().splitlines()[2:]
+        assert len(rows) == 31 and all(row.endswith(",true") for row in rows)
+        res = self.run_cli("norms", "--config", str(cfg), "--out", str(tmp_path / "n"))
+        assert res.returncode == 2
+        assert "ConfigError: norms: shells must not exceed 4" in res.stderr
+        assert not (tmp_path / "n").exists()
 
     @pytest.mark.parametrize("dt", ["0.0625", "0.03125", "0.25"])
     def test_cli_verify_coarse_dt_exit_zero(self, tmp_path, dt):
@@ -694,7 +730,7 @@ class TestRunnerAndCli:
         assert res.returncode == 2, res.stderr
         assert "ConfigError" in res.stderr and "norms:" in res.stderr
         assert "Traceback" not in res.stderr
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", [None, SMALL_CONFIG], ids=["default", "small"])
     def test_norms_windows_resolve_default_and_small(self, tmp_path, text):

@@ -18,8 +18,10 @@ from smap.solver import Trajectory, free_trajectory, picard_solve, uniform_times
 from smap.spacetime import (
     TIME_CUT,
     DirectionSet,
+    PooledPower,
     SpaceTimeSpectrum,
     fiber_norm,
+    free_cell_power,
     free_samples,
     free_spectrum,
     fsigma_upper,
@@ -62,7 +64,9 @@ from oracles import (
     spacetime_samples_oracle,
     spacetime_spectrum_oracle,
     time_reduction_direct,
+    transform_complex,
     window_dft,
+    windowed_complex,
     windowed_samples_fancy,
     xk_direct,
     xk_point_mass,
@@ -634,6 +638,108 @@ class TestShellReductions:
         for rows in (7, 1):
             for got, want in zip(tables[rows], tables[96]):
                 assert np.array_equal(got, want)
+
+
+class TestFloatViews:
+    """The passes that multiply a complex stack by a real factor run on a
+    float64 view, with the bits of numpy's complex multiply (the oracles'
+    complex forms)."""
+
+    @staticmethod
+    def padded_samples(d, n, m_t, seed):
+        grid = GridSpec(d, n, 2.0)
+        rng = np.random.default_rng(seed)
+        samples = stack_empty(m_t, grid.shape)
+        samples[...] = rng.standard_normal(samples.shape) + 1j * rng.standard_normal(samples.shape)
+        return grid, samples
+
+    @pytest.mark.parametrize("d, n", [(1, 32), (2, 16), (3, 8)])
+    def test_windowed_matches_complex_multiply(self, d, n):
+        grid, samples = self.padded_samples(d, n, 48, seed=d)
+        window = window_profile(-1.0 + (2.0 / 48) * np.arange(48), 1.0)
+        window[[5, 6, 30]] = 0.0
+        assert np.count_nonzero(window == 0.0) >= 4
+        want = windowed_complex(samples, window)
+        got = spacetime._windowed(samples, window)
+        assert got is samples and not samples.flags["C_CONTIGUOUS"]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d, n", [(1, 32), (2, 16), (3, 8)])
+    @pytest.mark.parametrize("m_t", [48, 64])
+    def test_transform_matches_complex_centring(self, d, n, m_t):
+        grid, samples = self.padded_samples(d, n, m_t, seed=10 * d + m_t)
+        window = window_profile(-1.0 + (2.0 / m_t) * np.arange(m_t), 1.0)
+        assert window[0] == 0.0
+        spacetime._windowed(samples, window)
+        want = transform_complex(samples, grid, 1.0)
+        assert np.array_equal(spacetime._transform(samples, grid, 1.0).values, want)
+
+    def test_division_by_real_is_multiply_by_rounded_reciprocal(self):
+        # _shell_reductions divides by signed_scale as a multiply by the
+        # rounded 1 / s on a float view. numpy divides a complex array by
+        # s + 0j (also when s comes as a real array) with Smith's method,
+        # whose zero ratio leaves exactly that multiply, bit for bit.
+        signed = spacetime._centring(2, 64, 1.0, 1.0, 1280)[1].ravel()[:2]
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((1280, 300)) + 1j * rng.standard_normal((1280, 300))
+        for s in (*signed, 0.37, -0.37, 3.0e-3, -1.7e5):
+            want = x.view(np.float64) * (1.0 / s)
+            for quotient in (x / complex(s, 0.0), x / np.full((1280, 1), s)):
+                assert np.array_equal(quotient.view(np.uint64), want.view(np.uint64)), s
+
+
+class TestFreeCellPower:
+    @given(
+        d=st.sampled_from([1, 2, 3]),
+        n=st.sampled_from([8, 16, 32]),
+        period=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+        m_t=st.sampled_from([16, 48, 64, 128]),
+        t_window=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+        kind=st.sampled_from(["bandlimited", "plane_wave", "zero"]),
+        seed=st.integers(0, 2**16),
+        sigma=st.sampled_from([0.0, 1.6, 2.6]),
+    )
+    def test_matches_pooled_free_spectrum(self, d, n, period, m_t, t_window, kind, seed, sigma):
+        # The closed form pools the same |F|^2 as the free spectrum, to
+        # rounding, and its bound-only Fsigma row matches fsigma_upper; a
+        # member without mass pools exact zeros and is still reported.
+        grid = GridSpec(d, n, period)
+        rng = np.random.default_rng(seed)
+        if kind == "bandlimited":
+            phi = random_smooth_field(grid, rng)
+        elif kind == "plane_wave":
+            phi = plane_wave(grid, rng.integers(-n // 2 + 1, n // 2, size=d) / period)
+        else:
+            phi = ComplexField.zeros(grid)
+        pooled = free_cell_power(phi, m_t, t_window)
+        F = free_spectrum(phi, m_t, t_window)
+        want = spacetime._cell_power(F)
+        assert isinstance(pooled, PooledPower) and pooled.m_t == m_t
+        assert pooled.cells.shape == (m_t, np.unique(grid.wavenumber_sq()).size)
+        got = pooled.cells.ravel()
+        if kind == "zero":
+            assert not np.any(got) and not np.any(want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+        rows = spacetime._member_rows("free", pooled, None, (), (sigma,))
+        assert [row[:4] for row in rows] == [("free", -1, "Fsigma", f"sigma={sigma:g}")]
+        bound = fsigma_upper(F, sigma)
+        assert abs(rows[0][4] - bound) <= 1e-13 * bound
+
+    @pytest.mark.parametrize("m_t", [1, 2, 8, 15])
+    def test_short_window_raises_as_free_spectrum(self, grid32, rng, m_t):
+        phi = random_smooth_field(grid32, rng)
+        errors = []
+        for build in (free_spectrum, free_cell_power):
+            with pytest.raises(WindowTooShort) as err:
+                build(phi, m_t, 1.0)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+
+    def test_shells_need_the_spectrum(self, grid32, rng):
+        pooled = free_cell_power(random_smooth_field(grid32, rng), 64, 1.0)
+        with pytest.raises(TypeError, match="pooled power only"):
+            spacetime._member_rows("free", pooled, DirectionSet.default(2), range(1, 3), ())
 
 
 class TestSigmaUpper:
