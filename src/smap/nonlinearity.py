@@ -2,12 +2,17 @@
 
 Chart side: the derivative Schrodinger nonlinearity
 2*conj(u)/(1+|u|^2) * sum_j (du/dx_j)^2, with the rational prefactor
-computed by direct pointwise division (exact and unconditionally stable).
+computed pointwise in real arithmetic: one real reciprocal 2/(1+|u|^2),
+then both parts (the denominator is at least 1, so it is total; where
+|u|^2 overflows the prefactor is 0). Given a workspace
+(spectral.ComplexWork), nonlinearity_spectrum writes every temporary into
+it and transforms in place on the pocketfft binding (spectral.unitary_dft);
+without one it runs the same steps into new arrays.
 Sphere side: the cross-product term s x Laplacian(s).
 
 Every physical-space product or composition is followed by the configured
-dealiasing rule; the 2/3 rule is standard pseudospectral practice for
-non-polynomial nonlinearities.
+dealiasing rule, which zeroes the modes outside its band; the 2/3 rule is
+standard pseudospectral practice for non-polynomial nonlinearities.
 """
 
 from __future__ import annotations
@@ -24,12 +29,15 @@ from .grid import GridSpec
 from .spectral import (
     PHYSICAL,
     ComplexField,
+    ComplexWork,
     RealWork,
+    _work_buffer,
     grid_axes,
     laplacian_values,
     samples_of,
     spectrum_of,
     to_physical,
+    unitary_dft,
 )
 
 
@@ -55,16 +63,22 @@ class DealiasPolicy:
     def apply_values(
         self, values: np.ndarray, grid: GridSpec, overwrite: bool = False
     ) -> np.ndarray:
-        """Truncate a raw array whose trailing axes are the grid axes.
+        """Truncate a raw complex array whose trailing axes are the grid axes.
 
-        overwrite lets a complex input buffer receive the result in place.
+        overwrite lets a C-contiguous input receive the result in place;
+        otherwise the result is a new array. The modes outside the band are
+        set to zero, which equals the product with mask(grid) on finite
+        values. The none rule returns values itself.
         """
         if self.rule == "none":
             return values
-        axes = grid_axes(values, grid)
-        spec = spectrum_of(values, axes=axes, overwrite=overwrite)
-        spec *= self.mask(grid)
-        return samples_of(spec, axes=axes, overwrite=True)
+        values = np.asarray(values, dtype=np.complex128)
+        out = values
+        if not (overwrite and values.flags.c_contiguous):
+            out = np.array(values, dtype=np.complex128)
+        axes = grid_axes(out, grid)
+        self.band(grid).clear(unitary_dft(out, axes, out=out))
+        return unitary_dft(out, axes, inverse=True, out=out)
 
 
 TWO_THIRDS = DealiasPolicy("two_thirds")
@@ -98,10 +112,14 @@ class Band(NamedTuple):
     [n - t, n), so the box is 2^d corner blocks of the spectrum, packed
     into an array of the box's shape in the same order. corners pairs the
     spectrum index of each nonempty corner with its index in the box.
+    complement indexes the other modes as disjoint slabs: slab j takes the
+    dropped run of axis j, the kept runs of the axes before it and every
+    index of the axes after it. Corners and slabs cover each mode once.
     """
 
     shape: tuple
     corners: tuple
+    complement: tuple
 
     def gather(self, full: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Copy the box of full (any leading axes) into out."""
@@ -113,6 +131,12 @@ class Band(NamedTuple):
         """Copy the box into its modes of out; the other modes are left as they are."""
         for spectrum_index, box_index in self.corners:
             out[spectrum_index] = box[box_index]
+        return out
+
+    def clear(self, out: np.ndarray) -> np.ndarray:
+        """Set every mode of out (any leading axes) outside the box to zero."""
+        for slab in self.complement:
+            out[slab] = 0.0
         return out
 
 
@@ -129,7 +153,15 @@ def _band(d: int, n: int, period: float, rule: str) -> Band:
         ((Ellipsis,) + tuple(r[0] for r in corner), (Ellipsis,) + tuple(r[1] for r in corner))
         for corner in product(runs, repeat=d)
     )
-    return Band((low + high,) * d, corners)
+    kept = tuple(run[0] for run in runs)
+    complement = ()
+    if low + high < n:
+        complement = tuple(
+            (Ellipsis,) + before + (slice(low, n - high),) + (slice(None),) * (d - 1 - axis)
+            for axis in range(d)
+            for before in product(kept, repeat=axis)
+        )
+    return Band((low + high,) * d, corners, complement)
 
 
 @lru_cache(maxsize=64)
@@ -140,16 +172,29 @@ def _derivative(d: int, n: int, period: float, axis: int) -> np.ndarray:
     return out
 
 
-def _prefactor(values: np.ndarray, grid: GridSpec, policy: DealiasPolicy) -> np.ndarray:
-    """Dealiased 2*conj(u)/(1+|u|^2) of a raw array over any leading axes."""
-    denom = np.abs(values)
-    np.square(denom, out=denom)
-    denom += 1.0
-    vals = np.conj(values)
-    np.multiply(2.0, vals, out=vals)
-    vals /= denom
-    del denom
-    return policy.apply_values(vals, grid, overwrite=True)
+def _prefactor(
+    values: np.ndarray, grid: GridSpec, policy: DealiasPolicy, work: ComplexWork | None = None
+) -> np.ndarray:
+    """Dealiased 2*conj(u)/(1+|u|^2) of a raw array over any leading axes, in
+    work.result (or a new array), with 1+|u|^2 and its reciprocal in work.real.
+
+    Both parts are products with one real reciprocal 2/(1+|u|^2), on float
+    views. numpy's complex division by (1+|u|^2) + 0j takes the same
+    reciprocal and products (the exact factor 2 aside), so the values are
+    those of 2*conj(u) / (1+|u|^2); only the sign of a zero part may differ.
+    """
+    values = np.ascontiguousarray(values, dtype=np.complex128)
+    out = _work_buffer(work, "result", values.shape)
+    scale = _work_buffer(work, "real", values.shape, np.float64)
+    u, vals = values.view(np.float64), out.view(np.float64)
+    np.abs(values, out=scale)
+    np.square(scale, out=scale)
+    scale += 1.0
+    np.divide(2.0, scale, out=scale)
+    np.multiply(u[..., 0::2], scale, out=vals[..., 0::2])
+    np.negative(scale, out=scale)
+    np.multiply(u[..., 1::2], scale, out=vals[..., 1::2])
+    return policy.apply_values(out, grid, overwrite=True)
 
 
 def n_zero(u: ComplexField, policy: DealiasPolicy = TWO_THIRDS) -> ComplexField:
@@ -163,6 +208,7 @@ def nonlinearity_spectrum(
     u_hat: np.ndarray,
     grid: GridSpec,
     policy: DealiasPolicy = TWO_THIRDS,
+    work: ComplexWork | None = None,
 ) -> np.ndarray:
     """Dealiased spectrum of n_zero(u) * sum_j (d_j u)^2 for a stack of snapshots.
 
@@ -170,26 +216,29 @@ def nonlinearity_spectrum(
     trailing axes are the grid axes and any leading axes (time) are batched.
     Costs d inverse transforms for the gradients, one round trip each to
     dealias the squared gradient and the prefactor, and one forward
-    transform of the product, masked in frequency space. Each transform of
-    a temporary runs in that temporary's buffer, and each temporary is
-    dropped once used, so at most three stacks are alive beside the inputs,
-    which are left unchanged; the result is the product's buffer.
+    transform of the product, truncated in frequency space. The squared
+    gradient is summed in work.tmp, each gradient and then the prefactor
+    and the product are formed in work.result, and 1+|u|^2 goes into
+    work.real; every transform runs in place. Without a workspace these
+    are new arrays. The inputs are left unchanged; the result is the
+    product's buffer.
     """
     axes = grid_axes(u, grid)
-    grad_sq = np.zeros(u.shape, dtype=np.complex128)
+    grad_sq = _work_buffer(work, "tmp", u.shape)
+    g = _work_buffer(work, "result", u.shape)
     for axis in range(grid.d):
-        mult = _derivative(grid.d, grid.n, grid.period, axis)
-        g = samples_of(u_hat * mult, axes=axes, overwrite=True)
-        grad_sq += np.square(g, out=g)
-        del g
-    grad_sq = policy.apply_values(grad_sq, grid, overwrite=True)
-    prod = _prefactor(u, grid, policy)
+        np.multiply(u_hat, _derivative(grid.d, grid.n, grid.period, axis), out=g)
+        unitary_dft(g, axes, inverse=True, out=g)
+        if axis == 0:
+            np.square(g, out=grad_sq)
+        else:
+            grad_sq += np.square(g, out=g)
+    policy.apply_values(grad_sq, grid, overwrite=True)
+    del g
+    prod = _prefactor(u, grid, policy, work)
     prod *= grad_sq
     del grad_sq
-    nl_hat = spectrum_of(prod, axes=axes, overwrite=True)
-    if policy.rule != "none":
-        nl_hat *= policy.mask(grid)
-    return nl_hat
+    return policy.band(grid).clear(unitary_dft(prod, axes, out=prod))
 
 
 def nonlinearity(u: ComplexField, policy: DealiasPolicy = TWO_THIRDS) -> ComplexField:

@@ -18,7 +18,9 @@ quadrature is second order while the propagation itself is exact. N is
 dealiased, so outside the dealias band every iterate is exactly the free
 flow W(t) phi: the iterate keeps only its band of spatial spectra (a
 Trajectory), each map overwrites it in place, and its physical samples are
-streamed block by block.
+streamed block by block. A solve allocates one workspace
+(spectral.ComplexWork) of one block, and every map, nonlinearity and norm
+of the solve writes its temporaries into it.
 """
 
 from __future__ import annotations
@@ -42,12 +44,15 @@ from .report import NormReport
 from .spectral import (
     FREQUENCY,
     ComplexField,
+    ComplexWork,
+    complex_work,
     hsigma_energy_real,
     hsigma_norm,
     hsigma_norm_spectra,
     real_work,
     samples_of,
     to_frequency,
+    unitary_dft,
 )
 
 # Consecutive-difference ratio above which the iteration counts as stalled,
@@ -113,11 +118,12 @@ class Trajectory:
     def __len__(self) -> int:
         return self.times.size
 
-    def _blocks(self):
+    def _blocks(self, buffer=None):
         """(start, forward) per block of _block_rows rows, forward the rows'
-        propagator phases, from the recurrence of _propagator_blocks."""
+        propagator phases, from the recurrence of _propagator_blocks (written
+        into buffer if given)."""
         rows = _block_rows(self.grid)
-        blocks = _propagator_blocks(self.times, self.grid.wavenumber_sq(), rows)
+        blocks = _propagator_blocks(self.times, self.grid.wavenumber_sq(), rows, buffer=buffer)
         return zip(range(0, len(self), rows), blocks)
 
     def _rebuild_blocks(self):
@@ -130,7 +136,13 @@ class Trajectory:
     def _fill(self, start: int, forward, out: np.ndarray) -> np.ndarray:
         """Full spectra of the rows start.., written into out; forward holds
         those rows' propagator phases (unused, and may be None, when every
-        mode is stored)."""
+        mode is stored).
+
+        The free flow forward * free is formed on the whole block and the
+        band copied over it: a product on the band's complement slabs only
+        was slower (d = 3, n = 32, 2 rows: 173 against 93 us per block on
+        one core of a 2-vCPU virtual machine), as numpy walks the narrow
+        slabs in runs of 11 values."""
         band = self.dealias.band(self.grid)
         if band.shape != self.grid.shape:
             np.multiply(forward, self.free, out=out)
@@ -192,7 +204,7 @@ def _block_rows(grid: GridSpec) -> int:
     return max(1, BLOCK_BYTES // (16 * grid.num_points))
 
 
-def _propagator_blocks(times: np.ndarray, k2: np.ndarray, rows: int, out=None):
+def _propagator_blocks(times: np.ndarray, k2: np.ndarray, rows: int, out=None, buffer=None):
     """Phases e^{-i t_m |xi|^2} for consecutive blocks of ``rows`` times.
 
     Uniform grids of more than two times use a stepwise recurrence (one exp
@@ -200,7 +212,10 @@ def _propagator_blocks(times: np.ndarray, k2: np.ndarray, rows: int, out=None):
     first row of a block is the previous block's last row times the step,
     so every row is the same whatever the block size. Other grids take one
     exp per row. Given out, a (times, *k2.shape) stack with contiguous
-    rows, the blocks are its row slices; otherwise each is a new array.
+    rows, the blocks are its row slices; given buffer, a contiguous
+    (rows, *k2.shape) array, every block is written into it (its row 0
+    before the carried last row is overwritten), so a block is valid until
+    the next one is drawn; otherwise each is a new array.
     """
     times = np.asarray(times, dtype=np.float64)
     flat = k2.ravel()
@@ -211,10 +226,12 @@ def _propagator_blocks(times: np.ndarray, k2: np.ndarray, rows: int, out=None):
     last = None
     for start in range(0, times.size, rows):
         count = min(rows, times.size - start)
-        if out is None:
-            block = np.empty((count, flat.size), dtype=np.complex128)
-        else:
+        if out is not None:
             block = out[start : start + count].reshape(count, flat.size, copy=False)
+        elif buffer is not None:
+            block = buffer[:count].reshape(count, flat.size, copy=False)
+        else:
+            block = np.empty((count, flat.size), dtype=np.complex128)
         for i, t in enumerate(times[start : start + count]):
             if not uniform or start + i == 0:
                 block[i] = np.exp(-1j * t * flat)
@@ -288,7 +305,13 @@ class PicardHistory:
         return rep
 
 
-def duhamel_map(phi: ComplexField, prev: Trajectory, policy: DealiasPolicy, sigma: float):
+def duhamel_map(
+    phi: ComplexField,
+    prev: Trajectory,
+    policy: DealiasPolicy,
+    sigma: float,
+    work: ComplexWork | None = None,
+):
     """One application of the integral map, written over the trajectory.
 
     Overwrites prev with t_m -> W(t_m) phi - i * int_0^{t_m} W(t_m - s)
@@ -306,9 +329,12 @@ def duhamel_map(phi: ComplexField, prev: Trajectory, policy: DealiasPolicy, sigm
     propagator recurrence, the running sum and the first integrand row carry
     over between blocks, so the image does not depend on the block size. A
     block is read before it is written, and later blocks read only the
-    carried running sum and g_0, so nothing larger than a block is
-    allocated. Both norms are taken on the full rows before each block's
-    band is written.
+    carried running sum and g_0. Both norms are taken on the full rows
+    before each block's band is written. Every block temporary lives in
+    work (spectral.complex_work of one block; a new one without it): the
+    rows in work.full, their phases in work.phases, their samples in
+    work.samples, the integrand in work.tmp and the image in work.result,
+    where the nonlinearity leaves it.
     """
     if abs(prev.times[0]) > 1e-14:
         raise ValueError("the integral starts at t = 0; trajectory must too")
@@ -325,38 +351,39 @@ def duhamel_map(phi: ComplexField, prev: Trajectory, policy: DealiasPolicy, sigm
     phi_hat = to_frequency(phi).values
     diffs, sups = np.empty(len(prev)), np.empty(len(prev))
     rows = _block_rows(grid)
-    full = np.empty((min(rows, len(prev)),) + grid.shape, np.complex128)
+    if work is None:
+        work = complex_work((min(rows, len(prev)),) + grid.shape)
     # u_hat = forward * (phi_hat - i dt (S_m - (g_m + g_0) / 2)) with
     # forward = e^{-i t_m |xi|^2}, the integrand g = e^{+i s |xi|^2} nl_hat
     # and its running sum S_m. Carried between blocks: the raw S of the
     # previous row and a copy of g_0. The block's u_hat is built in the
     # buffer of its nl_hat.
-    running = first = None
-    for start, forward in prev._blocks():
-        block = prev._fill(start, forward, full[: len(forward)])
-        u_hat = nonlinearity_spectrum(samples_of(block, axes=space_axes), block, grid, policy)
-        integrand = np.conj(forward)
+    running, first = np.empty((2,) + grid.shape, np.complex128)
+    for start, forward in prev._blocks(work.phases):
+        block = prev._fill(start, forward, work.full[: len(forward)])
+        samples = unitary_dft(block, space_axes, inverse=True, out=work.samples[: len(block)])
+        u_hat = nonlinearity_spectrum(samples, block, grid, policy, work)
+        integrand = np.conjugate(forward, out=work.tmp[: len(block)])
         integrand *= u_hat
-        if first is None:
-            first = integrand[0].copy()
         # Running sum row by row: np.cumsum along the time axis walks the
         # stack with a stride of one snapshot and is about 10x slower.
-        if running is None:
+        if start == 0:
+            first[...] = integrand[0]
             u_hat[0] = integrand[0]
         else:
             np.add(running, integrand[0], out=u_hat[0])
         for m in range(1, len(u_hat)):
             np.add(u_hat[m - 1], integrand[m], out=u_hat[m])
-        running = u_hat[-1].copy()
+        running[...] = u_hat[-1]
         integrand += first
         np.multiply(0.5, integrand, out=integrand)
         u_hat -= integrand
-        del integrand
         np.multiply(1j * prev.dt, u_hat, out=u_hat)
         np.subtract(phi_hat, u_hat, out=u_hat)
         np.multiply(forward, u_hat, out=u_hat)
-        diffs[start : start + rows] = hsigma_norm_spectra(u_hat - block, grid, sigma)
-        sups[start : start + rows] = hsigma_norm_spectra(u_hat, grid, sigma)
+        diff = np.subtract(u_hat, block, out=integrand)
+        diffs[start : start + rows] = hsigma_norm_spectra(diff, grid, sigma, work)
+        sups[start : start + rows] = hsigma_norm_spectra(u_hat, grid, sigma, work)
         band.gather(u_hat, prev.values[start : start + rows])
     prev.free = phi_hat
     return float(np.max(diffs)), float(np.max(sups))
@@ -405,22 +432,23 @@ def picard_solve(
     band = policy.band(grid)
     values = np.empty((times.size,) + band.shape, dtype=np.complex128)
     current = Trajectory(grid, times, values, policy, phi.values)
-    # The first iterate is the free flow, band and all; its norms are taken
-    # on the full rows of each block.
+    # One workspace of one block for the whole solve. The first iterate is
+    # the free flow, band and all; its norms are taken on the full rows of
+    # each block.
+    work = complex_work((min(_block_rows(grid), times.size),) + grid.shape)
     norms = np.empty(times.size)
-    full = np.empty((min(_block_rows(grid), times.size),) + grid.shape, dtype=np.complex128)
-    for start, forward in current._blocks():
-        block = np.multiply(forward, phi.values, out=full[: len(forward)])
-        norms[start : start + len(forward)] = hsigma_norm_spectra(block, grid, sigma0)
+    for start, forward in current._blocks(work.phases):
+        block = np.multiply(forward, phi.values, out=work.full[: len(forward)])
+        norms[start : start + len(forward)] = hsigma_norm_spectra(block, grid, sigma0, work)
         band.gather(block, values[start : start + len(forward)])
-    del full, block
+    del block
     if phi_norm == 0.0:
         return current, history
 
     prev_diff = float(np.max(norms))
     stall = 0
     for n in range(1, max_iter + 1):
-        diff, sup_norm = duhamel_map(phi, current, policy, sigma0)
+        diff, sup_norm = duhamel_map(phi, current, policy, sigma0, work)
         ratio = diff / prev_diff if prev_diff > 0.0 else 0.0
         history.append(n, sup_norm, diff, ratio)
 

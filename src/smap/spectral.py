@@ -7,9 +7,10 @@ Contains the unitary transform pair, the smooth dyadic cutoff family, the
 Bessel-potential multiplier, Littlewood-Paley shell projections, spectral
 derivatives and the free Schrodinger propagator. All operators act as pure
 functions on immutable field snapshots. A caller may hand the real
-Laplacian a workspace (RealWork) to write into; a workspace belongs to one
-call or generator and is never shared, so concurrent callers stay
-independent.
+Laplacian a workspace (RealWork), and the chart kernels and the Sobolev
+norms of spectra one of their own (ComplexWork), to write into; a
+workspace belongs to one call, solve or generator and is never shared, so
+concurrent callers stay independent.
 """
 
 from __future__ import annotations
@@ -155,6 +156,19 @@ def samples_of(
     )
 
 
+def unitary_dft(values: np.ndarray, axes, inverse: bool = False, out=None) -> np.ndarray:
+    """Unitary complex DFT of a complex array over the given axes, written
+    into out if given (values itself transforms in place).
+
+    The call behind scipy.fft.fftn and ifftn(values, axes=axes, norm="ortho")
+    (inorm=1 is "ortho"), so it gives their bits, made on the pocketfft
+    binding, which writes into a given out= and skips scipy.fft's argument
+    handling. The chart kernels make their transforms through it.
+    """
+    axes = [a % values.ndim for a in axes]
+    return pypocketfft.c2c(values, axes, not inverse, 1, out, fft_workers())
+
+
 def grid_axes(values: np.ndarray, grid: GridSpec) -> tuple:
     """The trailing axes of a raw array that are the grid axes."""
     return tuple(range(values.ndim - grid.d, values.ndim))
@@ -293,6 +307,44 @@ class RealWork(NamedTuple):
     tmp: np.ndarray
 
 
+class ComplexWork(NamedTuple):
+    """Buffers a caller owns for the chart kernels on complex stacks of up to
+    one shape: solver.duhamel_map, nonlinearity.nonlinearity_spectrum and
+    hsigma_norm_spectra.
+
+    full holds a block of spectra, phases their propagator phases and
+    samples their physical samples; tmp and result are complex temporaries
+    (a kernel's result goes into result) and real is a real one.
+    _work_buffer gives the part of a buffer that a stack of a given shape
+    uses. Make one per call or solve, never per module, as with RealWork.
+    """
+
+    full: np.ndarray
+    phases: np.ndarray
+    samples: np.ndarray
+    tmp: np.ndarray
+    result: np.ndarray
+    real: np.ndarray
+
+
+def complex_work(shape: tuple) -> ComplexWork:
+    """Uninitialised ComplexWork for complex stacks of ``shape``, in one allocation."""
+    shape = tuple(shape)
+    size = math.prod(shape)
+    flat = np.empty(5 * size + (size + 1) // 2, dtype=np.complex128)
+    complex_parts = (flat[i * size : (i + 1) * size].reshape(shape) for i in range(5))
+    real = flat[5 * size :].view(np.float64)[:size].reshape(shape)
+    return ComplexWork(*complex_parts, real)
+
+
+def _work_buffer(work: ComplexWork | None, name: str, shape: tuple, dtype=np.complex128):
+    """The buffer ``name`` of work as a C-contiguous array of ``shape`` (its
+    leading values); without a workspace, a new array of ``dtype``."""
+    if work is None:
+        return np.empty(shape, dtype=dtype)
+    return getattr(work, name).reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
 def real_work(shape: tuple, grid: GridSpec) -> RealWork:
     """Uninitialised RealWork for real arrays of ``shape`` (trailing axes = grid axes)."""
     shape = tuple(shape)
@@ -400,10 +452,21 @@ def hsigma_norm(u: ComplexField, sigma: float) -> float:
     return float(np.sqrt(u.grid.cell_volume * np.sum(w2 * np.abs(spec.values) ** 2)))
 
 
-def hsigma_norm_spectra(spec: np.ndarray, grid: GridSpec, sigma: float) -> np.ndarray:
-    """Sobolev norms of a stack of unitary spectra, by Plancherel."""
-    power = np.square(spec.real)
-    power += np.square(spec.imag)
+def hsigma_norm_spectra(
+    spec: np.ndarray, grid: GridSpec, sigma: float, work: ComplexWork | None = None
+) -> np.ndarray:
+    """Sobolev norms of a stack of unitary spectra, by Plancherel.
+
+    The squares of the spectra's float view go into work.tmp (in place when
+    spec is work.tmp) and each point's two squares are added into
+    work.real; without a workspace both are new arrays. The power has the
+    bits of square(real) + square(imag).
+    """
+    spec = np.ascontiguousarray(spec, dtype=np.complex128)
+    squares = _work_buffer(work, "tmp", spec.shape).view(np.float64)
+    np.square(spec.view(np.float64), out=squares)
+    power = _work_buffer(work, "real", spec.shape, np.float64)
+    np.add(squares[..., 0::2], squares[..., 1::2], out=power)
     power *= _jsigma_sq(grid.d, grid.n, grid.period, sigma)
     return np.sqrt(grid.cell_volume * np.sum(power, axis=grid_axes(spec, grid)))
 

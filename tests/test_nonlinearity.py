@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -37,6 +39,11 @@ from oracles import (
 )
 
 
+# smap.nonlinearity is also the name of a function the package exports.
+nonlinearity_module = importlib.import_module("smap.nonlinearity")
+spectral_module = importlib.import_module("smap.spectral")
+
+
 def const_field(grid, value):
     return ComplexField(grid, 0.0, PHYSICAL, np.full(grid.shape, value, dtype=complex))
 
@@ -52,6 +59,55 @@ class TestNZero:
     def test_two_i(self, grid32):
         out = n_zero(const_field(grid32, 2j), NO_DEALIAS)
         assert np.max(np.abs(out.values - (-0.8j))) < 1e-15
+
+    # The prefactor rounds |u| (numpy's complex abs, within 2 ulps), its
+    # square, 1 + |u|^2, the reciprocal 2/(1+|u|^2) and the product with
+    # each part. Four million random parts with |u| in 1e-150..1e150 were
+    # at most 6 ulps from the long-double value; the bound leaves a margin.
+    ULPS = 8
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).nmant < 60, reason="needs an extended long double oracle"
+    )
+    @given(
+        st.lists(
+            st.tuples(st.floats(-150.0, 150.0), st.floats(-np.pi, np.pi)),
+            min_size=8,
+            max_size=8,
+        )
+    )
+    def test_prefactor_matches_long_double_oracle(self, polar):
+        # |u| from 1e-150 to 1e150 in every direction: 2 conj(u)/(1+|u|^2)
+        # in long double, rounded once, within ULPS of each part (spacing of
+        # subnormal parts included). The values are those of numpy's complex
+        # division, the former kernel.
+        grid = GridSpec(1, 8, 1.0)
+        mag = 10.0 ** np.array([e for e, _ in polar])
+        angle = np.array([a for _, a in polar])
+        u = mag * np.cos(angle) + 1j * (mag * np.sin(angle))
+        got = n_zero(ComplexField(grid, 0.0, PHYSICAL, u), NO_DEALIAS).values
+        re, im = np.longdouble(u.real), np.longdouble(u.imag)
+        scale = np.longdouble(2) / (1 + re * re + im * im)
+        for part, exact in ((got.real, re * scale), (got.imag, -im * scale)):
+            want = exact.astype(np.float64)
+            assert np.all(np.abs(part - want) <= self.ULPS * np.spacing(np.abs(want)))
+        assert np.array_equal(got, 2.0 * np.conj(u) / (1.0 + np.abs(u) ** 2))
+
+    @pytest.mark.parametrize("value", [1e160, 1e155 + 1e155j, -3e200j, 1.4e308 - 1e300j])
+    def test_prefactor_is_zero_where_the_square_overflows(self, value):
+        grid = GridSpec(1, 8, 1.0)
+        with np.errstate(over="ignore"):
+            out = n_zero(const_field(grid, value), NO_DEALIAS).values
+        assert np.all(out == 0.0)
+
+    @pytest.mark.parametrize(
+        "value", [np.nan, complex(np.inf, 0.0), complex(1.0, np.inf), complex(np.nan, 1.0)]
+    )
+    def test_non_finite_stays_non_finite(self, value):
+        grid = GridSpec(1, 8, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = n_zero(const_field(grid, value), NO_DEALIAS).values
+        assert not np.any(np.isfinite(out))
 
 
 class TestNonlinearity:
@@ -253,9 +309,50 @@ class TestDealiasPolicy:
         rel = np.max(np.abs(spec[outside])) / np.max(np.abs(spec))
         assert rel < 1e-14
 
-    def test_none_rule_keeps_everything(self, grid32, rng):
+    def test_none_rule_keeps_everything(self, grid32, rng, monkeypatch):
         u = random_smooth_field(grid32, rng)
+        kept = u.values.copy()
+
+        def no_transform(*args, **kwargs):
+            raise AssertionError("the none rule made a transform")
+
+        monkeypatch.setattr(nonlinearity_module, "unitary_dft", no_transform)
+        monkeypatch.setattr(spectral_module.pypocketfft, "c2c", no_transform)
         assert NO_DEALIAS.apply_values(u.values, grid32) is u.values
+        assert NO_DEALIAS.apply_values(u.values, grid32, overwrite=True) is u.values
+        assert np.array_equal(u.values, kept)
+
+    @pytest.mark.parametrize("rule", ["two_thirds", "none"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [8, 10, 16, 24, 32, 64])
+    def test_band_corners_and_complement_cover_each_mode_once(self, d, n, rule):
+        # The corners (the kept box) and the complement slabs partition the
+        # spectrum; the corners are the mask's ones. Zeroing the slabs then
+        # equals the product with the 0/1 mask on finite data.
+        grid = GridSpec(d, n, 2.0)
+        policy = DealiasPolicy(rule)
+        band = policy.band(grid)
+        count = np.zeros(grid.shape, dtype=np.int64)
+        kept = np.zeros(grid.shape, dtype=bool)
+        for spectrum_index, _ in band.corners:
+            count[spectrum_index] += 1
+            kept[spectrum_index] = True
+        for slab in band.complement:
+            count[slab] += 1
+        assert np.all(count == 1)
+        assert np.array_equal(kept, policy.mask(grid).real == 1.0)
+        assert (rule == "none") == (band.complement == ())
+        if rule == "none":
+            return
+        rng = np.random.default_rng(d * 100 + n)
+        shape = (2,) + grid.shape
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        axes = tuple(range(1, d + 1))
+        spec = spectrum_of(values, axes=axes)
+        spec *= policy.mask(grid)
+        want = samples_of(spec, axes=axes)
+        assert np.array_equal(policy.apply_values(values, grid), want)
+        assert np.array_equal(policy.band(grid).clear(spectrum_of(values, axes=axes)), spec)
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError):

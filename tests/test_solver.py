@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -24,6 +26,7 @@ from smap.spectral import (
     FREQUENCY,
     PHYSICAL,
     ComplexField,
+    complex_work,
     hsigma_norm,
     hsigma_norm_spectra,
     real_work,
@@ -157,20 +160,25 @@ class TestCarriedSpectra:
         prev = free_trajectory(phi, uniform_times(0.125, 1.0 / 64.0))
         monkeypatch.setattr(solver, "BLOCK_BYTES", prev.values.nbytes)  # one block
         calls = []
-        for name in ("fftn", "ifftn"):
-            original = getattr(scipy.fft, name)
+        # The chart kernels transform on the binding (spectral.unitary_dft),
+        # everything else through scipy.fft; all are counted.
+        targets = [(scipy.fft, "fftn"), (scipy.fft, "ifftn")]
+        nonlinearity_module = importlib.import_module("smap.nonlinearity")
+        targets += [(solver, "unitary_dft"), (nonlinearity_module, "unitary_dft")]
+        for owner, name in targets:
+            original = getattr(owner, name)
 
             def counted(*args, _original=original, **kwargs):
                 calls.append(args[0].shape)
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(scipy.fft, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         # Stack transforms: the inverse of the rebuilt rows and d + 5 for
         # the nonlinearity.
         duhamel_map(phi, prev, TWO_THIRDS, SIGMA0)
         grid_shaped = sum(shape == grid.shape for shape in calls)
         assert grid_shaped <= 1  # phi_hat only
-        assert len(calls) - grid_shaped <= d + 6
+        assert len(calls) - grid_shaped == d + 6
 
 
 class TestBlockedMap:
@@ -237,6 +245,24 @@ class TestInPlaceMap:
         diff, sup = duhamel_map(phi, prev, policy, SIGMA0)
         assert np.array_equal(prev.values, want)
         assert (diff, sup) == (want_diff, want_sup)
+
+    def test_map_with_a_workspace_allocates_under_a_quarter_block(self, monkeypatch):
+        # After a warm-up, a map given the solve's workspace allocates only
+        # the carried rows, the per-row norms and numpy's buffers for
+        # strided operands (at most 3 x 8192 values, 384 KiB, per call,
+        # whatever the block): under a quarter of one 4 MiB block, so a
+        # per-block temporary cannot come back unnoticed.
+        grid = GridSpec(2, 32, 4.0)
+        monkeypatch.setattr(solver, "BLOCK_BYTES", 1 << 22)
+        phi = to_frequency(small_bump(grid, 1e-2))
+        traj, _ = picard_solve(phi, 0.5, 1.0 / 1024.0, sigma0=SIGMA0)
+        rows = solver._block_rows(grid)
+        assert rows == 256 and len(traj) > 2 * rows  # three blocks
+        work = complex_work((rows,) + grid.shape)
+        duhamel_map(phi, traj, TWO_THIRDS, SIGMA0, work)  # warm the caches
+        with traced_peak() as peak:
+            duhamel_map(phi, traj, TWO_THIRDS, SIGMA0, work)
+        assert peak.bytes < 0.25 * 16 * rows * grid.num_points
 
     def test_picard_peak_below_one_and_a_half_trajectories(self):
         grid = GridSpec(2, 32, 4.0)

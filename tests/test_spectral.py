@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from smap.errors import AxisOutOfRange, ConfigError, RepresentationMismatch
 from smap.grid import GridSpec
+from smap.nonlinearity import DealiasPolicy
 from smap import spectral
 from smap.spectral import (
     FREQUENCY,
@@ -204,6 +205,18 @@ class TestJsigma:
         assert not spectral._jsigma_sq(grid32.d, grid32.n, grid32.period, 1.6).flags.writeable
 
 
+    def test_norms_with_a_workspace_keep_their_bits(self, grid32, rng):
+        # With a workspace the squares go into work.tmp (in place when the
+        # spectra are work.tmp) and the power into work.real: same bits.
+        spec = np.stack([transform(random_smooth_field(grid32, rng), "forward").values] * 3)
+        spec[2] *= -0.25
+        want = hsigma_norm_spectra(spec, grid32, 1.6)
+        work = spectral.complex_work((4,) + grid32.shape)
+        assert np.array_equal(hsigma_norm_spectra(spec, grid32, 1.6, work), want)
+        work.tmp[:3] = spec
+        assert np.array_equal(hsigma_norm_spectra(work.tmp[:3], grid32, 1.6, work), want)
+
+
 class TestFreePropagate:
     def test_time_zero_identity(self, grid32, rng):
         u = random_smooth_field(grid32, rng)
@@ -391,6 +404,50 @@ class TestRealLaplacianKernel:
         power = np.square(spec.real) + np.square(spec.imag)
         energy = grid.cell_volume * np.sum(power * want, axis=(1, 2, 3))
         assert np.array_equal(hsigma_energy_real(x, grid, 1.0), energy)
+
+
+class TestBindingCalls:
+    """Every direct call of the pocketfft binding in spectral gives the bits
+    of scipy.fft's public functions, in place and out of place, so a scipy
+    whose private binding changes fails here rather than moving the outputs."""
+
+    CASES = [(1, 64), (2, 32), (3, 16)]
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("d, n", CASES)
+    def test_complex_dft(self, d, n, inverse):
+        grid = GridSpec(d, n, 2.0)
+        rng = np.random.default_rng(10 * d + inverse)
+        x = rng.standard_normal((3,) + grid.shape) + 1j * rng.standard_normal((3,) + grid.shape)
+        axes = tuple(range(1, d + 1))
+        public = scipy.fft.ifftn if inverse else scipy.fft.fftn
+        want = public(x, axes=axes, norm="ortho")
+        given = x.copy()
+        assert np.array_equal(spectral.unitary_dft(x, axes, inverse), want)
+        out = np.empty_like(x)
+        assert spectral.unitary_dft(x, axes, inverse, out=out) is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(x, given)
+        assert spectral.unitary_dft(x, axes, inverse, out=x) is x  # in place
+        assert np.array_equal(x, want)
+        alone = spectral.unitary_dft(given[1], tuple(range(-d, 0)), inverse)
+        assert np.array_equal(alone, public(given[1], norm="ortho"))
+
+    @pytest.mark.parametrize("d, n", CASES)
+    def test_half_spectrum_and_inverse(self, d, n):
+        grid = GridSpec(d, n, 2.0)
+        x = np.random.default_rng(d).standard_normal((3,) + grid.shape)
+        axes = tuple(range(1, d + 1))
+        want = scipy.fft.rfftn(x, axes=axes, norm="ortho")
+        assert np.array_equal(spectral._half_spectrum(x, axes), want)
+        out = np.empty_like(want)
+        assert spectral._half_spectrum(x, axes, out=out) is out
+        assert np.array_equal(out, want)
+        back = scipy.fft.irfftn(want, s=grid.shape, axes=axes, norm="ortho")
+        assert np.array_equal(spectral._half_inverse(want.copy(), x.shape, axes), back)
+        out = np.empty_like(x)
+        assert spectral._half_inverse(want.copy(), x.shape, axes, out=out) is out
+        assert np.array_equal(out, back)
 
 
 class TestThreadBudget:
