@@ -171,4 +171,8 @@ def load_config(path=None, **overrides) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config(path.read_text(), **overrides)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    return parse_config(text, **overrides)

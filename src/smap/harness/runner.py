@@ -46,7 +46,10 @@ def run(command: str, config: ExperimentConfig) -> int:
     if command == "norms":
         _norms_windows(config)  # checks only norms needs, before the output directory
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file on the path, or no permission
+        raise ConfigError(f"cannot use output directory {out}: {exc}") from exc
     return _DISPATCH[command](config, out)
 
 

@@ -34,8 +34,6 @@ from .spectral import (
     _work_buffer,
     grid_axes,
     laplacian_values,
-    samples_of,
-    spectrum_of,
     to_physical,
     unitary_dft,
 )
@@ -60,25 +58,19 @@ class DealiasPolicy:
         """The modes the rule keeps, as a box of the spectrum (all of them for none)."""
         return _band(grid.d, grid.n, grid.period, self.rule)
 
-    def apply_values(
-        self, values: np.ndarray, grid: GridSpec, overwrite: bool = False
-    ) -> np.ndarray:
-        """Truncate a raw complex array whose trailing axes are the grid axes.
+    def apply_values(self, values: np.ndarray, grid: GridSpec) -> np.ndarray:
+        """Truncate a complex array whose trailing axes are the grid axes, in
+        place, and return it.
 
-        overwrite lets a C-contiguous input receive the result in place;
-        otherwise the result is a new array. The modes outside the band are
-        set to zero, which equals the product with mask(grid) on finite
-        values. The none rule returns values itself.
+        The modes outside the band are set to zero, which equals the product
+        with mask(grid) on finite values. The none rule leaves values as
+        they are.
         """
         if self.rule == "none":
             return values
-        values = np.asarray(values, dtype=np.complex128)
-        out = values
-        if not (overwrite and values.flags.c_contiguous):
-            out = np.array(values, dtype=np.complex128)
-        axes = grid_axes(out, grid)
-        self.band(grid).clear(unitary_dft(out, axes, out=out))
-        return unitary_dft(out, axes, inverse=True, out=out)
+        axes = grid_axes(values, grid)
+        self.band(grid).clear(unitary_dft(values, axes, out=values))
+        return unitary_dft(values, axes, inverse=True, out=values)
 
 
 TWO_THIRDS = DealiasPolicy("two_thirds")
@@ -194,7 +186,7 @@ def _prefactor(
     np.multiply(u[..., 0::2], scale, out=vals[..., 0::2])
     np.negative(scale, out=scale)
     np.multiply(u[..., 1::2], scale, out=vals[..., 1::2])
-    return policy.apply_values(out, grid, overwrite=True)
+    return policy.apply_values(out, grid)
 
 
 def n_zero(u: ComplexField, policy: DealiasPolicy = TWO_THIRDS) -> ComplexField:
@@ -233,7 +225,7 @@ def nonlinearity_spectrum(
             np.square(g, out=grad_sq)
         else:
             grad_sq += np.square(g, out=g)
-    policy.apply_values(grad_sq, grid, overwrite=True)
+    policy.apply_values(grad_sq, grid)
     del g
     prod = _prefactor(u, grid, policy, work)
     prod *= grad_sq
@@ -244,8 +236,10 @@ def nonlinearity_spectrum(
 def nonlinearity(u: ComplexField, policy: DealiasPolicy = TWO_THIRDS) -> ComplexField:
     """Spatial part of the derivative nonlinearity: n_zero(u) * sum_j (d_j u)^2."""
     u = to_physical(u)
-    nl_hat = nonlinearity_spectrum(u.values[None], spectrum_of(u.values)[None], u.grid, policy)
-    return ComplexField(u.grid, u.time, PHYSICAL, samples_of(nl_hat[0]))
+    axes = grid_axes(u.values, u.grid)
+    u_hat = unitary_dft(u.values, axes)
+    nl = nonlinearity_spectrum(u.values[None], u_hat[None], u.grid, policy)[0]
+    return ComplexField(u.grid, u.time, PHYSICAL, unitary_dft(nl, axes, inverse=True, out=nl))
 
 
 def sphere_rhs(

@@ -50,7 +50,6 @@ from .spectral import (
     hsigma_norm,
     hsigma_norm_spectra,
     real_work,
-    samples_of,
     to_frequency,
     unitary_dft,
 )
@@ -66,6 +65,9 @@ STALL_COUNT = 3
 # d = 2, n = 64, blocks of 256 KiB to 1 MiB ran the Picard solves about 20%
 # faster than 4 MiB blocks; at d = 3, n = 32 the size made no difference.
 BLOCK_BYTES = 1 << 20
+
+# Inner fixed-point sweeps a midpoint step may take before it counts as stalled.
+MAX_SWEEPS = 100
 
 
 def default_sigma0(d: int) -> float:
@@ -175,7 +177,7 @@ class Trajectory:
             if forward is not None:
                 forward = forward[lo - start : hi - start]
             block = self._fill(lo, forward, dest)
-            yield lo, samples_of(block, axes=axes, overwrite=True)
+            yield lo, unitary_dft(block, axes, inverse=True, out=block)
 
     def snapshot(self, m: int) -> ComplexField:
         """Spectrum of snapshot m: the propagator recurrence runs to row m,
@@ -204,18 +206,17 @@ def _block_rows(grid: GridSpec) -> int:
     return max(1, BLOCK_BYTES // (16 * grid.num_points))
 
 
-def _propagator_blocks(times: np.ndarray, k2: np.ndarray, rows: int, out=None, buffer=None):
+def _propagator_blocks(times: np.ndarray, k2: np.ndarray, rows: int, buffer=None):
     """Phases e^{-i t_m |xi|^2} for consecutive blocks of ``rows`` times.
 
     Uniform grids of more than two times use a stepwise recurrence (one exp
     per grid instead of one per sample) that runs on across blocks: the
     first row of a block is the previous block's last row times the step,
     so every row is the same whatever the block size. Other grids take one
-    exp per row. Given out, a (times, *k2.shape) stack with contiguous
-    rows, the blocks are its row slices; given buffer, a contiguous
-    (rows, *k2.shape) array, every block is written into it (its row 0
-    before the carried last row is overwritten), so a block is valid until
-    the next one is drawn; otherwise each is a new array.
+    exp per row. Given buffer, a (rows, *k2.shape) stack with contiguous
+    rows, every block is written into it (its row 0 before the carried last
+    row is overwritten), so a block is valid until the next one is drawn;
+    otherwise each is a new array.
     """
     times = np.asarray(times, dtype=np.float64)
     flat = k2.ravel()
@@ -226,9 +227,7 @@ def _propagator_blocks(times: np.ndarray, k2: np.ndarray, rows: int, out=None, b
     last = None
     for start in range(0, times.size, rows):
         count = min(rows, times.size - start)
-        if out is not None:
-            block = out[start : start + count].reshape(count, flat.size, copy=False)
-        elif buffer is not None:
+        if buffer is not None:
             block = buffer[:count].reshape(count, flat.size, copy=False)
         else:
             block = np.empty((count, flat.size), dtype=np.complex128)
@@ -259,7 +258,7 @@ def propagator_stack(times: np.ndarray, k2: np.ndarray, out=None) -> np.ndarray:
     accurate ones.
     """
     times = np.asarray(times, dtype=np.float64)
-    return next(_propagator_blocks(times, k2, max(times.size, 1), out))
+    return next(_propagator_blocks(times, k2, max(times.size, 1), buffer=out))
 
 
 def free_trajectory(phi: ComplexField, times: np.ndarray) -> Trajectory:
@@ -482,7 +481,6 @@ def midpoint_snapshots(
     T: float,
     dt: float,
     inner_tol: float = 1e-12,
-    max_sweeps: int = 100,
 ):
     """Implicit midpoint integration of the sphere flow d_t s = s x Lap s,
     one snapshot at a time.
@@ -528,7 +526,7 @@ def midpoint_snapshots(
             np.multiply(2.0, step, out=v)
             v -= prev
             v += sm
-        for sweeps in range(1, max_sweeps + 1):
+        for sweeps in range(1, MAX_SWEEPS + 1):
             np.add(sm, v, out=mid)
             sphere_rhs(mid, grid, out=cand, scale=scale, work=work)
             cand += sm

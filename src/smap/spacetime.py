@@ -50,11 +50,10 @@ from .spectral import (
     fft_workers,
     grid_axes,
     psi,
-    samples_of,
-    spectrum_of,
     stack_empty,
     to_frequency,
     to_physical,
+    unitary_dft,
 )
 
 TIME_CUT = 2.0  # physical-time restriction used by the maximal-function norm
@@ -294,7 +293,7 @@ def _windowed(samples: np.ndarray, window: np.ndarray) -> np.ndarray:
 
 def _transform(samples: np.ndarray, grid: GridSpec, t_window: float) -> SpaceTimeSpectrum:
     """Spectrum of windowed samples, transformed and centred in their own buffer."""
-    spec = spectrum_of(samples, overwrite=True)
+    spec = unitary_dft(samples, range(samples.ndim), out=samples)
     space, signed_scale = _centring(grid.d, grid.n, grid.period, t_window, spec.shape[0])
     # Rows of one parity share the factor space * signed_scale, the spatial
     # signs times +-scale, so one pass over the rows has the bits of two.
@@ -365,7 +364,7 @@ def _free_rows(phi: ComplexField, times: np.ndarray, window: np.ndarray, out: np
         block = out[start : start + rows]
         spectra = _rows(block)
         spectra *= phi_hat
-        samples_of(block, axes=grid_axes(block, grid), overwrite=True)
+        unitary_dft(block, grid_axes(block, grid), inverse=True, out=block)
         _windowed(block, window[start : start + rows])
     return out
 
@@ -412,7 +411,8 @@ def free_cell_power(phi: ComplexField, m_t: int, t_window: float = 1.0) -> Poole
     grid = phi.grid
     times, window = _free_window(m_t, t_window)
     kappa, cls = np.unique(grid.wavenumber_sq(), return_inverse=True)
-    spec = spectrum_of(_windowed(propagator_stack(times, kappa), window), axes=(0,), overwrite=True)
+    spec = _windowed(propagator_stack(times, kappa), window)
+    unitary_dft(spec, (0,), out=spec)
     power = np.abs(spec)
     np.square(power, out=power)
     scale = _centring(grid.d, grid.n, grid.period, t_window, m_t)[1].flat[0]
@@ -446,7 +446,7 @@ def _shell_reductions(F: SpaceTimeSpectrum, weights: np.ndarray, time_keep: np.n
     parts *= mult[cols][:, None]
     parts *= np.repeat(1.0 / signed_scale, 2)
     # The time inverse runs in the gathered buffer, time still fastest.
-    part = samples_of(part, axes=(0,), overwrite=True, scaled=False)
+    unitary_dft(part, (0,), inverse=True, out=part, scaled=False)
     parts = _floats(part.T)
     parts *= _ortho_factor(F.values.size)
 
@@ -466,7 +466,8 @@ def _shell_reductions(F: SpaceTimeSpectrum, weights: np.ndarray, time_keep: np.n
         count = min(rows, m_t - start)
         work[:count] = 0.0
         work[:count, cols] = part[start : start + count]
-        u = samples_of(block[:count], axes=axes, overwrite=True, scaled=False)
+        u = block[:count]
+        unitary_dft(u, axes, inverse=True, out=u, scaled=False)
         mag = sq[1 : count + 1]
         np.abs(_rows(u), out=mag)
         keep = time_keep[start : start + count]

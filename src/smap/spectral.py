@@ -1,14 +1,19 @@
 """Discrete Fourier infrastructure for complex scalar fields.
 
-Real arrays (sphere components) have their own real-input transforms over
-the half spectrum: the Laplacian and the Sobolev energy of a real stack.
+One primitive makes every complex transform of a raw array: unitary_dft,
+the unitary DFT over chosen axes on scipy's pocketfft binding, in place or
+into a given buffer. Real arrays (sphere components) have their own
+real-input transforms over the half spectrum, on the same binding: the
+Laplacian and the Sobolev energy of a real stack. The ComplexField API
+(transform, to_frequency, to_physical) converts single fields through
+scipy.fft.
 
-Contains the unitary transform pair, the smooth dyadic cutoff family, the
+Contains the transforms, the smooth dyadic cutoff family, the
 Bessel-potential multiplier, Littlewood-Paley shell projections, spectral
-derivatives and the free Schrodinger propagator. All operators act as pure
-functions on immutable field snapshots. A caller may hand the real
-Laplacian a workspace (RealWork), and the chart kernels and the Sobolev
-norms of spectra one of their own (ComplexWork), to write into; a
+derivatives and the free Schrodinger propagator. The field operators
+return new fields and leave their inputs unchanged. A caller may hand the
+real Laplacian a workspace (RealWork), and the chart kernels and the
+Sobolev norms of spectra one of their own (ComplexWork), to write into; a
 workspace belongs to one call, solve or generator and is never shared, so
 concurrent callers stay independent.
 """
@@ -130,43 +135,21 @@ def to_physical(u: ComplexField) -> ComplexField:
     return u if u.representation == PHYSICAL else transform(u, "inverse")
 
 
-def spectrum_of(values: np.ndarray, axes=None, overwrite: bool = False) -> np.ndarray:
-    """Unitary forward DFT of a raw array over the given axes.
-
-    overwrite lets a complex input buffer receive the result in place.
-    """
-    return scipy.fft.fftn(
-        values, axes=axes, norm="ortho", workers=fft_workers(), overwrite_x=overwrite
-    )
-
-
-def samples_of(
-    spectrum: np.ndarray, axes=None, overwrite: bool = False, scaled: bool = True
+def unitary_dft(
+    values: np.ndarray, axes, inverse: bool = False, out=None, scaled: bool = True
 ) -> np.ndarray:
-    """Unitary inverse DFT of a raw array over the given axes (see spectrum_of).
-
-    scaled=False leaves out the 1/sqrt(points) factor.
-    """
-    return scipy.fft.ifftn(
-        spectrum,
-        axes=axes,
-        norm="ortho" if scaled else "forward",
-        workers=fft_workers(),
-        overwrite_x=overwrite,
-    )
-
-
-def unitary_dft(values: np.ndarray, axes, inverse: bool = False, out=None) -> np.ndarray:
     """Unitary complex DFT of a complex array over the given axes, written
-    into out if given (values itself transforms in place).
+    into out if given (out=values transforms in place).
 
     The call behind scipy.fft.fftn and ifftn(values, axes=axes, norm="ortho")
-    (inorm=1 is "ortho"), so it gives their bits, made on the pocketfft
+    (pocketfft's inorm=1), so it gives their bits, made on the pocketfft
     binding, which writes into a given out= and skips scipy.fft's argument
-    handling. The chart kernels make their transforms through it.
+    handling. scaled=False leaves out the 1/sqrt(points) factor (inorm=0,
+    the bits of ifftn(..., norm="forward") for an inverse). Every complex
+    transform of a raw array in the package goes through it.
     """
     axes = [a % values.ndim for a in axes]
-    return pypocketfft.c2c(values, axes, not inverse, 1, out, fft_workers())
+    return pypocketfft.c2c(values, axes, not inverse, int(scaled), out, fft_workers())
 
 
 def grid_axes(values: np.ndarray, grid: GridSpec) -> tuple:
@@ -251,8 +234,9 @@ def _apply_multiplier(u: ComplexField, mult: np.ndarray) -> ComplexField:
     """Multiply the spectrum by ``mult`` and return in the input representation."""
     if u.representation == FREQUENCY:
         return ComplexField(u.grid, u.time, FREQUENCY, u.values * mult)
-    spec = spectrum_of(u.values)
-    return ComplexField(u.grid, u.time, PHYSICAL, samples_of(spec * mult))
+    axes = grid_axes(u.values, u.grid)
+    spec = unitary_dft(u.values, axes) * mult
+    return ComplexField(u.grid, u.time, PHYSICAL, unitary_dft(spec, axes, inverse=True, out=spec))
 
 
 def lp_project(u: ComplexField, k: int) -> ComplexField:
@@ -356,28 +340,19 @@ def real_work(shape: tuple, grid: GridSpec) -> RealWork:
 
 
 def laplacian_values(
-    values: np.ndarray,
-    grid: GridSpec,
-    axes=None,
-    scale: float = 1.0,
-    work: RealWork | None = None,
+    values: np.ndarray, grid: GridSpec, scale: float = 1.0, work: RealWork | None = None
 ) -> np.ndarray:
-    """Spectral Laplacian of a raw array whose trailing axes are the grid axes,
+    """Spectral Laplacian of a real array whose trailing axes are the grid axes,
     times ``scale``.
 
-    Real input goes through the real-input half spectrum and comes back real,
+    The values go through the real-input half spectrum and come back real,
     with one cached multiplier -scale |xi|^2 applied in one pass. Given a
     workspace (real_work of the values' shape) the half spectrum and the
     result are written into it, and work.lap is returned; without one both
     are new arrays. A power-of-two scale changes no bit beyond the exact
     scaling.
     """
-    if axes is None:
-        axes = grid_axes(values, grid)
-    if np.iscomplexobj(values):
-        spec = spectrum_of(values, axes=axes)
-        spec *= -scale * grid.wavenumber_sq()
-        return samples_of(spec, axes=axes)
+    axes = grid_axes(values, grid)
     half, out = (None, None) if work is None else (work.half, work.lap)
     spec = _half_spectrum(values, axes, out=half)
     spec *= _half_laplacian(grid.d, grid.n, grid.period, scale)
@@ -425,10 +400,9 @@ def _half_inverse(spec: np.ndarray, shape: tuple, axes, out=None) -> np.ndarray:
     run in spec itself, so a caller with a workspace allocates nothing.
     """
     axes = [a % spec.ndim for a in axes]
-    workers = fft_workers()
     if len(axes) > 1:
-        pypocketfft.c2c(spec, axes[:-1], False, 0, spec, workers)
-    out = pypocketfft.c2r(spec, axes[-1:], shape[axes[-1]], False, 0, out, workers)
+        unitary_dft(spec, axes[:-1], inverse=True, out=spec, scaled=False)
+    out = pypocketfft.c2r(spec, axes[-1:], shape[axes[-1]], False, 0, out, fft_workers())
     out *= _ortho_factor(math.prod(shape[a] for a in axes))
     return out
 

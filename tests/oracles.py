@@ -2,13 +2,15 @@
 
 Every function here recomputes a quantity through a route that does not
 share code with the implementation it checks: dense-grid quadrature with
-raw numpy FFTs, closed-form evaluation, refined quadrature, or explicit
-finite differences. Tests compare library output against these values.
+raw numpy FFTs, scipy.fft's public transforms (spectrum_of, samples_of),
+closed-form evaluation, refined quadrature, or explicit finite
+differences. Tests compare library output against these values.
 """
 
 import math
 
 import numpy as np
+import scipy.fft
 
 from smap.grid import GridSpec
 from smap.nonlinearity import nonlinearity_spectrum
@@ -20,11 +22,21 @@ from smap.spectral import (
     eta_shell,
     hsigma_norm,
     hsigma_norm_spectra,
-    samples_of,
-    spectrum_of,
     to_frequency,
     to_physical,
 )
+
+
+def spectrum_of(values, axes=None):
+    """Unitary forward DFT over the given axes (all by default), by scipy.fft's
+    public fftn."""
+    return scipy.fft.fftn(values, axes=axes, norm="ortho")
+
+
+def samples_of(spectrum, axes=None, scaled=True):
+    """Unitary inverse DFT over the given axes (all by default), by scipy.fft's
+    public ifftn; scaled=False leaves out the 1/sqrt(points) factor."""
+    return scipy.fft.ifftn(spectrum, axes=axes, norm="ortho" if scaled else "forward")
 
 
 def mesh(grid):
@@ -521,7 +533,7 @@ def picard_full_storage(phi, T, dt, tol, max_iter, sigma0, policy):
         if diff < tol * phi_norm:
             break
         prev_diff = diff if diff > 0.0 else prev_diff
-    return records, samples_of(spectra, axes=tuple(range(1, grid.d + 1)), overwrite=True)
+    return records, samples_of(spectra, axes=tuple(range(1, grid.d + 1)))
 
 
 def l2_mass_direct(F):

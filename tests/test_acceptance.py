@@ -36,7 +36,6 @@ from smap.spectral import (
     hsigma_norm,
     hsigma_norm_spectra,
     l2_norm,
-    spectrum_of,
     to_frequency,
     to_physical,
     transform,
@@ -49,9 +48,11 @@ from oracles import (
     free_gaussian_quadrature,
     gradient_fd,
     hsigma_quadrature,
+    laplacian_c2c,
     lpq_separable_1d,
     mesh,
     plane_wave,
+    spectrum_of,
     xk_point_mass,
 )
 
@@ -314,11 +315,10 @@ def test_criterion_8_unit_test_oracles():
 
     # Chart pushforward of the flow field (plane wave: exact on the grid).
     from smap.nonlinearity import cross_rhs
-    from smap.spectral import laplacian_values
 
     gpw = plane_wave(small, k0, amp=0.3)
     got = cross_rhs(stereo_lift(gpw))
-    lap = laplacian_values(gpw.values, small)
+    lap = laplacian_c2c(gpw.values, small.d, small.n, small.period)
     nlv = nonlinearity(gpw, NO_DEALIAS).values
     add(
         "cross_rhs_chart_pushforward",

@@ -451,9 +451,10 @@ class TestRunnerAndCli:
 
     def test_picard_rebuilds_only_the_final_row(self, tmp_path, small_cfg, monkeypatch):
         # After each solve the command inverts one row, the snapshot it
-        # writes, and never the whole fixed point.
+        # writes, and never the whole fixed point: neither through scipy.fft
+        # (single fields) nor through the stack transform of the sample stream.
         grid = load_config(small_cfg).grid()
-        solve, inverse = runner.picard_solve, scipy.fft.ifftn
+        solve, inverse, stack_dft = runner.picard_solve, scipy.fft.ifftn, solver.unitary_dft
         after_solve = []
 
         def solve_then_count(*args, **kwargs):
@@ -467,8 +468,14 @@ class TestRunnerAndCli:
                 after_solve[-1].append(np.shape(x))
             return inverse(x, *args, **kwargs)
 
+        def counted_stack(x, *args, **kwargs):
+            if after_solve and after_solve[-1] is not None:
+                after_solve[-1].append(("stack", np.shape(x)))
+            return stack_dft(x, *args, **kwargs)
+
         monkeypatch.setattr(runner, "picard_solve", solve_then_count)
         monkeypatch.setattr(scipy.fft, "ifftn", counted)
+        monkeypatch.setattr(solver, "unitary_dft", counted_stack)
         cfg = load_config(small_cfg, out_dir=str(tmp_path / "out"), amplitudes=(1e-3, 1e-2))
         assert run("picard", cfg) == 0
         assert after_solve == [[grid.shape], [grid.shape]]
@@ -694,6 +701,28 @@ class TestRunnerAndCli:
         res = self.run_cli("picard", "--config", str(bad))
         assert res.returncode == 2
         assert "ConfigError" in res.stderr
+
+    def test_cli_config_not_utf8_exit_two(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"\xff\xfe")
+        res = self.run_cli("picard", "--config", str(bad), "--out", str(tmp_path / "o"))
+        assert res.returncode == 2, res.stderr
+        assert "ConfigError: cannot read config file" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under_file"])
+    def test_cli_output_path_through_a_file_exit_two(self, tmp_path, small_cfg, below):
+        # --out names an existing file, or a directory under one: the command
+        # exits 2 before any work and leaves the file as it was.
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n")
+        out = blocker / below if below else blocker
+        res = self.run_cli("picard", "--config", str(small_cfg), "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert "ConfigError: cannot use output directory" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert blocker.read_text() == "keep\n"
 
     @pytest.mark.parametrize(
         "line", ["amplitudes = nan", "shells = 40", "data_kind = nope", "dt = 0.003", "seed = -1"]

@@ -24,8 +24,6 @@ from smap.spectral import (
     gradient,
     l2_norm,
     laplacian_values,
-    samples_of,
-    spectrum_of,
     to_physical,
     transform,
 )
@@ -33,9 +31,12 @@ from smap.spectral import (
 from conftest import random_smooth_field
 from oracles import (
     chain_rule_pushforward,
+    laplacian_c2c,
     mesh,
     nonlinearity_spectrum_direct,
     plane_wave,
+    samples_of,
+    spectrum_of,
 )
 
 
@@ -226,7 +227,7 @@ class TestCrossRhs:
             grid = GridSpec(2, n, 1.0)
             g = plane_wave(grid, k0, amp=0.3)
             got = cross_rhs(stereo_lift(g))
-            lap = laplacian_values(g.values, grid)
+            lap = laplacian_c2c(g.values, grid.d, grid.n, grid.period)
             nl = nonlinearity(g, NO_DEALIAS).values
             expected = chain_rule_pushforward(g.values, 1j * (lap - nl))
             assert np.max(np.abs(got - expected)) < 1e-10
@@ -246,7 +247,7 @@ class TestCrossRhs:
             grid = GridSpec(2, n, 2.0)
             g = bump(grid)
             got = cross_rhs(stereo_lift(g))
-            lap = laplacian_values(g.values, grid)
+            lap = laplacian_c2c(g.values, grid.d, grid.n, grid.period)
             nl = nonlinearity(g, NO_DEALIAS).values
             expected = chain_rule_pushforward(g.values, 1j * (lap - nl))
             errs[n] = np.max(np.abs(got - expected))
@@ -286,20 +287,15 @@ class TestSphereRhs:
 class TestDealiasPolicy:
     @pytest.mark.parametrize("policy", [NO_DEALIAS, TWO_THIRDS])
     def test_inputs_left_unchanged(self, grid32, rng, policy):
+        # The kernel dealiases its own temporaries in place, never its inputs.
         u = random_smooth_field(grid32, rng, amp=0.4)
         stack = np.stack([u.values, np.conj(u.values)])
         stack_hat = spectrum_of(stack, axes=(1, 2))
         kept = u.values.copy(), stack.copy(), stack_hat.copy()
-        policy.apply_values(u.values, grid32)
-        policy.apply_values(stack, grid32)
         nonlinearity_spectrum(stack, stack_hat, grid32, policy)
+        nonlinearity(u, policy)
         for now, before in zip((u.values, stack, stack_hat), kept):
             assert np.array_equal(now, before)
-
-    def test_overwrite_gives_the_same_bits(self, grid32, rng):
-        values = np.stack([random_smooth_field(grid32, rng, band=grid32.nyquist).values] * 2)
-        want = TWO_THIRDS.apply_values(values, grid32)
-        assert np.array_equal(TWO_THIRDS.apply_values(values.copy(), grid32, overwrite=True), want)
 
     def test_two_thirds_support(self, grid32, rng):
         u = random_smooth_field(grid32, rng, band=grid32.nyquist)
@@ -319,7 +315,6 @@ class TestDealiasPolicy:
         monkeypatch.setattr(nonlinearity_module, "unitary_dft", no_transform)
         monkeypatch.setattr(spectral_module.pypocketfft, "c2c", no_transform)
         assert NO_DEALIAS.apply_values(u.values, grid32) is u.values
-        assert NO_DEALIAS.apply_values(u.values, grid32, overwrite=True) is u.values
         assert np.array_equal(u.values, kept)
 
     @pytest.mark.parametrize("rule", ["two_thirds", "none"])
@@ -351,8 +346,10 @@ class TestDealiasPolicy:
         spec = spectrum_of(values, axes=axes)
         spec *= policy.mask(grid)
         want = samples_of(spec, axes=axes)
-        assert np.array_equal(policy.apply_values(values, grid), want)
         assert np.array_equal(policy.band(grid).clear(spectrum_of(values, axes=axes)), spec)
+        # In place: the result is the input's own buffer.
+        assert policy.apply_values(values, grid) is values
+        assert np.array_equal(values, want)
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError):

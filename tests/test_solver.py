@@ -30,8 +30,6 @@ from smap.spectral import (
     hsigma_norm,
     hsigma_norm_spectra,
     real_work,
-    samples_of,
-    spectrum_of,
     to_frequency,
     to_physical,
 )
@@ -45,6 +43,8 @@ from oracles import (
     picard_full_storage,
     plane_wave,
     propagator_longdouble,
+    samples_of,
+    spectrum_of,
     sup_hsigma,
 )
 
@@ -160,8 +160,8 @@ class TestCarriedSpectra:
         prev = free_trajectory(phi, uniform_times(0.125, 1.0 / 64.0))
         monkeypatch.setattr(solver, "BLOCK_BYTES", prev.values.nbytes)  # one block
         calls = []
-        # The chart kernels transform on the binding (spectral.unitary_dft),
-        # everything else through scipy.fft; all are counted.
+        # Stack transforms run on spectral.unitary_dft, single fields through
+        # scipy.fft (ComplexField transforms); all are counted.
         targets = [(scipy.fft, "fftn"), (scipy.fft, "ifftn")]
         nonlinearity_module = importlib.import_module("smap.nonlinearity")
         targets += [(solver, "unitary_dft"), (nonlinearity_module, "unitary_dft")]

@@ -44,7 +44,6 @@ from smap.spectral import (
     ComplexField,
     eta_shell,
     fft_workers,
-    samples_of,
     stack_empty,
 )
 
@@ -56,6 +55,7 @@ from oracles import (
     omega_direct,
     plane_wave,
     region_mask_direct,
+    samples_of,
     section_sanity_direct,
     shell_mass_disjoint_direct,
     shell_reductions_oracle,

@@ -1,4 +1,6 @@
+import ast
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,13 +349,6 @@ class TestRealPath:
         assert got.shape == vals.shape[: vals.ndim - grid.d]
         assert np.all(np.abs(got - oracle) <= 1e-13 * oracle)
 
-    def test_complex_laplacian_unchanged(self, grid32, rng):
-        u = random_smooth_field(grid32, rng).values
-        got = laplacian_values(u, grid32)
-        assert np.iscomplexobj(got)
-        oracle = laplacian_c2c(u, 2, grid32.n, grid32.period)
-        assert np.max(np.abs(got - oracle)) <= 1e-13 * np.max(np.abs(oracle))
-
 
 class TestRealLaplacianKernel:
     @pytest.mark.parametrize("d, n", [(1, 64), (2, 32), (3, 16)])
@@ -406,32 +401,78 @@ class TestRealLaplacianKernel:
         assert np.array_equal(hsigma_energy_real(x, grid, 1.0), energy)
 
 
+def public_dft(x, axes, inverse, scaled=True):
+    """scipy.fft's public call for spectral.unitary_dft(x, axes, inverse, scaled=scaled)."""
+    if inverse:
+        return scipy.fft.ifftn(x, axes=axes, norm="ortho" if scaled else "forward")
+    return scipy.fft.fftn(x, axes=axes, norm="ortho" if scaled else "backward")
+
+
+def complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 class TestBindingCalls:
     """Every direct call of the pocketfft binding in spectral gives the bits
-    of scipy.fft's public functions, in place and out of place, so a scipy
-    whose private binding changes fails here rather than moving the outputs."""
+    of scipy.fft's public functions, in place and out of place, and on the
+    layouts the package transforms, so a scipy whose private binding
+    changes fails here rather than moving the outputs."""
 
     CASES = [(1, 64), (2, 32), (3, 16)]
 
+    @pytest.mark.parametrize("scaled", [True, False])
     @pytest.mark.parametrize("inverse", [False, True])
     @pytest.mark.parametrize("d, n", CASES)
-    def test_complex_dft(self, d, n, inverse):
+    def test_complex_dft(self, d, n, inverse, scaled):
         grid = GridSpec(d, n, 2.0)
-        rng = np.random.default_rng(10 * d + inverse)
-        x = rng.standard_normal((3,) + grid.shape) + 1j * rng.standard_normal((3,) + grid.shape)
+        x = complex_normal(np.random.default_rng(10 * d + inverse), (3,) + grid.shape)
         axes = tuple(range(1, d + 1))
-        public = scipy.fft.ifftn if inverse else scipy.fft.fftn
-        want = public(x, axes=axes, norm="ortho")
+        want = public_dft(x, axes, inverse, scaled)
         given = x.copy()
-        assert np.array_equal(spectral.unitary_dft(x, axes, inverse), want)
+        assert np.array_equal(spectral.unitary_dft(x, axes, inverse, scaled=scaled), want)
         out = np.empty_like(x)
-        assert spectral.unitary_dft(x, axes, inverse, out=out) is out
+        assert spectral.unitary_dft(x, axes, inverse, out=out, scaled=scaled) is out
         assert np.array_equal(out, want)
         assert np.array_equal(x, given)
-        assert spectral.unitary_dft(x, axes, inverse, out=x) is x  # in place
+        assert spectral.unitary_dft(x, axes, inverse, out=x, scaled=scaled) is x  # in place
         assert np.array_equal(x, want)
-        alone = spectral.unitary_dft(given[1], tuple(range(-d, 0)), inverse)
-        assert np.array_equal(alone, public(given[1], norm="ortho"))
+        alone = spectral.unitary_dft(given[1], tuple(range(-d, 0)), inverse, scaled=scaled)
+        assert np.array_equal(alone, public_dft(given[1], None, inverse, scaled))
+
+    @pytest.mark.parametrize("scaled", [True, False])
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("d, n", CASES)
+    def test_row_padded_stack_in_place(self, d, n, inverse, scaled):
+        # The space-time layer transforms stack_empty stacks in their own
+        # rows, over all d + 1 axes and over the grid axes; the pads between
+        # the rows are never written.
+        grid = GridSpec(d, n, 2.0)
+        x = complex_normal(np.random.default_rng(20 * d + inverse), (12,) + grid.shape)
+        for axes in (tuple(range(d + 1)), tuple(range(1, d + 1))):
+            stack = spectral.stack_empty(len(x), grid.shape)
+            pads = stack.base[:, grid.num_points :]
+            pads[...] = np.nan
+            stack[...] = x
+            got = spectral.unitary_dft(stack, axes, inverse, out=stack, scaled=scaled)
+            assert got is stack
+            assert np.array_equal(stack, public_dft(x, axes, inverse, scaled)), axes
+            assert np.all(np.isnan(pads))
+
+    @pytest.mark.parametrize("scaled", [True, False])
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_time_axis_of_gathered_columns(self, inverse, scaled):
+        # The shell reductions gather the support columns of a row-padded
+        # spectrum by a fancy index, (m_t, cols) with time running fastest in
+        # memory order of part.T, and transform along axis 0 in that buffer.
+        rng = np.random.default_rng(30 + inverse)
+        grid = GridSpec(2, 16, 2.0)
+        stack = spectral.stack_empty(48, grid.shape)
+        stack[...] = complex_normal(rng, stack.shape)
+        cols = np.flatnonzero(rng.random(grid.num_points) < 0.3)
+        part = stack.reshape(len(stack), grid.num_points, copy=False)[:, cols]
+        want = public_dft(part, (0,), inverse, scaled)
+        assert spectral.unitary_dft(part, (0,), inverse, out=part, scaled=scaled) is part
+        assert np.array_equal(part, want)
 
     @pytest.mark.parametrize("d, n", CASES)
     def test_half_spectrum_and_inverse(self, d, n):
@@ -448,6 +489,76 @@ class TestBindingCalls:
         out = np.empty_like(x)
         assert spectral._half_inverse(want.copy(), x.shape, axes, out=out) is out
         assert np.array_equal(out, back)
+
+
+def _calls_by_function(path: Path):
+    """(innermost enclosing function or None, dotted callee) of every call in a source file."""
+    found = []
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self):
+            self.scope = [None]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Call(self, node):
+            found.append((self.scope[-1], ast.unparse(node.func)))
+            self.generic_visit(node)
+
+    Visitor().visit(ast.parse(path.read_text()))
+    return found
+
+
+class TestOneTransformPath:
+    """The package's transforms, read off its source: one complex DFT of raw
+    arrays (unitary_dft), one real-input pair, and scipy.fft's public
+    functions only behind the ComplexField API."""
+
+    SOURCES = sorted(Path(spectral.__file__).parent.rglob("*.py"))
+
+    def test_backend_call_sites(self):
+        binding, public, numpy_fft = set(), set(), set()
+        for path in self.SOURCES:
+            for function, callee in _calls_by_function(path):
+                site = (path.name, function, callee)
+                if "pypocketfft" in callee:
+                    binding.add(site)
+                elif callee.startswith("scipy.fft"):
+                    public.add(site)
+                elif callee.startswith(("np.fft.", "numpy.fft.")):
+                    numpy_fft.add(callee)
+        assert binding == {
+            ("spectral.py", "unitary_dft", "pypocketfft.c2c"),
+            ("spectral.py", "_half_spectrum", "pypocketfft.r2c"),
+            ("spectral.py", "_half_inverse", "pypocketfft.c2r"),
+        }
+        assert public == {
+            ("spectral.py", "transform", "scipy.fft.fftn"),
+            ("spectral.py", "transform", "scipy.fft.ifftn"),
+        }
+        assert numpy_fft <= {"np.fft.fftfreq", "np.fft.rfftfreq"}  # frequencies, no transforms
+
+    def test_backends_imported_by_spectral_only(self):
+        for path in self.SOURCES:
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.startswith("scipy.fft") for name in names):
+                    assert path.name == "spectral.py", (path, names)
+
+    def test_reference_transforms_left_the_package(self):
+        assert not hasattr(spectral, "spectrum_of")
+        assert not hasattr(spectral, "samples_of")
 
 
 class TestThreadBudget:
