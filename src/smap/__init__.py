@@ -6,7 +6,6 @@ estimates.
 """
 
 from .errors import (
-    AxisOutOfRange,
     ChartViolation,
     ConfigError,
     DegenerateInput,
@@ -23,7 +22,7 @@ from .errors import (
 )
 from .geometry import SphereField, sobolev_distance, stereo_lift, stereo_project
 from .grid import GridSpec
-from .nonlinearity import DealiasPolicy, cross_rhs, n_zero, nonlinearity
+from .nonlinearity import DealiasPolicy
 from .report import NormReport
 from .solver import (
     PicardHistory,
@@ -38,21 +37,15 @@ from .spacetime import (
     SpaceTimeSpectrum,
     fsigma_upper,
     lemma_diagnostics,
-    lpq_norm,
     nsigma_upper,
     spacetime_transform,
-    xk_norm,
 )
 from .spectral import (
     ComplexField,
-    apply_jsigma,
     eta0,
     eta_shell,
-    free_propagate,
-    gradient,
     hsigma_norm,
     l2_norm,
-    lp_project,
     psi,
     transform,
 )

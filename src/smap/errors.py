@@ -18,10 +18,6 @@ class RepresentationMismatch(SmapError):
     """A transform direction conflicts with the field's representation tag."""
 
 
-class AxisOutOfRange(SmapError):
-    """A derivative axis index is outside 1..d."""
-
-
 class GridMismatch(SmapError):
     """Two fields or trajectories do not share the same grid."""
 

@@ -29,6 +29,15 @@ class GridSpec:
             raise ValueError(f"points per axis must be even and >= 8, got {self.n}")
         if not self.period > 0:
             raise ValueError(f"period must be positive, got {self.period}")
+        # The squared box length and the largest |xi|^2 must be finite floats,
+        # or data, weights and norms on the grid overflow.
+        box = 2.0 * math.pi * self.period
+        top = self.n / (2.0 * self.period)
+        if not (math.isfinite(box * box) and math.isfinite(self.d * top * top)):
+            raise ValueError(
+                f"period {self.period} overflows the grid: (2 pi period)^2 and "
+                f"d (n / (2 period))^2 must be finite"
+            )
 
     @property
     def shape(self) -> tuple:

@@ -14,7 +14,14 @@ import numpy as np
 
 from ..geometry import SphereField, sobolev_distance, stereo_lift, stereo_project
 from ..grid import GridSpec
-from ..nonlinearity import NO_DEALIAS, DealiasPolicy, cross_rhs, n_zero, nonlinearity
+from ..nonlinearity import (
+    NO_DEALIAS,
+    DealiasPolicy,
+    _derivative,
+    _prefactor,
+    nonlinearity_spectrum,
+    sphere_rhs,
+)
 from ..report import NormReport
 from ..solver import (
     Trajectory,
@@ -24,6 +31,7 @@ from ..solver import (
     gronwall_report,
     midpoint_snapshots,
     picard_solve,
+    propagator_stack,
     uniform_times,
 )
 from ..spacetime import (
@@ -39,17 +47,16 @@ from ..spectral import (
     PLATEAU,
     SUPPORT,
     ComplexField,
-    apply_jsigma,
     eta0,
     eta_shell,
-    free_propagate,
-    gradient,
+    grid_axes,
     hsigma_norm,
+    jsigma_weights,
     l2_norm,
-    lp_project,
     psi,
     to_physical,
     transform,
+    unitary_dft,
 )
 from .data import seeded_data
 from .snapshots import read_snapshot, write_snapshot
@@ -69,6 +76,17 @@ def _random_field(grid, rng, band=None):
     cut = band if band is not None else 0.95 * np.sqrt(grid.d) * grid.nyquist
     spec *= (radius < cut) / (1.0 + radius)
     return to_physical(ComplexField(grid, 0.0, "frequency", spec))
+
+
+def _multiplied(values: np.ndarray, grid: GridSpec, *mults) -> np.ndarray:
+    """Samples of values with the spectrum multiplied by each multiplier in
+    turn, one unitary_dft round trip per multiplier."""
+    axes = grid_axes(values, grid)
+    for mult in mults:
+        spec = unitary_dft(values, axes)
+        spec *= mult
+        values = unitary_dft(spec, axes, inverse=True, out=spec)
+    return values
 
 
 def _mask_drift(row: np.ndarray, mask: np.ndarray) -> float:
@@ -103,8 +121,8 @@ def _spacetime_checks(config, grid, rng, check) -> None:
     """
     wdt = 2.0 * config.t_window / 64
     samples = free_samples(_random_field(grid, rng, band=4.0), 64, config.t_window)
-    # time_reduction(samples, wdt, 2), shared by lpq_norm(samples, grid,
-    # wdt, e, p, 2) for every e and p, from the unscaled per-point sums.
+    # time_reduction(samples, wdt, 2), shared by the fiber norms for every
+    # e and p, from the unscaled per-point sums.
     power = time_reduction(samples, 1.0, 2)
     st_mass = np.sqrt(grid.cell_volume * wdt * np.sum(power))
     per_point = wdt * power
@@ -195,19 +213,22 @@ def _operator_checks(config, grid, rng, check) -> None:
         worst = max(worst, quot / bounds[order])
     check("eta_smoothness_proxy", worst, 1.0)
 
-    # multiplier algebra
-    a = free_propagate(apply_jsigma(lp_project(gradient(u, 1), 2), 1.3), 0.37)
-    b = gradient(apply_jsigma(free_propagate(lp_project(u, 2), 0.37), 1.3), 1)
+    # multiplier algebra, on the multipliers the solver and the norms apply
+    k2 = grid.wavenumber_sq()
+    derivative = [_derivative(grid.d, grid.n, grid.period, axis) for axis in range(grid.d)]
+    shell, bessel = eta_shell(2, np.sqrt(k2)), jsigma_weights(grid, 1.3)
+    p21, p34, p55, p37 = propagator_stack(np.array([0.21, 0.34, 0.55, 0.37]), k2)
+    a = _multiplied(u.values, grid, derivative[0], shell, bessel, p37)
+    b = _multiplied(u.values, grid, shell, p37, bessel, derivative[0])
     check(
         "multiplier_commutation",
-        np.max(np.abs(a.values - b.values)) / max(np.max(np.abs(a.values)), 1e-30),
+        np.max(np.abs(a - b)) / max(np.max(np.abs(a)), 1e-30),
         1e-12,
     )
-    g1 = free_propagate(free_propagate(u, 0.21), 0.34)
-    g2 = free_propagate(u, 0.55)
-    check("propagator_group_law", np.max(np.abs(g1.values - g2.values)), 1e-12)
-    jj = apply_jsigma(apply_jsigma(u, 1.7), -1.7)
-    check("jsigma_inverse", np.max(np.abs(jj.values - u.values)), 1e-12)
+    g1 = _multiplied(u.values, grid, p21, p34)
+    check("propagator_group_law", np.max(np.abs(g1 - _multiplied(u.values, grid, p55))), 1e-12)
+    jj = _multiplied(u.values, grid, jsigma_weights(grid, 1.7), jsigma_weights(grid, -1.7))
+    check("jsigma_inverse", np.max(np.abs(jj - u.values)), 1e-12)
 
     # chart
     g = ComplexField(grid, 0.0, PHYSICAL, 0.4 * u.values / np.max(np.abs(u.values)))
@@ -222,34 +243,32 @@ def _operator_checks(config, grid, rng, check) -> None:
     check("metric_symmetry", abs(d12 - d21), 1e-12)
     check("metric_triangle", max(tri, 0.0), 1e-12)
 
-    # nonlinearity
-    w = ComplexField(grid, 0.0, PHYSICAL, np.full(grid.shape, 2j))
-    check(
-        "nzero_pointwise",
-        np.max(np.abs(n_zero(w, NO_DEALIAS).values - (-0.8j))),
-        1e-14,
-    )
-    check("cross_tangency", np.max(np.abs(np.sum(s.values * cross_rhs(s), axis=0))), 1e-13)
+    # nonlinearity, on the kernels of the Picard solve and the midpoint sweep
+    w = np.full(grid.shape, 2j)
+    check("nzero_pointwise", np.max(np.abs(_prefactor(w, grid, NO_DEALIAS) - (-0.8j))), 1e-14)
+    rhs = sphere_rhs(s.values, grid)
+    check("cross_tangency", np.max(np.abs(np.sum(s.values * rhs, axis=0))), 1e-13)
     policy = DealiasPolicy(config.dealias)
-    base = _random_field(grid, rng, band=grid.nyquist / 3.0)
+    base = _random_field(grid, rng, band=grid.nyquist / 3.0).values
+    axes = grid_axes(base, grid)
+
+    def nl_spectrum(values, rule):
+        """nonlinearity_spectrum of one field, as a one-row stack."""
+        return nonlinearity_spectrum(values[None], unitary_dft(values, axes)[None], grid, rule)[0]
+
     sizes = {}
     for eps in (1e-2, 1e-3):
-        scaled = ComplexField(grid, 0.0, PHYSICAL, eps * base.values)
-        sizes[eps] = l2_norm(nonlinearity(scaled, policy)) / eps**3
+        nl = ComplexField(grid, 0.0, "frequency", nl_spectrum(eps * base, policy))
+        sizes[eps] = l2_norm(nl) / eps**3
     check("cubic_scaling", abs(sizes[1e-2] / sizes[1e-3] - 1.0), 1e-2)
-    conj_a = nonlinearity(ComplexField(grid, 0.0, PHYSICAL, np.conj(base.values)), NO_DEALIAS)
-    grad_sq = sum(
-        to_physical(gradient(base, ax)).values ** 2 for ax in range(1, grid.d + 1)
-    )
-    conj_b = 2.0 * base.values / (1.0 + np.abs(base.values) ** 2) * np.conj(grad_sq)
-    check("conjugation_symmetry", np.max(np.abs(conj_a.values - conj_b)), 1e-13)
+    conj_a = unitary_dft(nl_spectrum(np.conj(base), NO_DEALIAS), axes, inverse=True)
+    grad_sq = sum(_multiplied(base, grid, mult) ** 2 for mult in derivative)
+    conj_b = 2.0 * base / (1.0 + np.abs(base) ** 2) * np.conj(grad_sq)
+    check("conjugation_symmetry", np.max(np.abs(conj_a - conj_b)), 1e-13)
     if policy.rule == "two_thirds":
-        # Re-transforming the returned physical field adds one FFT roundtrip
-        # of rounding dust, so "vanishes identically" is tested relatively.
-        spec_nl = transform(nonlinearity(base, policy), "forward").values
-        outside = ~policy.mask(grid).astype(bool)
-        rel = np.max(np.abs(spec_nl[outside])) / max(np.max(np.abs(spec_nl)), 1e-300)
-        check("dealias_support", rel, 1e-14)
+        spec_nl = nl_spectrum(base, policy)
+        outside = max(np.max(np.abs(spec_nl[slab])) for slab in policy.band(grid).complement)
+        check("dealias_support", outside / max(np.max(np.abs(spec_nl)), 1e-300), 1e-14)
 
 
 def _solver_checks(config, grid, check):

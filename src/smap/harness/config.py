@@ -55,6 +55,10 @@ class ExperimentConfig:
             self.grid()  # d, n, period checks
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        try:
+            self.ensemble_grid()  # ensemble_period checks
+        except ValueError as exc:
+            raise ConfigError(f"ensemble grid: {exc}") from exc
         positive = ["T", "dt", "tol", "inner_tol", "t_window", "ensemble_period"]
         for name in positive:
             if not getattr(self, name) > 0:

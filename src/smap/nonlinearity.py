@@ -1,14 +1,16 @@
-"""Right-hand sides of both formulations of the flow.
+"""Right-hand sides of both formulations of the flow, on raw arrays.
 
-Chart side: the derivative Schrodinger nonlinearity
-2*conj(u)/(1+|u|^2) * sum_j (du/dx_j)^2, with the rational prefactor
-computed pointwise in real arithmetic: one real reciprocal 2/(1+|u|^2),
-then both parts (the denominator is at least 1, so it is total; where
-|u|^2 overflows the prefactor is 0). Given a workspace
-(spectral.ComplexWork), nonlinearity_spectrum writes every temporary into
-it and transforms in place on the pocketfft binding (spectral.unitary_dft);
-without one it runs the same steps into new arrays.
-Sphere side: the cross-product term s x Laplacian(s).
+Chart side: nonlinearity_spectrum, the spectrum of the derivative
+Schrodinger nonlinearity 2*conj(u)/(1+|u|^2) * sum_j (du/dx_j)^2 of a
+stack of snapshots. The derivatives are the multipliers _derivative, and
+the rational prefactor (_prefactor) is computed pointwise in real
+arithmetic: one real reciprocal 2/(1+|u|^2), then both parts (the
+denominator is at least 1, so it is total; where |u|^2 overflows the
+prefactor is 0). Given a workspace (spectral.ComplexWork),
+nonlinearity_spectrum writes every temporary into it and transforms in
+place on the pocketfft binding (spectral.unitary_dft); without one it runs
+the same steps into new arrays.
+Sphere side: sphere_rhs, the cross-product term s x Laplacian(s).
 
 Every physical-space product or composition is followed by the configured
 dealiasing rule, which zeroes the modes outside its band; the 2/3 rule is
@@ -24,17 +26,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import SphereField
 from .grid import GridSpec
 from .spectral import (
-    PHYSICAL,
-    ComplexField,
     ComplexWork,
     RealWork,
     _work_buffer,
     grid_axes,
     laplacian_values,
-    to_physical,
     unitary_dft,
 )
 
@@ -49,11 +47,6 @@ class DealiasPolicy:
         if self.rule not in ("two_thirds", "none"):
             raise ValueError(f"unknown dealias rule {self.rule!r}")
 
-    def mask(self, grid: GridSpec) -> np.ndarray:
-        """Read-only 0/1 multiplier of the kept modes, complex so that an
-        in-place product with a spectrum needs no cast buffer."""
-        return _dealias_mask(grid.d, grid.n, grid.period, self.rule)
-
     def band(self, grid: GridSpec) -> "Band":
         """The modes the rule keeps, as a box of the spectrum (all of them for none)."""
         return _band(grid.d, grid.n, grid.period, self.rule)
@@ -63,8 +56,8 @@ class DealiasPolicy:
         place, and return it.
 
         The modes outside the band are set to zero, which equals the product
-        with mask(grid) on finite values. The none rule leaves values as
-        they are.
+        with the band's 0/1 indicator on finite values. The none rule leaves
+        values as they are.
         """
         if self.rule == "none":
             return values
@@ -83,18 +76,6 @@ def _axis_keep(n: int, period: float, rule: str) -> np.ndarray:
         return np.ones(n, dtype=bool)
     grid = GridSpec(1, n, period)
     return np.abs(grid.axis_wavenumbers()) < (2.0 / 3.0) * grid.nyquist
-
-
-@lru_cache(maxsize=64)
-def _dealias_mask(d: int, n: int, period: float, rule: str) -> np.ndarray:
-    keep = _axis_keep(n, period, rule)
-    mask = np.ones((n,) * d, dtype=np.complex128)
-    for axis in range(d):
-        shape = [1] * d
-        shape[axis] = n
-        mask *= keep.reshape(shape)
-    mask.flags.writeable = False
-    return mask
 
 
 class Band(NamedTuple):
@@ -189,12 +170,6 @@ def _prefactor(
     return policy.apply_values(out, grid)
 
 
-def n_zero(u: ComplexField, policy: DealiasPolicy = TWO_THIRDS) -> ComplexField:
-    """Rational prefactor 2*conj(u)/(1+|u|^2); denominator >= 1, so total."""
-    u = to_physical(u)
-    return ComplexField(u.grid, u.time, PHYSICAL, _prefactor(u.values, u.grid, policy))
-
-
 def nonlinearity_spectrum(
     u: np.ndarray,
     u_hat: np.ndarray,
@@ -202,7 +177,8 @@ def nonlinearity_spectrum(
     policy: DealiasPolicy = TWO_THIRDS,
     work: ComplexWork | None = None,
 ) -> np.ndarray:
-    """Dealiased spectrum of n_zero(u) * sum_j (d_j u)^2 for a stack of snapshots.
+    """Dealiased spectrum of the nonlinearity 2*conj(u)/(1+|u|^2) * sum_j (d_j u)^2
+    (the prefactor is _prefactor) for a stack of snapshots.
 
     ``u`` holds physical samples and ``u_hat`` their unitary spectra; the
     trailing axes are the grid axes and any leading axes (time) are batched.
@@ -231,15 +207,6 @@ def nonlinearity_spectrum(
     prod *= grad_sq
     del grad_sq
     return policy.band(grid).clear(unitary_dft(prod, axes, out=prod))
-
-
-def nonlinearity(u: ComplexField, policy: DealiasPolicy = TWO_THIRDS) -> ComplexField:
-    """Spatial part of the derivative nonlinearity: n_zero(u) * sum_j (d_j u)^2."""
-    u = to_physical(u)
-    axes = grid_axes(u.values, u.grid)
-    u_hat = unitary_dft(u.values, axes)
-    nl = nonlinearity_spectrum(u.values[None], u_hat[None], u.grid, policy)[0]
-    return ComplexField(u.grid, u.time, PHYSICAL, unitary_dft(nl, axes, inverse=True, out=nl))
 
 
 def sphere_rhs(
@@ -277,8 +244,3 @@ def sphere_rhs(
     np.multiply(a0, b1, out=out[2])
     out[2] -= tmp
     return out
-
-
-def cross_rhs(s: SphereField) -> np.ndarray:
-    """Sphere-form right-hand side s x Laplacian(s) of a field; see sphere_rhs."""
-    return sphere_rhs(s.values, s.grid)

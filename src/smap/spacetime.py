@@ -52,7 +52,6 @@ from .spectral import (
     psi,
     stack_empty,
     to_frequency,
-    to_physical,
     unitary_dft,
 )
 
@@ -311,8 +310,9 @@ def windowed_samples(traj: Trajectory, t_window: float = 1.0) -> np.ndarray:
     a new row-padded stack (spectral.stack_empty); a trajectory whose times
     are off that grid is rejected. The rows inside the trajectory are
     rebuilt and inverted in their window rows (Trajectory.sample_blocks),
-    and the rows past either end evolve the end snapshot freely there
-    (_free_rows), so no other trajectory-sized array is built.
+    and the rows past either end evolve the end snapshot's spectrum
+    (Trajectory.snapshot) freely there (_free_rows), so no other
+    trajectory-sized array is built and no transform pair is spent on it.
     """
     dt = traj.dt
     times = _window_times(dt, t_window)
@@ -338,8 +338,7 @@ def windowed_samples(traj: Trajectory, t_window: float = 1.0) -> np.ndarray:
         side = np.flatnonzero(side & ~inside)
         if side.size:
             rows = slice(side[0], side[-1] + 1)
-            phi = to_physical(traj.snapshot(m))
-            _free_rows(phi, times[rows] - edge, window[rows], samples[rows])
+            _free_rows(traj.snapshot(m), times[rows] - edge, window[rows], samples[rows])
     return samples
 
 
@@ -350,7 +349,8 @@ def spacetime_transform(traj: Trajectory, t_window: float = 1.0) -> SpaceTimeSpe
 
 def _free_rows(phi: ComplexField, times: np.ndarray, window: np.ndarray, out: np.ndarray):
     """Windowed samples of the free evolution W(t) phi on the given times,
-    written into out, a (times, *grid) stack with contiguous rows.
+    written into out, a (times, *grid) stack with contiguous rows; a phi in
+    frequency form is used as it is.
 
     The propagator rows are written into out, and each time block of it is
     multiplied by phi_hat, inverted over space and windowed while it is in
@@ -615,21 +615,6 @@ def _square_sum(xk: np.ndarray, sigma: float) -> float:
     return math.sqrt(sum(2.0 ** (2.0 * sigma * k) * x**2 for k, x in enumerate(xk)))
 
 
-def xk_norm(F: SpaceTimeSpectrum, k: int) -> float:
-    """Dyadic space-time norm of the shell-k piece of the spectrum.
-
-    Weights the L2 mass at distance ~2^j from the free paraboloid by 2^(j/2)
-    and sums over j; the sum terminates at the sampled tau range.
-    """
-    return _at_shell(_xk_values(_shell_tables(F)[0]), k)
-
-
-def xk_section_sanity(F: SpaceTimeSpectrum, k: int) -> float:
-    """max_j ||eta_j(omega) . f_k||_Xk / ||f_k||_Xk; <= 1 by construction."""
-    power, diag, overlap = _shell_tables(F)
-    return _at_shell(_section_sanity(diag, overlap, _xk_values(power)), k)
-
-
 @lru_cache(maxsize=32)
 def _fibration(d: int, n: int, period: float, m: tuple) -> tuple:
     """Fibration of the grid along the lattice vector m, read-only.
@@ -646,10 +631,14 @@ def _fibration(d: int, n: int, period: float, m: tuple) -> tuple:
 
 
 def fiber_norm(per_point: np.ndarray, e, grid: GridSpec, p, q) -> float:
-    """L^p across the fibers along e of the L^q(fiber x time) norms.
+    """Discrete mixed norm: L^q over the hyperplane fiber x time, L^p
+    (1, 2 or inf) across the fiber offsets along a lattice-aligned
+    direction e.
 
-    per_point is the time reduction at each flattened grid point (see
-    time_reduction): dt * sum_t |u|^2 for q = 2, max_t |u| for q = inf.
+    per_point is the time reduction of the samples at each flattened grid
+    point (time_reduction): dt * sum_t |u|^2 for q = 2, max_t |u| for
+    q = inf. The weights are the Riemann weights of the fibration, so
+    p = q = 2 reproduces the space-time L2 norm for every lattice direction.
     """
     m = tuple(lattice_vector(e, grid.d).tolist())
     offset, w_perp, dr = _fibration(grid.d, grid.n, grid.period, m)
@@ -669,8 +658,8 @@ def time_reduction(values: np.ndarray, dt: float, q) -> np.ndarray:
     """Per-point time reduction of a (M_t, *grid.shape) stack, flattened over
     space: dt * sum_t |u|^2 for q = 2, max_t |u| for q = inf.
 
-    Every direction and every p of lpq_norm at one q share it, so a caller
-    that needs several can reduce once and run fiber_norm per direction.
+    Every direction and every p of fiber_norm at one q share it, so a caller
+    that needs several reduces once and runs fiber_norm per direction.
     The rows are reduced one at a time, in order, as np.sum and np.max
     over the time axis do, so no stack of |u| is formed.
     """
@@ -684,19 +673,6 @@ def time_reduction(values: np.ndarray, dt: float, q) -> np.ndarray:
         else:
             np.maximum(out, mag, out=out)
     return dt * out if q == 2 else out
-
-
-def lpq_norm(values: np.ndarray, grid: GridSpec, dt: float, e, p, q) -> float:
-    """Discrete mixed norm: L^q over the hyperplane fiber x time, L^p across
-    the fiber offsets along a lattice-aligned direction e.
-
-    values is a (M_t, *grid.shape) stack of physical samples; weights are the
-    Riemann weights of the fibration, so p = q = 2 reproduces the space-time
-    L2 norm for every lattice direction.
-    """
-    if p not in (1, 2, np.inf) or q not in (2, np.inf):
-        raise ValueError(f"unsupported exponents p={p}, q={q}")
-    return fiber_norm(time_reduction(values, dt, q), e, grid, p, q)
 
 
 def _sigma_upper(F: SpaceTimeSpectrum, sigma: float, paraboloid_weight: bool = False) -> float:

@@ -8,14 +8,15 @@ Laplacian and the Sobolev energy of a real stack. The ComplexField API
 (transform, to_frequency, to_physical) converts single fields through
 scipy.fft.
 
-Contains the transforms, the smooth dyadic cutoff family, the
-Bessel-potential multiplier, Littlewood-Paley shell projections, spectral
-derivatives and the free Schrodinger propagator. The field operators
-return new fields and leave their inputs unchanged. A caller may hand the
-real Laplacian a workspace (RealWork), and the chart kernels and the
-Sobolev norms of spectra one of their own (ComplexWork), to write into; a
-workspace belongs to one call, solve or generator and is never shared, so
-concurrent callers stay independent.
+Contains the transforms, the smooth dyadic cutoff family (eta_shell, the
+Littlewood-Paley weights), the Bessel-potential weights and the Sobolev
+norms. The other multipliers live with the kernels that apply them: the
+derivative in nonlinearity, the free propagator's phases in solver
+(propagator_stack). A caller may hand the real Laplacian a workspace
+(RealWork), and the chart kernels and the Sobolev norms of spectra one of
+their own (ComplexWork), to write into; a workspace belongs to one call,
+solve or generator and is never shared, so concurrent callers stay
+independent.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 import scipy.fft
 from scipy.fft._pocketfft import pypocketfft
 
-from .errors import AxisOutOfRange, ConfigError, GridMismatch, RepresentationMismatch
+from .errors import ConfigError, GridMismatch, RepresentationMismatch
 from .grid import GridSpec
 
 PHYSICAL = "physical"
@@ -227,24 +228,8 @@ def psi(t):
 
 
 # ---------------------------------------------------------------------------
-# Multiplier operators
+# Bessel potential
 # ---------------------------------------------------------------------------
-
-def _apply_multiplier(u: ComplexField, mult: np.ndarray) -> ComplexField:
-    """Multiply the spectrum by ``mult`` and return in the input representation."""
-    if u.representation == FREQUENCY:
-        return ComplexField(u.grid, u.time, FREQUENCY, u.values * mult)
-    axes = grid_axes(u.values, u.grid)
-    spec = unitary_dft(u.values, axes) * mult
-    return ComplexField(u.grid, u.time, PHYSICAL, unitary_dft(spec, axes, inverse=True, out=spec))
-
-
-def lp_project(u: ComplexField, k: int) -> ComplexField:
-    """Restrict to the dyadic frequency shell |xi| ~ 2^k with the smooth bump."""
-    if k < 0:
-        raise ValueError(f"shell index must be >= 0, got {k}")
-    return _apply_multiplier(u, eta_shell(k, np.sqrt(u.grid.wavenumber_sq())))
-
 
 def jsigma_weights(grid: GridSpec, sigma: float) -> np.ndarray:
     return (1.0 + grid.wavenumber_sq()) ** (sigma / 2.0)
@@ -256,25 +241,6 @@ def _jsigma_sq(d: int, n: int, period: float, sigma: float) -> np.ndarray:
     out = jsigma_weights(GridSpec(d, n, period), sigma) ** 2
     out.flags.writeable = False
     return out
-
-
-def apply_jsigma(u: ComplexField, sigma: float) -> ComplexField:
-    """Bessel-potential multiplier (1+|xi|^2)^(sigma/2); sigma may be negative."""
-    return _apply_multiplier(u, jsigma_weights(u.grid, sigma))
-
-
-def free_propagate(u: ComplexField, t: float) -> ComplexField:
-    """Free Schrodinger group: multiply the spectrum by exp(-i t |xi|^2)."""
-    out = _apply_multiplier(u, np.exp(-1j * t * u.grid.wavenumber_sq()))
-    out.time = u.time + t
-    return out
-
-
-def gradient(u: ComplexField, axis: int) -> ComplexField:
-    """Spectral partial derivative along ``axis`` (1-based, matching x_1..x_d)."""
-    if not 1 <= axis <= u.grid.d:
-        raise AxisOutOfRange(f"axis {axis} outside 1..{u.grid.d}")
-    return _apply_multiplier(u, 1j * u.grid.wavenumber_component(axis - 1))
 
 
 class RealWork(NamedTuple):

@@ -10,8 +10,11 @@ from hypothesis import settings
 sys.path.insert(0, str(Path(__file__).parent))
 
 from smap.grid import GridSpec
+from smap.nonlinearity import nonlinearity_spectrum
 from smap.solver import difference_energy, gronwall_report, midpoint_snapshots
 from smap.spectral import FREQUENCY, ComplexField, to_physical
+
+from oracles import samples_of, spectrum_of
 
 # Property tests draw the same examples on every run and stay short.
 settings.register_profile(
@@ -39,6 +42,21 @@ def random_smooth_field(grid, rng, band=None, amp=1.0):
     field = to_physical(ComplexField(grid, 0.0, FREQUENCY, spec))
     field.values *= amp / np.max(np.abs(field.values))
     return field
+
+
+def multiplied(values, grid, mult):
+    """Samples of values with the spectrum times mult, a multiplier of the
+    library, through the reference transforms."""
+    axes = tuple(range(values.ndim - grid.d, values.ndim))
+    return samples_of(spectrum_of(values, axes) * mult, axes)
+
+
+def nonlinearity_samples(values, grid, policy):
+    """Physical samples of the nonlinearity of one field: its one-row
+    nonlinearity_spectrum, through the reference transforms."""
+    stack = values[None]
+    nl = nonlinearity_spectrum(stack, spectrum_of(stack, tuple(range(1, grid.d + 1))), grid, policy)
+    return samples_of(nl[0])
 
 
 def physical_stack(traj):

@@ -23,7 +23,6 @@ from smap.spectral import (
     hsigma_norm,
     hsigma_norm_spectra,
     to_frequency,
-    to_physical,
 )
 
 
@@ -300,7 +299,7 @@ def windowed_samples_fancy(traj, t_window):
     for side, edge, snap in ((times < t0, t0, 0), (times > t_end, t_end, len(traj) - 1)):
         side &= ~inside
         if np.any(side):
-            ext = free_trajectory(to_physical(traj.snapshot(snap)), times[side] - edge)
+            ext = free_trajectory(traj.snapshot(snap), times[side] - edge)
             samples[side] = samples_of(ext.values, axes=axes)
     samples *= window_profile(times, t_window).reshape((m_t,) + (1,) * traj.grid.d)
     return samples
@@ -322,6 +321,16 @@ def sigma_sum_direct(F, sigma, paraboloid_weight=False):
     return float(np.sqrt(sum(4.0 ** (sigma * k) * x**2 for k, x in enumerate(xk))))
 
 
+def dealias_mask_direct(d, n, period, dealias=True):
+    """Boolean mask of the modes the 2/3 rule keeps (every mode without
+    dealiasing): each |xi_a| below 2/3 of the Nyquist wavenumber, rebuilt
+    from the definition."""
+    k = np.fft.fftfreq(n, d=1.0 / n) / period
+    xi = np.meshgrid(*([k] * d), indexing="ij")
+    cutoff = (2.0 / 3.0) * n / (2.0 * period)
+    return np.all([np.abs(x) < cutoff for x in xi], axis=0) | (not dealias)
+
+
 def nonlinearity_spectrum_direct(stack, d, n, period, dealias):
     """Dealiased unitary spectrum of 2 conj(u)/(1+|u|^2) sum_a (d_a u)^2, per snapshot.
 
@@ -330,8 +339,7 @@ def nonlinearity_spectrum_direct(stack, d, n, period, dealias):
     """
     k = np.fft.fftfreq(n, d=1.0 / n) / period
     xi = np.meshgrid(*([k] * d), indexing="ij")
-    cutoff = (2.0 / 3.0) * n / (2.0 * period)
-    mask = np.all([np.abs(x) < cutoff for x in xi], axis=0) if dealias else np.ones(xi[0].shape)
+    mask = dealias_mask_direct(d, n, period) if dealias else np.ones(xi[0].shape)
 
     def truncate(f):
         return np.fft.ifftn(np.fft.fftn(f) * mask) if dealias else f

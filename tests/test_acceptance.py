@@ -10,29 +10,29 @@ import pytest
 from smap.geometry import SphereField, sobolev_distance, stereo_lift
 from smap.grid import GridSpec
 from smap.harness.data import build_lemma_ensemble, seeded_data
-from smap.nonlinearity import NO_DEALIAS, nonlinearity
+from smap.nonlinearity import NO_DEALIAS, _derivative, sphere_rhs
 from smap.solver import (
     Trajectory,
     duhamel_map,
     free_trajectory,
     picard_solve,
+    propagator_stack,
     uniform_times,
 )
 from smap.spacetime import (
     DirectionSet,
     SpaceTimeSpectrum,
+    fiber_norm,
     fsigma_upper,
     lemma_diagnostics,
     pooled_max_slope,
     spacetime_transform,
-    xk_norm,
+    time_reduction,
 )
 from smap.spectral import (
     PHYSICAL,
     ComplexField,
     eta_shell,
-    free_propagate,
-    gradient,
     hsigma_norm,
     hsigma_norm_spectra,
     l2_norm,
@@ -41,7 +41,7 @@ from smap.spectral import (
     transform,
 )
 
-from conftest import gronwall_of, midpoint_stack, physical_stack
+from conftest import gronwall_of, midpoint_stack, multiplied, nonlinearity_samples, physical_stack
 from oracles import (
     chain_rule_pushforward,
     duhamel_constant_mode,
@@ -275,7 +275,7 @@ def test_criterion_8_unit_test_oracles():
     gg = GridSpec(2, 64, 4.0)
     Xg = mesh(gg)
     phi = ComplexField(gg, 0.0, PHYSICAL, np.exp(-(Xg[0] ** 2 + Xg[1] ** 2) / 2.0) + 0j)
-    out = free_propagate(phi, 0.25).values
+    out = physical_stack(free_trajectory(phi, [0.0, 0.25]))[1]
     x = gg.axis_coordinates()
     o1 = free_gaussian_quadrature([x], 0.25, 1.0, xi_max=12.0, xi_step=1.0 / 16.0)
     add("free_gaussian_quadrature", np.max(np.abs(out - np.multiply.outer(o1, o1))), 1e-8)
@@ -286,7 +286,8 @@ def test_criterion_8_unit_test_oracles():
     spec *= (radius < small.nyquist / 3.0) / (1.0 + radius) ** 2
     u = to_physical(ComplexField(small, 0.0, "frequency", spec))
     stencil = gradient_fd(u.values, 0, small.spacing)
-    spectral = to_physical(gradient(u, 1)).values
+    derivative = [_derivative(small.d, small.n, small.period, axis) for axis in (0, 1)]
+    spectral = multiplied(u.values, small, derivative[0])
     scale = np.max(np.abs(spectral))
     add(
         "gradient_fd_stencil",
@@ -298,15 +299,14 @@ def test_criterion_8_unit_test_oracles():
     k0 = np.array([1.0, 2.0])
     eps = 0.05
     um = plane_wave(small, k0, amp=eps)
-    nl = nonlinearity(um, NO_DEALIAS).values
+    nl = nonlinearity_samples(um.values, small, NO_DEALIAS)
     expected = -2.0 * np.sum(k0**2) * eps**3 / (1 + eps**2) * plane_wave(small, k0).values
     add("nonlinearity_single_mode", np.max(np.abs(nl - expected)), 1e-15)
 
     # Cubic power-series truncation.
-    grad_sq = sum(to_physical(gradient(u, ax)).values ** 2 for ax in (1, 2))
+    grad_sq = sum(multiplied(u.values, small, mult) ** 2 for mult in derivative)
     cubic = 2.0 * np.conj(u.values) * grad_sq
-    scaled = ComplexField(small, 0.0, PHYSICAL, 1e-2 * u.values)
-    rescaled = nonlinearity(scaled, NO_DEALIAS).values / 1e-6
+    rescaled = nonlinearity_samples(1e-2 * u.values, small, NO_DEALIAS) / 1e-6
     add(
         "nonlinearity_series_truncation",
         np.max(np.abs(rescaled - cubic)) / np.max(np.abs(cubic)),
@@ -314,12 +314,10 @@ def test_criterion_8_unit_test_oracles():
     )
 
     # Chart pushforward of the flow field (plane wave: exact on the grid).
-    from smap.nonlinearity import cross_rhs
-
     gpw = plane_wave(small, k0, amp=0.3)
-    got = cross_rhs(stereo_lift(gpw))
+    got = sphere_rhs(stereo_lift(gpw).values, small)
     lap = laplacian_c2c(gpw.values, small.d, small.n, small.period)
-    nlv = nonlinearity(gpw, NO_DEALIAS).values
+    nlv = nonlinearity_samples(gpw.values, small, NO_DEALIAS)
     add(
         "cross_rhs_chart_pushforward",
         np.max(np.abs(got - chain_rule_pushforward(gpw.values, 1j * (lap - nlv)))),
@@ -350,7 +348,9 @@ def test_criterion_8_unit_test_oracles():
     oracle_xk = xk_point_mass(
         2.5, tau[b] + lam, eta_shell(1, np.linalg.norm(k0)), F0.cell_measure
     )
-    add("xk_point_mass", abs(xk_norm(F0, 1) - oracle_xk), 1e-12)
+    point = lemma_diagnostics([("point", F0)], DirectionSet.default(2), shells=[1])
+    (xk,) = [row[4] for row in point.rows if row[0] == "point" and row[2] == "Xk"]
+    add("xk_point_mass", abs(xk - oracle_xk), 1e-12)
 
     # Windowed free mode: paraboloid concentration >= 99%.
     m_t = 256
@@ -364,13 +364,11 @@ def test_criterion_8_unit_test_oracles():
     add("window_concentration", 1.0 - frac, 0.01)
 
     # Separable mixed norm against 1-d computations.
-    from smap.spacetime import lpq_norm
-
     i = np.arange(small.n)
     a = 1.0 + np.cos(2 * np.pi * i / small.n)
     b_arr = rng.standard_normal((16, small.n)) + 1j * rng.standard_normal((16, small.n))
     vals_sep = a[None, :, None] * b_arr[:, None, :]
-    got_l = lpq_norm(vals_sep, small, 0.125, np.array([1.0, 0.0]), 1, 2)
+    got_l = fiber_norm(time_reduction(vals_sep, 0.125, 2), np.array([1.0, 0.0]), small, 1, 2)
     want_l = lpq_separable_1d(a, b_arr, small.spacing, small.spacing, 0.125, 1, 2)
     add("lpq_separable", abs(got_l - want_l) / want_l, 1e-10)
 
@@ -384,9 +382,10 @@ def test_criterion_8_unit_test_oracles():
         np.max(np.abs(sum(eta_shell(k, radii) for k in range(11)) - 1.0)),
         1e-12,
     )
-    ga = free_propagate(free_propagate(uu, 0.21), 0.34)
-    gb = free_propagate(uu, 0.55)
-    add("propagator_group_law", np.max(np.abs(ga.values - gb.values)), 1e-12)
+    p21, p34, p55 = propagator_stack(np.array([0.21, 0.34, 0.55]), small.wavenumber_sq())
+    ga = multiplied(multiplied(uu.values, small, p21), small, p34)
+    gb = multiplied(uu.values, small, p55)
+    add("propagator_group_law", np.max(np.abs(ga - gb)), 1e-12)
     lifted = stereo_lift(ComplexField(small, 0.0, PHYSICAL, 0.4 * u.values / np.max(np.abs(u.values))))
     add("lift_unit_norm", np.max(np.abs(np.sum(lifted.values**2, axis=0) - 1.0)), 1e-14)
 

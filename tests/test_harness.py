@@ -26,7 +26,7 @@ from smap.harness.runner import _norms_windows, run
 from smap.harness.snapshots import read_snapshot, write_snapshot
 from smap.nonlinearity import DealiasPolicy
 from smap.solver import midpoint_snapshots, picard_solve, uniform_times
-from smap.spacetime import DirectionSet, lemma_diagnostics, xk_norm
+from smap.spacetime import DirectionSet, _shell_tables, _xk_values, lemma_diagnostics
 from smap.spectral import PHYSICAL, ComplexField, hsigma_norm, to_frequency, to_physical
 
 from conftest import gronwall_of, midpoint_stack, physical_stack, traced_peak
@@ -371,7 +371,7 @@ class TestSeededData:
         assert len(modes) >= 2 * top - 1  # shell 1 may hold a single mode
         for name, factory in modes:
             F = factory()
-            xk = [xk_norm(F, k) for k in range(grid.max_shell + 1)]
+            xk = _xk_values(_shell_tables(F)[0])
             assert int(np.argmax(xk)) == int(name[len("mode_k") : -1]), (name, xk)
 
     def small_ensemble(self):
@@ -737,6 +737,36 @@ class TestRunnerAndCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "command, lines",
+        [
+            # seeded_data's width**2 raised OverflowError: a traceback, exit 1.
+            ("picard", "period = 1e200\n"),
+            # Overflow warnings, then exit 0 with the history of a garbage field.
+            ("picard", "period = 1e154\n"),
+            # NoContraction: ||phi|| = nan, exit 4.
+            ("picard", "period = 1e-300\n"),
+            # OverflowError in the shell kernel: a traceback, exit 1.
+            (
+                "norms",
+                "ensemble_period = 1e-300\nshells = 2\nensemble_samples = 256\ndt = 0.0078125\n",
+            ),
+            # Exit 2, but for "shells must not exceed -660".
+            ("norms", "ensemble_period = 1e200\n"),
+        ],
+    )
+    def test_cli_overflowing_period_exit_two(self, tmp_path, command, lines):
+        # A period whose squared box length or largest |xi|^2 is not a finite
+        # float is a config error, for the solve grid and the ensemble grid.
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("d = 1\nn = 16\n" + lines)
+        out = tmp_path / "o"
+        res = self.run_cli(command, "--config", str(bad), "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert "ConfigError" in res.stderr and "overflows the grid" in res.stderr
+        assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "lines",
         [
             # dt divides T but not the linear-estimate window 2 * t_window = 2.
@@ -814,6 +844,25 @@ class TestRunnerAndCli:
         assert res.returncode == 0
         header = (tmp_path / "o6" / "picard_amp0.csv").read_text().splitlines()[0]
         assert "subcritical=true" in header
+
+
+class TestVerifyContract:
+    # The route_d3 benchmark config; its verify.csv is the gate's baseline.
+    BASELINE = Path(__file__).resolve().parents[1] / "bench/baseline/route_d3/verify.csv"
+
+    @pytest.mark.parametrize("dealias", ["two_thirds", "none"])
+    def test_checks_match_the_route_d3_baseline(self, tmp_path, dealias):
+        # Names, order, thresholds and outcomes of every check; the none rule
+        # has no dealias_support check.
+        rows = [line.split(",") for line in self.BASELINE.read_text().splitlines()[1:]]
+        want = [(name, float(threshold), passed == "true") for name, _, threshold, passed in rows]
+        if dealias == "none":
+            want = [row for row in want if row[0] != "dealias_support"]
+        config = ExperimentConfig(
+            d=3, n=32, sigma0=2.1, amplitudes=(0.5,), seed=7, dealias=dealias
+        )
+        results = checks.run_checks(config, tmp_path)
+        assert [(r.name, r.threshold, r.passed) for r in results] == want
 
 
 class TestVerifySpaceTime:

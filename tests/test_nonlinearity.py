@@ -1,19 +1,18 @@
-import importlib
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from smap import nonlinearity as nonlinearity_module
+from smap import spectral as spectral_module
 from smap.geometry import stereo_lift
 from smap.grid import GridSpec
 from smap.nonlinearity import (
     NO_DEALIAS,
     TWO_THIRDS,
     DealiasPolicy,
-    cross_rhs,
-    n_zero,
-    nonlinearity,
+    _derivative,
+    _prefactor,
     nonlinearity_spectrum,
     sphere_rhs,
 )
@@ -21,16 +20,15 @@ from smap.solver import picard_solve
 from smap.spectral import (
     PHYSICAL,
     ComplexField,
-    gradient,
     l2_norm,
     laplacian_values,
     to_physical,
-    transform,
 )
 
-from conftest import random_smooth_field
+from conftest import multiplied, nonlinearity_samples, random_smooth_field
 from oracles import (
     chain_rule_pushforward,
+    dealias_mask_direct,
     laplacian_c2c,
     mesh,
     nonlinearity_spectrum_direct,
@@ -40,26 +38,31 @@ from oracles import (
 )
 
 
-# smap.nonlinearity is also the name of a function the package exports.
-nonlinearity_module = importlib.import_module("smap.nonlinearity")
-spectral_module = importlib.import_module("smap.spectral")
+def const_values(grid, value):
+    return np.full(grid.shape, value, dtype=complex)
 
 
-def const_field(grid, value):
-    return ComplexField(grid, 0.0, PHYSICAL, np.full(grid.shape, value, dtype=complex))
+def grad_sq(u):
+    """sum_j (d_j u)^2 of a field, by the kernel's derivative multipliers."""
+    grid = u.grid
+    return sum(
+        multiplied(u.values, grid, _derivative(grid.d, grid.n, grid.period, axis)) ** 2
+        for axis in range(grid.d)
+    )
 
 
 class TestNZero:
+    # The prefactor 2 conj(u) / (1 + |u|^2) of the nonlinearity kernel.
     def test_zero(self, grid32):
-        assert np.max(np.abs(n_zero(const_field(grid32, 0.0), NO_DEALIAS).values)) == 0.0
+        assert np.max(np.abs(_prefactor(const_values(grid32, 0.0), grid32, NO_DEALIAS))) == 0.0
 
     def test_one(self, grid32):
-        out = n_zero(const_field(grid32, 1.0), NO_DEALIAS)
-        assert np.max(np.abs(out.values - 1.0)) < 1e-15
+        out = _prefactor(const_values(grid32, 1.0), grid32, NO_DEALIAS)
+        assert np.max(np.abs(out - 1.0)) < 1e-15
 
     def test_two_i(self, grid32):
-        out = n_zero(const_field(grid32, 2j), NO_DEALIAS)
-        assert np.max(np.abs(out.values - (-0.8j))) < 1e-15
+        out = _prefactor(const_values(grid32, 2j), grid32, NO_DEALIAS)
+        assert np.max(np.abs(out - (-0.8j))) < 1e-15
 
     # The prefactor rounds |u| (numpy's complex abs, within 2 ulps), its
     # square, 1 + |u|^2, the reciprocal 2/(1+|u|^2) and the product with
@@ -86,7 +89,7 @@ class TestNZero:
         mag = 10.0 ** np.array([e for e, _ in polar])
         angle = np.array([a for _, a in polar])
         u = mag * np.cos(angle) + 1j * (mag * np.sin(angle))
-        got = n_zero(ComplexField(grid, 0.0, PHYSICAL, u), NO_DEALIAS).values
+        got = _prefactor(u, grid, NO_DEALIAS)
         re, im = np.longdouble(u.real), np.longdouble(u.imag)
         scale = np.longdouble(2) / (1 + re * re + im * im)
         for part, exact in ((got.real, re * scale), (got.imag, -im * scale)):
@@ -98,7 +101,7 @@ class TestNZero:
     def test_prefactor_is_zero_where_the_square_overflows(self, value):
         grid = GridSpec(1, 8, 1.0)
         with np.errstate(over="ignore"):
-            out = n_zero(const_field(grid, value), NO_DEALIAS).values
+            out = _prefactor(const_values(grid, value), grid, NO_DEALIAS)
         assert np.all(out == 0.0)
 
     @pytest.mark.parametrize(
@@ -107,14 +110,15 @@ class TestNZero:
     def test_non_finite_stays_non_finite(self, value):
         grid = GridSpec(1, 8, 1.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = n_zero(const_field(grid, value), NO_DEALIAS).values
+            out = _prefactor(const_values(grid, value), grid, NO_DEALIAS)
         assert not np.any(np.isfinite(out))
 
 
 class TestNonlinearity:
+    # One field at a time: a one-row nonlinearity_spectrum, inverted.
     def test_constant_field_vanishes(self, grid32):
-        out = nonlinearity(const_field(grid32, 0.3 + 0.2j), TWO_THIRDS)
-        assert np.max(np.abs(out.values)) < 1e-14
+        out = nonlinearity_samples(const_values(grid32, 0.3 + 0.2j), grid32, TWO_THIRDS)
+        assert np.max(np.abs(out)) < 1e-14
 
     @pytest.mark.parametrize("policy", [NO_DEALIAS, TWO_THIRDS])
     def test_single_mode_closed_form(self, grid32, policy):
@@ -127,22 +131,18 @@ class TestNonlinearity:
             -2.0 * np.sum(k0**2) * eps**3 / (1.0 + eps**2)
             * np.exp(1j * (k0[0] * mesh(grid32)[0] + k0[1] * mesh(grid32)[1]))
         )
-        out = nonlinearity(u, policy)
-        assert np.max(np.abs(out.values - expected)) < 1e-15
+        out = nonlinearity_samples(u.values, grid32, policy)
+        assert np.max(np.abs(out - expected)) < 1e-15
 
     def test_cubic_truncation_oracle(self, grid32, rng):
         # Oracle: the cubic term 2*conj(u)*sum (d_j u)^2 of the power series
         # (1+|eps u|^2)^(-1) = 1 - |eps u|^2 + ...; the truncation error is
         # O(eps^2) relative.
         u = random_smooth_field(grid32, rng, band=4.0)
-        grad_sq = sum(
-            to_physical(gradient(u, ax)).values ** 2 for ax in (1, 2)
-        )
-        cubic = 2.0 * np.conj(u.values) * grad_sq
+        cubic = 2.0 * np.conj(u.values) * grad_sq(u)
         errs = {}
         for eps in (1e-2, 1e-3):
-            scaled = ComplexField(grid32, 0.0, PHYSICAL, eps * u.values)
-            rescaled = nonlinearity(scaled, NO_DEALIAS).values / eps**3
+            rescaled = nonlinearity_samples(eps * u.values, grid32, NO_DEALIAS) / eps**3
             errs[eps] = np.max(np.abs(rescaled - cubic)) / np.max(np.abs(cubic))
         assert errs[1e-2] < 1e-3
         ratio = errs[1e-3] / errs[1e-2]
@@ -152,18 +152,15 @@ class TestNonlinearity:
         u = random_smooth_field(grid32, rng, band=4.0)
         sizes = []
         for eps in (1e-3, 3e-3, 1e-2):
-            scaled = ComplexField(grid32, 0.0, PHYSICAL, eps * u.values)
-            sizes.append(l2_norm(nonlinearity(scaled, TWO_THIRDS)) / eps**3)
+            nl = nonlinearity_samples(eps * u.values, grid32, TWO_THIRDS)
+            sizes.append(l2_norm(ComplexField(grid32, 0.0, PHYSICAL, nl)) / eps**3)
         assert max(sizes) / min(sizes) < 1.01
 
     def test_conjugation_symmetry(self, grid32, rng):
         u = random_smooth_field(grid32, rng, band=4.0)
-        out = nonlinearity(
-            ComplexField(grid32, 0.0, PHYSICAL, np.conj(u.values)), NO_DEALIAS
-        )
-        grad_sq = sum(to_physical(gradient(u, ax)).values ** 2 for ax in (1, 2))
-        direct = 2.0 * u.values / (1.0 + np.abs(u.values) ** 2) * np.conj(grad_sq)
-        assert np.max(np.abs(out.values - direct)) < 1e-13
+        out = nonlinearity_samples(np.conj(u.values), grid32, NO_DEALIAS)
+        direct = 2.0 * u.values / (1.0 + np.abs(u.values) ** 2) * np.conj(grad_sq(u))
+        assert np.max(np.abs(out - direct)) < 1e-13
 
 
 @st.composite
@@ -197,12 +194,12 @@ class TestNonlinearitySpectrum:
         assert np.max(np.abs(got - oracle)) <= 1e-13 * max(np.max(np.abs(oracle)), 1e-300)
 
     @pytest.mark.parametrize("policy", [NO_DEALIAS, TWO_THIRDS])
-    def test_wrapper_is_one_snapshot_of_the_kernel(self, grid32, rng, policy):
+    def test_stack_rows_are_one_snapshot_stacks(self, grid32, rng, policy):
         u = random_smooth_field(grid32, rng, amp=0.4)
         stack = np.stack([u.values, 0.5 * u.values, np.conj(u.values)])
         nl_hat = nonlinearity_spectrum(stack, spectrum_of(stack, axes=(1, 2)), grid32, policy)
         for m, v in enumerate(stack):
-            single = nonlinearity(ComplexField(grid32, 0.0, PHYSICAL, v), policy).values
+            single = nonlinearity_samples(v, grid32, policy)
             scale = np.max(np.abs(single))
             assert np.max(np.abs(samples_of(nl_hat[m]) - single)) <= 1e-14 * scale
 
@@ -212,11 +209,11 @@ class TestCrossRhs:
         from smap.geometry import SphereField
 
         s = SphereField.constant(grid32, (0.0, 0.0, 1.0))
-        assert np.max(np.abs(cross_rhs(s))) == 0.0
+        assert np.max(np.abs(sphere_rhs(s.values, grid32))) == 0.0
 
     def test_tangency(self, grid32, rng):
         s = stereo_lift(random_smooth_field(grid32, rng, amp=0.6))
-        dots = np.sum(s.values * cross_rhs(s), axis=0)
+        dots = np.sum(s.values * sphere_rhs(s.values, grid32), axis=0)
         assert np.max(np.abs(dots)) < 1e-13
 
     def test_matches_chart_pushforward_single_mode(self):
@@ -226,9 +223,9 @@ class TestCrossRhs:
         for n in (32, 64):
             grid = GridSpec(2, n, 1.0)
             g = plane_wave(grid, k0, amp=0.3)
-            got = cross_rhs(stereo_lift(g))
+            got = sphere_rhs(stereo_lift(g).values, grid)
             lap = laplacian_c2c(g.values, grid.d, grid.n, grid.period)
-            nl = nonlinearity(g, NO_DEALIAS).values
+            nl = nonlinearity_samples(g.values, grid, NO_DEALIAS)
             expected = chain_rule_pushforward(g.values, 1j * (lap - nl))
             assert np.max(np.abs(got - expected)) < 1e-10
 
@@ -246,9 +243,9 @@ class TestCrossRhs:
         for n in (16, 32):
             grid = GridSpec(2, n, 2.0)
             g = bump(grid)
-            got = cross_rhs(stereo_lift(g))
+            got = sphere_rhs(stereo_lift(g).values, grid)
             lap = laplacian_c2c(g.values, grid.d, grid.n, grid.period)
-            nl = nonlinearity(g, NO_DEALIAS).values
+            nl = nonlinearity_samples(g.values, grid, NO_DEALIAS)
             expected = chain_rule_pushforward(g.values, 1j * (lap - nl))
             errs[n] = np.max(np.abs(got - expected))
         assert errs[32] < errs[16] / 50.0
@@ -275,14 +272,6 @@ class TestSphereRhs:
         assert sphere_rhs(vals, grid, out=out) is out
         assert np.array_equal(out, expected)
 
-    @given(sphere_values())
-    def test_cross_rhs_is_sphere_rhs_of_the_values(self, case):
-        from smap.geometry import SphereField
-
-        grid, vals = case
-        s = SphereField(grid, 0.0, vals)
-        assert np.array_equal(cross_rhs(s), sphere_rhs(s.values, grid))
-
 
 class TestDealiasPolicy:
     @pytest.mark.parametrize("policy", [NO_DEALIAS, TWO_THIRDS])
@@ -291,18 +280,17 @@ class TestDealiasPolicy:
         u = random_smooth_field(grid32, rng, amp=0.4)
         stack = np.stack([u.values, np.conj(u.values)])
         stack_hat = spectrum_of(stack, axes=(1, 2))
-        kept = u.values.copy(), stack.copy(), stack_hat.copy()
+        kept = stack.copy(), stack_hat.copy()
         nonlinearity_spectrum(stack, stack_hat, grid32, policy)
-        nonlinearity(u, policy)
-        for now, before in zip((u.values, stack, stack_hat), kept):
+        for now, before in zip((stack, stack_hat), kept):
             assert np.array_equal(now, before)
 
     def test_two_thirds_support(self, grid32, rng):
         u = random_smooth_field(grid32, rng, band=grid32.nyquist)
-        out = nonlinearity(u, TWO_THIRDS)
-        spec = transform(out, "forward").values
-        outside = ~TWO_THIRDS.mask(grid32).astype(bool)
-        rel = np.max(np.abs(spec[outside])) / np.max(np.abs(spec))
+        stack = u.values[None]
+        spec = nonlinearity_spectrum(stack, spectrum_of(stack, axes=(1, 2)), grid32, TWO_THIRDS)
+        outside = ~dealias_mask_direct(grid32.d, grid32.n, grid32.period)
+        rel = np.max(np.abs(spec[0][outside])) / np.max(np.abs(spec))
         assert rel < 1e-14
 
     def test_none_rule_keeps_everything(self, grid32, rng, monkeypatch):
@@ -322,8 +310,8 @@ class TestDealiasPolicy:
     @pytest.mark.parametrize("n", [8, 10, 16, 24, 32, 64])
     def test_band_corners_and_complement_cover_each_mode_once(self, d, n, rule):
         # The corners (the kept box) and the complement slabs partition the
-        # spectrum; the corners are the mask's ones. Zeroing the slabs then
-        # equals the product with the 0/1 mask on finite data.
+        # spectrum; the corners are the modes the oracle mask keeps. Zeroing
+        # the slabs then equals the product with that 0/1 mask on finite data.
         grid = GridSpec(d, n, 2.0)
         policy = DealiasPolicy(rule)
         band = policy.band(grid)
@@ -335,7 +323,7 @@ class TestDealiasPolicy:
         for slab in band.complement:
             count[slab] += 1
         assert np.all(count == 1)
-        assert np.array_equal(kept, policy.mask(grid).real == 1.0)
+        assert np.array_equal(kept, dealias_mask_direct(d, n, 2.0, rule == "two_thirds"))
         assert (rule == "none") == (band.complement == ())
         if rule == "none":
             return
@@ -344,7 +332,7 @@ class TestDealiasPolicy:
         values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         axes = tuple(range(1, d + 1))
         spec = spectrum_of(values, axes=axes)
-        spec *= policy.mask(grid)
+        spec *= dealias_mask_direct(d, n, 2.0)
         want = samples_of(spec, axes=axes)
         assert np.array_equal(policy.band(grid).clear(spectrum_of(values, axes=axes)), spec)
         # In place: the result is the input's own buffer.
@@ -380,7 +368,8 @@ class TestGaugeConsistency:
                 - 8 * lifted[mid - 1]
                 + lifted[mid - 2]
             ) / (12 * dt)
-            diff = dts - cross_rhs(stereo_lift(to_physical(traj.snapshot(mid))))
+            mid_values = stereo_lift(to_physical(traj.snapshot(mid))).values
+            diff = dts - sphere_rhs(mid_values, grid)
             return float(np.sqrt(grid.cell_volume * np.sum(diff**2)))
 
         r1, r2 = residual(1.0 / 32.0), residual(1.0 / 64.0)

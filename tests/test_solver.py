@@ -1,5 +1,3 @@
-import importlib
-
 import numpy as np
 import pytest
 import scipy.fft
@@ -10,7 +8,8 @@ from smap.errors import GridMismatch, InnerDivergence, NoContraction
 from smap.geometry import SphereField, stereo_lift
 from smap.grid import GridSpec
 from smap.harness.data import DATA_KINDS, seeded_data
-from smap.nonlinearity import NO_DEALIAS, TWO_THIRDS, DealiasPolicy, nonlinearity, sphere_rhs
+from smap.nonlinearity import NO_DEALIAS, TWO_THIRDS, DealiasPolicy, sphere_rhs
+from smap import nonlinearity as nonlinearity_module
 from smap import solver
 from smap.solver import (
     Trajectory,
@@ -36,6 +35,7 @@ from smap.spectral import (
 
 from conftest import gronwall_of, midpoint_stack, physical_stack, random_smooth_field, traced_peak
 from oracles import (
+    dealias_mask_direct,
     duhamel_constant_mode,
     duhamel_map_unblocked,
     mesh,
@@ -163,7 +163,6 @@ class TestCarriedSpectra:
         # Stack transforms run on spectral.unitary_dft, single fields through
         # scipy.fft (ComplexField transforms); all are counted.
         targets = [(scipy.fft, "fftn"), (scipy.fft, "ifftn")]
-        nonlinearity_module = importlib.import_module("smap.nonlinearity")
         targets += [(solver, "unitary_dft"), (nonlinearity_module, "unitary_dft")]
         for owner, name in targets:
             original = getattr(owner, name)
@@ -298,7 +297,7 @@ class TestBandStorage:
         times = uniform_times((samples - 1) / 64.0, 1.0 / 64.0)
         free = propagator_stack(times, grid.wavenumber_sq()) * phi.values
         traj = Trajectory(grid, times, free.copy())
-        outside = ~policy.mask(grid).astype(bool)
+        outside = ~dealias_mask_direct(d, grid.n, grid.period, rule == "two_thirds")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver, "BLOCK_BYTES", 3 * 16 * grid.num_points)  # 3-row blocks
             for _ in range(3):
@@ -721,3 +720,82 @@ class TestTrajectory:
         monkeypatch.setattr(solver, "_propagator_blocks", no_phases)
         assert np.array_equal(physical_stack(traj), want)
         assert np.array_equal(traj.snapshot(5).values, traj.values[5])
+
+
+def random_rotation(seed):
+    """A rotation matrix in SO(3) from the QR factors of a Gaussian matrix."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    q *= np.sign(np.diag(r))
+    if np.linalg.det(q) < 0.0:
+        q[:, 0] *= -1.0
+    return q
+
+
+class TestSymmetries:
+    """Both routes commute with the symmetries of the flow, to rounding.
+
+    The chart route (picard_solve, whose nonlinearity is
+    nonlinearity_spectrum) commutes with the phase rotation u -> e^{i theta} u,
+    the rotation about the chart's base point, and with grid translations;
+    the sphere route (midpoint_snapshots on sphere_rhs) with every rotation
+    in SO(3). A converged Picard solve or midpoint step may stop one sweep
+    apart from its image, so the bounds sit above the solve tolerances; an
+    equivariance defect of the kernels is many orders larger.
+    """
+
+    @staticmethod
+    def chart_data(d, kind, amp, seed):
+        grid = GridSpec(d, 16, 2.0)
+        return grid, to_physical(seeded_data(kind, amp, seed, grid, SIGMA0))
+
+    @staticmethod
+    def solve(phi):
+        traj, _ = picard_solve(phi, 0.125, 1.0 / 64.0, sigma0=SIGMA0)
+        return physical_stack(traj)
+
+    @given(
+        d=st.sampled_from([1, 2]),
+        kind=st.sampled_from(DATA_KINDS),
+        amp=st.floats(0.05, 0.5),
+        seed=st.integers(0, 2**16),
+        theta=st.floats(0.1, 2.0 * np.pi - 0.1),
+    )
+    def test_picard_commutes_with_phase_rotation(self, d, kind, amp, seed, theta):
+        grid, phi = self.chart_data(d, kind, amp, seed)
+        turn = np.exp(1j * theta)
+        base = self.solve(phi)
+        turned = self.solve(ComplexField(grid, 0.0, PHYSICAL, turn * phi.values))
+        assert np.max(np.abs(turned - turn * base)) <= 1e-9 * np.max(np.abs(base))
+
+    @given(
+        d=st.sampled_from([1, 2]),
+        kind=st.sampled_from(DATA_KINDS),
+        amp=st.floats(0.05, 0.5),
+        seed=st.integers(0, 2**16),
+        shift=st.tuples(st.integers(1, 15), st.integers(0, 15)),
+    )
+    def test_picard_commutes_with_translation(self, d, kind, amp, seed, shift):
+        grid, phi = self.chart_data(d, kind, amp, seed)
+        axes = tuple(range(d))
+        shift = shift[:d]
+        base = self.solve(phi)
+        moved = self.solve(ComplexField(grid, 0.0, PHYSICAL, np.roll(phi.values, shift, axes)))
+        want = np.roll(base, shift, tuple(a + 1 for a in axes))
+        assert np.max(np.abs(moved - want)) <= 1e-9 * np.max(np.abs(base))
+
+    @given(
+        d=st.sampled_from([1, 2]),
+        kind=st.sampled_from(DATA_KINDS),
+        amp=st.floats(0.05, 0.5),
+        seed=st.integers(0, 2**16),
+        turn=st.integers(0, 2**16),
+    )
+    def test_midpoint_commutes_with_rotation(self, d, kind, amp, seed, turn):
+        grid, phi = self.chart_data(d, kind, amp, seed)
+        s0 = stereo_lift(phi)
+        rot = random_rotation(turn)
+        base = midpoint_stack(s0, 0.0625, 1.0 / 128.0)
+        s0_turned = SphereField(grid, 0.0, np.tensordot(rot, s0.values, 1))
+        turned = midpoint_stack(s0_turned, 0.0625, 1.0 / 128.0)
+        want = np.einsum("ij,mj...->mi...", rot, base)
+        assert np.max(np.abs(turned - want)) <= 1e-10

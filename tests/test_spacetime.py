@@ -27,15 +27,12 @@ from smap.spacetime import (
     fsigma_upper,
     lattice_vector,
     lemma_diagnostics,
-    lpq_norm,
     nsigma_upper,
     pooled_max_slope,
     spacetime_transform,
     time_reduction,
     window_profile,
     windowed_samples,
-    xk_norm,
-    xk_section_sanity,
 )
 from smap.spectral import (
     FREQUENCY,
@@ -71,6 +68,24 @@ from oracles import (
     xk_direct,
     xk_point_mass,
 )
+
+
+def shell_table_values(F, k):
+    """(X_k, R1) of shell k, read from the shell tables as lemma_diagnostics
+    reads them."""
+    power, diag, overlap = spacetime._shell_tables(F)
+    xk = spacetime._xk_values(power)
+    r1 = spacetime._section_sanity(diag, overlap, xk)
+    return spacetime._at_shell(xk, k), spacetime._at_shell(r1, k)
+
+
+def table_xk(F, k):
+    return shell_table_values(F, k)[0]
+
+
+def mixed_norm(values, grid, dt, e, p, q):
+    """Mixed norm of a sample stack: its time reduction, then the fiber norm."""
+    return fiber_norm(time_reduction(values, dt, q), e, grid, p, q)
 
 
 def window_grid(t_window=1.0, m_t=64):
@@ -318,7 +333,7 @@ class TestTransform:
 class TestXkNorm:
     def test_zero_spectrum(self, grid32):
         F = SpaceTimeSpectrum(grid32, 1.0, np.zeros((64,) + grid32.shape, complex))
-        assert xk_norm(F, 2) == 0.0
+        assert table_xk(F, 2) == 0.0
 
     def test_point_mass_oracle(self, grid32):
         k0 = np.array([3.0, 1.0])
@@ -334,7 +349,7 @@ class TestXkNorm:
         omega = tau[b] + lam
         for k in (1, 2, 3):
             oracle = xk_point_mass(2.5, omega, eta_shell(k, np.linalg.norm(k0)), F.cell_measure)
-            assert xk_norm(F, k) == pytest.approx(oracle, abs=1e-12, rel=1e-12)
+            assert table_xk(F, k) == pytest.approx(oracle, abs=1e-12, rel=1e-12)
 
     def test_free_evolution_j_structure(self, grid32):
         # Shell norm of a windowed free wave = window shell sum K_w times the
@@ -368,7 +383,7 @@ class TestXkNorm:
             / (2.0 * np.pi) ** (grid32.d / 2.0)
             / np.sqrt(1.0 / grid32.period**2)
         )
-        measured = xk_norm(F, 2)
+        measured = table_xk(F, 2)
         assert measured == pytest.approx(oracle, rel=1e-10)
         tail = sum(terms[4:]) / sum(terms)
         assert 0.25 < tail < 0.35  # frozen from the window-transform oracle
@@ -379,7 +394,7 @@ class TestXkNorm:
         )
         F = SpaceTimeSpectrum(grid32, 1.0, vals)
         for k in (0, 1, 2, 3):
-            assert 0.0 < xk_section_sanity(F, k) <= 1.0 + 1e-12
+            assert 0.0 < shell_table_values(F, k)[1] <= 1.0 + 1e-12
 
     def test_region_mask_idempotent(self, grid32, rng):
         vals = rng.standard_normal((32,) + grid32.shape) + 0j
@@ -432,8 +447,8 @@ def assert_matches_oracle(F):
         assert abs(got - want) <= 1e-12 * abs(want), (got, want)
 
     for k, want in enumerate(xk_direct(F)):
-        close(xk_norm(F, k), want)
-        close(xk_section_sanity(F, k), section_sanity_direct(F, k))
+        close(table_xk(F, k), want)
+        close(shell_table_values(F, k)[1], section_sanity_direct(F, k))
     for sigma in (0.0, 1.6):
         close(fsigma_upper(F, sigma), sigma_sum_direct(F, sigma))
         close(nsigma_upper(F, sigma), sigma_sum_direct(F, sigma, paraboloid_weight=True))
@@ -461,12 +476,12 @@ class TestShellTables:
     def test_shells_past_the_grid_are_empty(self, grid32, rng):
         vals = rng.standard_normal((32,) + grid32.shape) + 0j
         F = SpaceTimeSpectrum(grid32, 1.0, vals)
-        assert xk_norm(F, grid32.max_shell - 1) > 0.0
+        assert table_xk(F, grid32.max_shell - 1) > 0.0
         for k in (grid32.max_shell + 1, 100):
-            assert xk_norm(F, k) == 0.0
-            assert xk_section_sanity(F, k) == 0.0
+            assert table_xk(F, k) == 0.0
+            assert shell_table_values(F, k)[1] == 0.0
         with pytest.raises(ValueError):
-            xk_norm(F, -1)
+            table_xk(F, -1)
 
 
 class TestLpqNorm:
@@ -476,7 +491,7 @@ class TestLpqNorm:
         vals = np.ones((m_t,) + grid32.shape, dtype=complex)
         vol = grid32.volume * m_t * dt
         for e in DirectionSet.default(2):
-            got = lpq_norm(vals, grid32, dt, e, 2, 2)
+            got = mixed_norm(vals, grid32, dt, e, 2, 2)
             assert got == pytest.approx(np.sqrt(vol), rel=1e-12)
 
     def test_fubini_for_all_lattice_directions(self, grid32, rng):
@@ -486,7 +501,7 @@ class TestLpqNorm:
         dt = 0.05
         l2 = np.sqrt(grid32.cell_volume * dt * np.sum(np.abs(vals) ** 2))
         for e in DirectionSet.default(2):
-            assert lpq_norm(vals, grid32, dt, e, 2, 2) == pytest.approx(l2, rel=1e-12)
+            assert mixed_norm(vals, grid32, dt, e, 2, 2) == pytest.approx(l2, rel=1e-12)
 
     @pytest.mark.parametrize("p,q", [(1, 2), (2, 2), (np.inf, 2), (2, np.inf)])
     def test_separable_products_factorize(self, grid32, rng, p, q):
@@ -499,7 +514,7 @@ class TestLpqNorm:
         # axis direction: f(t, i1, i2) = a(i1) * b(t, i2)
         vals = a[None, :, None] * b[:, None, :]
         e = np.array([1.0, 0.0])
-        got = lpq_norm(vals, grid32, dt, e, p, q)
+        got = mixed_norm(vals, grid32, dt, e, p, q)
         want = lpq_separable_1d(
             a, b, dr=grid32.spacing, w_perp=grid32.spacing, dt=dt, p=p, q=q
         )
@@ -509,7 +524,7 @@ class TestLpqNorm:
         c = np.mod(i[:, None] + i[None, :], n)
         vals = a[c][None, :, :] * b[:, 0][:, None, None]
         e = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        got = lpq_norm(vals, grid32, dt, e, p, q)
+        got = mixed_norm(vals, grid32, dt, e, p, q)
         want = lpq_separable_1d(
             a,
             b[:, 0][:, None] * np.ones(n)[None, :],
@@ -525,29 +540,15 @@ class TestLpqNorm:
         vals = rng.standard_normal((16,) + grid32.shape) + 0j
         dt = 0.125
         for e in DirectionSet.default(2):
-            l12 = lpq_norm(vals, grid32, dt, e, 1, 2)
-            l22 = lpq_norm(vals, grid32, dt, e, 2, 2)
+            l12 = mixed_norm(vals, grid32, dt, e, 1, 2)
+            l22 = mixed_norm(vals, grid32, dt, e, 2, 2)
             extent = grid32.n * grid32.spacing / np.sqrt(np.sum(np.abs(e) > 1e-12))
             assert l12 <= np.sqrt(extent) * l22 * (1.0 + 1e-10)
 
     def test_unsupported_direction(self, grid32, rng):
         vals = np.zeros((16,) + grid32.shape, complex)
         with pytest.raises(UnsupportedDirection):
-            lpq_norm(vals, grid32, 0.1, np.array([0.8, 0.6]), 2, 2)
-
-    def test_shared_time_reduction_reproduces_lpq_norm(self, rng):
-        # verify reduces its window once and runs the fibre kernel for each
-        # of the 18 d = 3 directions and both p: the same bits as lpq_norm.
-        grid = GridSpec(3, 8, 1.0)
-        vals = rng.standard_normal((6,) + grid.shape) + 1j * rng.standard_normal(
-            (6,) + grid.shape
-        )
-        dt = 0.1
-        for q in (2, np.inf):
-            per_point = time_reduction(vals, dt, q)
-            for e in DirectionSet.default(3):
-                for p in (1, 2, np.inf):
-                    assert fiber_norm(per_point, e, grid, p, q) == lpq_norm(vals, grid, dt, e, p, q)
+            mixed_norm(vals, grid32, 0.1, np.array([0.8, 0.6]), 2, 2)
 
 
 class TestRowBlockReductions:
@@ -813,15 +814,18 @@ class TestLemmaDiagnostics:
 
         name, F = members[0]
         k = 2
-        xk = xk_norm(F, k)
+        xk = table_xk(F, k)
         u_k = shell_samples_oracle(F, k)
         keep = np.abs(-1.0 + F.dt * np.arange(F.m_t)) <= 2.0
         r2 = max(
-            2.0 ** (k / 2.0) * lpq_norm(u_k, grid32, F.dt, e, np.inf, 2) / xk
+            2.0 ** (k / 2.0) * mixed_norm(u_k, grid32, F.dt, e, np.inf, 2) / xk
             for e in dirs
         )
         r3 = max(
-            2.0 ** (-k / 2.0) / (k + 1) ** 2 * lpq_norm(u_k[keep], grid32, F.dt, e, 2, np.inf) / xk
+            2.0 ** (-k / 2.0)
+            / (k + 1) ** 2
+            * mixed_norm(u_k[keep], grid32, F.dt, e, 2, np.inf)
+            / xk
             for e in dirs
         )
         slices = np.sqrt(grid32.cell_volume * np.sum(np.abs(u_k) ** 2, axis=(1, 2)))

@@ -8,37 +8,33 @@ import scipy.fft
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smap.errors import AxisOutOfRange, ConfigError, RepresentationMismatch
+from smap.errors import ConfigError, RepresentationMismatch
 from smap.grid import GridSpec
-from smap.nonlinearity import DealiasPolicy
+from smap.nonlinearity import _derivative
 from smap import spectral
+from smap.solver import free_trajectory, propagator_stack
 from smap.spectral import (
     FREQUENCY,
     PHYSICAL,
     PLATEAU,
     SUPPORT,
     ComplexField,
-    apply_jsigma,
     eta0,
     eta_shell,
     fft_workers,
-    free_propagate,
-    gradient,
     hsigma_energy_real,
     hsigma_norm,
     hsigma_norm_spectra,
     jsigma_weights,
     l2_norm,
     laplacian_values,
-    lp_project,
     psi,
     real_work,
     thread_budget,
-    to_physical,
     transform,
 )
 
-from conftest import random_smooth_field
+from conftest import multiplied, physical_stack, random_smooth_field
 from oracles import (
     free_gaussian_evolution,
     free_gaussian_quadrature,
@@ -153,45 +149,63 @@ class TestCutoffFamily:
             assert quot < bound
 
 
+def shell_weights(grid, k):
+    return eta_shell(k, np.sqrt(grid.wavenumber_sq()))
+
+
+def derivative(grid, axis):
+    return _derivative(grid.d, grid.n, grid.period, axis)
+
+
+def phases(grid, *times):
+    return propagator_stack(np.array(times), grid.wavenumber_sq())
+
+
+def l2(values, grid):
+    return l2_norm(ComplexField(grid, 0.0, PHYSICAL, values))
+
+
 class TestLittlewoodPaley:
     def test_partition_reconstructs_bandlimited(self, grid32, rng):
         u = random_smooth_field(grid32, rng)
         total = np.zeros(grid32.shape, dtype=complex)
         for k in range(grid32.max_shell + 1):
-            total += lp_project(u, k).values
+            total += multiplied(u.values, grid32, shell_weights(grid32, k))
         assert np.max(np.abs(total - u.values)) < 1e-12
 
     def test_far_shell_annihilates_single_mode(self, grid32):
         u = plane_wave(grid32, np.array([3.0, 0.0]))  # |xi| = 3 < 2^4 * 5/4
-        assert np.max(np.abs(lp_project(u, 5).values)) < 1e-15
+        assert np.max(np.abs(multiplied(u.values, grid32, shell_weights(grid32, 5)))) < 1e-15
 
     def test_projection_contracts_l2(self, grid32, rng):
         u = random_smooth_field(grid32, rng)
         for k in (0, 2, 4):
-            assert l2_norm(lp_project(u, k)) <= l2_norm(u) * (1 + 1e-12)
+            projected = multiplied(u.values, grid32, shell_weights(grid32, k))
+            assert l2(projected, grid32) <= l2_norm(u) * (1 + 1e-12)
 
 
 class TestJsigma:
     def test_sigma_zero_is_identity(self, grid32, rng):
         u = random_smooth_field(grid32, rng)
-        assert np.max(np.abs(apply_jsigma(u, 0.0).values - u.values)) < 1e-14
+        out = multiplied(u.values, grid32, jsigma_weights(grid32, 0.0))
+        assert np.max(np.abs(out - u.values)) < 1e-14
 
     def test_single_mode_weight(self, grid32):
         u = plane_wave(grid32, np.array([2.0, 0.0]))
-        out = apply_jsigma(u, 2.0)
-        assert np.max(np.abs(out.values - 5.0 * u.values)) < 1e-11
+        out = multiplied(u.values, grid32, jsigma_weights(grid32, 2.0))
+        assert np.max(np.abs(out - 5.0 * u.values)) < 1e-11
 
     def test_negative_sigma_inverts(self, grid32, rng):
         u = random_smooth_field(grid32, rng)
-        back = apply_jsigma(apply_jsigma(u, 1.7), -1.7)
-        assert np.max(np.abs(back.values - u.values)) < 1e-12
+        up = multiplied(u.values, grid32, jsigma_weights(grid32, 1.7))
+        back = multiplied(up, grid32, jsigma_weights(grid32, -1.7))
+        assert np.max(np.abs(back - u.values)) < 1e-12
 
     def test_sobolev_norm_is_l2_of_weighted_field(self, grid32, rng):
         u = random_smooth_field(grid32, rng)
         direct = hsigma_norm(u, 1.6)
-        via_l2 = l2_norm(apply_jsigma(u, 1.6))
+        via_l2 = l2(multiplied(u.values, grid32, jsigma_weights(grid32, 1.6)), grid32)
         assert abs(direct - via_l2) < 1e-12 * direct
-
 
     def test_norms_keep_their_bits_with_cached_weights(self, grid32, rng):
         spec = np.stack([transform(random_smooth_field(grid32, rng), "forward").values] * 3)
@@ -220,29 +234,32 @@ class TestJsigma:
 
 
 class TestFreePropagate:
+    # The free group as the commands apply it: the propagator_stack phases,
+    # and free_trajectory's rows.
     def test_time_zero_identity(self, grid32, rng):
         u = random_smooth_field(grid32, rng)
-        assert np.max(np.abs(free_propagate(u, 0.0).values - u.values)) < 1e-13
+        out = physical_stack(free_trajectory(u, [0.0]))[0]
+        assert np.max(np.abs(out - u.values)) < 1e-13
 
     def test_single_mode_phase(self, grid32):
         k0 = np.array([2.0, 1.0])
         u = plane_wave(grid32, k0)
-        out = free_propagate(u, 0.4)
+        out = physical_stack(free_trajectory(u, [0.4]))[0]
         expected = np.exp(-1j * 0.4 * np.sum(k0**2)) * u.values
-        assert np.max(np.abs(out.values - expected)) < 1e-12
+        assert np.max(np.abs(out - expected)) < 1e-12
 
     def test_sobolev_isometry(self, grid32, rng):
         u = random_smooth_field(grid32, rng)
         before = hsigma_norm(u, 1.7)
-        after = hsigma_norm(free_propagate(u, 0.3), 1.7)
+        after = hsigma_norm_spectra(free_trajectory(u, [0.3]).values, grid32, 1.7)[0]
         assert abs(after - before) < 1e-12 * before
 
     def test_group_law(self, grid32, rng):
         u = random_smooth_field(grid32, rng)
-        a = free_propagate(free_propagate(u, 0.21), 0.34)
-        b = free_propagate(u, 0.55)
-        assert np.max(np.abs(a.values - b.values)) < 1e-12
-        assert abs(a.time - b.time) < 1e-15
+        p21, p34, p55 = phases(grid32, 0.21, 0.34, 0.55)
+        a = multiplied(multiplied(u.values, grid32, p21), grid32, p34)
+        b = multiplied(u.values, grid32, p55)
+        assert np.max(np.abs(a - b)) < 1e-12
 
     def test_gaussian_against_refined_quadrature(self):
         # Oracle: direct numerical integration of the propagator integral on
@@ -253,7 +270,7 @@ class TestFreePropagate:
         phi = ComplexField(
             grid, 0.0, PHYSICAL, np.exp(-(X[0] ** 2 + X[1] ** 2) / (2 * width**2)) + 0j
         )
-        out = free_propagate(phi, t).values
+        out = physical_stack(free_trajectory(phi, [0.0, t]))[1]
 
         x = grid.axis_coordinates()
         oracle_1d = free_gaussian_quadrature(
@@ -269,22 +286,17 @@ class TestFreePropagate:
 
 
 class TestGradient:
+    # The derivative multipliers of the nonlinearity kernel; axis is 0-based.
     def test_constant_has_zero_gradient(self, grid32):
         u = ComplexField(grid32, 0.0, PHYSICAL, np.full(grid32.shape, 2.3 + 1j))
-        assert np.max(np.abs(gradient(u, 1).values)) < 1e-14
+        assert np.max(np.abs(multiplied(u.values, grid32, derivative(grid32, 0)))) < 1e-14
 
     def test_single_mode(self, grid32):
         k0 = np.array([2.0, -3.0])
         u = plane_wave(grid32, k0)
-        for axis in (1, 2):
-            out = gradient(u, axis)
-            assert np.max(np.abs(out.values - 1j * k0[axis - 1] * u.values)) < 1e-11
-
-    def test_axis_out_of_range(self, grid32, rng):
-        u = random_smooth_field(grid32, rng)
-        for axis in (0, 3):
-            with pytest.raises(AxisOutOfRange):
-                gradient(u, axis)
+        for axis in (0, 1):
+            out = multiplied(u.values, grid32, derivative(grid32, axis))
+            assert np.max(np.abs(out - 1j * k0[axis] * u.values)) < 1e-11
 
     def test_matches_sixth_order_differences(self, rng):
         # Band-limited data; the stencil error scales like (xi h)^6 and must
@@ -293,7 +305,7 @@ class TestGradient:
         for n in (32, 64):
             grid = GridSpec(2, n, 1.0)
             u = random_smooth_field(grid, rng, band=16.0 / 3.0)
-            spectral = to_physical(gradient(u, 1)).values
+            spectral = multiplied(u.values, grid, derivative(grid, 0))
             stencil = gradient_fd(u.values, 0, grid.spacing)
             scale = np.max(np.abs(spectral))
             errs[n] = np.max(np.abs(spectral - stencil)) / scale
@@ -305,19 +317,14 @@ class TestGradient:
 class TestMultiplierAlgebra:
     def test_operators_commute(self, grid32, rng):
         u = random_smooth_field(grid32, rng)
-        a = free_propagate(apply_jsigma(lp_project(gradient(u, 1), 2), 1.3), 0.37)
-        b = gradient(apply_jsigma(free_propagate(lp_project(u, 2), 0.37), 1.3), 1)
-        scale = max(np.max(np.abs(a.values)), 1e-30)
-        assert np.max(np.abs(a.values - b.values)) / scale < 1e-12
-
-    def test_multiplier_in_frequency_representation(self, grid32, rng):
-        u = random_smooth_field(grid32, rng)
-        hat = transform(u, "forward")
-        out = apply_jsigma(hat, 2.0)
-        assert out.representation == FREQUENCY
-        roundtrip = transform(out, "inverse")
-        direct = apply_jsigma(u, 2.0)
-        assert np.max(np.abs(roundtrip.values - direct.values)) < 1e-12
+        d1, p2 = derivative(grid32, 0), shell_weights(grid32, 2)
+        j, w = jsigma_weights(grid32, 1.3), phases(grid32, 0.37)[0]
+        a = b = u.values
+        for first, second in ((d1, p2), (p2, w), (j, j), (w, d1)):
+            a = multiplied(a, grid32, first)
+            b = multiplied(b, grid32, second)
+        scale = max(np.max(np.abs(a)), 1e-30)
+        assert np.max(np.abs(a - b)) / scale < 1e-12
 
 
 @st.composite
