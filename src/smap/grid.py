@@ -29,14 +29,19 @@ class GridSpec:
             raise ValueError(f"points per axis must be even and >= 8, got {self.n}")
         if not self.period > 0:
             raise ValueError(f"period must be positive, got {self.period}")
-        # The squared box length and the largest |xi|^2 must be finite floats,
-        # or data, weights and norms on the grid overflow.
+        # The squared box length, the largest |xi|^2 and the box and cell
+        # volumes must be finite, nonzero floats, or data, weights and norms
+        # on the grid overflow.
         box = 2.0 * math.pi * self.period
         top = self.n / (2.0 * self.period)
-        if not (math.isfinite(box * box) and math.isfinite(self.d * top * top)):
+        try:
+            sizes = (box * box, self.d * top * top, self.volume, self.cell_volume)
+        except OverflowError:  # a float power raises where a product gives inf
+            sizes = (math.inf,)
+        if not all(0.0 < size < math.inf for size in sizes):
             raise ValueError(
-                f"period {self.period} overflows the grid: (2 pi period)^2 and "
-                f"d (n / (2 period))^2 must be finite"
+                f"period {self.period} overflows the grid: (2 pi period)^2, d (n / (2 "
+                f"period))^2 and the box and cell volumes must be finite and nonzero"
             )
 
     @property

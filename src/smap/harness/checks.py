@@ -36,11 +36,12 @@ from ..solver import (
 )
 from ..spacetime import (
     DirectionSet,
+    _cell_power,
     _rows,
-    _transform,
+    _shell_kernel,
+    _shell_reductions,
     fiber_norm,
-    free_samples,
-    time_reduction,
+    free_spectrum,
 )
 from ..spectral import (
     PHYSICAL,
@@ -113,27 +114,30 @@ def _csv_body(report: NormReport) -> str:
 
 def _spacetime_checks(config, grid, rng, check) -> None:
     """Space-time Plancherel, shell completeness, region-mask idempotence and
-    the mixed-norm checks, on a windowed free evolution of random data.
-
-    One window-sized stack is alive at a time: the free evolution's 64
-    window rows (free_samples) are transformed in their own buffer, and
-    every reduction over them runs row by row or block by block.
+    the mixed-norm checks on the spectrum of a windowed free evolution of
+    random data (free_spectrum, the one window-sized stack), read from the
+    kernels behind norms: _cell_power's pooled cells, and _shell_reductions
+    of shell 0, whose 3% of the points keep its gathered columns small. The
+    region mask is built after the reductions' temporaries are freed, and
+    it and the spectrum are dropped before the fiber norms.
     """
-    wdt = 2.0 * config.t_window / 64
-    samples = free_samples(_random_field(grid, rng, band=4.0), 64, config.t_window)
-    # time_reduction(samples, wdt, 2), shared by the fiber norms for every
-    # e and p, from the unscaled per-point sums.
-    power = time_reduction(samples, 1.0, 2)
-    st_mass = np.sqrt(grid.cell_volume * wdt * np.sum(power))
-    per_point = wdt * power
-    F = _transform(samples, grid, config.t_window)
-    mass = F.l2_mass()
-    check("spacetime_plancherel", abs(mass - st_mass) / st_mass, 1e-12)
-    total2 = mass**2
-    shells2 = sum(F.shell_mass_disjoint(k) ** 2 for k in range(grid.max_shell + 2))
-    check("shell_completeness", abs(shells2 - total2) / total2, 1e-10)
+    F = free_spectrum(_random_field(grid, rng, band=4.0), 64, config.t_window)
+    kappa = np.unique(grid.wavenumber_sq())
+    class_power = np.sum(_cell_power(F).reshape(F.m_t, kappa.size), axis=0)
+    spec_mass = np.sqrt(F.cell_measure * (_shell_kernel(F).shell_weights[0] @ class_power))
+    _, sq_time, row_sq = _shell_reductions(F, F.shell_weights(0), np.ones(F.m_t, bool))
+    st_mass = np.sqrt(grid.cell_volume * F.dt * np.sum(row_sq))
+    per_point = F.dt * sq_time
+    check("spacetime_plancherel", abs(spec_mass - st_mass) / st_mass, 1e-12)
+    # The sharp annuli 2^(k-1) < |xi| <= 2^k (|xi| <= 1 at k = 0) of the classes
+    annulus = np.searchsorted(2.0 ** np.arange(grid.max_shell + 2), np.sqrt(kappa))
+    shells = np.sum(np.bincount(annulus, class_power)[: grid.max_shell + 2])
+    mag = np.empty(grid.num_points)
+    total = sum(np.sum(np.square(np.abs(row, out=mag), out=mag)) for row in _rows(F.values))
+    check("shell_completeness", abs(shells - total) / total, 1e-10)
     rows = zip(_rows(F.values), _rows(F.region_mask(2, 3)))
     check("region_mask_idempotent", max(_mask_drift(row, mask) for row, mask in rows), 0.0)
+    del rows, F
     worst = 0.0
     extent_ok = True
     for e in DirectionSet.default(grid.d):

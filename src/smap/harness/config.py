@@ -51,14 +51,18 @@ class ExperimentConfig:
             items = value if isinstance(value, tuple) else (value,)
             if any(isinstance(x, float) and not math.isfinite(x) for x in items):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
-        try:
-            self.grid()  # d, n, period checks
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        try:
-            self.ensemble_grid()  # ensemble_period checks
-        except ValueError as exc:
-            raise ConfigError(f"ensemble grid: {exc}") from exc
+        # Grid checks, and norms weighs both grids up to H^(sigma0 + 1).
+        for label, build in (("", self.grid), ("ensemble grid: ", self.ensemble_grid)):
+            try:
+                grid = build()
+                (1.0 + grid.d * grid.nyquist**2) ** (self.sigma0 + 1.0)
+            except ValueError as exc:
+                raise ConfigError(f"{label}{exc}") from exc
+            except OverflowError:
+                raise ConfigError(
+                    f"{label}period {grid.period} overflows the grid: the largest Bessel "
+                    f"weight (1 + |xi|^2)^(sigma0 + 1) must be finite"
+                ) from None
         positive = ["T", "dt", "tol", "inner_tol", "t_window", "ensemble_period"]
         for name in positive:
             if not getattr(self, name) > 0:

@@ -22,7 +22,9 @@ On top of the spectrum this module computes the dyadic-shell norms that
 weight distance from the free-evolution paraboloid, directional mixed
 norms over lattice fibrations, the one-sided square-sum upper bounds for
 whole-trajectory norms, and the ratio diagnostics that probe the expected
-k-uniformity of the linear estimates.
+k-uniformity of the linear estimates, all through two kernels that
+verify's space-time checks run too: _cell_power pools |F|^2 for the shell
+tables (X_k, R1, Fsigma), and _shell_reductions inverts one shell (R2-R4).
 """
 
 from __future__ import annotations
@@ -152,21 +154,6 @@ class SpaceTimeSpectrum:
     def tau(self) -> np.ndarray:
         return (math.pi / self.t_window) * np.fft.fftfreq(self.m_t, d=1.0 / self.m_t)
 
-    def l2_mass(self) -> float:
-        return self._mass(None)
-
-    def _mass(self, sel) -> float:
-        """L2 mass over the grid points a flat mask sel selects, or over all,
-        summed block by block of time rows (about solver.BLOCK_BYTES each)."""
-        rows = self.values.reshape(self.m_t, -1)
-        count = _block_rows(self.grid)
-        total = 0.0
-        for start in range(0, self.m_t, count):
-            block = rows[start : start + count]
-            power = np.abs(block if sel is None else block[:, sel])
-            total += float(np.sum(np.square(power, out=power)))
-        return math.sqrt(self.cell_measure * total)
-
     def shell_weights(self, k: int) -> np.ndarray:
         return eta_shell(k, np.sqrt(self.grid.wavenumber_sq()))
 
@@ -188,15 +175,6 @@ class SpaceTimeSpectrum:
             np.less_equal(np.abs(omega, out=omega), 2.0 ** (j + 1), out=row)
             row &= shell
         return mask
-
-    def shell_mass_disjoint(self, k: int) -> float:
-        """L2 mass on the disjoint annulus 2^(k-1) < |xi| <= 2^k (|xi| <= 1 for k=0)."""
-        radius = np.sqrt(self.grid.wavenumber_sq())
-        if k == 0:
-            sel = radius <= 1.0
-        else:
-            sel = (radius > 2.0 ** (k - 1)) & (radius <= 2.0**k)
-        return self._mass(sel.ravel())
 
 
 def _cell_measure(grid: GridSpec, t_window: float) -> float:
@@ -635,8 +613,8 @@ def fiber_norm(per_point: np.ndarray, e, grid: GridSpec, p, q) -> float:
     (1, 2 or inf) across the fiber offsets along a lattice-aligned
     direction e.
 
-    per_point is the time reduction of the samples at each flattened grid
-    point (time_reduction): dt * sum_t |u|^2 for q = 2, max_t |u| for
+    per_point is the time reduction of one shell's samples at each flattened
+    grid point (_shell_reductions): dt * sum_t |u|^2 for q = 2, max_t |u| for
     q = inf. The weights are the Riemann weights of the fibration, so
     p = q = 2 reproduces the space-time L2 norm for every lattice direction.
     """
@@ -652,27 +630,6 @@ def fiber_norm(per_point: np.ndarray, e, grid: GridSpec, p, q) -> float:
     if p == 2:
         return math.sqrt(dr * float(np.sum(inner**2)))
     return float(np.max(inner))
-
-
-def time_reduction(values: np.ndarray, dt: float, q) -> np.ndarray:
-    """Per-point time reduction of a (M_t, *grid.shape) stack, flattened over
-    space: dt * sum_t |u|^2 for q = 2, max_t |u| for q = inf.
-
-    Every direction and every p of fiber_norm at one q share it, so a caller
-    that needs several reduces once and runs fiber_norm per direction.
-    The rows are reduced one at a time, in order, as np.sum and np.max
-    over the time axis do, so no stack of |u| is formed.
-    """
-    rows = values.reshape(values.shape[0], -1)
-    out = np.zeros(rows.shape[1])
-    mag = np.empty(rows.shape[1])
-    for row in rows:
-        np.abs(row, out=mag)
-        if q == 2:
-            out += np.square(mag, out=mag)
-        else:
-            np.maximum(out, mag, out=out)
-    return dt * out if q == 2 else out
 
 
 def _sigma_upper(F: SpaceTimeSpectrum, sigma: float, paraboloid_weight: bool = False) -> float:

@@ -50,6 +50,9 @@ shells = 1,2
 snapshot_stride = 4
 """
 
+# The grid of the overflowing-period repros at d = 3, without its period.
+OVERFLOW_D3 = "d = 3\nn = 16\nsigma0 = 2.1\nT = 0.0625\ndt = 0.015625\namplitudes = 1e-3\n"
+
 
 CONFIG_KEYS = {f.name for f in fields(ExperimentConfig) if f.init}
 NUMERIC_KEYS = sorted(
@@ -752,13 +755,21 @@ class TestRunnerAndCli:
             ),
             # Exit 2, but for "shells must not exceed -660".
             ("norms", "ensemble_period = 1e200\n"),
+            # OverflowError from GridSpec.cell_volume (spacing**3): a traceback, exit 1.
+            ("picard", OVERFLOW_D3 + "period = 1e120\n"),
+            # NoContraction: the weight (1 + |xi|^2)^sigma0 overflows, so
+            # ||phi|| = nan, exit 4.
+            ("picard", OVERFLOW_D3 + "period = 1e-100\n"),
         ],
     )
     def test_cli_overflowing_period_exit_two(self, tmp_path, command, lines):
         # A period whose squared box length or largest |xi|^2 is not a finite
-        # float is a config error, for the solve grid and the ensemble grid.
+        # float, whose box or cell volume is not a finite, nonzero one, or
+        # whose largest Bessel weight at sigma0 + 1 overflows is a config
+        # error, for the solve grid and the ensemble grid. Cases that name
+        # no dimension run at d = 1, n = 16.
         bad = tmp_path / "bad.cfg"
-        bad.write_text("d = 1\nn = 16\n" + lines)
+        bad.write_text(lines if lines.startswith("d = ") else "d = 1\nn = 16\n" + lines)
         out = tmp_path / "o"
         res = self.run_cli(command, "--config", str(bad), "--out", str(out))
         assert res.returncode == 2, res.stderr
@@ -866,11 +877,58 @@ class TestVerifyContract:
 
 
 class TestVerifySpaceTime:
+    # verify's space-time section runs on the kernels behind norms
+    # (_cell_power, _shell_reductions), so a fault in either fails it.
+    SECTION = (
+        "spacetime_plancherel",
+        "shell_completeness",
+        "region_mask_idempotent",
+        "lpq_fubini",
+        "lpq_cauchy_schwarz",
+    )
+
+    @staticmethod
+    def failed_checks():
+        config = ExperimentConfig(d=3, n=32, sigma0=2.1)
+        results = []
+
+        def check(name, value, threshold):
+            results.append((name, value <= threshold))
+
+        checks._spacetime_checks(config, config.grid(), np.random.default_rng(7), check)
+        assert [name for name, _ in results] == list(TestVerifySpaceTime.SECTION)
+        return [name for name, ok in results if not ok]
+
+    def test_scaled_shell_reductions_fail_plancherel(self, monkeypatch):
+        # Both sample-side sums scale alike, so only the comparison with the
+        # pooled spectrum sees the fault.
+        reductions = checks._shell_reductions
+        monkeypatch.setattr(
+            checks,
+            "_shell_reductions",
+            lambda *args: tuple((1.0 + 1e-9) * out for out in reductions(*args)),
+        )
+        assert self.failed_checks() == ["spacetime_plancherel"]
+
+    def test_dropped_cell_class_fails_plancherel_and_completeness(self, monkeypatch):
+        # The |xi| = 0 class (the first in np.unique order) lies in shell 0.
+        cell_power = checks._cell_power
+
+        def dropped(F):
+            cells = cell_power(F).reshape(F.m_t, -1)
+            cells[:, 0] = 0.0
+            return cells.ravel()
+
+        monkeypatch.setattr(checks, "_cell_power", dropped)
+        assert self.failed_checks() == ["spacetime_plancherel", "shell_completeness"]
+
     def test_one_window_stack_at_d3(self):
-        # verify's space-time section at d = 3, n = 32: the free evolution is
-        # windowed and transformed in its own buffer and reduced row by row,
-        # so about one 64-row window stack is alive (2.09 when the samples
-        # were copied and reduced through |u|, omega and masked stacks).
+        # verify's space-time section at d = 3, n = 32: the free evolution's
+        # spectrum is transformed in its own buffer, pooled block by block
+        # and inverted on shell 0's columns (3% of the points), so about one
+        # 64-row window stack is alive (2.09 when the samples were copied
+        # and reduced through |u|, omega and masked stacks; 2.02 when the
+        # inverted shell covers 86% of the points).
         config = ExperimentConfig(d=3, n=32, sigma0=2.1)
         grid = config.grid()
         results = []
@@ -881,13 +939,4 @@ class TestVerifySpaceTime:
         with traced_peak() as peak:
             checks._spacetime_checks(config, grid, np.random.default_rng(7), check)
         assert peak.bytes < 1.3 * 16 * 64 * grid.num_points
-        assert results == [
-            (name, True)
-            for name in (
-                "spacetime_plancherel",
-                "shell_completeness",
-                "region_mask_idempotent",
-                "lpq_fubini",
-                "lpq_cauchy_schwarz",
-            )
-        ]
+        assert results == [(name, True) for name in self.SECTION]

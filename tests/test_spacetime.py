@@ -30,7 +30,6 @@ from smap.spacetime import (
     nsigma_upper,
     pooled_max_slope,
     spacetime_transform,
-    time_reduction,
     window_profile,
     windowed_samples,
 )
@@ -85,7 +84,21 @@ def table_xk(F, k):
 
 def mixed_norm(values, grid, dt, e, p, q):
     """Mixed norm of a sample stack: its time reduction, then the fiber norm."""
-    return fiber_norm(time_reduction(values, dt, q), e, grid, p, q)
+    return fiber_norm(time_reduction_direct(values, dt, q), e, grid, p, q)
+
+
+def pooled_annulus_masses(F):
+    """L2 masses of the sharp annuli 2^(k-1) < |xi| <= 2^k (|xi| <= 1 at
+    k = 0), k = 0..max_shell + 1, from the cells of _cell_power, as
+    verify's shell_completeness sums them, and the mass of all cells."""
+    kappa = np.unique(F.grid.wavenumber_sq())
+    class_power = np.sum(spacetime._cell_power(F).reshape(F.m_t, kappa.size), axis=0)
+    radius = np.sqrt(kappa)
+    masses = []
+    for k in range(F.grid.max_shell + 2):
+        sel = radius <= 1.0 if k == 0 else (radius > 2.0 ** (k - 1)) & (radius <= 2.0**k)
+        masses.append(math.sqrt(F.cell_measure * np.sum(class_power[sel])))
+    return masses, math.sqrt(F.cell_measure * np.sum(class_power))
 
 
 def window_grid(t_window=1.0, m_t=64):
@@ -152,7 +165,7 @@ class TestTransform:
         times, _ = window_grid()
         traj = Trajectory(grid32, times, np.zeros((times.size,) + grid32.shape, complex))
         F = spacetime_transform(traj, 1.0)
-        assert F.l2_mass() == 0.0
+        assert l2_mass_direct(F) == 0.0
 
     def test_plancherel_and_roundtrip(self, grid32, rng):
         times, dt = window_grid()
@@ -160,7 +173,7 @@ class TestTransform:
         F = spacetime_transform(traj, 1.0)
         samples = windowed_samples(traj, 1.0)
         mass = np.sqrt(grid32.cell_volume * dt * np.sum(np.abs(samples) ** 2))
-        assert abs(F.l2_mass() - mass) < 1e-12 * mass
+        assert abs(l2_mass_direct(F) - mass) < 1e-12 * mass
         back = spacetime_samples_oracle(F)
         assert np.max(np.abs(back - samples)) < 1e-13
 
@@ -404,14 +417,13 @@ class TestXkNorm:
         assert np.array_equal(once * mask, once)
 
     def test_disjoint_shell_masses_sum_to_total(self, grid32, rng):
+        # The pooled cells of the sharp annuli add up to the whole spectrum.
         vals = rng.standard_normal((32,) + grid32.shape) + 1j * rng.standard_normal(
             (32,) + grid32.shape
         )
         F = SpaceTimeSpectrum(grid32, 1.0, vals)
-        total2 = F.l2_mass() ** 2
-        parts = sum(
-            F.shell_mass_disjoint(k) ** 2 for k in range(grid32.max_shell + 2)
-        )
+        total2 = l2_mass_direct(F) ** 2
+        parts = sum(mass**2 for mass in pooled_annulus_masses(F)[0])
         assert abs(parts - total2) < 1e-10 * total2
 
 
@@ -552,39 +564,30 @@ class TestLpqNorm:
 
 
 class TestRowBlockReductions:
-    # The masses, the region mask and the time reduction run over blocks
-    # or rows of the stack; the oracles form the whole |F|, omega and |u|
-    # stacks. The d = 2, n = 64 case has 16 rows per block, so 40 rows end
-    # in a partial block; the d = 3, n = 32 case has 2.
+    # The pooled cells and the region mask run over blocks or rows of the
+    # stack; the oracles form the whole |F| and omega stacks. The d = 2,
+    # n = 64 case has 16 rows per block, so 40 rows end in a partial block;
+    # the d = 3, n = 32 case has 2.
     CASES = [(1, 32, 64), (2, 64, 40), (3, 32, 6), (3, 8, 17)]
 
     @pytest.mark.parametrize("d, n, m_t", CASES)
     def test_masses_and_mask_match_whole_stack_formulas(self, d, n, m_t):
         F = spectrum_with_cut_rows(d, n, m_t, 1.0, seed=d * n + m_t)
+        annuli, total = pooled_annulus_masses(F)
         want = l2_mass_direct(F)
-        assert abs(F.l2_mass() - want) <= 1e-15 * want
-        for k in range(F.grid.max_shell + 2):
+        assert abs(total - want) <= 1e-15 * want
+        for k, mass in enumerate(annuli):
             want = shell_mass_disjoint_direct(F, k)
-            assert abs(F.shell_mass_disjoint(k) - want) <= 1e-15 * want
+            assert abs(mass - want) <= 1e-15 * want
         for k, j in ((0, 0), (1, 2), (2, 3), (3, 6)):
             assert np.array_equal(F.region_mask(k, j), region_mask_direct(F, k, j))
-
-    @pytest.mark.parametrize("d, n, m_t", CASES)
-    def test_time_reduction_bits(self, d, n, m_t):
-        vals = spectrum_with_cut_rows(d, n, m_t, 1.0, seed=m_t).values
-        for q in (2, np.inf):
-            want = time_reduction_direct(vals, 0.03125, q)
-            assert np.array_equal(time_reduction(vals, 0.03125, q), want)
-        real = vals.real.copy()
-        assert np.array_equal(time_reduction(real, 0.1, 2), time_reduction_direct(real, 0.1, 2))
 
     def test_masses_of_a_row_padded_stack(self):
         F = spectrum_with_cut_rows(2, 64, 40, 1.0, seed=3)
         padded = stack_empty(F.m_t, F.grid.shape)
         padded[...] = F.values
         G = SpaceTimeSpectrum(F.grid, F.t_window, padded)
-        assert G.l2_mass() == F.l2_mass()
-        assert G.shell_mass_disjoint(4) == F.shell_mass_disjoint(4)
+        assert np.array_equal(spacetime._cell_power(G), spacetime._cell_power(F))
 
 
 def spectrum_with_cut_rows(d, n, m_t, t_window, seed):
