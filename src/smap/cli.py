@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 configuration problems, 3 verification failures,
-4 numeric errors from the solver or analysis modules (the error name is
-printed on stderr).
+Exit codes: 0 success, 2 configuration problems (a config whose arrays do
+not fit in memory among them), 3 verification failures, 4 numeric errors
+from the solver or analysis modules (the error name is printed on stderr).
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ def main(argv=None) -> int:
         return run(args.command, config)
     except ConfigError as exc:
         print(f"ConfigError: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an array the config asks for does not fit
+        print(f"ConfigError: not enough memory for this config: {exc}", file=sys.stderr)
         return 2
     except ValidationFailure as exc:
         print(f"ValidationFailure: {exc}", file=sys.stderr)

@@ -60,8 +60,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{label}{exc}") from exc
             except OverflowError:
                 raise ConfigError(
-                    f"{label}period {grid.period} overflows the grid: the largest Bessel "
-                    f"weight (1 + |xi|^2)^(sigma0 + 1) must be finite"
+                    f"{label}period {grid.period} with sigma0 {self.sigma0} overflows the "
+                    f"grid: the largest Bessel weight (1 + |xi|^2)^(sigma0 + 1) must be finite"
                 ) from None
         positive = ["T", "dt", "tol", "inner_tol", "t_window", "ensemble_period"]
         for name in positive:

@@ -2,7 +2,9 @@
 
 One primitive makes every complex transform of a raw array: unitary_dft,
 the unitary DFT over chosen axes on scipy's pocketfft binding, in place or
-into a given buffer. Real arrays (sphere components) have their own
+into a given buffer. box_dft runs it one axis at a time over only the 1-d
+lines a box of modes needs (the 2/3 rule's), with the same bits inside the
+box. Real arrays (sphere components) have their own
 real-input transforms over the half spectrum, on the same binding: the
 Laplacian and the Sobolev energy of a real stack. The ComplexField API
 (transform, to_frequency, to_physical) converts single fields through
@@ -26,6 +28,7 @@ import os
 import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -151,6 +154,38 @@ def unitary_dft(
     """
     axes = [a % values.ndim for a in axes]
     return pypocketfft.c2c(values, axes, not inverse, int(scaled), out, fft_workers())
+
+
+def box_dft(values: np.ndarray, runs: tuple, d: int, inverse: bool = False) -> np.ndarray:
+    """Unitary DFT over the d trailing axes of a complex array whose last
+    axis is contiguous, in place, that makes only the 1-d lines a box of
+    modes needs; returns values.
+
+    The box keeps, on each grid axis, the index runs ``runs`` (slices of
+    that axis in FFT order). The passes run in fftn's axis order, one
+    unscaled unitary_dft per run product, and the 1/sqrt(points) factor is
+    applied to the whole first pass's output on a float view, as pocketfft
+    does inside that pass, so every value made has the bits of unitary_dft.
+    Forward: grid axis j transforms only the lines whose indices on the
+    axes before it lie in the runs; only the values inside the box are
+    defined. Inverse: the input must be zero outside the box, and grid axis
+    j transforms only the lines whose indices on the axes after it lie in
+    the runs. With d = 1 or runs that cover the axis, it is one unitary_dft.
+    """
+    n = values.shape[-1]
+    axes = range(values.ndim - d, values.ndim)
+    if d == 1 or sum(run.stop - run.start for run in runs) == n:
+        return unitary_dft(values, axes, inverse, out=values)
+    factor = _ortho_factor(n**d)
+    for j, axis in enumerate(axes):
+        for fixed in product(runs, repeat=d - 1 - j if inverse else j):
+            free = (slice(None),) * (j + 1 if inverse else d - j)
+            lines = values[(Ellipsis,) + (free + fixed if inverse else fixed + free)]
+            unitary_dft(lines, (axis,), inverse, out=lines, scaled=False)
+        if j == 0:
+            floats = values.view(np.float64)
+            floats *= factor
+    return values
 
 
 def grid_axes(values: np.ndarray, grid: GridSpec) -> tuple:

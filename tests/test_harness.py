@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import string
 import struct
 import subprocess
@@ -698,6 +699,23 @@ class TestRunnerAndCli:
         assert "ConfigError: SMAP_THREADS must be a positive integer" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_allocation_failure_exit_two(self, tmp_path, small_cfg, monkeypatch, capsys):
+        # An array the config asks for that does not fit (d = 3, n = 512 asks
+        # picard_solve for an 82 GB band iterate) ends as a config error with
+        # numpy's message, not a traceback with exit 1. The solve's workspace
+        # allocation is patched to fail as numpy's would, so nothing large
+        # is allocated.
+        message = "Unable to allocate 82.0 GiB for an array with shape (129, 341, 341, 341)"
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(solver, "complex_work", no_memory)
+        out = tmp_path / "o"
+        assert cli.main(["picard", "--config", str(small_cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"ConfigError: not enough memory for this config: {message}\n"
+
     def test_cli_config_error_exit_two(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("frobnicate = 3\n")
@@ -760,6 +778,9 @@ class TestRunnerAndCli:
             # NoContraction: the weight (1 + |xi|^2)^sigma0 overflows, so
             # ||phi|| = nan, exit 4.
             ("picard", OVERFLOW_D3 + "period = 1e-100\n"),
+            # The weight (1 + |xi|^2)^(sigma0 + 1) overflows at the default
+            # period because of sigma0, and the message named the period only.
+            ("picard", "d = 2\nn = 64\nsigma0 = 400\n"),
         ],
     )
     def test_cli_overflowing_period_exit_two(self, tmp_path, command, lines):
@@ -774,6 +795,8 @@ class TestRunnerAndCli:
         res = self.run_cli(command, "--config", str(bad), "--out", str(out))
         assert res.returncode == 2, res.stderr
         assert "ConfigError" in res.stderr and "overflows the grid" in res.stderr
+        if "Bessel weight" in res.stderr:  # sigma0 or the period may overflow it: name both
+            assert re.search(r"period \S+ with sigma0 \S+ overflows the grid", res.stderr)
         assert "Traceback" not in res.stderr and "Warning" not in res.stderr
         assert not out.exists()
 

@@ -159,25 +159,33 @@ class TestCarriedSpectra:
         phi = random_smooth_field(grid, rng, amp=0.1)
         prev = free_trajectory(phi, uniform_times(0.125, 1.0 / 64.0))
         monkeypatch.setattr(solver, "BLOCK_BYTES", prev.values.nbytes)  # one block
-        calls = []
-        # Stack transforms run on spectral.unitary_dft, single fields through
-        # scipy.fft (ComplexField transforms); all are counted.
-        targets = [(scipy.fft, "fftn"), (scipy.fft, "ifftn")]
-        targets += [(solver, "unitary_dft"), (nonlinearity_module, "unitary_dft")]
-        for owner, name in targets:
+        calls = {}
+        # Stack transforms run on spectral.unitary_dft, or on spectral.box_dft
+        # where the 2/3 rule drops what they make; single fields go through
+        # scipy.fft (ComplexField transforms). All are counted.
+        targets = [(scipy.fft, "fftn", "scipy.fft"), (scipy.fft, "ifftn", "scipy.fft")]
+        targets += [(solver, "unitary_dft", "unitary_dft")]
+        targets += [(nonlinearity_module, name, name) for name in ("unitary_dft", "box_dft")]
+        for owner, name, kind in targets:
             original = getattr(owner, name)
 
-            def counted(*args, _original=original, **kwargs):
-                calls.append(args[0].shape)
+            def counted(*args, _original=original, _kind=kind, **kwargs):
+                calls[_kind].append(args[0].shape)
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, counted)
-        # Stack transforms: the inverse of the rebuilt rows and d + 5 for
-        # the nonlinearity.
-        duhamel_map(phi, prev, TWO_THIRDS, SIGMA0)
-        grid_shaped = sum(shape == grid.shape for shape in calls)
-        assert grid_shaped <= 1  # phi_hat only
-        assert len(calls) - grid_shaped == d + 6
+        rows = (len(prev.times),) + grid.shape
+        for policy, boxed in ((TWO_THIRDS, 5), (NO_DEALIAS, 1)):
+            calls.update({"scipy.fft": [], "unitary_dft": [], "box_dft": []})
+            duhamel_map(phi, Trajectory(grid, prev.times, prev.values.copy()), policy, SIGMA0)
+            assert set(calls["scipy.fft"]) <= {grid.shape}  # phi_hat only
+            assert len(calls["scipy.fft"]) <= 1
+            # The inverse of the rebuilt rows and the d gradient inverses;
+            # then the two dealias round trips and the product's forward
+            # transform, of which the none rule makes the last.
+            assert len(calls["unitary_dft"]) == 1 + d, policy
+            assert len(calls["box_dft"]) == boxed, policy
+            assert all(shape == rows for kind in ("unitary_dft", "box_dft") for shape in calls[kind])
 
 
 class TestBlockedMap:

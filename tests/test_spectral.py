@@ -1,4 +1,5 @@
 import ast
+import math
 import os
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from smap.errors import ConfigError, RepresentationMismatch
 from smap.grid import GridSpec
-from smap.nonlinearity import _derivative
+from smap.nonlinearity import DealiasPolicy, _derivative
 from smap import spectral
 from smap.solver import free_trajectory, propagator_stack
 from smap.spectral import (
@@ -42,7 +43,9 @@ from oracles import (
     laplacian_c2c,
     mesh,
     plane_wave,
+    samples_of,
     sobolev_energy_full,
+    spectrum_of,
 )
 
 
@@ -496,6 +499,95 @@ class TestBindingCalls:
         out = np.empty_like(x)
         assert spectral._half_inverse(want.copy(), x.shape, axes, out=out) is out
         assert np.array_equal(out, back)
+
+
+BOX_CASES = [(d, n) for d in (1, 2, 3) for n in (8, 10, 16, 24, 32, 64) if d < 3 or n <= 32]
+
+
+class TestBoxDft:
+    """The pruned transform gives the bits of scipy.fft's public fftn/ifftn
+    ("ortho") wherever it defines values: the forward inside the dealias box
+    (what Band.clear keeps), the inverse of a spectrum zero outside it. It
+    depends on pocketfft's pass order and on where pocketfft applies the
+    unitary factor, so a scipy that changes either fails here."""
+
+    @staticmethod
+    def check(values, grid, rule, padded):
+        band = DealiasPolicy(rule).band(grid)
+        axes = tuple(range(1, grid.d + 1))
+        want = band.clear(spectrum_of(values, axes=axes))
+        stack = values.copy()
+        if padded:
+            stack = spectral.stack_empty(len(values), grid.shape)
+            pads = stack.base[:, grid.num_points :]
+            pads[...] = np.nan
+            stack[...] = values
+        assert spectral.box_dft(stack, band.runs, grid.d) is stack
+        assert np.array_equal(band.clear(stack), want)
+        back = samples_of(want, axes=axes)
+        assert spectral.box_dft(stack, band.runs, grid.d, inverse=True) is stack
+        assert np.array_equal(stack, back)
+        if padded:
+            assert np.all(np.isnan(pads))  # no pass writes between the rows
+
+    @pytest.mark.parametrize("rule", ["two_thirds", "none"])
+    @pytest.mark.parametrize("d, n", BOX_CASES)
+    def test_bits_of_fftn_and_ifftn(self, d, n, rule):
+        grid = GridSpec(d, n, 2.0)
+        rng = np.random.default_rng(1000 * d + n)
+        for rows in (1, 2, 16):
+            values = complex_normal(rng, (rows,) + grid.shape)
+            for padded in (False, True):
+                self.check(values, grid, rule, padded)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.integers(-300, 300),
+        period=st.floats(0.25, 16.0),
+        case=st.sampled_from([(1, 16), (2, 10), (2, 16), (3, 8), (3, 10)]),
+        rule=st.sampled_from(["two_thirds", "none"]),
+    )
+    def test_bits_property(self, seed, scale, period, case, rule):
+        d, n = case
+        grid = GridSpec(d, n, period)
+        values = complex_normal(np.random.default_rng(seed), (2,) + grid.shape) * 2.0**scale
+        self.check(values, grid, rule, padded=seed % 2 == 1)
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("rule", ["two_thirds", "none"])
+    @pytest.mark.parametrize("d, n", [(1, 64), (2, 64), (3, 32)])
+    def test_lines_transformed(self, monkeypatch, d, n, rule, inverse):
+        # One unscaled unitary_dft along one axis per run product, over
+        # kept^j n^(d-1-j) lines per row in pass j: at d = 3, n = 32 (21 of
+        # 32 kept) 2137 lines per row against fftn's 3072. d = 1 and the
+        # none rule are one plain unitary_dft over every grid axis.
+        grid = GridSpec(d, n, 4.0)
+        band = DealiasPolicy(rule).band(grid)
+        kept = band.shape[0]
+        calls = []
+        original = spectral.unitary_dft
+
+        def recorded(values, axes, inverse=False, out=None, scaled=True):
+            calls.append((values.shape, tuple(axes), scaled))
+            return original(values, axes, inverse, out, scaled)
+
+        monkeypatch.setattr(spectral, "unitary_dft", recorded)
+        rows = 2
+        values = complex_normal(np.random.default_rng(d), (rows,) + grid.shape)
+        if inverse:
+            band.clear(values)
+        spectral.box_dft(values, band.runs, d, inverse)
+        if d == 1 or rule == "none":
+            assert calls == [((rows,) + grid.shape, tuple(range(1, d + 1)), True)]
+            return
+        assert all(len(axes) == 1 and not scaled for _, axes, scaled in calls)
+        assert len(calls) == sum(len(band.runs) ** j for j in range(d))
+        lines = sum(math.prod(shape) // shape[axes[0]] for shape, axes, _ in calls)
+        assert lines == rows * sum(kept**j * n ** (d - 1 - j) for j in range(d))
+        if (d, n) == (3, 32):
+            assert kept == 21 and lines == rows * 2137
+        if (d, n) == (2, 64):
+            assert kept == 43 and lines == rows * 107
 
 
 def _calls_by_function(path: Path):
