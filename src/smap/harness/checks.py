@@ -42,6 +42,7 @@ from ..spacetime import (
     _shell_reductions,
     fiber_norm,
     free_spectrum,
+    lattice_vector,
 )
 from ..spectral import (
     PHYSICAL,
@@ -145,7 +146,7 @@ def _spacetime_checks(config, grid, rng, check) -> None:
         worst = max(worst, abs(l22 - st_mass) / st_mass)
         l12 = fiber_norm(per_point, e, grid, 1, 2)
         # extent of the fibration along e is n * dr
-        extent = grid.n * grid.spacing / np.sqrt((np.abs(e) > 1e-12).sum())
+        extent = grid.n * grid.spacing / np.sqrt(np.count_nonzero(lattice_vector(e, grid.d)))
         if l12 > np.sqrt(extent) * l22 * (1.0 + 1e-10):
             extent_ok = False
     check("lpq_fubini", worst, 1e-12)

@@ -8,12 +8,14 @@ set, in which case all outputs are labeled as exploratory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ..errors import ConfigError
 from ..grid import GridSpec
+from ..nonlinearity import DealiasPolicy
 from ..solver import default_sigma0, uniform_times
+from ..spacetime import DirectionSet
 from .data import DATA_KINDS
 
 
@@ -81,10 +83,11 @@ class ExperimentConfig:
             raise ConfigError("max_iter, snapshot_stride >= 1; ensemble_samples >= 16")
         if any(a < 0 for a in self.amplitudes) or not self.amplitudes:
             raise ConfigError("amplitudes must be non-negative and non-empty")
-        if self.dealias not in ("two_thirds", "none"):
-            raise ConfigError(f"unknown dealias rule {self.dealias!r}")
-        if self.directions not in ("axes", "axes_diagonals"):
-            raise ConfigError(f"unknown direction set {self.directions!r}")
+        try:
+            DealiasPolicy(self.dealias)
+            DirectionSet.named(self.directions, self.d)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if any(k < 0 for k in self.shells) or not self.shells:
             raise ConfigError("shells must be non-negative and non-empty")
         if len(set(self.shells)) != len(self.shells):
@@ -115,38 +118,29 @@ class ExperimentConfig:
         return out
 
 
-_INT_KEYS = {"d", "n", "max_iter", "seed", "snapshot_stride", "ensemble_samples"}
-_FLOAT_KEYS = {"period", "T", "dt", "sigma0", "tol", "inner_tol", "t_window", "ensemble_period"}
-_LIST_FLOAT_KEYS = {"amplitudes"}
-_LIST_INT_KEYS = {"shells"}
-_STR_KEYS = {"dealias", "directions", "out_dir", "data_kind"}
-_BOOL_KEYS = {"allow_subcritical"}
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig) if f.init}
 
 
 def _parse_value(key: str, raw: str):
+    """Parse raw as the type of key's default; a tuple default's first
+    element gives the type of each comma-separated entry."""
+    default = _DEFAULTS[key]
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _LIST_FLOAT_KEYS:
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        if key in _LIST_INT_KEYS:
-            return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-        if key in _BOOL_KEYS:
+        if isinstance(default, tuple):
+            return tuple(type(default[0])(tok) for tok in raw.split(",") if tok.strip())
+        if isinstance(default, bool):  # bool("false") is True
             if raw.lower() in ("true", "1", "yes"):
                 return True
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        return raw
+        return type(default)(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
 
 
 def parse_config(text: str, **overrides) -> ExperimentConfig:
     """Parse 'key = value' lines; blank lines and '#' comments are ignored."""
-    known = _INT_KEYS | _FLOAT_KEYS | _LIST_FLOAT_KEYS | _LIST_INT_KEYS | _STR_KEYS | _BOOL_KEYS
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -157,7 +151,7 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in known:
+        if key not in _DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -172,10 +166,7 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
 def load_config(path=None, **overrides) -> ExperimentConfig:
     """Read a config file (defaults when path is None) with CLI overrides."""
     if path is None:
-        cfg = ExperimentConfig()
-        if overrides:
-            cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-        return cfg
+        return parse_config("", **overrides)
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")

@@ -8,7 +8,9 @@ seed; timestamps appear only in CSV comment lines.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from functools import partial
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -40,25 +42,23 @@ COMMANDS = ("evolve", "picard", "norms", "verify", "compare")
 
 
 def run(command: str, config: ExperimentConfig) -> int:
-    """Execute one harness command; returns 0 on success, raises on failure."""
+    """Execute one harness command; returns 0 on success, raises on failure
+    after removing the output directories it made that are still empty."""
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}; choose from {COMMANDS}")
-    if command == "norms":
-        _norms_windows(config)  # checks only norms needs, before the output directory
     out = Path(config.out_dir)
+    made = list(takewhile(lambda path: not path.exists(), (out, *out.parents)))
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file on the path, or no permission
         raise ConfigError(f"cannot use output directory {out}: {exc}") from exc
-    return _DISPATCH[command](config, out)
-
-
-def _directions(config) -> DirectionSet:
-    full = DirectionSet.default(config.d)
-    if config.directions == "axes":
-        axes = [e for e in full if np.sum(np.abs(e) > 1e-12) == 1]
-        return DirectionSet(np.array(axes))
-    return full
+    try:
+        return _DISPATCH[command](config, out)
+    except BaseException:
+        with suppress(OSError):  # innermost first, up to one that has files
+            for path in made:
+                path.rmdir()
+        raise
 
 
 def _cmd_evolve(config, out) -> int:
@@ -219,7 +219,7 @@ def _cmd_norms(config, out) -> int:
     )
     rep = lemma_diagnostics(
         ensemble,
-        _directions(config),
+        DirectionSet.named(config.directions, config.d),
         shells=config.shells,
         fsigma_sigma=config.sigma0,
         bound_members=bound_members,

@@ -63,7 +63,7 @@ MASS_FLOOR = 1e-12  # members and shells with no more mass than this are skipped
 
 @dataclass
 class DirectionSet:
-    """Unit vectors used for directional norms; closed under negation."""
+    """Lattice-aligned unit vectors used for directional norms."""
 
     vectors: np.ndarray
 
@@ -71,12 +71,8 @@ class DirectionSet:
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
         if self.vectors.ndim != 2 or self.vectors.shape[0] == 0:
             raise ValueError("vectors must be a non-empty (L, d) array")
-        norms = np.sqrt(np.sum(self.vectors**2, axis=1))
-        if np.any(np.abs(norms - 1.0) > 1e-15):
-            raise ValueError("direction vectors must be unit length to 1e-15")
         for e in self.vectors:
-            if not any(np.array_equal(-e, f) for f in self.vectors):
-                raise ValueError("direction set must be closed under negation")
+            lattice_vector(e, self.vectors.shape[1])
 
     def __len__(self):
         return self.vectors.shape[0]
@@ -101,6 +97,16 @@ class DirectionSet:
                         ints.append(m)
         vecs = np.array([m / np.sqrt(np.sum(m**2)) for m in ints])
         return cls(vecs)
+
+    @classmethod
+    def named(cls, name: str, d: int) -> "DirectionSet":
+        """The rows of default(d) with at most one nonzero lattice entry
+        ("axes") or two ("axes_diagonals"), in default(d)'s order."""
+        most = {"axes": 1, "axes_diagonals": 2}.get(name)
+        if most is None:
+            raise ValueError(f"unknown direction set {name!r}")
+        full = cls.default(d).vectors
+        return cls(full[[np.count_nonzero(lattice_vector(e, d)) <= most for e in full]])
 
 
 def lattice_vector(e: np.ndarray, d: int) -> np.ndarray:
@@ -680,17 +686,17 @@ def _ordered_map(fn, items) -> list:
 def _member_rows(name, member, directions, shells, sigmas):
     """Diagnostic rows for one ensemble member (thread-safe, pure).
 
-    A factory member is called here, so its spectrum exists only while it is
-    analysed. The shell samples are never built: every shell reads its
+    The member is a factory, called here, so its spectrum exists only while
+    it is analysed. The shell samples are never built: every shell reads its
     reductions from _shell_reductions. One Fsigma row per sigma follows the
     shell rows. A bound-only member has no shells: it reports just those
     rows, is not skipped when it has no mass, and may be a PooledPower,
     whose cells are read directly.
     """
-    F = member() if callable(member) else member
+    F = member()
     if not isinstance(F, (SpaceTimeSpectrum, PooledPower)):
         raise TypeError(f"member {name!r} is not a SpaceTimeSpectrum or a PooledPower")
-    ks = list(shells) if shells is not None else list(range(F.grid.max_shell + 1))
+    ks = list(shells)
     if isinstance(F, PooledPower) and ks:
         raise TypeError(f"member {name!r} has pooled power only; its shells need the spectrum")
     # The total mass comes from the same pooled |F|^2 as the shell tables.
@@ -746,8 +752,8 @@ def _member_rows(name, member, directions, shells, sigmas):
 def lemma_diagnostics(
     ensemble,
     directions: DirectionSet,
-    shells=None,
-    fsigma_sigma: float | None = None,
+    shells,
+    fsigma_sigma: float,
     bound_members=(),
 ) -> NormReport:
     """Ratio statistics probing k-uniformity of the directional estimates.
@@ -755,13 +761,13 @@ def lemma_diagnostics(
     For every ensemble member and shell k with mass, reports (relative to the
     shell norm) the local-smoothing ratio R2, the maximal-function ratio R3,
     the time-slice ratio R4, the j-section sanity R1 and the shell norm
-    itself; per-(k, quantity) maxima are appended with id 'max'. Passing
-    fsigma_sigma adds one whole-trajectory Fsigma row per member. The
+    itself; per-(k, quantity) maxima are appended with id 'max'. Every
+    member also gets one whole-trajectory Fsigma row at fsigma_sigma. The
     ensemble is a sequence of (id, member) pairs; a member is a
-    SpaceTimeSpectrum or a zero-argument factory returning one.
-    bound_members are (id, member, sigmas) triples that report only their
-    Fsigma rows, one per sigma, after the max rows; their member may also be
-    a PooledPower (free_cell_power) or a factory returning one.
+    zero-argument factory returning a SpaceTimeSpectrum. bound_members are
+    (id, member, sigmas) triples that report only their Fsigma rows, one per
+    sigma, after the max rows; their factory may also return a PooledPower
+    (free_cell_power).
 
     Every member is an independent task: the ensemble, then the bound-only
     members, run in that order on one pool (_ordered_map), and a factory is
@@ -771,17 +777,14 @@ def lemma_diagnostics(
     members = [(str(name), member) for name, member in ensemble]
     if not members:
         raise EmptyEnsemble("ensemble is empty")
-    sigmas = () if fsigma_sigma is None else (fsigma_sigma,)
-    tasks = [(name, member, directions, shells, sigmas) for name, member in members]
+    tasks = [(name, member, directions, shells, (fsigma_sigma,)) for name, member in members]
     tasks += [(str(name), member, directions, (), tuple(s)) for name, member, s in bound_members]
 
     report = NormReport(
         kind="lemma_diagnostics",
         columns=["trajectory_id", "k", "quantity", "direction", "value"],
-        meta={"num_members": len(members)},
+        meta={"num_members": len(members), "shells": ",".join(str(k) for k in shells)},
     )
-    if shells is not None:
-        report.meta["shells"] = ",".join(str(k) for k in shells)
 
     row_blocks = _ordered_map(lambda task: _member_rows(*task), tasks)
     maxima = {}

@@ -220,7 +220,7 @@ def test_criterion_7_lemma_ratio_suite():
     egrid = GridSpec(D, N, 1.0)
     ensemble = build_lemma_ensemble(egrid, shells, 1280, seed=SEED, T=T, sigma0=SIGMA0)
     assert len(ensemble) == 20
-    rep = lemma_diagnostics(ensemble, DirectionSet.default(D), shells=shells)
+    rep = lemma_diagnostics(ensemble, DirectionSet.default(D), shells, SIGMA0)
 
     ratios = [row[4] for row in rep.rows if row[2] in ("R2", "R3", "R4") and row[0] != "max"]
     finite = all(np.isfinite(v) for v in ratios) and len(ratios) > 0
@@ -348,7 +348,7 @@ def test_criterion_8_unit_test_oracles():
     oracle_xk = xk_point_mass(
         2.5, tau[b] + lam, eta_shell(1, np.linalg.norm(k0)), F0.cell_measure
     )
-    point = lemma_diagnostics([("point", F0)], DirectionSet.default(2), shells=[1])
+    point = lemma_diagnostics([("point", lambda: F0)], DirectionSet.default(2), [1], 1.6)
     (xk,) = [row[4] for row in point.rows if row[0] == "point" and row[2] == "Xk"]
     add("xk_point_mass", abs(xk - oracle_xk), 1e-12)
 

@@ -227,6 +227,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config(line + line)
 
+    def test_default_path_takes_overrides_like_a_file(self):
+        # Without a file the overrides go through the same parser: None
+        # values are dropped and an unknown key is a config error.
+        assert load_config(None, seed=3, out_dir=None) == parse_config("", seed=3)
+        with pytest.raises(ConfigError):
+            load_config(None, frobnicate=3)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.cfg")
@@ -406,7 +413,8 @@ class TestSeededData:
         lemma_diagnostics(
             [(name, counted(name, f)) for name, f in members],
             DirectionSet.default(2),
-            shells=range(2, 5),
+            range(2, 5),
+            1.6,
         )
         assert sorted(built) == sorted(name for name, _ in members)
         assert calls.count("picard_solve") == 1
@@ -418,7 +426,7 @@ class TestSeededData:
         monkeypatch.setenv("SMAP_THREADS", "1")
         with traced_peak() as peak:
             members, shape = self.small_ensemble()
-            lemma_diagnostics(members, DirectionSet.default(2), shells=range(2, 5))
+            lemma_diagnostics(members, DirectionSet.default(2), range(2, 5), 1.6)
         trajectory_bytes = 16 * math.prod(shape)
         assert peak.bytes < 6 * trajectory_bytes
 
@@ -662,7 +670,7 @@ class TestRunnerAndCli:
     def test_cli_small_grid_needs_shells_only_for_norms(self, tmp_path):
         # The default shells 2..6 pass the last shell (4) of the d = 1,
         # n = 16 ensemble grid. Only norms reads them: the other commands
-        # run, and norms exits 2 before it makes its output directory.
+        # run, and norms exits 2 and leaves no output directory.
         cfg = tmp_path / "small_grid.cfg"
         cfg.write_text("d = 1\nn = 16\n")
         out = tmp_path / "out"
@@ -715,6 +723,21 @@ class TestRunnerAndCli:
         assert cli.main(["picard", "--config", str(small_cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"ConfigError: not enough memory for this config: {message}\n"
+        assert not out.exists()
+
+    def test_failed_norms_leaves_no_directory(self, tmp_path, capsys):
+        # The ensemble's Picard member stops after one map; norms has written
+        # nothing yet, so the directories it made (parent included) go again,
+        # and an output directory that existed before stays.
+        cfg = tmp_path / "one_iter.cfg"
+        cfg.write_text(SMALL_CONFIG.replace("max_iter = 40", "max_iter = 1"))
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        for out in (tmp_path / "new" / "o", kept):
+            assert cli.main(["norms", "--config", str(cfg), "--out", str(out)]) == 4
+            assert capsys.readouterr().err.startswith("MaxIterExceeded: ")
+        assert not (tmp_path / "new").exists()
+        assert kept.is_dir() and not any(kept.iterdir())
 
     def test_cli_config_error_exit_two(self, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -101,6 +101,11 @@ def pooled_annulus_masses(F):
     return masses, math.sqrt(F.cell_measure * np.sum(class_power))
 
 
+def factories(members):
+    """(name, spectrum) pairs as lemma_diagnostics takes them: (name, factory)."""
+    return [(name, lambda F=F: F) for name, F in members]
+
+
 def window_grid(t_window=1.0, m_t=64):
     dt = 2.0 * t_window / m_t
     return uniform_times(2 * t_window, dt, t0=-t_window), dt
@@ -155,9 +160,23 @@ class TestDirections:
         else:
             assert np.array_equal(lattice_vector(e, d), want)
 
-    def test_direction_set_requires_negation_closure(self):
-        with pytest.raises(ValueError):
-            DirectionSet(np.array([[1.0, 0.0]]))
+    def test_direction_set_rejects_non_lattice_at_construction(self):
+        # The set is checked when it is made, before any member is analysed.
+        with pytest.raises(UnsupportedDirection, match="not lattice-aligned"):
+            DirectionSet(np.array([[0.8, 0.6], [-0.8, -0.6]]))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_named_sets_keep_default_rows_and_order(self, d):
+        # The axes are the rows of default(d) with one nonzero entry; the
+        # full set is default(d) itself, in its order and with its bits.
+        full = DirectionSet.default(d).vectors
+        axes = full[[int(np.sum(np.abs(e) > 1e-12)) == 1 for e in full]]
+        for name, want in (("axes", axes), ("axes_diagonals", full)):
+            got = DirectionSet.named(name, d).vectors
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="unknown direction set 'diagonals'"):
+            DirectionSet.named("diagonals", d)
 
 
 class TestTransform:
@@ -725,7 +744,7 @@ class TestFreeCellPower:
             assert not np.any(got) and not np.any(want)
         else:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
-        rows = spacetime._member_rows("free", pooled, None, (), (sigma,))
+        rows = spacetime._member_rows("free", lambda: pooled, None, (), (sigma,))
         assert [row[:4] for row in rows] == [("free", -1, "Fsigma", f"sigma={sigma:g}")]
         bound = fsigma_upper(F, sigma)
         assert abs(rows[0][4] - bound) <= 1e-13 * bound
@@ -743,7 +762,9 @@ class TestFreeCellPower:
     def test_shells_need_the_spectrum(self, grid32, rng):
         pooled = free_cell_power(random_smooth_field(grid32, rng), 64, 1.0)
         with pytest.raises(TypeError, match="pooled power only"):
-            spacetime._member_rows("free", pooled, DirectionSet.default(2), range(1, 3), ())
+            spacetime._member_rows(
+                "free", lambda: pooled, DirectionSet.default(2), range(1, 3), ()
+            )
 
 
 class TestSigmaUpper:
@@ -813,7 +834,7 @@ class TestLemmaDiagnostics:
         # Oracle: recompute R2, R3, R4 for one member with the public norms.
         members = self.build_ensemble(grid32, rng)
         dirs = DirectionSet.default(2)
-        rep = lemma_diagnostics(members, dirs, shells=range(2, 4))
+        rep = lemma_diagnostics(factories(members), dirs, range(2, 4), 1.6)
 
         name, F = members[0]
         k = 2
@@ -843,7 +864,7 @@ class TestLemmaDiagnostics:
 
     def test_zero_member_flagged_and_ratios_finite(self, grid32, rng):
         rep = lemma_diagnostics(
-            self.build_ensemble(grid32, rng), DirectionSet.default(2), shells=range(2, 4)
+            factories(self.build_ensemble(grid32, rng)), DirectionSet.default(2), range(2, 4), 1.6
         )
         skipped = [row for row in rep.rows if row[2] == "skipped"]
         assert [row[0] for row in skipped] == ["zero"]
@@ -852,35 +873,35 @@ class TestLemmaDiagnostics:
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(EmptyEnsemble):
-            lemma_diagnostics([], DirectionSet.default(2))
+            lemma_diagnostics([], DirectionSet.default(2), range(2, 4), 1.6)
 
     def test_trajectory_member_rejected(self, grid32, rng):
-        # Members are spectra or factories of spectra; a solved trajectory
-        # goes through spacetime_transform first.
+        # Members are factories of spectra; a solved trajectory goes through
+        # spacetime_transform first.
         times, _ = window_grid()
         traj = free_trajectory(random_smooth_field(grid32, rng), times)
-        for member in (traj, lambda: traj):
-            with pytest.raises(TypeError, match="not a SpaceTimeSpectrum"):
-                lemma_diagnostics([("traj", member)], DirectionSet.default(2))
+        with pytest.raises(TypeError, match="not a SpaceTimeSpectrum"):
+            lemma_diagnostics([("traj", lambda: traj)], DirectionSet.default(2), range(2, 4), 1.6)
 
     def test_parallel_member_processing_deterministic(self, grid32, rng, monkeypatch):
-        members = self.build_ensemble(grid32, rng, m_t=64)
+        spectra = self.build_ensemble(grid32, rng, m_t=64)
+        members = factories(spectra)
         # The same members built on call, on whichever thread analyses them.
         lazy = [
             (name, lambda F=F: SpaceTimeSpectrum(F.grid, F.t_window, F.values.copy()))
-            for name, F in members
+            for name, F in spectra
         ]
         dirs = DirectionSet.default(2)
         monkeypatch.setenv("SMAP_THREADS", "1")
-        serial = lemma_diagnostics(members, dirs, shells=range(2, 4))
-        assert lemma_diagnostics(lazy, dirs, shells=range(2, 4)).rows == serial.rows
+        serial = lemma_diagnostics(members, dirs, range(2, 4), 1.6)
+        assert lemma_diagnostics(lazy, dirs, range(2, 4), 1.6).rows == serial.rows
         monkeypatch.setenv("SMAP_THREADS", "3")
-        threaded = lemma_diagnostics(members, dirs, shells=range(2, 4))
+        threaded = lemma_diagnostics(members, dirs, range(2, 4), 1.6)
         assert serial.rows == threaded.rows
-        assert lemma_diagnostics(lazy, dirs, shells=range(2, 4)).rows == serial.rows
+        assert lemma_diagnostics(lazy, dirs, range(2, 4), 1.6).rows == serial.rows
 
     def test_factory_error_surfaces(self, grid32, rng, monkeypatch):
-        members = self.build_ensemble(grid32, rng, m_t=64)[:2]
+        members = factories(self.build_ensemble(grid32, rng, m_t=64)[:2])
 
         def diverging():
             raise NoContraction("iterate grew")
@@ -888,15 +909,17 @@ class TestLemmaDiagnostics:
         for threads in ("1", "2"):
             monkeypatch.setenv("SMAP_THREADS", threads)
             with pytest.raises(NoContraction, match="iterate grew"):
-                lemma_diagnostics(members + [("bad", diverging)], DirectionSet.default(2))
+                lemma_diagnostics(
+                    members + [("bad", diverging)], DirectionSet.default(2), range(2, 4), 1.6
+                )
 
     def test_bound_members_follow_the_max_rows(self, grid32, rng, monkeypatch):
         # Bound-only members report one Fsigma row per sigma, all from one
         # table with fsigma_upper's bits, after the max rows and in their
         # order; one without mass is reported, not skipped.
-        members = self.build_ensemble(grid32, rng, m_t=64)
-        broad, zero = members[2][1], members[3][1]
-        bounds = [("free", lambda: broad, (0.0, 1.6)), ("nil", zero, (1.6,))]
+        members = factories(self.build_ensemble(grid32, rng, m_t=64))
+        broad, zero = members[2][1](), members[3][1]()
+        bounds = [("free", lambda: broad, (0.0, 1.6)), ("nil", lambda: zero, (1.6,))]
         want = [
             ("free", -1, "Fsigma", "sigma=0", fsigma_upper(broad, 0.0)),
             ("free", -1, "Fsigma", "sigma=1.6", fsigma_upper(broad, 1.6)),
@@ -905,14 +928,14 @@ class TestLemmaDiagnostics:
         dirs = DirectionSet.default(2)
         for threads in ("1", "2"):
             monkeypatch.setenv("SMAP_THREADS", threads)
-            alone = lemma_diagnostics(members, dirs, shells=range(2, 4))
-            rep = lemma_diagnostics(members, dirs, shells=range(2, 4), bound_members=bounds)
+            alone = lemma_diagnostics(members, dirs, range(2, 4), 1.6)
+            rep = lemma_diagnostics(members, dirs, range(2, 4), 1.6, bound_members=bounds)
             assert rep.rows == alone.rows + want
             assert alone.rows[-1][0] == "max"
             assert rep.meta["num_members"] == len(members)
 
     def test_bound_member_error_surfaces(self, grid32, rng, monkeypatch):
-        members = self.build_ensemble(grid32, rng, m_t=64)[:2]
+        members = factories(self.build_ensemble(grid32, rng, m_t=64)[:2])
 
         def diverging():
             raise NoContraction("datum grew")
@@ -921,7 +944,11 @@ class TestLemmaDiagnostics:
             monkeypatch.setenv("SMAP_THREADS", threads)
             with pytest.raises(NoContraction, match="datum grew"):
                 lemma_diagnostics(
-                    members, DirectionSet.default(2), bound_members=[("bad", diverging, (1.6,))]
+                    members,
+                    DirectionSet.default(2),
+                    range(2, 4),
+                    1.6,
+                    bound_members=[("bad", diverging, (1.6,))],
                 )
 
     @pytest.mark.parametrize("threads", ["2", "4"])
@@ -939,11 +966,11 @@ class TestLemmaDiagnostics:
 
         monkeypatch.setattr(spacetime, "_build_shell_kernel", lru_cache(maxsize=8)(slow_build))
         monkeypatch.setenv("SMAP_THREADS", threads)
-        members = self.build_ensemble(grid32, rng, m_t=64)
+        members = factories(self.build_ensemble(grid32, rng, m_t=64))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            rep = lemma_diagnostics(members, DirectionSet.default(2), shells=range(2, 4))
+            rep = lemma_diagnostics(members, DirectionSet.default(2), range(2, 4), 1.6)
         finally:
             sys.setswitchinterval(interval)
         assert {row[0] for row in rep.rows if row[2] == "Xk"} == {"mode_k2", "mode_k3", "broad"}
@@ -957,7 +984,7 @@ class TestLemmaDiagnostics:
         rng = np.random.default_rng(3)
         spec = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         F = free_spectrum(ComplexField(grid, 0.0, FREQUENCY, spec), 256, 1.0)
-        args = ("broadband", F, DirectionSet.default(2), None, ())
+        args = ("broadband", lambda: F, DirectionSet.default(2), range(grid.max_shell + 1), ())
         spacetime._member_rows(*args)  # warm the caches
         with traced_peak() as peak:
             spacetime._member_rows(*args)
@@ -972,8 +999,11 @@ class TestLemmaDiagnostics:
         padded[...] = values
         assert values.flags["C_CONTIGUOUS"] and not padded.flags["C_CONTIGUOUS"]
         dirs = DirectionSet.default(2)
+        shells = range(grid32.max_shell + 1)
         rows = [
-            spacetime._member_rows("m", SpaceTimeSpectrum(grid32, 1.0, v), dirs, None, (1.6,))
+            spacetime._member_rows(
+                "m", lambda v=v: SpaceTimeSpectrum(grid32, 1.0, v), dirs, shells, (1.6,)
+            )
             for v in (values, padded)
         ]
         assert [row[2] for row in rows[0]].count("R2") >= 4
@@ -985,7 +1015,7 @@ class TestLemmaDiagnostics:
         # copying the spectrum, and each block's grid inverse runs in place
         # on one padded work block.
         F = free_spectrum(random_smooth_field(grid32, rng), 128, 1.0)
-        args = ("free", F, DirectionSet.default(2), range(1, 4), (1.6,))
+        args = ("free", lambda: F, DirectionSet.default(2), range(1, 4), (1.6,))
         spacetime._member_rows(*args)  # warm the caches
         with traced_peak() as peak:
             spacetime._member_rows(*args)
@@ -1004,7 +1034,7 @@ class TestLemmaDiagnostics:
         members = [
             (f"k{k}", free_spectrum(plane_wave(grid, k0), m_t, 1.0)) for k, k0 in modes.items()
         ]
-        rep = lemma_diagnostics(members, DirectionSet.default(2), shells=range(3, 6))
+        rep = lemma_diagnostics(factories(members), DirectionSet.default(2), range(3, 6), 1.6)
         r4 = {row[1]: row[4] for row in rep.rows if row[0] == "max" and row[2] == "R4"}
         r2 = {row[1]: row[4] for row in rep.rows if row[0] == "max" and row[2] == "R2"}
         assert set(r4) == {3, 4, 5}
