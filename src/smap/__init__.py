@@ -8,7 +8,6 @@ estimates.
 from .errors import (
     ChartViolation,
     ConfigError,
-    DegenerateInput,
     EmptyEnsemble,
     GridMismatch,
     InnerDivergence,

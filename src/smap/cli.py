@@ -13,7 +13,7 @@ import sys
 from .errors import ConfigError, SmapError, ValidationFailure
 from .harness.config import load_config
 from .harness.runner import COMMANDS, run
-from .spectral import thread_budget
+from .spacetime import thread_budget
 
 
 def build_parser() -> argparse.ArgumentParser:

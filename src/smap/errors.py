@@ -42,10 +42,6 @@ class InnerDivergence(SmapError):
     """The implicit midpoint inner solve exceeded its sweep budget."""
 
 
-class DegenerateInput(SmapError):
-    """An input is too small for the requested diagnostic to be defined."""
-
-
 class WindowTooShort(SmapError):
     """A space-time window has too few samples for a meaningful DFT."""
 

@@ -202,7 +202,7 @@ def _cmd_norms(config, out) -> int:
     ]
     bound_members = [
         (f"free_phi{i}",
-         partial(free_cell_power, to_physical(phi), lin_samples, config.t_window), sigmas)
+         partial(free_cell_power, phi, lin_samples, config.t_window), sigmas)
         for i, phi in enumerate(lin_data)
     ]
     ensemble = build_lemma_ensemble(

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DegenerateInput,
     GridMismatch,
     InnerDivergence,
     MaxIterExceeded,
@@ -585,7 +584,7 @@ def gronwall_report(times: np.ndarray, energy) -> NormReport:
     degenerate = bool(np.all(energy < 1e-28))
     report.meta["identical_trajectories"] = degenerate
     if degenerate:
-        report.meta["flag"] = DegenerateInput.__name__
+        report.meta["flag"] = "DegenerateInput"
         for m, t in enumerate(times):
             report.add(float(t), float(energy[m]), 0.0)
         return report

@@ -30,6 +30,7 @@ tables (X_k, R1, Fsigma), and _shell_reductions inverts one shell (R2-R4).
 from __future__ import annotations
 
 import math
+import os
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyEnsemble, UnsupportedDirection, WindowTooShort
+from .errors import ConfigError, EmptyEnsemble, UnsupportedDirection, WindowTooShort
 from .grid import GridSpec
 from .report import NormReport
 from .solver import Trajectory, _block_rows, propagator_stack
@@ -45,11 +46,9 @@ from .spectral import (
     PLATEAU,
     SUPPORT,
     ComplexField,
-    _one_fft_worker,
     _ortho_factor,
     eta0,
     eta_shell,
-    fft_workers,
     grid_axes,
     psi,
     stack_empty,
@@ -665,21 +664,42 @@ def _direction_label(e):
     return "(" + " ".join(f"{c:+.3f}" for c in e) + ")"
 
 
+def thread_budget() -> int:
+    """Threads the norms pool may use (_ordered_map): SMAP_THREADS, a positive integer.
+
+    Unset or empty, it is the number of CPUs this process may run on (its
+    affinity mask, where the platform has one). Any other value that is not
+    a positive integer is a ConfigError.
+    """
+    env = os.environ.get("SMAP_THREADS")
+    if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"SMAP_THREADS must be a positive integer, got {env!r}")
+    return threads
+
+
 def _ordered_map(fn, items) -> list:
-    """fn over items on min(fft_workers(), len(items)) threads, in input order.
+    """fn over items on min(thread_budget(), len(items)) threads, in input order.
 
     Tasks start in input order and their results come back in it; the
-    first exception in that order reaches the caller. Each pool thread runs
-    its FFTs with one worker, so the pool spends the SMAP_THREADS budget
-    once. With one worker the items run serially on the calling thread.
+    first exception in that order reaches the caller. With one thread the
+    items run serially on the calling thread, otherwise on pool threads
+    only.
     """
     items = list(items)
-    workers = min(fft_workers(), len(items))
+    workers = min(thread_budget(), len(items))
     if workers <= 1:
         return [fn(item) for item in items]
     from concurrent.futures import ThreadPoolExecutor  # kept out of start-up
 
-    with ThreadPoolExecutor(max_workers=workers, initializer=_one_fft_worker) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 

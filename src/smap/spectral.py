@@ -8,7 +8,9 @@ box. Real arrays (sphere components) have their own
 real-input transforms over the half spectrum, on the same binding: the
 Laplacian and the Sobolev energy of a real stack. The ComplexField API
 (transform, to_frequency, to_physical) converts single fields through
-scipy.fft.
+scipy.fft. Every transform runs on one pocketfft worker: the grids are
+small, and the only thread pool (spacetime's) spends its threads on whole
+tasks.
 
 Contains the transforms, the smooth dyadic cutoff family (eta_shell, the
 Littlewood-Paley weights), the Bessel-potential weights and the Sobolev
@@ -24,8 +26,6 @@ independent.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
@@ -35,7 +35,7 @@ import numpy as np
 import scipy.fft
 from scipy.fft._pocketfft import pypocketfft
 
-from .errors import ConfigError, GridMismatch, RepresentationMismatch
+from .errors import GridMismatch, RepresentationMismatch
 from .grid import GridSpec
 
 PHYSICAL = "physical"
@@ -44,46 +44,6 @@ FREQUENCY = "frequency"
 # Plateau / support radii of the radial bump: 1 on |r| <= PLATEAU, 0 outside SUPPORT.
 PLATEAU = 5.0 / 4.0
 SUPPORT = 8.0 / 5.0
-
-
-_pool_thread = threading.local()
-
-
-def thread_budget() -> int:
-    """The total thread budget: SMAP_THREADS, a positive integer.
-
-    Unset or empty, it is the number of CPUs this process may run on (its
-    affinity mask, where the platform has one). Any other value that is not
-    a positive integer is a ConfigError.
-    """
-    env = os.environ.get("SMAP_THREADS")
-    if not env:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:
-        threads = int(env)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigError(f"SMAP_THREADS must be a positive integer, got {env!r}")
-    return threads
-
-
-def fft_workers() -> int:
-    """Worker cap for the FFT backend: the thread budget (thread_budget).
-
-    A thread pool spends the budget on its threads, so on a pool thread
-    this is 1.
-    """
-    if getattr(_pool_thread, "one_worker", False):
-        return 1
-    return thread_budget()
-
-
-def _one_fft_worker() -> None:
-    """Make fft_workers() return 1 on the calling thread (a pool initializer)."""
-    _pool_thread.one_worker = True
 
 
 @dataclass
@@ -121,12 +81,12 @@ def transform(u: ComplexField, direction: str) -> ComplexField:
     if direction == "forward":
         if u.representation != PHYSICAL:
             raise RepresentationMismatch("forward transform needs a physical field")
-        vals = scipy.fft.fftn(u.values, norm="ortho", workers=fft_workers())
+        vals = scipy.fft.fftn(u.values, norm="ortho")
         return ComplexField(u.grid, u.time, FREQUENCY, vals)
     if direction == "inverse":
         if u.representation != FREQUENCY:
             raise RepresentationMismatch("inverse transform needs a frequency field")
-        vals = scipy.fft.ifftn(u.values, norm="ortho", workers=fft_workers())
+        vals = scipy.fft.ifftn(u.values, norm="ortho")
         return ComplexField(u.grid, u.time, PHYSICAL, vals)
     raise ValueError(f"unknown direction {direction!r}")
 
@@ -153,7 +113,7 @@ def unitary_dft(
     transform of a raw array in the package goes through it.
     """
     axes = [a % values.ndim for a in axes]
-    return pypocketfft.c2c(values, axes, not inverse, int(scaled), out, fft_workers())
+    return pypocketfft.c2c(values, axes, not inverse, int(scaled), out, 1)
 
 
 def box_dft(values: np.ndarray, runs: tuple, d: int, inverse: bool = False) -> np.ndarray:
@@ -387,7 +347,7 @@ def _half_spectrum(values: np.ndarray, axes, out=None) -> np.ndarray:
     """
     values = np.asarray(values, dtype=np.float64)
     axes = [a % values.ndim for a in axes]
-    return pypocketfft.r2c(values, axes, True, 1, out, fft_workers())
+    return pypocketfft.r2c(values, axes, True, 1, out, 1)
 
 
 def _half_inverse(spec: np.ndarray, shape: tuple, axes, out=None) -> np.ndarray:
@@ -403,7 +363,7 @@ def _half_inverse(spec: np.ndarray, shape: tuple, axes, out=None) -> np.ndarray:
     axes = [a % spec.ndim for a in axes]
     if len(axes) > 1:
         unitary_dft(spec, axes[:-1], inverse=True, out=spec, scaled=False)
-    out = pypocketfft.c2r(spec, axes[-1:], shape[axes[-1]], False, 0, out, fft_workers())
+    out = pypocketfft.c2r(spec, axes[-1:], shape[axes[-1]], False, 0, out, 1)
     out *= _ortho_factor(math.prod(shape[a] for a in axes))
     return out
 

@@ -439,7 +439,9 @@ class TestRunnerAndCli:
         return path
 
     def run_cli(self, *args):
-        # The child imports the same package as this test process.
+        # The child imports the same package as this test process and, as
+        # pyproject's filterwarnings does in process, turns numpy's
+        # RuntimeWarnings into errors.
         src = str(Path(smap.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         return subprocess.run(
@@ -447,7 +449,7 @@ class TestRunnerAndCli:
             capture_output=True,
             text=True,
             timeout=600,
-            env={**os.environ, "PYTHONPATH": path},
+            env={**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning"},
         )
 
     def test_picard_writes_history_csv(self, tmp_path, small_cfg):

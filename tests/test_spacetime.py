@@ -1,9 +1,11 @@
 import itertools
 import math
+import os
 import sys
 import threading
 import time
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,10 +13,23 @@ import scipy.fft
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smap import solver, spacetime
-from smap.errors import EmptyEnsemble, NoContraction, UnsupportedDirection, WindowTooShort
+from smap import solver, spacetime, spectral
+from smap.errors import (
+    ConfigError,
+    EmptyEnsemble,
+    NoContraction,
+    UnsupportedDirection,
+    WindowTooShort,
+)
+from smap.geometry import stereo_lift
 from smap.grid import GridSpec
-from smap.solver import Trajectory, free_trajectory, picard_solve, uniform_times
+from smap.solver import (
+    Trajectory,
+    free_trajectory,
+    midpoint_snapshots,
+    picard_solve,
+    uniform_times,
+)
 from smap.spacetime import (
     TIME_CUT,
     DirectionSet,
@@ -30,6 +45,7 @@ from smap.spacetime import (
     nsigma_upper,
     pooled_max_slope,
     spacetime_transform,
+    thread_budget,
     window_profile,
     windowed_samples,
 )
@@ -39,8 +55,10 @@ from smap.spectral import (
     SUPPORT,
     ComplexField,
     eta_shell,
-    fft_workers,
+    laplacian_values,
     stack_empty,
+    to_physical,
+    transform,
 )
 
 from conftest import random_smooth_field, traced_peak
@@ -1045,18 +1063,86 @@ class TestLemmaDiagnostics:
         assert max(normalized) / min(normalized) < 1.5
 
 
-class TestOrderedMap:
-    def test_pool_threads_run_one_fft_worker(self, monkeypatch):
-        # SMAP_THREADS is the total budget: the pool takes it, and each pool
-        # thread's FFTs get one worker; the calling thread keeps the budget.
+class TestThreadBudget:
+    def test_default_counts_the_affinity_mask(self, monkeypatch):
+        # Unset or empty: the CPUs this process may run on, not all of them.
+        monkeypatch.delenv("SMAP_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert thread_budget() == 1
+        monkeypatch.setenv("SMAP_THREADS", "")
+        assert thread_budget() == 1
+
+    def test_positive_integer_taken(self, monkeypatch):
         monkeypatch.setenv("SMAP_THREADS", "3")
-        assert fft_workers() == 3
-        seen = spacetime._ordered_map(
-            lambda _: (threading.get_ident(), fft_workers()), range(6)
+        assert thread_budget() == 3
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+    def test_anything_else_is_a_config_error(self, monkeypatch, value):
+        monkeypatch.setenv("SMAP_THREADS", value)
+        with pytest.raises(ConfigError, match="SMAP_THREADS"):
+            thread_budget()
+
+
+class TestOrderedMap:
+    def test_every_transform_asks_for_one_worker(self, monkeypatch, rng):
+        # SMAP_THREADS sizes the norms pool only: every pocketfft binding and
+        # scipy.fft call asks for one worker, on the calling thread (a Picard
+        # solve, midpoint steps) and on the pool's threads alike.
+        asked = []
+
+        def recording(fn, position, keyword, default):
+            def call(*args, **kwargs):
+                workers = args[position] if len(args) > position else kwargs.get(keyword, default)
+                if workers is None:
+                    workers = scipy.fft.get_workers()
+                asked.append((fn.__name__, threading.get_ident(), workers))
+                return fn(*args, **kwargs)
+
+            return call
+
+        binding = spectral.pypocketfft
+        recorded = SimpleNamespace(
+            c2c=recording(binding.c2c, 5, "nthreads", 1),
+            r2c=recording(binding.r2c, 5, "nthreads", 1),
+            c2r=recording(binding.c2r, 6, "nthreads", 1),
         )
-        assert [workers for _, workers in seen] == [1] * 6
-        assert threading.get_ident() not in {tid for tid, _ in seen}
-        assert fft_workers() == 3
+        monkeypatch.setattr(spectral, "pypocketfft", recorded)
+        monkeypatch.setattr(scipy.fft, "fftn", recording(scipy.fft.fftn, 5, "workers", None))
+        monkeypatch.setattr(scipy.fft, "ifftn", recording(scipy.fft.ifftn, 5, "workers", None))
+        monkeypatch.setenv("SMAP_THREADS", "3")
+
+        grid = GridSpec(2, 16, 4.0)
+        picard_solve(random_smooth_field(grid, rng, amp=0.1), 0.25, 1.0 / 16.0, sigma0=1.6)
+        s0 = stereo_lift(random_smooth_field(grid, rng, amp=0.05))
+        list(itertools.islice(midpoint_snapshots(s0, 0.25, 1.0 / 64.0), 3))
+
+        def task(u):
+            free_spectrum(u, 16, 1.0)
+            to_physical(transform(u, "forward"))
+            return laplacian_values(u.values.real, grid)
+
+        fields = [random_smooth_field(grid, rng) for _ in range(6)]
+        spacetime._ordered_map(task, fields)
+        assert {name for name, _, _ in asked} == {"c2c", "r2c", "c2r", "fftn", "ifftn"}
+        assert {tid for _, tid, _ in asked} - {threading.get_ident()}  # pool threads seen
+        assert {workers for _, _, workers in asked} == {1}
+
+    @pytest.mark.parametrize("budget, items", [(3, 6), (3, 2), (2, 4)])
+    def test_pool_size_is_budget_or_items(self, monkeypatch, budget, items):
+        # min(budget, items) threads, none of them the caller: each round of
+        # that many tasks meets at a barrier, so no fewer threads can finish.
+        monkeypatch.setenv("SMAP_THREADS", str(budget))
+        barrier = threading.Barrier(min(budget, items), timeout=10)
+
+        def task(_):
+            barrier.wait()
+            return threading.get_ident()
+
+        seen = set(spacetime._ordered_map(task, range(items)))
+        assert len(seen) == min(budget, items)
+        assert threading.get_ident() not in seen
+
+    def test_budget_of_one_runs_on_the_caller(self, monkeypatch):
         monkeypatch.setenv("SMAP_THREADS", "1")
         assert spacetime._ordered_map(lambda _: threading.get_ident(), range(3)) == [
             threading.get_ident()

@@ -1,6 +1,5 @@
 import ast
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +8,7 @@ import scipy.fft
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smap.errors import ConfigError, RepresentationMismatch
+from smap.errors import RepresentationMismatch
 from smap.grid import GridSpec
 from smap.nonlinearity import DealiasPolicy, _derivative
 from smap import spectral
@@ -22,7 +21,6 @@ from smap.spectral import (
     ComplexField,
     eta0,
     eta_shell,
-    fft_workers,
     hsigma_energy_real,
     hsigma_norm,
     hsigma_norm_spectra,
@@ -31,7 +29,6 @@ from smap.spectral import (
     laplacian_values,
     psi,
     real_work,
-    thread_budget,
     transform,
 )
 
@@ -658,25 +655,3 @@ class TestOneTransformPath:
     def test_reference_transforms_left_the_package(self):
         assert not hasattr(spectral, "spectrum_of")
         assert not hasattr(spectral, "samples_of")
-
-
-class TestThreadBudget:
-    def test_default_counts_the_affinity_mask(self, monkeypatch):
-        # Unset or empty: the CPUs this process may run on, not all of them.
-        monkeypatch.delenv("SMAP_THREADS", raising=False)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert thread_budget() == fft_workers() == 1
-        monkeypatch.setenv("SMAP_THREADS", "")
-        assert thread_budget() == 1
-
-    def test_positive_integer_taken(self, monkeypatch):
-        monkeypatch.setenv("SMAP_THREADS", "3")
-        assert thread_budget() == fft_workers() == 3
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
-    def test_anything_else_is_a_config_error(self, monkeypatch, value):
-        monkeypatch.setenv("SMAP_THREADS", value)
-        with pytest.raises(ConfigError, match="SMAP_THREADS"):
-            thread_budget()
-        with pytest.raises(ConfigError, match="SMAP_THREADS"):
-            fft_workers()
