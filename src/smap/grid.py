@@ -13,6 +13,9 @@ from functools import lru_cache
 
 import numpy as np
 
+# numpy 2 loads its submodules on first use; load this one at import, not inside a command.
+import numpy.fft
+
 
 @dataclass(frozen=True)
 class GridSpec:

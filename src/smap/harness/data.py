@@ -12,6 +12,9 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
+# numpy 2 loads its submodules on first use; load this one at import, not inside a command.
+import numpy.random
+
 from ..geometry import SphereField, stereo_lift
 from ..grid import GridSpec
 from ..nonlinearity import TWO_THIRDS, DealiasPolicy

@@ -38,6 +38,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+# numpy 2 loads its submodules on first use; load these at import, not inside a command.
+import numpy.fft
+import numpy.ma  # used by np.unique
+
 from .errors import ConfigError, EmptyEnsemble, UnsupportedDirection, WindowTooShort
 from .grid import GridSpec
 from .report import NormReport

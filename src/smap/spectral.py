@@ -7,10 +7,13 @@ lines a box of modes needs (the 2/3 rule's), with the same bits inside the
 box. Real arrays (sphere components) have their own
 real-input transforms over the half spectrum, on the same binding: the
 Laplacian and the Sobolev energy of a real stack. The ComplexField API
-(transform, to_frequency, to_physical) converts single fields through
-scipy.fft. Every transform runs on one pocketfft worker: the grids are
-small, and the only thread pool (spacetime's) spends its threads on whole
-tasks.
+converts single fields: to_frequency and to_physical through unitary_dft,
+transform through scipy.fft's public fftn/ifftn (imported on its first
+call; no command calls it). The binding is loaded from its file in scipy's
+directory, so importing this module never runs scipy.fft's package, which
+would import scipy.special and a second OpenBLAS. Every transform runs on
+one pocketfft worker: the grids are small, and the only thread pool
+(spacetime's) spends its threads on whole tasks.
 
 Contains the transforms, the smooth dyadic cutoff family (eta_shell, the
 Littlewood-Paley weights), the Bessel-potential weights and the Sobolev
@@ -25,18 +28,45 @@ independent.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
-from scipy.fft._pocketfft import pypocketfft
 
 from .errors import GridMismatch, RepresentationMismatch
 from .grid import GridSpec
+
+
+def _load_pocketfft():
+    """scipy's pocketfft binding (the C extension behind scipy.fft), loaded
+    from its file under its own name and left out of sys.modules.
+
+    find_spec locates scipy's directory without importing its subpackages.
+    """
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("scipy is not installed")
+    folder = Path(scipy_spec.origin).parent / "fft" / "_pocketfft"
+    name = "scipy.fft._pocketfft.pypocketfft"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"pypocketfft{suffix}"
+        if path.is_file():
+            loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(name, path, loader=loader)
+            )
+            loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's pocketfft binding (pypocketfft) is not in {folder}")
+
+
+pypocketfft = _load_pocketfft()
 
 PHYSICAL = "physical"
 FREQUENCY = "frequency"
@@ -78,6 +108,8 @@ def transform(u: ComplexField, direction: str) -> ComplexField:
     ``direction`` is ``"forward"`` (physical -> frequency) or ``"inverse"``.
     The norm-preserving normalization makes Plancherel exact up to rounding.
     """
+    import scipy.fft
+
     if direction == "forward":
         if u.representation != PHYSICAL:
             raise RepresentationMismatch("forward transform needs a physical field")
@@ -92,11 +124,18 @@ def transform(u: ComplexField, direction: str) -> ComplexField:
 
 
 def to_frequency(u: ComplexField) -> ComplexField:
-    return u if u.representation == FREQUENCY else transform(u, "forward")
+    """u's unitary spectrum, with the bits of transform(u, "forward")."""
+    if u.representation == FREQUENCY:
+        return u
+    return ComplexField(u.grid, u.time, FREQUENCY, unitary_dft(u.values, range(u.grid.d)))
 
 
 def to_physical(u: ComplexField) -> ComplexField:
-    return u if u.representation == PHYSICAL else transform(u, "inverse")
+    """u's samples, with the bits of transform(u, "inverse")."""
+    if u.representation == PHYSICAL:
+        return u
+    values = unitary_dft(u.values, range(u.grid.d), inverse=True)
+    return ComplexField(u.grid, u.time, PHYSICAL, values)
 
 
 def unitary_dft(

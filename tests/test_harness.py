@@ -10,12 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.fft
 from hypothesis import given
 from hypothesis import strategies as st
 
 import smap
-from smap import cli, solver, spacetime
+from smap import cli, solver, spacetime, spectral
 from smap.errors import ConfigError, NoContraction
 from smap.geometry import SphereField, stereo_lift
 from smap.grid import GridSpec
@@ -465,10 +464,11 @@ class TestRunnerAndCli:
 
     def test_picard_rebuilds_only_the_final_row(self, tmp_path, small_cfg, monkeypatch):
         # After each solve the command inverts one row, the snapshot it
-        # writes, and never the whole fixed point: neither through scipy.fft
-        # (single fields) nor through the stack transform of the sample stream.
+        # writes, and never the whole fixed point: neither through
+        # to_physical (single fields, on spectral.unitary_dft) nor through
+        # the stack transform of the sample stream.
         grid = load_config(small_cfg).grid()
-        solve, inverse, stack_dft = runner.picard_solve, scipy.fft.ifftn, solver.unitary_dft
+        solve, field_dft, stack_dft = runner.picard_solve, spectral.unitary_dft, solver.unitary_dft
         after_solve = []
 
         def solve_then_count(*args, **kwargs):
@@ -477,10 +477,10 @@ class TestRunnerAndCli:
             after_solve[-1] = []
             return result
 
-        def counted(x, *args, **kwargs):
-            if after_solve and after_solve[-1] is not None:
+        def counted(x, axes, inverse=False, *args, **kwargs):
+            if inverse and after_solve and after_solve[-1] is not None:
                 after_solve[-1].append(np.shape(x))
-            return inverse(x, *args, **kwargs)
+            return field_dft(x, axes, inverse, *args, **kwargs)
 
         def counted_stack(x, *args, **kwargs):
             if after_solve and after_solve[-1] is not None:
@@ -488,7 +488,7 @@ class TestRunnerAndCli:
             return stack_dft(x, *args, **kwargs)
 
         monkeypatch.setattr(runner, "picard_solve", solve_then_count)
-        monkeypatch.setattr(scipy.fft, "ifftn", counted)
+        monkeypatch.setattr(spectral, "unitary_dft", counted)
         monkeypatch.setattr(solver, "unitary_dft", counted_stack)
         cfg = load_config(small_cfg, out_dir=str(tmp_path / "out"), amplitudes=(1e-3, 1e-2))
         assert run("picard", cfg) == 0

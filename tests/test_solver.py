@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.fft
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -162,24 +161,24 @@ class TestCarriedSpectra:
         calls = {}
         # Stack transforms run on spectral.unitary_dft, or on spectral.box_dft
         # where the 2/3 rule drops what they make; single fields go through
-        # scipy.fft (ComplexField transforms). All are counted.
-        targets = [(scipy.fft, "fftn", "scipy.fft"), (scipy.fft, "ifftn", "scipy.fft")]
+        # to_frequency (the ComplexField API). All are counted.
+        targets = [(solver, "to_frequency", "field")]
         targets += [(solver, "unitary_dft", "unitary_dft")]
         targets += [(nonlinearity_module, name, name) for name in ("unitary_dft", "box_dft")]
         for owner, name, kind in targets:
             original = getattr(owner, name)
 
-            def counted(*args, _original=original, _kind=kind, **kwargs):
-                calls[_kind].append(args[0].shape)
-                return _original(*args, **kwargs)
+            def counted(x, *args, _original=original, _kind=kind, **kwargs):
+                calls[_kind].append(np.shape(getattr(x, "values", x)))
+                return _original(x, *args, **kwargs)
 
             monkeypatch.setattr(owner, name, counted)
         rows = (len(prev.times),) + grid.shape
         for policy, boxed in ((TWO_THIRDS, 5), (NO_DEALIAS, 1)):
-            calls.update({"scipy.fft": [], "unitary_dft": [], "box_dft": []})
+            calls.update({"field": [], "unitary_dft": [], "box_dft": []})
             duhamel_map(phi, Trajectory(grid, prev.times, prev.values.copy()), policy, SIGMA0)
-            assert set(calls["scipy.fft"]) <= {grid.shape}  # phi_hat only
-            assert len(calls["scipy.fft"]) <= 1
+            assert set(calls["field"]) <= {grid.shape}  # phi_hat only
+            assert len(calls["field"]) <= 1
             # The inverse of the rebuilt rows and the d gradient inverses;
             # then the two dealias round trips and the product's forward
             # transform, of which the none rule makes the last.

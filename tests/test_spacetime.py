@@ -1118,7 +1118,7 @@ class TestOrderedMap:
 
         def task(u):
             free_spectrum(u, 16, 1.0)
-            to_physical(transform(u, "forward"))
+            transform(transform(u, "forward"), "inverse")
             return laplacian_values(u.values.real, grid)
 
         fields = [random_smooth_field(grid, rng) for _ in range(6)]

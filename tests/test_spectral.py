@@ -1,5 +1,11 @@
 import ast
+import importlib.machinery
+import importlib.util
 import math
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +35,8 @@ from smap.spectral import (
     laplacian_values,
     psi,
     real_work,
+    to_frequency,
+    to_physical,
     transform,
 )
 
@@ -71,6 +79,19 @@ class TestTransform:
             transform(u, "inverse")
         with pytest.raises(RepresentationMismatch):
             transform(transform(u, "forward"), "forward")
+
+    @pytest.mark.parametrize("d, n", [(1, 64), (2, 32), (3, 16)])
+    def test_conversions_have_the_bits_of_transform(self, rng, d, n):
+        # to_frequency and to_physical call unitary_dft, transform calls
+        # scipy.fft's public fftn/ifftn; both make the same pocketfft call.
+        u = random_smooth_field(GridSpec(d, n, 2.0), rng)
+        spec = to_frequency(u)
+        assert spec.representation == FREQUENCY and spec.time == u.time
+        assert np.array_equal(spec.values, transform(u, "forward").values)
+        back = to_physical(spec)
+        assert back.representation == PHYSICAL
+        assert np.array_equal(back.values, transform(spec, "inverse").values)
+        assert to_frequency(spec) is spec and to_physical(u) is u
 
 
 class TestStackEmpty:
@@ -655,3 +676,55 @@ class TestOneTransformPath:
     def test_reference_transforms_left_the_package(self):
         assert not hasattr(spectral, "spectrum_of")
         assert not hasattr(spectral, "samples_of")
+
+
+# Run in a fresh interpreter: import the CLI, run picard at the default
+# config, then check what the run loaded, and only then import scipy.fft.
+STARTUP_GUARD = """
+import sys
+
+import numpy as np
+
+import smap.cli
+from smap import spectral
+
+assert smap.cli.main(["picard", "--out", sys.argv[1]]) == 0
+loaded = {"scipy.fft", "scipy.special", "scipy.linalg", spectral.pypocketfft.__name__}
+assert not loaded & set(sys.modules), sorted(loaded & set(sys.modules))
+
+import scipy.fft
+
+rng = np.random.default_rng(3)
+x = rng.standard_normal((2, 16, 16)) + 1j * rng.standard_normal((2, 16, 16))
+got = spectral.pypocketfft.c2c(x, [0, 1, 2], True, 1, None, 1)
+assert np.array_equal(got, scipy.fft.fftn(x, norm="ortho"))
+"""
+
+
+class TestStartUp:
+    """smap loads scipy's pocketfft binding from its file: no command runs
+    scipy.fft's package init, which imports scipy.special and scipy's own
+    OpenBLAS."""
+
+    def test_commands_never_import_scipy_fft(self, tmp_path):
+        src = str(Path(spectral.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c", STARTUP_GUARD, str(tmp_path)],
+            capture_output=True,
+            text=True,
+            timeout=600,
+            env={**os.environ, "PYTHONPATH": path, "SMAP_THREADS": "1"},
+        )
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "picard_amp0.csv").is_file()
+
+    def test_missing_binding_names_its_directory(self, monkeypatch):
+        folder = Path(importlib.util.find_spec("scipy").origin).parent / "fft" / "_pocketfft"
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+        with pytest.raises(ImportError, match=re.escape(str(folder))):
+            spectral._load_pocketfft()
+
+    def test_binding_is_the_one_scipy_fft_calls(self):
+        assert spectral.pypocketfft.__name__ == "scipy.fft._pocketfft.pypocketfft"
+        assert spectral.pypocketfft is scipy.fft._pocketfft.pypocketfft
