@@ -13,7 +13,6 @@ import sys
 from .errors import ConfigError, SmapError, ValidationFailure
 from .harness.config import load_config
 from .harness.runner import COMMANDS, run
-from .spacetime import thread_budget
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,7 +39,6 @@ def main(argv=None) -> int:
     if args.allow_subcritical:
         overrides["allow_subcritical"] = True
     try:
-        thread_budget()  # a bad SMAP_THREADS ends the command before any work
         config = load_config(args.config, **overrides)
         return run(args.command, config)
     except ConfigError as exc:

@@ -18,8 +18,6 @@ from .spectral import PHYSICAL, ComplexField, hsigma_energy_real, require_same_g
 # Chart guard: the projection refuses fields with 1 + s3 <= CHART_GUARD.
 CHART_GUARD = 1e-6
 
-NORTH_POLE = np.array([0.0, 0.0, 1.0])
-
 
 @dataclass
 class SphereField:
@@ -56,9 +54,6 @@ class SphereField:
         point = np.asarray(point, dtype=np.float64)
         vals = np.broadcast_to(point.reshape(3, *([1] * grid.d)), (3,) + grid.shape)
         return cls(grid, time, vals.copy())
-
-    def copy(self) -> "SphereField":
-        return SphereField(self.grid, self.time, self.values.copy())
 
 
 def stereo_project(s: SphereField) -> ComplexField:

@@ -128,7 +128,7 @@ def _spacetime_checks(config, grid, rng, check) -> None:
     """
     F = free_spectrum(_random_field(grid, rng, band=4.0), 64, config.t_window)
     kappa = np.unique(grid.wavenumber_sq())
-    class_power = np.sum(_cell_power(F).reshape(F.m_t, kappa.size), axis=0)
+    class_power = np.sum(_cell_power(F).cells, axis=0)
     spec_mass = np.sqrt(F.cell_measure * (_shell_kernel(F).shell_weights[0] @ class_power))
     _, sq_time, row_sq = _shell_reductions(F, F.shell_weights(0), np.ones(F.m_t, bool))
     st_mass = np.sqrt(grid.cell_volume * F.dt * np.sum(row_sq))

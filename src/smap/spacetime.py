@@ -42,7 +42,7 @@ import numpy as np
 import numpy.fft
 import numpy.ma  # used by np.unique
 
-from .errors import ConfigError, EmptyEnsemble, UnsupportedDirection, WindowTooShort
+from .errors import EmptyEnsemble, UnsupportedDirection, WindowTooShort
 from .grid import GridSpec
 from .report import NormReport
 from .solver import Trajectory, _block_rows, propagator_stack
@@ -76,9 +76,6 @@ class DirectionSet:
             raise ValueError("vectors must be a non-empty (L, d) array")
         for e in self.vectors:
             lattice_vector(e, self.vectors.shape[1])
-
-    def __len__(self):
-        return self.vectors.shape[0]
 
     def __iter__(self):
         return iter(self.vectors)
@@ -194,7 +191,7 @@ def _cell_measure(grid: GridSpec, t_window: float) -> float:
 @dataclass
 class PooledPower:
     """|F|^2 of a space-time spectrum pooled into its (tau row, |xi|^2 class)
-    cells, in _cell_power's layout, without the spectrum itself.
+    cells (_cell_power), without the spectrum itself.
 
     The shell tables and Fsigma read only these cells, so a bound-only
     member (lemma_diagnostics) may be one; the shell reductions need F.
@@ -488,7 +485,7 @@ class _ShellKernel(NamedTuple):
 _kernel_lock = threading.Lock()
 
 
-def _shell_kernel(F: SpaceTimeSpectrum) -> _ShellKernel:
+def _shell_kernel(F: SpaceTimeSpectrum | PooledPower) -> _ShellKernel:
     """The cached kernel of the spectrum's grid and window, built once even
     when several pool threads ask for it at the same time."""
     with _kernel_lock:
@@ -524,8 +521,8 @@ def _build_shell_kernel(d: int, n: int, period: float, m_t: int, t_window: float
     return kern
 
 
-def _cell_power(F: SpaceTimeSpectrum) -> np.ndarray:
-    """|F|^2 pooled into the (tau, |xi|^2 class) cells, flattened."""
+def _cell_power(F: SpaceTimeSpectrum) -> PooledPower:
+    """|F|^2 pooled into the (tau, |xi|^2 class) cells."""
     kern = _shell_kernel(F)
     # Every cell lies in one time row, so pooling |F|^2 block by block adds
     # the same terms in the same order.
@@ -536,21 +533,19 @@ def _cell_power(F: SpaceTimeSpectrum) -> np.ndarray:
         p = np.abs(values[start : start + rows]).ravel()
         p *= p
         q[start : start + rows] = np.bincount(kern.block_bins[: p.size], p).reshape(-1, q.shape[1])
-    return q.reshape(-1)
+    return PooledPower(F.grid, F.t_window, q)
 
 
-def _shell_tables(
-    F: SpaceTimeSpectrum, paraboloid_weight: bool = False, cells: np.ndarray | None = None
-) -> np.ndarray:
-    """Stacked (power, diag, overlap) tables, shape (3, max_shell + 1, J).
+def _shell_tables(P: PooledPower, paraboloid_weight: bool = False) -> np.ndarray:
+    """Stacked (power, diag, overlap) tables of F's pooled cells P, shape
+    (3, max_shell + 1, J).
 
     power[k, j] = sum eta_k(|xi|)^2 eta_j(|omega|)^2 |F|^2, diag carries
     eta_j^4 and overlap eta_j^2 eta_{j+1}^2, each times the cell measure.
     paraboloid_weight attaches the N^sigma weight |1 / (omega + i)|^2.
-    cells is _cell_power(F) when the caller has pooled it already.
     """
-    kern = _shell_kernel(F)
-    q = _cell_power(F) if cells is None else cells
+    kern = _shell_kernel(P)
+    q = P.cells.reshape(-1)
     if paraboloid_weight:
         q = q / (kern.abs_omega**2 + 1.0)
     hi = q * kern.upper_sq
@@ -567,7 +562,7 @@ def _shell_tables(
             np.bincount(kern.lower, lo * kern.upper_sq, size),
         ]
     ).reshape((3,) + kern.table_shape)
-    return F.cell_measure * (kern.shell_weights @ stacked)
+    return P.cell_measure * (kern.shell_weights @ stacked)
 
 
 def _xk_values(power: np.ndarray) -> np.ndarray:
@@ -643,7 +638,7 @@ def fiber_norm(per_point: np.ndarray, e, grid: GridSpec, p, q) -> float:
 
 def _sigma_upper(F: SpaceTimeSpectrum, sigma: float, paraboloid_weight: bool = False) -> float:
     """Square sum of the spectrum's shell norms at sigma."""
-    return _square_sum(_xk_values(_shell_tables(F, paraboloid_weight)[0]), sigma)
+    return _square_sum(_xk_values(_shell_tables(_cell_power(F), paraboloid_weight)[0]), sigma)
 
 
 def fsigma_upper(F: SpaceTimeSpectrum, sigma: float) -> float:
@@ -668,37 +663,21 @@ def _direction_label(e):
     return "(" + " ".join(f"{c:+.3f}" for c in e) + ")"
 
 
-def thread_budget() -> int:
-    """Threads the norms pool may use (_ordered_map): SMAP_THREADS, a positive integer.
-
-    Unset or empty, it is the number of CPUs this process may run on (its
-    affinity mask, where the platform has one). Any other value that is not
-    a positive integer is a ConfigError.
-    """
-    env = os.environ.get("SMAP_THREADS")
-    if not env:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:
-        threads = int(env)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigError(f"SMAP_THREADS must be a positive integer, got {env!r}")
-    return threads
-
-
 def _ordered_map(fn, items) -> list:
-    """fn over items on min(thread_budget(), len(items)) threads, in input order.
+    """fn over items on min(CPUs, len(items)) threads, in input order.
 
-    Tasks start in input order and their results come back in it; the
-    first exception in that order reaches the caller. With one thread the
-    items run serially on the calling thread, otherwise on pool threads
-    only.
+    CPUs counts those this process may run on (its affinity mask, where the
+    platform has one), so the mask bounds the pool. Tasks start in input
+    order and their results come back in it; the first exception in that
+    order reaches the caller. With one thread the items run serially on the
+    calling thread, otherwise on pool threads only.
     """
     items = list(items)
-    workers = min(thread_budget(), len(items))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
     from concurrent.futures import ThreadPoolExecutor  # kept out of start-up
@@ -724,13 +703,13 @@ def _member_rows(name, member, directions, shells, sigmas):
     if isinstance(F, PooledPower) and ks:
         raise TypeError(f"member {name!r} has pooled power only; its shells need the spectrum")
     # The total mass comes from the same pooled |F|^2 as the shell tables.
-    cells = F.cells.ravel() if isinstance(F, PooledPower) else _cell_power(F)
-    total = math.sqrt(F.cell_measure * float(np.sum(cells)))
+    P = F if isinstance(F, PooledPower) else _cell_power(F)
+    total = math.sqrt(P.cell_measure * float(np.sum(P.cells)))
     if ks and total <= MASS_FLOOR:
         return [(name, -1, "skipped", "-", 0.0)]
     grid = F.grid
     d = grid.d
-    power, diag, overlap = _shell_tables(F, cells=cells)
+    power, diag, overlap = _shell_tables(P)
     xks = _xk_values(power)
     r1s = _section_sanity(diag, overlap, xks)
     rows = []

@@ -1,3 +1,4 @@
+import os
 import sys
 import tracemalloc
 from contextlib import contextmanager
@@ -42,6 +43,11 @@ def random_smooth_field(grid, rng, band=None, amp=1.0):
     field = to_physical(ComplexField(grid, 0.0, FREQUENCY, spec))
     field.values *= amp / np.max(np.abs(field.values))
     return field
+
+
+def allow_cpus(monkeypatch, n):
+    """Fake an affinity mask of n CPUs: the norms pool sizes itself from it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 def multiplied(values, grid, mult):

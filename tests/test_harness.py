@@ -26,10 +26,16 @@ from smap.harness.runner import _norms_windows, run
 from smap.harness.snapshots import read_snapshot, write_snapshot
 from smap.nonlinearity import DealiasPolicy
 from smap.solver import midpoint_snapshots, picard_solve, uniform_times
-from smap.spacetime import DirectionSet, _shell_tables, _xk_values, lemma_diagnostics
+from smap.spacetime import (
+    DirectionSet,
+    _cell_power,
+    _shell_tables,
+    _xk_values,
+    lemma_diagnostics,
+)
 from smap.spectral import PHYSICAL, ComplexField, hsigma_norm, to_frequency, to_physical
 
-from conftest import gronwall_of, midpoint_stack, physical_stack, traced_peak
+from conftest import allow_cpus, gronwall_of, midpoint_stack, physical_stack, traced_peak
 
 SMALL_CONFIG = """
 # small deterministic run
@@ -48,6 +54,17 @@ seed = 11
 ensemble_samples = 64
 shells = 1,2
 snapshot_stride = 4
+"""
+
+# The CLI in a child that first pins itself to the CPUs listed in argv[1].
+PINNED_CLI = """
+import os
+import sys
+
+os.sched_setaffinity(0, [int(cpu) for cpu in sys.argv[1].split(",")])
+from smap.cli import main
+
+sys.exit(main(sys.argv[2:]))
 """
 
 # The grid of the overflowing-period repros at d = 3, without its period.
@@ -381,7 +398,7 @@ class TestSeededData:
         assert len(modes) >= 2 * top - 1  # shell 1 may hold a single mode
         for name, factory in modes:
             F = factory()
-            xk = _xk_values(_shell_tables(F)[0])
+            xk = _xk_values(_shell_tables(_cell_power(F))[0])
             assert int(np.argmax(xk)) == int(name[len("mode_k") : -1]), (name, xk)
 
     def small_ensemble(self):
@@ -422,7 +439,7 @@ class TestSeededData:
     def test_streamed_ensemble_memory_bound(self, monkeypatch):
         # One member's trajectory at a time: the whole run stays below six
         # trajectory sizes, where holding all 14 members would need more.
-        monkeypatch.setenv("SMAP_THREADS", "1")
+        allow_cpus(monkeypatch, 1)
         with traced_peak() as peak:
             members, shape = self.small_ensemble()
             lemma_diagnostics(members, DirectionSet.default(2), range(2, 5), 1.6)
@@ -437,14 +454,18 @@ class TestRunnerAndCli:
         path.write_text(SMALL_CONFIG)
         return path
 
-    def run_cli(self, *args):
+    def run_cli(self, *args, cpus=None):
         # The child imports the same package as this test process and, as
         # pyproject's filterwarnings does in process, turns numpy's
-        # RuntimeWarnings into errors.
+        # RuntimeWarnings into errors. Given cpus, it runs on those only.
         src = str(Path(smap.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        if cpus is None:
+            head = ["-m", "smap.cli"]
+        else:
+            head = ["-c", PINNED_CLI, ",".join(str(cpu) for cpu in sorted(cpus))]
         return subprocess.run(
-            [sys.executable, "-m", "smap.cli", *args],
+            [sys.executable, *head, *args],
             capture_output=True,
             text=True,
             timeout=600,
@@ -498,7 +519,7 @@ class TestRunnerAndCli:
         # d = 3: compare streams the chart route's physical snapshots beside
         # the sphere stream, so its traced peak stays well below one physical
         # chart trajectory, which the command held whole before.
-        monkeypatch.setenv("SMAP_THREADS", "1")
+        allow_cpus(monkeypatch, 1)
         monkeypatch.setattr(solver, "BLOCK_BYTES", 4 * 16 * 16**3)
         text = (
             "d = 3\nn = 16\nT = 0.5\ndt = 0.001953125\nsigma0 = 2.1\n"
@@ -600,8 +621,8 @@ class TestRunnerAndCli:
         # Both CSV bodies repeat byte for byte across runs and thread counts,
         # with the members built by their factories on the pool threads.
         bodies = []
-        for sub, threads in (("a", "1"), ("b", "1"), ("c", "2"), ("d", "3")):
-            monkeypatch.setenv("SMAP_THREADS", threads)
+        for sub, threads in (("a", 1), ("b", 1), ("c", 2), ("d", 3)):
+            allow_cpus(monkeypatch, threads)
             out = tmp_path / sub
             assert run("norms", load_config(small_cfg, out_dir=str(out))) == 0
             bodies.append(
@@ -611,6 +632,24 @@ class TestRunnerAndCli:
                 ]
             )
         assert bodies[0] == bodies[1] == bodies[2] == bodies[3]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity call")
+    def test_norms_bodies_match_across_affinity_masks(self, tmp_path, small_cfg):
+        # The pool sizes itself from the CPUs the command may run on: one,
+        # then every usable CPU, with the same CSV bodies byte for byte.
+        usable = os.sched_getaffinity(0)
+        bodies = []
+        for sub, cpus in (("one", {min(usable)}), ("all", usable)):
+            out = tmp_path / sub
+            res = self.run_cli("norms", "--config", str(small_cfg), "--out", str(out), cpus=cpus)
+            assert res.returncode == 0, res.stdout + res.stderr
+            bodies.append(
+                [
+                    (out / name).read_bytes().split(b"\n", 1)[1]
+                    for name in ("lemma_diagnostics.csv", "linear_estimate.csv")
+                ]
+            )
+        assert bodies[0] == bodies[1]
 
     def test_norms_picard_member_follows_config(self, tmp_path, small_cfg):
         # The ensemble's fixed-point member solves under the config's
@@ -696,18 +735,6 @@ class TestRunnerAndCli:
         res = self.run_cli("verify", "--config", str(cfg), "--out", str(tmp_path / "v"))
         assert res.returncode == 0, res.stdout + res.stderr
         assert "Traceback" not in res.stderr
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
-    def test_bad_thread_budget_exit_two_before_work(
-        self, tmp_path, small_cfg, monkeypatch, capsys, value
-    ):
-        # SMAP_THREADS that is not a positive integer ends the command before
-        # it makes its output directory, instead of becoming 1 or the CPU count.
-        monkeypatch.setenv("SMAP_THREADS", value)
-        out = tmp_path / "o"
-        assert cli.main(["picard", "--config", str(small_cfg), "--out", str(out)]) == 2
-        assert "ConfigError: SMAP_THREADS must be a positive integer" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_allocation_failure_exit_two(self, tmp_path, small_cfg, monkeypatch, capsys):
         # An array the config asks for that does not fit (d = 3, n = 512 asks
@@ -963,9 +990,9 @@ class TestVerifySpaceTime:
         cell_power = checks._cell_power
 
         def dropped(F):
-            cells = cell_power(F).reshape(F.m_t, -1)
-            cells[:, 0] = 0.0
-            return cells.ravel()
+            P = cell_power(F)
+            P.cells[:, 0] = 0.0
+            return P
 
         monkeypatch.setattr(checks, "_cell_power", dropped)
         assert self.failed_checks() == ["spacetime_plancherel", "shell_completeness"]

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from smap import solver, spacetime, spectral
 from smap.errors import (
-    ConfigError,
     EmptyEnsemble,
     NoContraction,
     UnsupportedDirection,
@@ -45,7 +44,6 @@ from smap.spacetime import (
     nsigma_upper,
     pooled_max_slope,
     spacetime_transform,
-    thread_budget,
     window_profile,
     windowed_samples,
 )
@@ -61,7 +59,7 @@ from smap.spectral import (
     transform,
 )
 
-from conftest import random_smooth_field, traced_peak
+from conftest import allow_cpus, random_smooth_field, traced_peak
 from oracles import (
     l2_mass_direct,
     lattice_vector_search,
@@ -90,7 +88,7 @@ from oracles import (
 def shell_table_values(F, k):
     """(X_k, R1) of shell k, read from the shell tables as lemma_diagnostics
     reads them."""
-    power, diag, overlap = spacetime._shell_tables(F)
+    power, diag, overlap = spacetime._shell_tables(spacetime._cell_power(F))
     xk = spacetime._xk_values(power)
     r1 = spacetime._section_sanity(diag, overlap, xk)
     return spacetime._at_shell(xk, k), spacetime._at_shell(r1, k)
@@ -110,7 +108,7 @@ def pooled_annulus_masses(F):
     k = 0), k = 0..max_shell + 1, from the cells of _cell_power, as
     verify's shell_completeness sums them, and the mass of all cells."""
     kappa = np.unique(F.grid.wavenumber_sq())
-    class_power = np.sum(spacetime._cell_power(F).reshape(F.m_t, kappa.size), axis=0)
+    class_power = np.sum(spacetime._cell_power(F).cells, axis=0)
     radius = np.sqrt(kappa)
     masses = []
     for k in range(F.grid.max_shell + 2):
@@ -132,7 +130,7 @@ def window_grid(t_window=1.0, m_t=64):
 class TestDirections:
     def test_default_set_d2(self):
         ds = DirectionSet.default(2)
-        assert len(ds) == 8
+        assert len(ds.vectors) == 8
         for e in ds:
             assert abs(np.linalg.norm(e) - 1.0) < 1e-15
             assert any(np.array_equal(-e, f) for f in ds)
@@ -624,7 +622,7 @@ class TestRowBlockReductions:
         padded = stack_empty(F.m_t, F.grid.shape)
         padded[...] = F.values
         G = SpaceTimeSpectrum(F.grid, F.t_window, padded)
-        assert np.array_equal(spacetime._cell_power(G), spacetime._cell_power(F))
+        assert np.array_equal(spacetime._cell_power(G).cells, spacetime._cell_power(F).cells)
 
 
 def spectrum_with_cut_rows(d, n, m_t, t_window, seed):
@@ -674,7 +672,8 @@ class TestShellReductions:
         for rows in (96, 7, 1):
             spacetime._build_shell_kernel.cache_clear()
             monkeypatch.setattr(solver, "BLOCK_BYTES", rows * 16 * F.grid.num_points)
-            tables[rows] = (spacetime._shell_tables(F), spacetime._shell_tables(F, True))
+            P = spacetime._cell_power(F)
+            tables[rows] = (spacetime._shell_tables(P), spacetime._shell_tables(P, True))
         spacetime._build_shell_kernel.cache_clear()
         for rows in (7, 1):
             for got, want in zip(tables[rows], tables[96]):
@@ -754,10 +753,10 @@ class TestFreeCellPower:
             phi = ComplexField.zeros(grid)
         pooled = free_cell_power(phi, m_t, t_window)
         F = free_spectrum(phi, m_t, t_window)
-        want = spacetime._cell_power(F)
+        want = spacetime._cell_power(F).cells
         assert isinstance(pooled, PooledPower) and pooled.m_t == m_t
         assert pooled.cells.shape == (m_t, np.unique(grid.wavenumber_sq()).size)
-        got = pooled.cells.ravel()
+        got = pooled.cells
         if kind == "zero":
             assert not np.any(got) and not np.any(want)
         else:
@@ -910,10 +909,10 @@ class TestLemmaDiagnostics:
             for name, F in spectra
         ]
         dirs = DirectionSet.default(2)
-        monkeypatch.setenv("SMAP_THREADS", "1")
+        allow_cpus(monkeypatch, 1)
         serial = lemma_diagnostics(members, dirs, range(2, 4), 1.6)
         assert lemma_diagnostics(lazy, dirs, range(2, 4), 1.6).rows == serial.rows
-        monkeypatch.setenv("SMAP_THREADS", "3")
+        allow_cpus(monkeypatch, 3)
         threaded = lemma_diagnostics(members, dirs, range(2, 4), 1.6)
         assert serial.rows == threaded.rows
         assert lemma_diagnostics(lazy, dirs, range(2, 4), 1.6).rows == serial.rows
@@ -924,8 +923,8 @@ class TestLemmaDiagnostics:
         def diverging():
             raise NoContraction("iterate grew")
 
-        for threads in ("1", "2"):
-            monkeypatch.setenv("SMAP_THREADS", threads)
+        for threads in (1, 2):
+            allow_cpus(monkeypatch, threads)
             with pytest.raises(NoContraction, match="iterate grew"):
                 lemma_diagnostics(
                     members + [("bad", diverging)], DirectionSet.default(2), range(2, 4), 1.6
@@ -944,8 +943,8 @@ class TestLemmaDiagnostics:
             ("nil", -1, "Fsigma", "sigma=1.6", 0.0),
         ]
         dirs = DirectionSet.default(2)
-        for threads in ("1", "2"):
-            monkeypatch.setenv("SMAP_THREADS", threads)
+        for threads in (1, 2):
+            allow_cpus(monkeypatch, threads)
             alone = lemma_diagnostics(members, dirs, range(2, 4), 1.6)
             rep = lemma_diagnostics(members, dirs, range(2, 4), 1.6, bound_members=bounds)
             assert rep.rows == alone.rows + want
@@ -958,8 +957,8 @@ class TestLemmaDiagnostics:
         def diverging():
             raise NoContraction("datum grew")
 
-        for threads in ("1", "2"):
-            monkeypatch.setenv("SMAP_THREADS", threads)
+        for threads in (1, 2):
+            allow_cpus(monkeypatch, threads)
             with pytest.raises(NoContraction, match="datum grew"):
                 lemma_diagnostics(
                     members,
@@ -969,7 +968,7 @@ class TestLemmaDiagnostics:
                     bound_members=[("bad", diverging, (1.6,))],
                 )
 
-    @pytest.mark.parametrize("threads", ["2", "4"])
+    @pytest.mark.parametrize("threads", [2, 4])
     def test_shell_kernel_built_once_across_threads(self, grid32, rng, monkeypatch, threads):
         # The pool threads ask for the same kernel while its first build is
         # still running (also with more threads than cores, and frequent
@@ -983,7 +982,7 @@ class TestLemmaDiagnostics:
             return build(*key)
 
         monkeypatch.setattr(spacetime, "_build_shell_kernel", lru_cache(maxsize=8)(slow_build))
-        monkeypatch.setenv("SMAP_THREADS", threads)
+        allow_cpus(monkeypatch, threads)
         members = factories(self.build_ensemble(grid32, rng, m_t=64))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1065,29 +1064,33 @@ class TestLemmaDiagnostics:
 
 class TestThreadBudget:
     def test_default_counts_the_affinity_mask(self, monkeypatch):
-        # Unset or empty: the CPUs this process may run on, not all of them.
-        monkeypatch.delenv("SMAP_THREADS", raising=False)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert thread_budget() == 1
-        monkeypatch.setenv("SMAP_THREADS", "")
-        assert thread_budget() == 1
+        # The CPUs this process may run on, not all of the machine's: a mask
+        # of one CPU runs the tasks on the caller.
+        allow_cpus(monkeypatch, 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        caller = threading.get_ident()
+        assert spacetime._ordered_map(lambda _: threading.get_ident(), range(3)) == [caller] * 3
 
-    def test_positive_integer_taken(self, monkeypatch):
-        monkeypatch.setenv("SMAP_THREADS", "3")
-        assert thread_budget() == 3
+    @pytest.mark.parametrize("count, threads", [(None, 1), (1, 1), (2, 2)])
+    def test_cpu_count_without_an_affinity_call(self, monkeypatch, count, threads):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        barrier = threading.Barrier(threads, timeout=10)
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
-    def test_anything_else_is_a_config_error(self, monkeypatch, value):
-        monkeypatch.setenv("SMAP_THREADS", value)
-        with pytest.raises(ConfigError, match="SMAP_THREADS"):
-            thread_budget()
+        def task(_):
+            barrier.wait()
+            return threading.get_ident()
+
+        seen = set(spacetime._ordered_map(task, range(4)))
+        assert len(seen) == threads
+        assert (threading.get_ident() in seen) == (threads == 1)
 
 
 class TestOrderedMap:
     def test_every_transform_asks_for_one_worker(self, monkeypatch, rng):
-        # SMAP_THREADS sizes the norms pool only: every pocketfft binding and
-        # scipy.fft call asks for one worker, on the calling thread (a Picard
-        # solve, midpoint steps) and on the pool's threads alike.
+        # The affinity mask sizes the norms pool only: every pocketfft binding
+        # and scipy.fft call asks for one worker, on the calling thread (a
+        # Picard solve, midpoint steps) and on the pool's threads alike.
         asked = []
 
         def recording(fn, position, keyword, default):
@@ -1109,7 +1112,7 @@ class TestOrderedMap:
         monkeypatch.setattr(spectral, "pypocketfft", recorded)
         monkeypatch.setattr(scipy.fft, "fftn", recording(scipy.fft.fftn, 5, "workers", None))
         monkeypatch.setattr(scipy.fft, "ifftn", recording(scipy.fft.ifftn, 5, "workers", None))
-        monkeypatch.setenv("SMAP_THREADS", "3")
+        allow_cpus(monkeypatch, 3)
 
         grid = GridSpec(2, 16, 4.0)
         picard_solve(random_smooth_field(grid, rng, amp=0.1), 0.25, 1.0 / 16.0, sigma0=1.6)
@@ -1131,7 +1134,7 @@ class TestOrderedMap:
     def test_pool_size_is_budget_or_items(self, monkeypatch, budget, items):
         # min(budget, items) threads, none of them the caller: each round of
         # that many tasks meets at a barrier, so no fewer threads can finish.
-        monkeypatch.setenv("SMAP_THREADS", str(budget))
+        allow_cpus(monkeypatch, budget)
         barrier = threading.Barrier(min(budget, items), timeout=10)
 
         def task(_):
@@ -1143,13 +1146,13 @@ class TestOrderedMap:
         assert threading.get_ident() not in seen
 
     def test_budget_of_one_runs_on_the_caller(self, monkeypatch):
-        monkeypatch.setenv("SMAP_THREADS", "1")
+        allow_cpus(monkeypatch, 1)
         assert spacetime._ordered_map(lambda _: threading.get_ident(), range(3)) == [
             threading.get_ident()
         ] * 3
 
     def test_results_in_input_order(self, monkeypatch):
-        monkeypatch.setenv("SMAP_THREADS", "2")
+        allow_cpus(monkeypatch, 2)
         finished = []
 
         def task(i):

@@ -678,6 +678,24 @@ class TestOneTransformPath:
         assert not hasattr(spectral, "samples_of")
 
 
+class TestNoEnvironmentReads:
+    """A run is fixed by its config file, its CLI flags and the CPUs it may
+    run on: no module of the package reads the environment."""
+
+    NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+    def test_no_module_reads_the_environment(self):
+        reads = []
+        for path in TestOneTransformPath.SOURCES:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and node.attr in self.NAMES:
+                    reads.append((path.name, node.lineno, node.attr))
+                elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                    names = {alias.name for alias in node.names}
+                    reads += [(path.name, node.lineno, name) for name in names & self.NAMES]
+        assert reads == []
+
+
 # Run in a fresh interpreter: import the CLI, run picard at the default
 # config, then check what the run loaded, and only then import scipy.fft.
 STARTUP_GUARD = """
@@ -714,7 +732,7 @@ class TestStartUp:
             capture_output=True,
             text=True,
             timeout=600,
-            env={**os.environ, "PYTHONPATH": path, "SMAP_THREADS": "1"},
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "picard_amp0.csv").is_file()
