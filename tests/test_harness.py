@@ -736,6 +736,19 @@ class TestRunnerAndCli:
         assert res.returncode == 0, res.stdout + res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_retired_thread_variable_is_ignored(
+        self, tmp_path, small_cfg, monkeypatch, capsys, value
+    ):
+        # SMAP_THREADS no longer sets anything: values that ended the command
+        # with exit 2 before it made its output directory now leave the run
+        # as it is without them.
+        monkeypatch.setenv("SMAP_THREADS", value)
+        out = tmp_path / "o"
+        assert cli.main(["picard", "--config", str(small_cfg), "--out", str(out)]) == 0
+        assert "SMAP_THREADS" not in capsys.readouterr().err
+        assert out.is_dir() and any(out.iterdir())
+
     def test_allocation_failure_exit_two(self, tmp_path, small_cfg, monkeypatch, capsys):
         # An array the config asks for that does not fit (d = 3, n = 512 asks
         # picard_solve for an 82 GB band iterate) ends as a config error with

@@ -1086,6 +1086,19 @@ class TestThreadBudget:
         assert (threading.get_ident() in seen) == (threads == 1)
 
 
+    def test_thread_variable_does_not_size_the_pool(self, monkeypatch):
+        # The mask alone sizes the pool: a leftover SMAP_THREADS is not read.
+        allow_cpus(monkeypatch, 2)
+        monkeypatch.setenv("SMAP_THREADS", "1")
+        barrier = threading.Barrier(2, timeout=10)
+
+        def task(_):
+            barrier.wait()
+            return threading.get_ident()
+
+        seen = set(spacetime._ordered_map(task, range(4)))
+        assert len(seen) == 2 and threading.get_ident() not in seen
+
 class TestOrderedMap:
     def test_every_transform_asks_for_one_worker(self, monkeypatch, rng):
         # The affinity mask sizes the norms pool only: every pocketfft binding
