@@ -7,7 +7,6 @@ fields.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -19,7 +18,7 @@ from ..geometry import SphereField, stereo_lift
 from ..grid import GridSpec
 from ..nonlinearity import TWO_THIRDS, DealiasPolicy
 from ..solver import picard_solve
-from ..spacetime import free_spectrum, spacetime_transform
+from ..spacetime import FreeMember, spacetime_transform
 from ..spectral import FREQUENCY, PHYSICAL, ComplexField, hsigma_norm, to_physical
 
 DATA_KINDS = ("gaussian_bump", "mode_sum", "random_bandlimited")
@@ -132,11 +131,12 @@ def build_lemma_ensemble(
 
     Every random draw and every initial field is made here, in a fixed
     order; a factory takes no argument and returns the member's space-time
-    spectrum on m_t rows of the window [-t_window, t_window]. A free
-    member's comes from free_spectrum; the Picard member's solves on [0, T]
-    with the window step 2 t_window / m_t, under tol, max_iter and policy,
-    and transforms the solution. So a member's samples exist only while it
-    is analysed.
+    spectrum on m_t rows of the window [-t_window, t_window]. A free member
+    is a FreeMember(phi, m_t, t_window) record, whose call is free_spectrum
+    and whose pooled cells lemma_diagnostics reads in closed form; the
+    Picard member's factory solves on [0, T] with the window step
+    2 t_window / m_t, under tol, max_iter and policy, and transforms the
+    solution. So a member's samples exist only while it is analysed.
     """
     rng = np.random.default_rng(seed)
     X = _mesh(grid)
@@ -144,7 +144,7 @@ def build_lemma_ensemble(
 
     def free(vals, representation=PHYSICAL):
         field = ComplexField(grid, 0.0, representation, vals)
-        return partial(free_spectrum, field, m_t, t_window)
+        return FreeMember(field, m_t, t_window)
 
     def plane_wave(k0):
         return free(np.exp(1j * sum(k0[a] * X[a] for a in range(grid.d))))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from functools import partial
 from itertools import takewhile
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from ..solver import (
 )
 from ..spacetime import (
     DirectionSet,
-    free_cell_power,
+    FreeMember,
     lemma_diagnostics,
     pooled_max_slope,
 )
@@ -191,9 +190,10 @@ def _top_wavenumber_sq(grid, shells=None) -> float:
 def _cmd_norms(config, out) -> int:
     lin_samples = _norms_windows(config)
     # Linear-estimate constants: windowed free evolution vs data norm. The
-    # data join the ensemble's pool as bound-only members, whose pooled power
-    # comes in closed form (no spectrum is built); their Fsigma rows follow
-    # the main report's max rows, and the richer table goes to its own file.
+    # data join the ensemble's pool as bound-only free members, whose pooled
+    # power comes in closed form (no spectrum is built); their Fsigma rows
+    # follow the main report's max rows, and the richer table goes to its
+    # own file.
     solve_grid = config.grid()
     sigmas = (config.sigma0, config.sigma0 + 1.0)
     lin_data = [
@@ -201,8 +201,7 @@ def _cmd_norms(config, out) -> int:
         for i in range(10)
     ]
     bound_members = [
-        (f"free_phi{i}",
-         partial(free_cell_power, phi, lin_samples, config.t_window), sigmas)
+        (f"free_phi{i}", FreeMember(phi, lin_samples, config.t_window), sigmas)
         for i, phi in enumerate(lin_data)
     ]
     ensemble = build_lemma_ensemble(

@@ -15,8 +15,11 @@ the stack (_floats), with the bits of the complex multiply.
 For a free evolution the transform factorizes,
 F(tau, xi) = phi_hat(xi) G(tau, |xi|^2), so free_cell_power pools |F|^2
 into the (tau row, |xi|^2 class) cells of the shell tables in closed form,
-from one time transform per |xi|^2 class and no spectrum: enough for the
-shell tables and Fsigma of a bound-only member.
+from one time transform per |xi|^2 class and no spectrum. A free ensemble
+member is a FreeMember record (phi, m_t, t_window): lemma_diagnostics reads
+its mass, X_k, R1 and Fsigma from those cells and builds its spectrum only
+for the shell reductions, both formed in a member stack that the call
+lends to one pool worker at a time.
 
 On top of the spectrum this module computes the dyadic-shell norms that
 weight distance from the free-evolution paraboloid, directional mixed
@@ -193,8 +196,8 @@ class PooledPower:
     """|F|^2 of a space-time spectrum pooled into its (tau row, |xi|^2 class)
     cells (_cell_power), without the spectrum itself.
 
-    The shell tables and Fsigma read only these cells, so a bound-only
-    member (lemma_diagnostics) may be one; the shell reductions need F.
+    The shell tables and Fsigma read only these cells, which a FreeMember
+    gets in closed form (free_cell_power); the shell reductions need F.
     """
 
     grid: GridSpec
@@ -362,25 +365,30 @@ def _free_window(m_t: int, t_window: float) -> tuple:
     return times, window_profile(_window_times(dt, t_window), t_window)
 
 
-def free_samples(phi: ComplexField, m_t: int, t_window: float = 1.0) -> np.ndarray:
+def free_samples(phi: ComplexField, m_t: int, t_window: float = 1.0, out=None) -> np.ndarray:
     """Windowed samples of the free evolution W(t) phi on the window.
 
     Evolves exactly the m_t window rows (_free_window) in one row-padded
-    stack (_free_rows), so one trajectory-sized array is alive throughout.
+    stack (_free_rows), so one trajectory-sized array is alive throughout:
+    out, a (m_t, *grid) stack with contiguous rows, if given.
     """
     times, window = _free_window(m_t, t_window)
-    return _free_rows(phi, times, window, stack_empty(m_t, phi.grid.shape))
+    if out is None:
+        out = stack_empty(m_t, phi.grid.shape)
+    return _free_rows(phi, times, window, out)
 
 
-def free_spectrum(phi: ComplexField, m_t: int, t_window: float = 1.0) -> SpaceTimeSpectrum:
+def free_spectrum(
+    phi: ComplexField, m_t: int, t_window: float = 1.0, out=None
+) -> SpaceTimeSpectrum:
     """Space-time spectrum of the free evolution W(t) phi on the window:
-    free_samples transformed in their own buffer. Equal to
-    spacetime_transform of the same evolution on the window's rows
+    free_samples (into out, if given) transformed in their own buffer.
+    Equal to spacetime_transform of the same evolution on the window's rows
     (free_trajectory)."""
-    return _transform(free_samples(phi, m_t, t_window), phi.grid, t_window)
+    return _transform(free_samples(phi, m_t, t_window, out), phi.grid, t_window)
 
 
-def free_cell_power(phi: ComplexField, m_t: int, t_window: float = 1.0) -> PooledPower:
+def free_cell_power(phi: ComplexField, m_t: int, t_window: float = 1.0, out=None) -> PooledPower:
     """_cell_power(free_spectrum(phi, m_t, t_window)) in closed form.
 
     The free evolution's spectrum factorizes as
@@ -389,13 +397,22 @@ def free_cell_power(phi: ComplexField, m_t: int, t_window: float = 1.0) -> Poole
     Nonlinear Dispersive Equations, section 2.6). The signs drop out of
     |F|^2, so a cell's power is scale^2 |G|^2 times the class sum of
     |phi_hat|^2: one length-m_t transform per |xi|^2 class, of the same
-    propagator_stack phases as the spectrum's rows. The cells agree with the
-    pooled spectrum to rounding.
+    propagator_stack phases as the spectrum's rows. Given out, a
+    (m_t, *grid) stack with contiguous rows such as free_spectrum takes,
+    the phases are formed in its first columns, with the same bits.
+
+    The cells are not the pooled spectrum's bit for bit. At the `norms`
+    window (seed 7, d = 2, n = 64, m_t = 1280), every free ensemble
+    member's X_k lies within 1.4e-14 times the member's total norm (the
+    square root of its pooled power) of the pooled spectrum's. A shell at
+    the mass floor moves more relative to itself: bump16 at k = 6, with
+    X_k 6.6e-12, moves 1.8e-5.
     """
     grid = phi.grid
     times, window = _free_window(m_t, t_window)
     kappa, cls = np.unique(grid.wavenumber_sq(), return_inverse=True)
-    spec = _windowed(propagator_stack(times, kappa), window)
+    phases = None if out is None else _rows(out)[:, : kappa.size]
+    spec = _windowed(propagator_stack(times, kappa, out=phases), window)
     unitary_dft(spec, (0,), out=spec)
     power = np.abs(spec)
     np.square(power, out=power)
@@ -403,6 +420,25 @@ def free_cell_power(phi: ComplexField, m_t: int, t_window: float = 1.0) -> Poole
     phi_sq = np.abs(to_frequency(phi).values.ravel()) ** 2
     power *= scale**2 * np.bincount(cls.ravel(), phi_sq, minlength=kappa.size)
     return PooledPower(grid, t_window, power)
+
+
+@dataclass(frozen=True)
+class FreeMember:
+    """A free ensemble member: the windowed free evolution W(t) phi on m_t
+    rows of [-t_window, t_window].
+
+    Called, it returns its spectrum, free_spectrum(phi, m_t, t_window), as
+    any member factory does. lemma_diagnostics instead reads its pooled
+    cells from free_cell_power and builds the spectrum only for the shell
+    reductions; with shells, both in a member stack of the call.
+    """
+
+    phi: ComplexField
+    m_t: int
+    t_window: float = 1.0
+
+    def __call__(self) -> SpaceTimeSpectrum:
+        return free_spectrum(self.phi, self.m_t, self.t_window)
 
 
 def _shell_reductions(F: SpaceTimeSpectrum, weights: np.ndarray, time_keep: np.ndarray):
@@ -686,40 +722,105 @@ def _ordered_map(fn, items) -> list:
         return list(pool.map(fn, items))
 
 
-def _member_rows(name, member, directions, shells, sigmas):
+class _MemberStacks:
+    """The member stacks of one lemma_diagnostics call, lent to the free
+    members with shells that it analyses.
+
+    A stack is row-padded (spectral.stack_empty) with the most rows and
+    points of those members. take() lends a spare stack, or makes one when
+    every stack is lent, so no more exist than members run at once: one per
+    pool worker. give() keeps a stack for the next member while one is
+    still to start and drops it otherwise, so none is held beside the
+    members after the last of them (the Picard member builds its own).
+    """
+
+    def __init__(self, members):
+        self.rows = max(member.m_t for member in members)
+        self.points = max(member.phi.grid.num_points for member in members)
+        self.left = len(members)
+        self.spare = []
+        self.lock = threading.Lock()
+
+    def take(self) -> np.ndarray:
+        with self.lock:
+            self.left -= 1
+            if self.spare:
+                return self.spare.pop()
+        return stack_empty(self.rows, (self.points,))
+
+    def give(self, stack: np.ndarray):
+        with self.lock:
+            if self.left > 0:
+                self.spare.append(stack)
+
+
+def _laid_in(stack: np.ndarray, rows: int, shape: tuple) -> np.ndarray:
+    """(rows, *shape) stack with contiguous rows on the first rows and
+    points of a (rows, points) member stack; a view, never a copy."""
+    return stack[:rows, : math.prod(shape)].reshape((rows,) + tuple(shape), copy=False)
+
+
+def _member_rows(name, member, directions, shells, sigmas, stacks=None):
     """Diagnostic rows for one ensemble member (thread-safe, pure).
 
     The member is a factory, called here, so its spectrum exists only while
-    it is analysed. The shell samples are never built: every shell reads its
-    reductions from _shell_reductions. One Fsigma row per sigma follows the
-    shell rows. A bound-only member has no shells: it reports just those
-    rows, is not skipped when it has no mass, and may be a PooledPower,
-    whose cells are read directly.
+    it is analysed; a FreeMember with shells is analysed in a stack lent by
+    stacks (a _MemberStacks), or one of its own. The shell samples are
+    never built: every shell reads its reductions from _shell_reductions.
+    One Fsigma row per sigma follows the shell rows. A bound-only member
+    has no shells: it reports just those rows and is not skipped when it
+    has no mass.
     """
-    F = member()
-    if not isinstance(F, (SpaceTimeSpectrum, PooledPower)):
-        raise TypeError(f"member {name!r} is not a SpaceTimeSpectrum or a PooledPower")
+    if not (isinstance(member, FreeMember) and list(shells)):
+        return _analysed(name, member, None, directions, shells, sigmas)
+    if stacks is None:
+        stacks = _MemberStacks([member])
+    stack = stacks.take()
+    try:
+        work = _laid_in(stack, member.m_t, member.phi.grid.shape)
+        return _analysed(name, member, work, directions, shells, sigmas)
+    finally:
+        stacks.give(stack)
+
+
+def _analysed(name, member, work, directions, shells, sigmas):
+    """_member_rows with the member's work stack given (None without one).
+
+    A FreeMember's pooled cells come in closed form, and its spectrum is
+    built after them, only for the shell reductions; any other member's
+    spectrum comes first, and its cells are pooled from it.
+    """
     ks = list(shells)
-    if isinstance(F, PooledPower) and ks:
-        raise TypeError(f"member {name!r} has pooled power only; its shells need the spectrum")
+    if isinstance(member, FreeMember):
+        P = free_cell_power(member.phi, member.m_t, member.t_window, out=work)
+    else:
+        F = member()
+        if not isinstance(F, SpaceTimeSpectrum):
+            raise TypeError(f"member {name!r} is not a SpaceTimeSpectrum")
+        P = _cell_power(F)
     # The total mass comes from the same pooled |F|^2 as the shell tables.
-    P = F if isinstance(F, PooledPower) else _cell_power(F)
     total = math.sqrt(P.cell_measure * float(np.sum(P.cells)))
     if ks and total <= MASS_FLOOR:
         return [(name, -1, "skipped", "-", 0.0)]
-    grid = F.grid
+    grid = P.grid
     d = grid.d
     power, diag, overlap = _shell_tables(P)
+    del P  # only the tables read the cells; the shell reductions run without them
     xks = _xk_values(power)
     r1s = _section_sanity(diag, overlap, xks)
     rows = []
+    if ks:
+        if isinstance(member, FreeMember):
+            F = free_spectrum(member.phi, member.m_t, member.t_window, out=work)
+        # The rows within TIME_CUT of t = 0, where R3 takes its maximum;
+        # the same for every shell.
+        time_keep = np.abs(-F.t_window + F.dt * np.arange(F.m_t)) <= TIME_CUT
     for k in ks:
         xk = _at_shell(xks, k)
         if xk <= MASS_FLOOR * max(total, 1.0):
             continue
         # Per-point time reductions of |u_k|, shared by all lattice
         # directions; the time-slice ratio R4 sums the same squares over space.
-        time_keep = np.abs(-F.t_window + F.dt * np.arange(F.m_t)) <= TIME_CUT
         max_time, sq_time, row_sq = _shell_reductions(F, F.shell_weights(k), time_keep)
         slices = np.sqrt(grid.cell_volume * row_sq)
         r4 = float(np.max(slices)) / xk
@@ -767,20 +868,29 @@ def lemma_diagnostics(
     itself; per-(k, quantity) maxima are appended with id 'max'. Every
     member also gets one whole-trajectory Fsigma row at fsigma_sigma. The
     ensemble is a sequence of (id, member) pairs; a member is a
-    zero-argument factory returning a SpaceTimeSpectrum. bound_members are
-    (id, member, sigmas) triples that report only their Fsigma rows, one per
-    sigma, after the max rows; their factory may also return a PooledPower
-    (free_cell_power).
+    zero-argument factory returning a SpaceTimeSpectrum, or a FreeMember.
+    bound_members are (id, member, sigmas) triples that report only their
+    Fsigma rows, one per sigma, after the max rows.
 
     Every member is an independent task: the ensemble, then the bound-only
     members, run in that order on one pool (_ordered_map), and a factory is
     called once, on the thread that analyses it, so only the members in
-    flight hold a spectrum.
+    flight hold a spectrum. A FreeMember is not called: its pooled cells
+    come in closed form (free_cell_power) and its spectrum is built only
+    for the shell reductions. With shells, both are formed in a member
+    stack that the call lends it (_MemberStacks): each pool worker, or the
+    calling thread when the members run serially, holds at most one, and
+    none outlives the call. A bound-only FreeMember forms its phases in
+    arrays of its own.
     """
     members = [(str(name), member) for name, member in ensemble]
     if not members:
         raise EmptyEnsemble("ensemble is empty")
-    tasks = [(name, member, directions, shells, (fsigma_sigma,)) for name, member in members]
+    free = [member for _, member in members if isinstance(member, FreeMember)]
+    stacks = _MemberStacks(free) if free and list(shells) else None
+    tasks = [
+        (name, member, directions, shells, (fsigma_sigma,), stacks) for name, member in members
+    ]
     tasks += [(str(name), member, directions, (), tuple(s)) for name, member, s in bound_members]
 
     report = NormReport(

@@ -23,7 +23,9 @@ derivative in nonlinearity, the free propagator's phases in solver
 (RealWork), and the chart kernels and the Sobolev norms of spectra one of
 their own (ComplexWork), to write into; a workspace belongs to one call,
 solve or generator and is never shared, so concurrent callers stay
-independent.
+independent. The space-time layer's member stacks (stack_empty) follow the
+same rule: one lemma_diagnostics call owns them, one per pool worker, and
+lends each to one member at a time.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ from smap.nonlinearity import DealiasPolicy
 from smap.solver import midpoint_snapshots, picard_solve, uniform_times
 from smap.spacetime import (
     DirectionSet,
+    FreeMember,
     _cell_power,
     _shell_tables,
     _xk_values,
@@ -407,11 +408,14 @@ class TestSeededData:
         return members, (128,) + grid.shape
 
     def test_ensemble_members_built_on_call(self, monkeypatch):
+        # The free members are FreeMember records, whose spectra
+        # lemma_diagnostics builds (spacetime.free_spectrum); the Picard
+        # member is a factory, called once.
         calls = []
-        for name in ("free_spectrum", "picard_solve"):
-            original = getattr(data_module, name)
+        for module, name in ((spacetime, "free_spectrum"), (data_module, "picard_solve")):
+            original = getattr(module, name)
             monkeypatch.setattr(
-                data_module,
+                module,
                 name,
                 lambda *a, _f=original, _n=name, **kw: calls.append(_n) or _f(*a, **kw),
             )
@@ -426,13 +430,15 @@ class TestSeededData:
 
             return call
 
+        free = [name for name, f in members if isinstance(f, FreeMember)]
         lemma_diagnostics(
-            [(name, counted(name, f)) for name, f in members],
+            [(name, f if name in free else counted(name, f)) for name, f in members],
             DirectionSet.default(2),
             range(2, 5),
             1.6,
         )
-        assert sorted(built) == sorted(name for name, _ in members)
+        assert sorted(built + free) == sorted(name for name, _ in members)
+        assert built == ["picard"]
         assert calls.count("picard_solve") == 1
         assert calls.count("free_spectrum") == len(members) - 1
 

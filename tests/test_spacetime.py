@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -32,6 +33,7 @@ from smap.solver import (
 from smap.spacetime import (
     TIME_CUT,
     DirectionSet,
+    FreeMember,
     PooledPower,
     SpaceTimeSpectrum,
     fiber_norm,
@@ -49,6 +51,7 @@ from smap.spacetime import (
 )
 from smap.spectral import (
     FREQUENCY,
+    PHYSICAL,
     PLATEAU,
     SUPPORT,
     ComplexField,
@@ -741,8 +744,10 @@ class TestFreeCellPower:
     )
     def test_matches_pooled_free_spectrum(self, d, n, period, m_t, t_window, kind, seed, sigma):
         # The closed form pools the same |F|^2 as the free spectrum, to
-        # rounding, and its bound-only Fsigma row matches fsigma_upper; a
-        # member without mass pools exact zeros and is still reported.
+        # rounding, with the same bits when its phases are formed in a
+        # member stack, and a bound-only FreeMember's Fsigma row matches
+        # fsigma_upper; a member without mass pools exact zeros and is
+        # still reported.
         grid = GridSpec(d, n, period)
         rng = np.random.default_rng(seed)
         if kind == "bandlimited":
@@ -761,7 +766,10 @@ class TestFreeCellPower:
             assert not np.any(got) and not np.any(want)
         else:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
-        rows = spacetime._member_rows("free", lambda: pooled, None, (), (sigma,))
+        work = stack_empty(m_t, grid.shape)
+        assert np.array_equal(free_cell_power(phi, m_t, t_window, out=work).cells, got)
+        member = FreeMember(phi, m_t, t_window)
+        rows = spacetime._member_rows("free", member, None, (), (sigma,))
         assert [row[:4] for row in rows] == [("free", -1, "Fsigma", f"sigma={sigma:g}")]
         bound = fsigma_upper(F, sigma)
         assert abs(rows[0][4] - bound) <= 1e-13 * bound
@@ -776,12 +784,16 @@ class TestFreeCellPower:
             errors.append(str(err.value))
         assert errors[0] == errors[1]
 
-    def test_shells_need_the_spectrum(self, grid32, rng):
-        pooled = free_cell_power(random_smooth_field(grid32, rng), 64, 1.0)
-        with pytest.raises(TypeError, match="pooled power only"):
-            spacetime._member_rows(
-                "free", lambda: pooled, DirectionSet.default(2), range(1, 3), ()
-            )
+    def test_spectrum_in_a_member_stack(self, grid32, rng):
+        # free_spectrum formed in a given stack, here the first rows and
+        # points of a larger member stack, has the bits of its own array.
+        phi = random_smooth_field(grid32, rng)
+        stack = stack_empty(80, (2 * grid32.num_points,))
+        work = spacetime._laid_in(stack, 64, grid32.shape)
+        F = free_spectrum(phi, 64, 1.0, out=work)
+        assert np.shares_memory(F.values, stack)
+        assert np.array_equal(F.values, free_spectrum(phi, 64, 1.0).values)
+        assert np.array_equal(F.values, FreeMember(phi, 64, 1.0)().values)
 
 
 class TestSigmaUpper:
@@ -1037,6 +1049,111 @@ class TestLemmaDiagnostics:
         with traced_peak() as peak:
             spacetime._member_rows(*args)
         assert peak.bytes < 2.0 * F.values.nbytes
+
+    def free_members(self, rng):
+        """Free members on d = 2, n = 32, m_t = 128: plane waves in shells
+        1-4, one on the diagonal (so that two axes tie), a three-mode sum
+        and broadband data."""
+        grid = GridSpec(2, 32, 1.0)
+        phis = [plane_wave(grid, np.array(k0)) for k0 in ([2.0, 0.0], [3.0, 3.0], [0.0, 9.0])]
+        waves = [plane_wave(grid, np.array(k0)) for k0 in ([1.0, 2.0], [4.0, -3.0], [-12.0, 5.0])]
+        coefs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        phis.append(ComplexField(grid, 0.0, PHYSICAL, sum(c * w.values for c, w in zip(coefs, waves))))
+        phis.append(random_smooth_field(grid, rng, band=12.0))
+        return [(f"free{i}", FreeMember(phi, 128, 1.0)) for i, phi in enumerate(phis)]
+
+    def test_free_member_paths_agree(self, rng):
+        # FreeMembers and factories of the same spectra give the same rows:
+        # X_k and Fsigma from the closed-form cells within 1e-13 of the
+        # member's total norm (the square root of its pooled power, which
+        # the shells split) and of Fsigma (the square sum of its shell
+        # norms), R1-R4 within that error through 1 / X_k, and direction
+        # labels equal as axes (e ~ -e).
+        members = self.free_members(rng)
+        factories = [(name, lambda m=m: free_spectrum(m.phi, m.m_t, m.t_window)) for name, m in members]
+        dirs = DirectionSet.default(2)
+        closed = lemma_diagnostics(members, dirs, range(1, 5), 1.6).rows
+        pooled = lemma_diagnostics(factories, dirs, range(1, 5), 1.6).rows
+        assert [row[:3] for row in closed] == [row[:3] for row in pooled]
+        totals = {}
+        for name, member in members:
+            P = spacetime._cell_power(member())
+            totals[name] = math.sqrt(P.cell_measure * float(np.sum(P.cells)))
+        xks = {(row[0], row[1]): row[4] for row in pooled if row[2] == "Xk"}
+        assert {row[0] for row in pooled if row[2] == "Xk"} == set(totals)
+        diagonal = 0
+        for got, want in zip(closed, pooled):
+            name, k, quantity, label, value = want
+            if label.startswith("("):
+                axes = [np.array(row[3].strip("()").split(), dtype=float) for row in (got, want)]
+                assert min(np.abs(axes[0] - s * axes[1]).max() for s in (1, -1)) < 1e-12
+            if name == "max":
+                # The max rows follow from the member rows.
+                continue
+            if quantity == "Fsigma":
+                err = 1e-13 * value
+            else:
+                err = 1e-13 * totals[name]
+                if quantity != "Xk":
+                    err *= (abs(value) + 1.0) / xks[(name, k)]
+            assert abs(got[4] - value) <= err, (got, want)
+            diagonal += name == "free1" and quantity in ("R2", "R3")
+        assert diagonal == 2  # the near-tie labels of the diagonal wave were compared
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_member_stacks_per_worker(self, rng, monkeypatch, cpus):
+        # One call makes at most one member-sized stack per pool worker, for
+        # the free members' phases and spectra, and none outlives it. With
+        # more workers than cores and frequent thread switches, no stack is
+        # lent to two members at once: the rows are the serial run's.
+        members = self.free_members(rng)
+        members += [(name + "_again", member) for name, member in members]
+        member_size = (128, members[0][1].phi.grid.num_points)
+        made = []
+        stack_empty = spacetime.stack_empty
+
+        def counted(rows, shape):
+            made.append((rows, math.prod(shape)))
+            return stack_empty(rows, shape)
+
+        monkeypatch.setattr(spacetime, "stack_empty", counted)
+        dirs = DirectionSet.default(2)
+        allow_cpus(monkeypatch, 1)
+        serial = lemma_diagnostics(members, dirs, range(1, 5), 1.6).rows  # warms the caches
+        allow_cpus(monkeypatch, cpus)
+        made.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows = lemma_diagnostics(members, dirs, range(1, 5), 1.6).rows
+        finally:
+            sys.setswitchinterval(interval)
+        assert rows == serial
+        assert 1 <= made.count(member_size) <= cpus
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lemma_diagnostics(members, dirs, range(1, 5), 1.6)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after - before < 64 * 1024  # one member stack is 2 MB
+
+    def test_member_stacks_kept_while_a_member_is_to_start(self, rng):
+        # A stack given back is lent again while a member that needs one is
+        # still to start, and dropped after the last has started, so the
+        # members that follow (the Picard one) run beside no idle stack.
+        member = self.free_members(rng)[0][1]
+        stacks = spacetime._MemberStacks([member] * 3)
+        first = stacks.take()
+        assert first.shape == (128, member.phi.grid.num_points)
+        stacks.give(first)
+        assert stacks.take() is first
+        last = stacks.take()
+        assert last is not first
+        stacks.give(first)
+        stacks.give(last)
+        assert stacks.spare == []
 
     def test_single_mode_ratio_uniformity(self):
         # Mirrors the per-shell uniformity study: plane waves across shells
