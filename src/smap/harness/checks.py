@@ -292,7 +292,8 @@ def _solver_checks(config, grid, check):
     T = steps * dt
     phi = seeded_data(config.data_kind, config.amplitudes[0], config.seed, grid, sigma0)
     times = uniform_times(T, dt)
-    image = Trajectory(grid, times, np.zeros((times.size,) + grid.shape, np.complex128))
+    zero = np.zeros(grid.shape, np.complex128)
+    image = Trajectory(grid, times, np.zeros((times.size,) + zero.shape, complex), NO_DEALIAS, zero)
     duhamel_map(phi, image, policy, sigma0)
     check("duhamel_zero_prev", _sample_gap(image, free_trajectory(phi, times)), 1e-12)
     traj, hist = picard_solve(

@@ -124,17 +124,17 @@ def build_lemma_ensemble(
     max_iter: int = 40,
     policy: DealiasPolicy = TWO_THIRDS,
 ) -> list:
-    """Windowed members as (name, factory) pairs: two free plane waves and
+    """Windowed members as (name, member) pairs: two free plane waves and
     one free three-mode sum per requested shell, three frequency-localized
     bumps, a free broadband field, and one fixed-point solution of the flow
     (twenty members for five shells).
 
     Every random draw and every initial field is made here, in a fixed
-    order; a factory takes no argument and returns the member's space-time
-    spectrum on m_t rows of the window [-t_window, t_window]. A free member
-    is a FreeMember(phi, m_t, t_window) record, whose call is free_spectrum
-    and whose pooled cells lemma_diagnostics reads in closed form; the
-    Picard member's factory solves on [0, T] with the window step
+    order. A free member is a FreeMember(phi, m_t, t_window) record, not a
+    factory: lemma_diagnostics reads its pooled cells in closed form and
+    builds its spectrum on m_t rows of the window [-t_window, t_window]
+    only for the shell reductions. The Picard member is a factory that
+    takes no argument: it solves on [0, T] with the window step
     2 t_window / m_t, under tol, max_iter and policy, and transforms the
     solution. So a member's samples exist only while it is analysed.
     """

@@ -80,21 +80,21 @@ class Trajectory:
 
     values has the time axis first and holds the unitary spatial spectra of
     the snapshots, only the modes the dealias rule keeps, its band
-    (NO_DEALIAS, the default, keeps every mode): values is
-    (M+1, *band shape), and every other mode of row m is the free flow
-    e^{-i t_m |xi|^2} free of the spectrum free, as the Duhamel map leaves it.
+    (NO_DEALIAS keeps every mode): values is (M+1, *band shape), and every
+    other mode of row m is the free flow e^{-i t_m |xi|^2} free of the
+    spectrum free, a grid-shaped array, as the Duhamel map leaves it.
     picard_solve keeps its iterate and returns its fixed point in this form.
 
     Physical samples come from sample_blocks, a stream that holds one block
-    of rows beside the stored values (and, for a partial band, the
-    propagator phases of the block); snapshot(m) rebuilds one spectrum.
+    of rows beside the stored values, each block rebuilt over its
+    propagator phases; snapshot(m) rebuilds one spectrum.
     """
 
     grid: GridSpec
     times: np.ndarray
     values: np.ndarray
-    dealias: DealiasPolicy = NO_DEALIAS
-    free: np.ndarray | None = None
+    dealias: DealiasPolicy
+    free: np.ndarray
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
@@ -105,10 +105,9 @@ class Trajectory:
             dt = diffs[0]
             if dt <= 0 or np.any(np.abs(diffs - dt) > 1e-14 * (1.0 + abs(dt))):
                 raise ValueError("times must be strictly increasing and uniform")
-        box = self.dealias.band(self.grid).shape
-        if box != self.grid.shape and self.free is None:
-            raise ValueError("a trajectory with a partial band needs its free spectrum")
-        expected = (self.times.size,) + box
+        if np.shape(self.free) != self.grid.shape:
+            raise ValueError(f"free shape {np.shape(self.free)}, expected {self.grid.shape}")
+        expected = (self.times.size,) + self.dealias.band(self.grid).shape
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape}, expected {expected}")
 
@@ -119,44 +118,37 @@ class Trajectory:
     def __len__(self) -> int:
         return self.times.size
 
-    def _blocks(self, buffer=None):
-        """(start, forward) per block of _block_rows rows, forward the rows'
-        propagator phases, from the recurrence of _propagator_blocks (written
-        into buffer if given)."""
+    def _blocks(self, buffer: np.ndarray):
+        """Yield (start, forward) per block of _block_rows rows, forward the
+        rows' propagator phases written into buffer, a stack of one block
+        with contiguous rows that the caller reads but does not write."""
         rows = _block_rows(self.grid)
-        blocks = _propagator_blocks(self.times, self.grid.wavenumber_sq(), rows, buffer=buffer)
-        return zip(range(0, len(self), rows), blocks)
-
-    def _rebuild_blocks(self):
-        """(start, forward) per block as _blocks, but forward is None where
-        every mode is stored: those rows are copies of values, no phases."""
-        if self.dealias.band(self.grid).shape != self.grid.shape:
-            return self._blocks()
-        return ((start, None) for start in range(0, len(self), _block_rows(self.grid)))
+        phases = _Phases(self.times, self.grid.wavenumber_sq())
+        for start in range(0, len(self), rows):
+            yield start, phases.fill(buffer[: min(rows, len(self) - start)])
 
     def _fill(self, start: int, forward, out: np.ndarray) -> np.ndarray:
         """Full spectra of the rows start.., written into out; forward holds
-        those rows' propagator phases (unused, and may be None, when every
-        mode is stored).
+        those rows' propagator phases, and may be out itself.
 
         The free flow forward * free is formed on the whole block and the
         band copied over it: a product on the band's complement slabs only
         was slower (d = 3, n = 32, 2 rows: 173 against 93 us per block on
         one core of a 2-vCPU virtual machine), as numpy walks the narrow
-        slabs in runs of 11 values."""
-        band = self.dealias.band(self.grid)
-        if band.shape != self.grid.shape:
-            np.multiply(forward, self.free, out=out)
-        return band.scatter(self.values[start : start + len(out)], out)
+        slabs in runs of 11 values. The product runs row by row: in place on
+        a row-padded stack, one product over the block copies forward first."""
+        for phase, row in zip(forward, out):
+            np.multiply(phase, self.free, out=row)
+        return self.dealias.band(self.grid).scatter(self.values[start : start + len(out)], out)
 
     def sample_blocks(self, first: int = 0, stop: int | None = None, out=None):
         """Yield (start, samples): the physical rows first..stop-1 (all rows
         by default) in consecutive blocks of at most _block_rows rows.
 
-        Each block's spectra are rebuilt and inverted in one buffer, so a
-        yielded block is overwritten by the next one; given out, a
-        (stop - first, *grid.shape) stack with contiguous rows, they are
-        rebuilt and inverted in out's own rows, and each block is a row
+        Each block's phases are written, its spectra rebuilt over them and
+        inverted in one buffer, so a yielded block is overwritten by the next
+        one; given out, a (stop - first, *grid.shape) stack with contiguous
+        rows, all of that happens in out's own rows, and each block is a row
         slice of out. Either way the rows carry the bits of one inverse of
         the whole stack.
         """
@@ -166,30 +158,27 @@ class Trajectory:
         own = out is None
         if own:
             out = np.empty((min(rows, stop - first),) + self.grid.shape, np.complex128)
-        for start, forward in self._rebuild_blocks():
-            if start >= stop:
-                return
+        phases = _Phases(self.times, self.grid.wavenumber_sq())
+        for _ in range(first):  # the rows before first, each in the first row of out
+            phases.fill(out[:1])
+        for start in range(first - first % rows, stop, rows):
             lo, hi = max(start, first), min(start + rows, stop)
-            if lo >= hi:
-                continue
             dest = out[: hi - lo] if own else out[lo - first : hi - first]
-            if forward is not None:
-                forward = forward[lo - start : hi - start]
-            block = self._fill(lo, forward, dest)
+            phases.fill(dest)
+            phases.hold()
+            block = self._fill(lo, dest, dest)
             yield lo, unitary_dft(block, axes, inverse=True, out=block)
 
     def snapshot(self, m: int) -> ComplexField:
         """Spectrum of snapshot m: the propagator recurrence runs to row m,
-        and that row alone is rebuilt (a copy where every mode is stored)."""
+        and that row alone is rebuilt over its phases."""
         t = float(self.times[m])
         m = range(len(self))[m]
-        row = np.empty((1,) + self.grid.shape, dtype=np.complex128)
-        for start, forward in self._rebuild_blocks():
-            if m < start + _block_rows(self.grid):
-                if forward is not None:
-                    forward = forward[m - start : m - start + 1]
-                self._fill(m, forward, row)
-                return ComplexField(self.grid, t, FREQUENCY, row[0])
+        row = np.empty((1,) + self.grid.shape, np.complex128)
+        phases = _Phases(self.times, self.grid.wavenumber_sq())
+        for _ in range(m + 1):
+            phases.fill(row)
+        return ComplexField(self.grid, t, FREQUENCY, self._fill(m, row, row)[0])
 
 
 def uniform_times(T: float, dt: float, t0: float = 0.0) -> np.ndarray:
@@ -205,38 +194,43 @@ def _block_rows(grid: GridSpec) -> int:
     return max(1, BLOCK_BYTES // (16 * grid.num_points))
 
 
-def _propagator_blocks(times: np.ndarray, k2: np.ndarray, rows: int, buffer=None):
-    """Phases e^{-i t_m |xi|^2} for consecutive blocks of ``rows`` times.
+class _Phases:
+    """Phases e^{-i t_m |xi|^2} of the rows m = 0, 1, .. of times, written in
+    order into the arrays a caller gives.
 
     Uniform grids of more than two times use a stepwise recurrence (one exp
-    per grid instead of one per sample) that runs on across blocks: the
-    first row of a block is the previous block's last row times the step,
-    so every row is the same whatever the block size. Other grids take one
-    exp per row. Given buffer, a (rows, *k2.shape) stack with contiguous
-    rows, every block is written into it (its row 0 before the carried last
-    row is overwritten), so a block is valid until the next one is drawn;
-    otherwise each is a new array.
+    per grid instead of one per sample): each row is the previous row times
+    the step, so every row has the same bits however the rows are split.
+    The recurrence goes on from the last row filled, in the caller's array
+    unless hold() copied it apart. Other grids take one exp per row.
     """
-    times = np.asarray(times, dtype=np.float64)
-    flat = k2.ravel()
-    diffs = np.diff(times)
-    uniform = times.size > 2 and np.all(np.abs(diffs - diffs[0]) < 1e-14 * (1 + abs(diffs[0])))
-    if uniform:
-        step = np.exp(-1j * diffs[0] * flat)
-    last = None
-    for start in range(0, times.size, rows):
-        count = min(rows, times.size - start)
-        if buffer is not None:
-            block = buffer[:count].reshape(count, flat.size, copy=False)
-        else:
-            block = np.empty((count, flat.size), dtype=np.complex128)
-        for i, t in enumerate(times[start : start + count]):
-            if not uniform or start + i == 0:
-                block[i] = np.exp(-1j * t * flat)
+
+    def __init__(self, times: np.ndarray, k2: np.ndarray):
+        self.times = np.asarray(times, dtype=np.float64)
+        self.flat = k2.ravel()
+        diffs = np.diff(self.times)
+        self.step = None
+        if self.times.size > 2 and np.all(np.abs(diffs - diffs[0]) < 1e-14 * (1 + abs(diffs[0]))):
+            self.step = np.exp(-1j * diffs[0] * self.flat)
+        self.last = None
+        self.done = 0
+
+    def fill(self, out: np.ndarray) -> np.ndarray:
+        """The next len(out) rows, written into out, a (rows, *k2.shape)
+        array with contiguous rows, which is returned."""
+        for row in out.reshape(len(out), self.flat.size, copy=False):
+            if self.step is None or self.done == 0:
+                row[...] = np.exp(-1j * self.times[self.done] * self.flat)
             else:
-                np.multiply(block[i - 1] if i else last, step, out=block[i])
-        last = block[-1]
-        yield block.reshape((count,) + k2.shape)
+                np.multiply(self.last, self.step, out=row)
+            self.done += 1
+            self.last = row
+        return out
+
+    def hold(self):
+        """Go on from a copy of the last row filled, so that the caller may
+        write over the rows it was given."""
+        self.last = self.last.copy()
 
 
 def propagator_stack(times: np.ndarray, k2: np.ndarray, out=None) -> np.ndarray:
@@ -245,7 +239,7 @@ def propagator_stack(times: np.ndarray, k2: np.ndarray, out=None) -> np.ndarray:
     out is a (times, *k2.shape) stack with contiguous rows, for example a
     spectral.stack_empty one.
 
-    Uniform grids use the recurrence of _propagator_blocks. Its largest
+    Uniform grids use the recurrence of _Phases. Its largest
     component error against a long-double reference at the same times is
     7.9e-15 and 7.3e-15 on the 129-row Picard windows of the d = 2, n = 64
     and d = 3, n = 32 solves (max |t |xi|^2| = 64 and 24), 1.3e-13 on the
@@ -257,16 +251,20 @@ def propagator_stack(times: np.ndarray, k2: np.ndarray, out=None) -> np.ndarray:
     accurate ones.
     """
     times = np.asarray(times, dtype=np.float64)
-    return next(_propagator_blocks(times, k2, max(times.size, 1), buffer=out))
+    if out is None:
+        out = np.empty((times.size,) + k2.shape, np.complex128)
+    return _Phases(times, k2).fill(out)
 
 
 def free_trajectory(phi: ComplexField, times: np.ndarray) -> Trajectory:
     """Free evolution W(t) phi sampled on the given times: the propagated
-    spectra e^{-i t_m |xi|^2} phi_hat, every mode kept."""
+    spectra e^{-i t_m |xi|^2} phi_hat, every mode kept, with free spectrum
+    phi_hat."""
     times = np.asarray(times, dtype=np.float64)
+    phi_hat = to_frequency(phi).values
     spectra = propagator_stack(times, phi.grid.wavenumber_sq())
-    spectra *= to_frequency(phi).values
-    return Trajectory(phi.grid, times, spectra)
+    spectra *= phi_hat
+    return Trajectory(phi.grid, times, spectra, NO_DEALIAS, phi_hat)
 
 
 @dataclass

@@ -8,7 +8,7 @@ Fourier transform, so the (d+1)-dimensional Plancherel identity holds
 exactly with the grid quadrature weights. The window samples of a
 trajectory are rebuilt from its spectra block by block in their window
 rows (windowed_samples), and free evolutions, the edges past its ends and
-those of free_samples, are evolved in the window rows directly. Every
+those of free_spectrum, are evolved in the window rows directly. Every
 multiply of a complex stack by a real factor runs on a float64 view of
 the stack (_floats), with the bits of the complex multiply.
 
@@ -16,10 +16,10 @@ For a free evolution the transform factorizes,
 F(tau, xi) = phi_hat(xi) G(tau, |xi|^2), so free_cell_power pools |F|^2
 into the (tau row, |xi|^2 class) cells of the shell tables in closed form,
 from one time transform per |xi|^2 class and no spectrum. A free ensemble
-member is a FreeMember record (phi, m_t, t_window): lemma_diagnostics reads
-its mass, X_k, R1 and Fsigma from those cells and builds its spectrum only
-for the shell reductions, both formed in a member stack that the call
-lends to one pool worker at a time.
+member is a FreeMember record (phi, m_t, t_window) that lemma_diagnostics
+alone reads: its mass, X_k, R1 and Fsigma come from those cells, and its
+spectrum is built only for the shell reductions, both in a member stack
+that the call lends to one pool worker at a time.
 
 On top of the spectrum this module computes the dyadic-shell norms that
 weight distance from the free-evolution paraboloid, directional mixed
@@ -365,27 +365,21 @@ def _free_window(m_t: int, t_window: float) -> tuple:
     return times, window_profile(_window_times(dt, t_window), t_window)
 
 
-def free_samples(phi: ComplexField, m_t: int, t_window: float = 1.0, out=None) -> np.ndarray:
-    """Windowed samples of the free evolution W(t) phi on the window.
+def free_spectrum(
+    phi: ComplexField, m_t: int, t_window: float = 1.0, out=None
+) -> SpaceTimeSpectrum:
+    """Space-time spectrum of the free evolution W(t) phi on the window.
 
     Evolves exactly the m_t window rows (_free_window) in one row-padded
-    stack (_free_rows), so one trajectory-sized array is alive throughout:
-    out, a (m_t, *grid) stack with contiguous rows, if given.
+    stack (_free_rows) and transforms them in that buffer, so one
+    trajectory-sized array is alive throughout: out, a (m_t, *grid) stack
+    with contiguous rows, if given. Equal to spacetime_transform of the
+    same evolution on the window's rows (free_trajectory).
     """
     times, window = _free_window(m_t, t_window)
     if out is None:
         out = stack_empty(m_t, phi.grid.shape)
-    return _free_rows(phi, times, window, out)
-
-
-def free_spectrum(
-    phi: ComplexField, m_t: int, t_window: float = 1.0, out=None
-) -> SpaceTimeSpectrum:
-    """Space-time spectrum of the free evolution W(t) phi on the window:
-    free_samples (into out, if given) transformed in their own buffer.
-    Equal to spacetime_transform of the same evolution on the window's rows
-    (free_trajectory)."""
-    return _transform(free_samples(phi, m_t, t_window, out), phi.grid, t_window)
+    return _transform(_free_rows(phi, times, window, out), phi.grid, t_window)
 
 
 def free_cell_power(phi: ComplexField, m_t: int, t_window: float = 1.0, out=None) -> PooledPower:
@@ -427,18 +421,15 @@ class FreeMember:
     """A free ensemble member: the windowed free evolution W(t) phi on m_t
     rows of [-t_window, t_window].
 
-    Called, it returns its spectrum, free_spectrum(phi, m_t, t_window), as
-    any member factory does. lemma_diagnostics instead reads its pooled
-    cells from free_cell_power and builds the spectrum only for the shell
-    reductions; with shells, both in a member stack of the call.
+    A record, not a factory: lemma_diagnostics reads its pooled cells from
+    free_cell_power and builds its spectrum, free_spectrum(phi, m_t,
+    t_window), only for the shell reductions; with shells, both in a member
+    stack of the call.
     """
 
     phi: ComplexField
     m_t: int
     t_window: float = 1.0
-
-    def __call__(self) -> SpaceTimeSpectrum:
-        return free_spectrum(self.phi, self.m_t, self.t_window)
 
 
 def _shell_reductions(F: SpaceTimeSpectrum, weights: np.ndarray, time_keep: np.ndarray):
@@ -657,7 +648,10 @@ def fiber_norm(per_point: np.ndarray, e, grid: GridSpec, p, q) -> float:
     grid point (_shell_reductions): dt * sum_t |u|^2 for q = 2, max_t |u| for
     q = inf. The weights are the Riemann weights of the fibration, so
     p = q = 2 reproduces the space-time L2 norm for every lattice direction.
+    Any other p or q raises ValueError.
     """
+    if p not in (1, 2, np.inf) or q not in (2, np.inf):
+        raise ValueError(f"fiber_norm takes p in (1, 2, inf) and q in (2, inf), got p={p}, q={q}")
     m = tuple(lattice_vector(e, grid.d).tolist())
     offset, w_perp, dr = _fibration(grid.d, grid.n, grid.period, m)
     if q == 2:
@@ -760,21 +754,19 @@ def _laid_in(stack: np.ndarray, rows: int, shape: tuple) -> np.ndarray:
     return stack[:rows, : math.prod(shape)].reshape((rows,) + tuple(shape), copy=False)
 
 
-def _member_rows(name, member, directions, shells, sigmas, stacks=None):
+def _member_rows(name, member, directions, shells, sigmas, stacks):
     """Diagnostic rows for one ensemble member (thread-safe, pure).
 
-    The member is a factory, called here, so its spectrum exists only while
-    it is analysed; a FreeMember with shells is analysed in a stack lent by
-    stacks (a _MemberStacks), or one of its own. The shell samples are
-    never built: every shell reads its reductions from _shell_reductions.
-    One Fsigma row per sigma follows the shell rows. A bound-only member
-    has no shells: it reports just those rows and is not skipped when it
-    has no mass.
+    A factory member is called here, so its spectrum exists only while it
+    is analysed; a FreeMember with shells is analysed in a stack lent by
+    stacks, the call's _MemberStacks (None for members without shells).
+    The shell samples are never built: every shell reads its reductions
+    from _shell_reductions. One Fsigma row per sigma follows the shell
+    rows. A bound-only member has no shells: it reports just those rows and
+    is not skipped when it has no mass.
     """
-    if not (isinstance(member, FreeMember) and list(shells)):
+    if not (isinstance(member, FreeMember) and shells):
         return _analysed(name, member, None, directions, shells, sigmas)
-    if stacks is None:
-        stacks = _MemberStacks([member])
     stack = stacks.take()
     try:
         work = _laid_in(stack, member.m_t, member.phi.grid.shape)
@@ -790,7 +782,6 @@ def _analysed(name, member, work, directions, shells, sigmas):
     built after them, only for the shell reductions; any other member's
     spectrum comes first, and its cells are pooled from it.
     """
-    ks = list(shells)
     if isinstance(member, FreeMember):
         P = free_cell_power(member.phi, member.m_t, member.t_window, out=work)
     else:
@@ -800,7 +791,7 @@ def _analysed(name, member, work, directions, shells, sigmas):
         P = _cell_power(F)
     # The total mass comes from the same pooled |F|^2 as the shell tables.
     total = math.sqrt(P.cell_measure * float(np.sum(P.cells)))
-    if ks and total <= MASS_FLOOR:
+    if shells and total <= MASS_FLOOR:
         return [(name, -1, "skipped", "-", 0.0)]
     grid = P.grid
     d = grid.d
@@ -809,13 +800,13 @@ def _analysed(name, member, work, directions, shells, sigmas):
     xks = _xk_values(power)
     r1s = _section_sanity(diag, overlap, xks)
     rows = []
-    if ks:
+    if shells:
         if isinstance(member, FreeMember):
             F = free_spectrum(member.phi, member.m_t, member.t_window, out=work)
         # The rows within TIME_CUT of t = 0, where R3 takes its maximum;
         # the same for every shell.
         time_keep = np.abs(-F.t_window + F.dt * np.arange(F.m_t)) <= TIME_CUT
-    for k in ks:
+    for k in shells:
         xk = _at_shell(xks, k)
         if xk <= MASS_FLOOR * max(total, 1.0):
             continue
@@ -865,7 +856,8 @@ def lemma_diagnostics(
     For every ensemble member and shell k with mass, reports (relative to the
     shell norm) the local-smoothing ratio R2, the maximal-function ratio R3,
     the time-slice ratio R4, the j-section sanity R1 and the shell norm
-    itself; per-(k, quantity) maxima are appended with id 'max'. Every
+    itself; per-(k, quantity) maxima are appended with id 'max'. shells
+    is read once, so any iterable of shell indices will do. Every
     member also gets one whole-trajectory Fsigma row at fsigma_sigma. The
     ensemble is a sequence of (id, member) pairs; a member is a
     zero-argument factory returning a SpaceTimeSpectrum, or a FreeMember.
@@ -875,7 +867,7 @@ def lemma_diagnostics(
     Every member is an independent task: the ensemble, then the bound-only
     members, run in that order on one pool (_ordered_map), and a factory is
     called once, on the thread that analyses it, so only the members in
-    flight hold a spectrum. A FreeMember is not called: its pooled cells
+    flight hold a spectrum. A FreeMember is a record: its pooled cells
     come in closed form (free_cell_power) and its spectrum is built only
     for the shell reductions. With shells, both are formed in a member
     stack that the call lends it (_MemberStacks): each pool worker, or the
@@ -886,12 +878,15 @@ def lemma_diagnostics(
     members = [(str(name), member) for name, member in ensemble]
     if not members:
         raise EmptyEnsemble("ensemble is empty")
+    shells = tuple(shells)
     free = [member for _, member in members if isinstance(member, FreeMember)]
-    stacks = _MemberStacks(free) if free and list(shells) else None
+    stacks = _MemberStacks(free) if free and shells else None
     tasks = [
         (name, member, directions, shells, (fsigma_sigma,), stacks) for name, member in members
     ]
-    tasks += [(str(name), member, directions, (), tuple(s)) for name, member, s in bound_members]
+    tasks += [
+        (str(name), member, directions, (), tuple(s), None) for name, member, s in bound_members
+    ]
 
     report = NormReport(
         kind="lemma_diagnostics",

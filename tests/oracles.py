@@ -14,7 +14,7 @@ import scipy.fft
 
 from smap.grid import GridSpec
 from smap.nonlinearity import nonlinearity_spectrum
-from smap.solver import _block_rows, _propagator_blocks, free_trajectory, uniform_times
+from smap.solver import _block_rows, free_trajectory, propagator_stack, uniform_times
 from smap.spacetime import window_profile
 from smap.spectral import (
     PHYSICAL,
@@ -491,8 +491,9 @@ def duhamel_map_full_storage(phi_hat, spectra, times, grid, policy, sigma):
     rows = _block_rows(grid)
     diffs, sups = np.empty(len(times)), np.empty(len(times))
     running = first = None
-    blocks = _propagator_blocks(times, grid.wavenumber_sq(), rows)
-    for start, forward in zip(range(0, len(times), rows), blocks):
+    phases = propagator_stack(times, grid.wavenumber_sq())
+    for start in range(0, len(times), rows):
+        forward = phases[start : start + rows]
         block = spectra[start : start + rows]
         u_hat = nonlinearity_spectrum(samples_of(block, axes=axes), block, grid, policy)
         integrand = np.conj(forward)
@@ -528,7 +529,7 @@ def picard_full_storage(phi, T, dt, tol, max_iter, sigma0, policy):
     times = uniform_times(T, dt)
     grid = phi.grid
     phi_hat = to_frequency(phi).values
-    spectra = np.concatenate(list(_propagator_blocks(times, grid.wavenumber_sq(), len(times))))
+    spectra = propagator_stack(times, grid.wavenumber_sq())
     spectra *= phi_hat
     prev_diff = sup_hsigma(spectra, grid, sigma0)
     phi_norm = hsigma_norm(to_frequency(phi), sigma0)

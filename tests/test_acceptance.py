@@ -330,7 +330,8 @@ def test_criterion_8_unit_test_oracles():
     nu = -2.0 * lam * eps**3 / (1.0 + eps**2)
     times = uniform_times(0.5, 1.0 / 64.0)
     mode_hat = to_frequency(plane_wave(small, k0, amp=eps)).values
-    prev = Trajectory(small, times, np.broadcast_to(mode_hat, (times.size,) + small.shape).copy())
+    stack = np.broadcast_to(mode_hat, (times.size,) + small.shape).copy()
+    prev = Trajectory(small, times, stack, NO_DEALIAS, mode_hat)
     duhamel_map(plane_wave(small, k0, amp=0.02), prev, NO_DEALIAS, SIGMA0)
     unit = plane_wave(small, k0).values
     coef = np.sum(physical_stack(prev) * np.conj(unit), axis=(1, 2)) / small.num_points

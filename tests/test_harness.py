@@ -32,6 +32,7 @@ from smap.spacetime import (
     _cell_power,
     _shell_tables,
     _xk_values,
+    free_spectrum,
     lemma_diagnostics,
 )
 from smap.spectral import PHYSICAL, ComplexField, hsigma_norm, to_frequency, to_physical
@@ -397,8 +398,8 @@ class TestSeededData:
         members = build_lemma_ensemble(grid, range(1, top + 1), 64, seed=7, T=0.125, sigma0=1.6)
         modes = [(name, f) for name, f in members if name.startswith("mode_k")]
         assert len(modes) >= 2 * top - 1  # shell 1 may hold a single mode
-        for name, factory in modes:
-            F = factory()
+        for name, member in modes:
+            F = free_spectrum(member.phi, member.m_t, member.t_window)
             xk = _xk_values(_shell_tables(_cell_power(F))[0])
             assert int(np.argmax(xk)) == int(name[len("mode_k") : -1]), (name, xk)
 

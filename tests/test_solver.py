@@ -62,7 +62,9 @@ class TestDuhamel:
     def test_zero_prev_gives_free_evolution(self, grid32, rng):
         phi = random_smooth_field(grid32, rng, amp=0.1)
         times = uniform_times(0.25, 1.0 / 64.0)
-        image = Trajectory(grid32, times, np.zeros((times.size,) + grid32.shape, complex))
+        zero = np.zeros(grid32.shape, complex)
+        values = np.zeros((times.size,) + zero.shape, complex)
+        image = Trajectory(grid32, times, values, NO_DEALIAS, zero)
         duhamel_map(phi, image, TWO_THIRDS, SIGMA0)
         free = free_trajectory(phi, times)
         assert np.max(np.abs(physical_stack(image) - physical_stack(free))) < 1e-12
@@ -98,9 +100,8 @@ class TestDuhamel:
         errs = {}
         for dt in (1.0 / 32.0, 1.0 / 64.0):
             times = uniform_times(0.5, dt)
-            prev = Trajectory(
-                grid32, times, np.broadcast_to(mode_hat, (times.size,) + grid32.shape).copy()
-            )
+            stack = np.broadcast_to(mode_hat, (times.size,) + grid32.shape).copy()
+            prev = Trajectory(grid32, times, stack, NO_DEALIAS, mode_hat)
             duhamel_map(phi, prev, NO_DEALIAS, SIGMA0)
             # project each snapshot onto the sampled plane wave
             samples = physical_stack(prev)
@@ -132,12 +133,15 @@ class TestCarriedSpectra:
         times = uniform_times(0.25, 1.0 / 64.0)
         vals = np.zeros((times.size,) + grid32.shape, complex)
         with pytest.raises(ValueError, match="values shape"):
-            Trajectory(grid32, times, vals[1:])
+            Trajectory(grid32, times, vals[1:], NO_DEALIAS, vals[0])
         sphere = np.zeros((times.size, 3) + grid32.shape)
         with pytest.raises(ValueError, match="values shape"):
-            Trajectory(grid32, times, sphere)
+            Trajectory(grid32, times, sphere, NO_DEALIAS, vals[0])
         with pytest.raises(ValueError, match="values shape"):
             Trajectory(grid32, times, vals, TWO_THIRDS, vals[0])  # the full rows, not the band
+        for free in (vals[0, :3], vals[:2], None):  # the free spectrum is one grid-shaped row
+            with pytest.raises(ValueError, match="free shape"):
+                Trajectory(grid32, times, vals, NO_DEALIAS, free)
 
     def test_physical_only_consumers(self, grid32, rng):
         # Consumers that need physical samples read them from the spectra:
@@ -176,7 +180,8 @@ class TestCarriedSpectra:
         rows = (len(prev.times),) + grid.shape
         for policy, boxed in ((TWO_THIRDS, 5), (NO_DEALIAS, 1)):
             calls.update({"field": [], "unitary_dft": [], "box_dft": []})
-            duhamel_map(phi, Trajectory(grid, prev.times, prev.values.copy()), policy, SIGMA0)
+            image = Trajectory(grid, prev.times, prev.values.copy(), NO_DEALIAS, prev.free)
+            duhamel_map(phi, image, policy, SIGMA0)
             assert set(calls["field"]) <= {grid.shape}  # phi_hat only
             assert len(calls["field"]) <= 1
             # The inverse of the rebuilt rows and the d gradient inverses;
@@ -211,7 +216,7 @@ class TestBlockedMap:
         row_bytes = 16 * grid.num_points
         for rows in (1, 3, 7, samples):
             monkeypatch.setattr(solver, "BLOCK_BYTES", rows * row_bytes)
-            image = Trajectory(grid, times, prev.values.copy())
+            image = Trajectory(grid, times, prev.values.copy(), NO_DEALIAS, prev.free)
             duhamel_map(phi, image, policy, SIGMA0)
             got = physical_stack(image) if output == PHYSICAL else image.values
             assert np.array_equal(got, want), rows
@@ -303,7 +308,7 @@ class TestBandStorage:
         phi = to_frequency(seeded_data(kind, amp, seed, grid, SIGMA0))
         times = uniform_times((samples - 1) / 64.0, 1.0 / 64.0)
         free = propagator_stack(times, grid.wavenumber_sq()) * phi.values
-        traj = Trajectory(grid, times, free.copy())
+        traj = Trajectory(grid, times, free.copy(), NO_DEALIAS, phi.values)
         outside = ~dealias_mask_direct(d, grid.n, grid.period, rule == "two_thirds")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver, "BLOCK_BYTES", 3 * 16 * grid.num_points)  # 3-row blocks
@@ -336,8 +341,8 @@ class TestBandStorage:
     def test_band_checks(self, grid32, rng):
         phi = random_smooth_field(grid32, rng, amp=0.1)
         traj, _ = picard_solve(phi, 0.25, 1.0 / 64.0, sigma0=SIGMA0)
-        with pytest.raises(ValueError, match="free spectrum"):
-            Trajectory(grid32, traj.times, traj.values, TWO_THIRDS)
+        with pytest.raises(ValueError, match="free shape"):
+            Trajectory(grid32, traj.times, traj.values, TWO_THIRDS, None)
         with pytest.raises(ValueError, match="two_thirds band"):
             duhamel_map(phi, traj, NO_DEALIAS, SIGMA0)
 
@@ -684,8 +689,9 @@ class TestFreeTrajectory:
 class TestTrajectory:
     def test_nonuniform_times_rejected(self, grid32):
         times = np.array([0.0, 0.1, 0.25])
-        with pytest.raises(ValueError):
-            Trajectory(grid32, times, np.zeros((3,) + grid32.shape, complex))
+        zero = np.zeros(grid32.shape, complex)
+        with pytest.raises(ValueError, match="uniform"):
+            Trajectory(grid32, times, np.zeros((3,) + zero.shape, complex), NO_DEALIAS, zero)
 
     def test_snapshot_roundtrip(self, grid32, rng):
         traj = free_trajectory(
@@ -714,19 +720,6 @@ class TestTrajectory:
         assert np.array_equal(out, want)
         stream = [block.copy() for _, block in traj.sample_blocks(4, 15)]
         assert np.array_equal(np.concatenate(stream), want)
-
-    def test_full_band_streams_without_phases(self, grid32, rng, monkeypatch):
-        # Every mode stored: the stream and snapshot copy the rows and run
-        # no propagator recurrence.
-        traj = free_trajectory(random_smooth_field(grid32, rng), uniform_times(0.25, 1.0 / 32.0))
-        want = samples_of(traj.values, axes=(1, 2))
-
-        def no_phases(*args, **kwargs):
-            raise AssertionError("phases computed for a full band")
-
-        monkeypatch.setattr(solver, "_propagator_blocks", no_phases)
-        assert np.array_equal(physical_stack(traj), want)
-        assert np.array_equal(traj.snapshot(5).values, traj.values[5])
 
 
 def random_rotation(seed):

@@ -23,6 +23,7 @@ from smap.errors import (
 )
 from smap.geometry import stereo_lift
 from smap.grid import GridSpec
+from smap.nonlinearity import NO_DEALIAS
 from smap.solver import (
     Trajectory,
     free_trajectory,
@@ -38,7 +39,6 @@ from smap.spacetime import (
     SpaceTimeSpectrum,
     fiber_norm,
     free_cell_power,
-    free_samples,
     free_spectrum,
     fsigma_upper,
     lattice_vector,
@@ -201,7 +201,9 @@ class TestDirections:
 class TestTransform:
     def test_zero_trajectory(self, grid32):
         times, _ = window_grid()
-        traj = Trajectory(grid32, times, np.zeros((times.size,) + grid32.shape, complex))
+        zero = np.zeros(grid32.shape, complex)
+        values = np.zeros((times.size,) + zero.shape, complex)
+        traj = Trajectory(grid32, times, values, NO_DEALIAS, zero)
         F = spacetime_transform(traj, 1.0)
         assert l2_mass_direct(F) == 0.0
 
@@ -242,7 +244,7 @@ class TestTransform:
         phi = random_smooth_field(grid32, rng, amp=0.1)
         traj, _ = picard_solve(phi, 0.25, 1.0 / 64.0, sigma0=1.6)
         full = np.stack([traj.snapshot(m).values for m in range(len(traj))])
-        stored = Trajectory(grid32, traj.times, full)
+        stored = Trajectory(grid32, traj.times, full, NO_DEALIAS, traj.free)
         assert np.array_equal(windowed_samples(traj, 1.0), windowed_samples(stored, 1.0))
 
     @given(
@@ -252,13 +254,14 @@ class TestTransform:
         rows=st.integers(1, 32),
         seed=st.integers(0, 2**16),
     )
-    def test_streamed_window_matches_free_samples(self, d, m_t, steps, rows, seed):
+    def test_streamed_window_matches_free_spectrum(self, d, m_t, steps, rows, seed):
         # A trajectory on [0, T], T < T_w, needs free-evolution rows on both
         # sides; blocks of 1 row up to the whole window stack. Inside rows
         # and edges are rebuilt block by block in their window rows, with
-        # the bits of the whole-stack inverses. free_samples starts its
-        # propagator recurrence at -T_w instead of 0, so it agrees to
-        # rounding; on the window's own rows it agrees bit for bit.
+        # the bits of the whole-stack inverses. The trajectory on the
+        # window's own rows starts its propagator recurrence at -T_w instead
+        # of 0, so it agrees to rounding, and its transform is free_spectrum
+        # bit for bit.
         grid = GridSpec(d, {1: 16, 2: 8, 3: 8}[d], 2.0)
         phi = random_smooth_field(grid, np.random.default_rng(seed), band=grid.nyquist)
         dt = 2.0 / m_t
@@ -267,10 +270,11 @@ class TestTransform:
             short = free_trajectory(phi, uniform_times(steps * dt, dt))
             got = windowed_samples(short, 1.0)
             assert np.array_equal(got, windowed_samples_fancy(short, 1.0))
-            want = free_samples(phi, m_t, 1.0)
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
             full = free_trajectory(phi, uniform_times(2.0 - dt, dt, t0=-1.0))
-            assert np.array_equal(windowed_samples(full, 1.0), want)
+            want = windowed_samples(full, 1.0)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            F = free_spectrum(phi, m_t, 1.0)
+            assert np.array_equal(spacetime_transform(full, 1.0).values, F.values)
 
     def test_off_grid_trajectory_rejected(self, grid32, rng):
         # Times half a step off the window grid match no window row, so the
@@ -600,6 +604,13 @@ class TestLpqNorm:
         with pytest.raises(UnsupportedDirection):
             mixed_norm(vals, grid32, 0.1, np.array([0.8, 0.6]), 2, 2)
 
+    @pytest.mark.parametrize("p, q", [(3, 2), (0.5, 2), (2, 1), (2, 3), (np.inf, 1)])
+    def test_unimplemented_exponents_rejected(self, grid32, p, q):
+        # Only p in {1, 2, inf} and q in {2, inf} are implemented; any other
+        # value raises instead of returning the inf norm.
+        with pytest.raises(ValueError, match="fiber_norm takes"):
+            fiber_norm(np.ones(grid32.num_points), np.array([1.0, 0.0]), grid32, p, q)
+
 
 class TestRowBlockReductions:
     # The pooled cells and the region mask run over blocks or rows of the
@@ -769,7 +780,7 @@ class TestFreeCellPower:
         work = stack_empty(m_t, grid.shape)
         assert np.array_equal(free_cell_power(phi, m_t, t_window, out=work).cells, got)
         member = FreeMember(phi, m_t, t_window)
-        rows = spacetime._member_rows("free", member, None, (), (sigma,))
+        rows = spacetime._member_rows("free", member, None, (), (sigma,), None)
         assert [row[:4] for row in rows] == [("free", -1, "Fsigma", f"sigma={sigma:g}")]
         bound = fsigma_upper(F, sigma)
         assert abs(rows[0][4] - bound) <= 1e-13 * bound
@@ -793,7 +804,6 @@ class TestFreeCellPower:
         F = free_spectrum(phi, 64, 1.0, out=work)
         assert np.shares_memory(F.values, stack)
         assert np.array_equal(F.values, free_spectrum(phi, 64, 1.0).values)
-        assert np.array_equal(F.values, FreeMember(phi, 64, 1.0)().values)
 
 
 class TestSigmaUpper:
@@ -852,12 +862,21 @@ class TestLemmaDiagnostics:
             ("mode_k2", free_trajectory(plane_wave(grid, np.array([4.0, 1.0])), times)),
             ("mode_k3", free_trajectory(plane_wave(grid, np.array([7.0, 4.0])), times)),
             ("broad", free_trajectory(random_smooth_field(grid, rng, band=10.0), times)),
-            (
-                "zero",
-                Trajectory(grid, times, np.zeros((times.size,) + grid.shape, complex)),
-            ),
+            ("zero", free_trajectory(ComplexField.zeros(grid), times)),
         ]
         return [(name, spacetime_transform(traj, 1.0)) for name, traj in trajectories]
+
+    def test_shells_read_once(self, grid32, rng):
+        # shells may be any iterable: a generator gives the rows and the
+        # meta of the same shells in a tuple, for factory and free members.
+        members = factories(self.build_ensemble(grid32, rng, m_t=64))
+        members.append(("free", FreeMember(plane_wave(grid32, np.array([4.0, 1.0])), 64, 1.0)))
+        dirs = DirectionSet.named("axes", 2)
+        want = lemma_diagnostics(members, dirs, (2, 3), 1.6)
+        got = lemma_diagnostics(members, dirs, (k for k in (2, 3)), 1.6)
+        assert [row[2] for row in want.rows].count("Xk") >= 4
+        assert got.rows == want.rows
+        assert got.meta == want.meta and want.meta["shells"] == "2,3"
 
     def test_values_match_direct_computation(self, grid32, rng):
         # Oracle: recompute R2, R3, R4 for one member with the public norms.
@@ -1013,7 +1032,8 @@ class TestLemmaDiagnostics:
         rng = np.random.default_rng(3)
         spec = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         F = free_spectrum(ComplexField(grid, 0.0, FREQUENCY, spec), 256, 1.0)
-        args = ("broadband", lambda: F, DirectionSet.default(2), range(grid.max_shell + 1), ())
+        shells = range(grid.max_shell + 1)
+        args = ("broadband", lambda: F, DirectionSet.default(2), shells, (), None)
         spacetime._member_rows(*args)  # warm the caches
         with traced_peak() as peak:
             spacetime._member_rows(*args)
@@ -1031,7 +1051,7 @@ class TestLemmaDiagnostics:
         shells = range(grid32.max_shell + 1)
         rows = [
             spacetime._member_rows(
-                "m", lambda v=v: SpaceTimeSpectrum(grid32, 1.0, v), dirs, shells, (1.6,)
+                "m", lambda v=v: SpaceTimeSpectrum(grid32, 1.0, v), dirs, shells, (1.6,), None
             )
             for v in (values, padded)
         ]
@@ -1044,7 +1064,7 @@ class TestLemmaDiagnostics:
         # copying the spectrum, and each block's grid inverse runs in place
         # on one padded work block.
         F = free_spectrum(random_smooth_field(grid32, rng), 128, 1.0)
-        args = ("free", lambda: F, DirectionSet.default(2), range(1, 4), (1.6,))
+        args = ("free", lambda: F, DirectionSet.default(2), range(1, 4), (1.6,), None)
         spacetime._member_rows(*args)  # warm the caches
         with traced_peak() as peak:
             spacetime._member_rows(*args)
@@ -1076,8 +1096,8 @@ class TestLemmaDiagnostics:
         pooled = lemma_diagnostics(factories, dirs, range(1, 5), 1.6).rows
         assert [row[:3] for row in closed] == [row[:3] for row in pooled]
         totals = {}
-        for name, member in members:
-            P = spacetime._cell_power(member())
+        for name, factory in factories:
+            P = spacetime._cell_power(factory())
             totals[name] = math.sqrt(P.cell_measure * float(np.sum(P.cells)))
         xks = {(row[0], row[1]): row[4] for row in pooled if row[2] == "Xk"}
         assert {row[0] for row in pooled if row[2] == "Xk"} == set(totals)
