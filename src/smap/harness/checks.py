@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 # numpy 2 loads its submodules on first use; load these at import, not inside a command.
-import numpy.ma  # used by np.unique
 import numpy.random
 
 from ..geometry import SphereField, sobolev_distance, stereo_lift, stereo_project
@@ -42,8 +41,8 @@ from ..spacetime import (
     DirectionSet,
     _cell_power,
     _rows,
-    _shell_kernel,
     _shell_reductions,
+    _window,
     fiber_norm,
     free_spectrum,
     lattice_vector,
@@ -127,15 +126,15 @@ def _spacetime_checks(config, grid, rng, check) -> None:
     it and the spectrum are dropped before the fiber norms.
     """
     F = free_spectrum(_random_field(grid, rng, band=4.0), 64, config.t_window)
-    kappa = np.unique(grid.wavenumber_sq())
+    table = _window(grid, F.t_window, F.m_t)
     class_power = np.sum(_cell_power(F).cells, axis=0)
-    spec_mass = np.sqrt(F.cell_measure * (_shell_kernel(F).shell_weights[0] @ class_power))
+    spec_mass = np.sqrt(F.cell_measure * (table.shell_weights[0] ** 2 @ class_power))
     _, sq_time, row_sq = _shell_reductions(F, F.shell_weights(0), np.ones(F.m_t, bool))
     st_mass = np.sqrt(grid.cell_volume * F.dt * np.sum(row_sq))
     per_point = F.dt * sq_time
     check("spacetime_plancherel", abs(spec_mass - st_mass) / st_mass, 1e-12)
     # The sharp annuli 2^(k-1) < |xi| <= 2^k (|xi| <= 1 at k = 0) of the classes
-    annulus = np.searchsorted(2.0 ** np.arange(grid.max_shell + 2), np.sqrt(kappa))
+    annulus = np.searchsorted(2.0 ** np.arange(grid.max_shell + 2), np.sqrt(table.kappa))
     shells = np.sum(np.bincount(annulus, class_power)[: grid.max_shell + 2])
     mag = np.empty(grid.num_points)
     total = sum(np.sum(np.square(np.abs(row, out=mag), out=mag)) for row in _rows(F.values))

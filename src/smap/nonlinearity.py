@@ -143,8 +143,11 @@ def _band(d: int, n: int, period: float, rule: str) -> Band:
 
 @lru_cache(maxsize=64)
 def _derivative(d: int, n: int, period: float, axis: int) -> np.ndarray:
-    """Read-only derivative multiplier 1j * xi_axis (0-based axis)."""
+    """Read-only derivative multiplier 1j * xi_axis (0-based axis), odd: its
+    Nyquist slot (index n/2 on the axis), which reflection maps to itself,
+    is 0."""
     out = 1j * GridSpec(d, n, period).wavenumber_component(axis)
+    out[(slice(None),) * axis + (n // 2,)] = 0.0
     out.flags.writeable = False
     return out
 

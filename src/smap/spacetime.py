@@ -5,12 +5,15 @@ A trajectory on [0, T] is extended by free evolution to a symmetric window
 supported, and transformed in all d+1 axes with a continuum-normalized
 unitary convention: the discrete transform approximates the symmetric
 Fourier transform, so the (d+1)-dimensional Plancherel identity holds
-exactly with the grid quadrature weights. The window samples of a
-trajectory are rebuilt from its spectra block by block in their window
-rows (windowed_samples), and free evolutions, the edges past its ends and
-those of free_spectrum, are evolved in the window rows directly. Every
-multiply of a complex stack by a real factor runs on a float64 view of
-the stack (_floats), with the bits of the complex multiply.
+exactly with the grid quadrature weights. Everything of a (grid, t_window,
+m_t) window that does not depend on the member (its rows' times and
+profile, tau, the centring, the |xi|^2 classes, the shell tables' cells
+and weights) is built once, in one cached table (_window). The window
+samples of a trajectory are rebuilt from its spectra block by block in
+their window rows (windowed_samples), and free evolutions, the edges past
+its ends and those of free_spectrum, are evolved in the window rows
+directly. Every multiply of a complex stack by a real factor runs on a
+float64 view of the stack (_floats), with the bits of the complex multiply.
 
 For a free evolution the transform factorizes,
 F(tau, xi) = phi_hat(xi) G(tau, |xi|^2), so free_cell_power pools |F|^2
@@ -161,10 +164,15 @@ class SpaceTimeSpectrum:
         return _cell_measure(self.grid, self.t_window)
 
     def tau(self) -> np.ndarray:
-        return (math.pi / self.t_window) * np.fft.fftfreq(self.m_t, d=1.0 / self.m_t)
+        return _window(self.grid, self.t_window, self.m_t).tau
 
     def shell_weights(self, k: int) -> np.ndarray:
-        return eta_shell(k, np.sqrt(self.grid.wavenumber_sq()))
+        """eta_k(|xi|), the window table's weight of each point's |xi|^2
+        class: the bits of eta_shell, which serves shells past the table."""
+        table = _window(self.grid, self.t_window, self.m_t)
+        if not 0 <= k < len(table.shell_weights):
+            return eta_shell(k, np.sqrt(self.grid.wavenumber_sq()))
+        return table.shell_weights[k][table.classes].reshape(self.grid.shape)
 
     def region_mask(self, k: int, j: int) -> np.ndarray:
         """Indicator of the dyadic region |xi| ~ 2^k, |tau + |xi|^2| <= 2^(j+1).
@@ -213,31 +221,81 @@ class PooledPower:
         return _cell_measure(self.grid, self.t_window)
 
 
-@lru_cache(maxsize=8)
-def _centring(d: int, n: int, period: float, t_window: float, m_t: int) -> tuple:
-    """Spatial sign pattern and time sign times scale, read-only.
-
-    F = fft_ortho(u) * space * signed_scale: the signs translate FFT output
-    to centred coordinates, and the scale C is fixed by the exact Plancherel
-    identity. Factors of +-1 are exact, so splitting them does not round.
-    """
-    space = np.where(np.indices((n,) * d).sum(axis=0) % 2, -1.0, 1.0)
-    grid = GridSpec(d, n, period)
-    dt = 2.0 * t_window / m_t
-    scale = math.sqrt(grid.cell_volume * dt / _cell_measure(grid, t_window))
-    signed_scale = ((-1.0) ** np.arange(m_t) * scale).reshape((m_t,) + (1,) * d)
-    for arr in (space, signed_scale):
-        arr.flags.writeable = False
-    return space, signed_scale
-
-
 def window_profile(times: np.ndarray, t_window: float) -> np.ndarray:
     """Smooth window equal to 1 on the inner 78% of [-T_w, T_w], 0 at the ends."""
     return psi(SUPPORT * np.asarray(times) / t_window)
 
 
-def _window_times(dt: float, t_window: float) -> np.ndarray:
-    """Times -T_w + dt*m of the M_t = 2 T_w / dt rows of the window."""
+class _WindowTable(NamedTuple):
+    """Every quantity of one (grid, t_window, m_t) window that does not
+    depend on the member, read-only (_window)."""
+
+    times: np.ndarray  # -T_w + (2 T_w / m_t) m of the rows m = 0..m_t-1
+    profile: np.ndarray  # window_profile at -T_w + h m, h = times[1] - times[0]
+    tau: np.ndarray  # (pi / T_w) * Z in FFT layout
+    space: np.ndarray  # grid-shaped centring signs
+    signed_scale: np.ndarray  # (-1)^m * scale, shape (m_t, 1, ..., 1)
+    kappa: np.ndarray  # the |xi|^2 classes, ascending
+    classes: np.ndarray  # class of every flattened grid point
+    shell_weights: np.ndarray  # (max_shell + 1, classes) eta_k(sqrt(kappa))
+    block_bins: np.ndarray  # (tau row, class) cell of every point of one time block
+    abs_omega: np.ndarray  # |tau + |xi|^2| per cell
+    upper: np.ndarray  # (class, j) table slot of the cell's upper bump j
+    lower: np.ndarray  # slot of bump j - 1 (weight 0 where j = 0)
+    upper_sq: np.ndarray  # eta_j^2 per cell
+    lower_sq: np.ndarray  # eta_{j-1}^2 per cell
+    table_shape: tuple  # (classes, J)
+
+
+_table_lock = threading.Lock()
+
+
+def _window(grid: GridSpec, t_window: float, m_t: int) -> _WindowTable:
+    """The cached table of a window, built once even when several pool
+    threads ask for it at the same time."""
+    with _table_lock:
+        return _window_table(grid, t_window, m_t)
+
+
+@lru_cache(maxsize=8)
+def _window_table(grid: GridSpec, t_window: float, m_t: int) -> _WindowTable:
+    times = -t_window + (2.0 * t_window / m_t) * np.arange(m_t)
+    profile = window_profile(-t_window + float(times[1] - times[0]) * np.arange(m_t), t_window)
+    tau = (math.pi / t_window) * np.fft.fftfreq(m_t, d=1.0 / m_t)
+    # F = fft_ortho(u) * space * signed_scale: the signs translate FFT output
+    # to centred coordinates, and the scale C is fixed by the exact Plancherel
+    # identity. Factors of +-1 are exact, so splitting them does not round.
+    space = np.where(np.indices(grid.shape).sum(axis=0) % 2, -1.0, 1.0)
+    scale = math.sqrt(grid.cell_volume * (2.0 * t_window / m_t) / _cell_measure(grid, t_window))
+    signed_scale = ((-1.0) ** np.arange(m_t) * scale).reshape((m_t,) + (1,) * grid.d)
+    kappa, classes = np.unique(grid.wavenumber_sq().ravel(), return_inverse=True)
+    shell_weights = np.array([eta_shell(k, np.sqrt(kappa)) for k in range(grid.max_shell + 1)])
+    # Every weight depends on xi only through |xi|^2, so spectrum points are
+    # first pooled into (tau, |xi|^2 class) cells. A cell at distance r from
+    # the paraboloid lies in at most two adjacent bumps j - 1 and j, with
+    # weights g = eta0(r / 2^(j-1)) and 1 - g: bit-identical to eta_shell,
+    # since eta_j = 1 - eta_{j-1} on the overlap band.
+    rows = min(_block_rows(grid), m_t)
+    block_bins = (np.arange(rows)[:, None] * kappa.size + classes[None, :]).ravel()
+    r = np.abs(tau[:, None] + kappa[None, :]).ravel()
+    # j is the least index with r <= PLATEAU 2^j, found against exact edges.
+    top = math.ceil(math.log2(max(float(r.max()), PLATEAU) / PLATEAU)) + 1
+    j = np.searchsorted(PLATEAU * 2.0 ** np.arange(top + 1), r)
+    g = np.where(j > 0, eta0(np.ldexp(r, 1 - j)), 0.0)
+    n_j = int(j.max()) + 1
+    upper = np.tile(np.arange(kappa.size) * n_j, m_t) + j
+    table = _WindowTable(
+        times, profile, tau, space, signed_scale, kappa, classes, shell_weights,
+        block_bins, r, upper, upper - (j > 0), (1.0 - g) ** 2, g**2, (kappa.size, n_j)
+    )
+    for arr in table[:-1]:
+        arr.flags.writeable = False
+    return table
+
+
+def _stepped_window(grid: GridSpec, dt: float, t_window: float) -> _WindowTable:
+    """The table of the M_t = 2 T_w / dt rows of a window of step dt; dt
+    must divide the window, and M_t must be at least 16."""
     if dt <= 0:
         raise WindowTooShort("trajectory has fewer than two samples")
     m_t = int(round(2.0 * t_window / dt))
@@ -245,7 +303,7 @@ def _window_times(dt: float, t_window: float) -> np.ndarray:
         raise ValueError(f"dt={dt} does not divide the window [-{t_window}, {t_window}]")
     if m_t < 16:
         raise WindowTooShort(f"window has {m_t} samples, need at least 16")
-    return -t_window + dt * np.arange(m_t)
+    return _window(grid, t_window, m_t)
 
 
 def _rows(stack: np.ndarray) -> np.ndarray:
@@ -280,20 +338,21 @@ def _windowed(samples: np.ndarray, window: np.ndarray) -> np.ndarray:
 def _transform(samples: np.ndarray, grid: GridSpec, t_window: float) -> SpaceTimeSpectrum:
     """Spectrum of windowed samples, transformed and centred in their own buffer."""
     spec = unitary_dft(samples, range(samples.ndim), out=samples)
-    space, signed_scale = _centring(grid.d, grid.n, grid.period, t_window, spec.shape[0])
+    table = _window(grid, t_window, spec.shape[0])
     # Rows of one parity share the factor space * signed_scale, the spatial
     # signs times +-scale, so one pass over the rows has the bits of two.
     parts = _floats(spec)
     for parity in (0, 1):
-        parts[parity::2] *= np.repeat(space * signed_scale[parity], 2)
+        parts[parity::2] *= np.repeat(table.space * table.signed_scale[parity], 2)
     return SpaceTimeSpectrum(grid, t_window, spec)
 
 
 def windowed_samples(traj: Trajectory, t_window: float = 1.0) -> np.ndarray:
     """Symmetric-window samples of a trajectory, extended by free evolution.
 
-    Row m is the sample at time -T_w + dt*m, m = 0..M_t-1, matching the
-    trajectory's own step, multiplied by the smooth window. The samples are
+    Row m is the sample at time -T_w + (2 T_w / M_t) m, m = 0..M_t-1, the
+    window table's rows (_window) at the trajectory's own step, multiplied
+    by the table's profile, as the rows of free_spectrum are. The samples are
     a new row-padded stack (spectral.stack_empty); a trajectory whose times
     are off that grid is rejected. The rows inside the trajectory are
     rebuilt and inverted in their window rows (Trajectory.sample_blocks),
@@ -302,7 +361,8 @@ def windowed_samples(traj: Trajectory, t_window: float = 1.0) -> np.ndarray:
     trajectory-sized array is built and no transform pair is spent on it.
     """
     dt = traj.dt
-    times = _window_times(dt, t_window)
+    table = _stepped_window(traj.grid, dt, t_window)
+    times, window = table.times, table.profile
     t0, t_end = float(traj.times[0]), float(traj.times[-1])
     idx = np.round((times - t0) / dt).astype(int)
     inside = (idx >= 0) & (idx < len(traj)) & (
@@ -311,7 +371,6 @@ def windowed_samples(traj: Trajectory, t_window: float = 1.0) -> np.ndarray:
     if np.any(~inside & (times >= t0) & (times <= t_end)):
         raise ValueError(f"trajectory times from {t0} are off the window grid -{t_window} + {dt}*m")
     samples = stack_empty(times.size, traj.grid.shape)
-    window = window_profile(times, t_window)
     # idx steps by one and the time test holds for all rows or none, so the
     # matching rows are one run, window rows run[0].. for trajectory rows
     # first.., and each side past an end is one run too.
@@ -356,30 +415,21 @@ def _free_rows(phi: ComplexField, times: np.ndarray, window: np.ndarray, out: np
     return out
 
 
-def _free_window(m_t: int, t_window: float) -> tuple:
-    """Times -T_w + (2 T_w / m_t) m of the m_t window rows of a free
-    evolution, and the window profile, which reads its times from the
-    evolution's step times[1] - times[0], as windowed_samples does."""
-    times = -t_window + (2.0 * t_window / m_t) * np.arange(m_t)
-    dt = float(times[1] - times[0]) if m_t > 1 else 0.0
-    return times, window_profile(_window_times(dt, t_window), t_window)
-
-
 def free_spectrum(
     phi: ComplexField, m_t: int, t_window: float = 1.0, out=None
 ) -> SpaceTimeSpectrum:
     """Space-time spectrum of the free evolution W(t) phi on the window.
 
-    Evolves exactly the m_t window rows (_free_window) in one row-padded
+    Evolves exactly the m_t window rows (_stepped_window) in one row-padded
     stack (_free_rows) and transforms them in that buffer, so one
     trajectory-sized array is alive throughout: out, a (m_t, *grid) stack
     with contiguous rows, if given. Equal to spacetime_transform of the
     same evolution on the window's rows (free_trajectory).
     """
-    times, window = _free_window(m_t, t_window)
+    table = _stepped_window(phi.grid, 2.0 * t_window / m_t, t_window)
     if out is None:
         out = stack_empty(m_t, phi.grid.shape)
-    return _transform(_free_rows(phi, times, window, out), phi.grid, t_window)
+    return _transform(_free_rows(phi, table.times, table.profile, out), phi.grid, t_window)
 
 
 def free_cell_power(phi: ComplexField, m_t: int, t_window: float = 1.0, out=None) -> PooledPower:
@@ -402,18 +452,16 @@ def free_cell_power(phi: ComplexField, m_t: int, t_window: float = 1.0, out=None
     the mass floor moves more relative to itself: bump16 at k = 6, with
     X_k 6.6e-12, moves 1.8e-5.
     """
-    grid = phi.grid
-    times, window = _free_window(m_t, t_window)
-    kappa, cls = np.unique(grid.wavenumber_sq(), return_inverse=True)
-    phases = None if out is None else _rows(out)[:, : kappa.size]
-    spec = _windowed(propagator_stack(times, kappa, out=phases), window)
+    table = _stepped_window(phi.grid, 2.0 * t_window / m_t, t_window)
+    phases = None if out is None else _rows(out)[:, : table.kappa.size]
+    spec = _windowed(propagator_stack(table.times, table.kappa, out=phases), table.profile)
     unitary_dft(spec, (0,), out=spec)
     power = np.abs(spec)
     np.square(power, out=power)
-    scale = _centring(grid.d, grid.n, grid.period, t_window, m_t)[1].flat[0]
+    scale = table.signed_scale.flat[0]
     phi_sq = np.abs(to_frequency(phi).values.ravel()) ** 2
-    power *= scale**2 * np.bincount(cls.ravel(), phi_sq, minlength=kappa.size)
-    return PooledPower(grid, t_window, power)
+    power *= scale**2 * np.bincount(table.classes, phi_sq, minlength=table.kappa.size)
+    return PooledPower(phi.grid, t_window, power)
 
 
 @dataclass(frozen=True)
@@ -445,8 +493,8 @@ def _shell_reductions(F: SpaceTimeSpectrum, weights: np.ndarray, time_keep: np.n
     """
     grid = F.grid
     m_t, points = F.m_t, grid.num_points
-    space, signed_scale = _centring(grid.d, grid.n, grid.period, F.t_window, m_t)
-    mult = (weights * space).ravel()
+    table = _window(grid, F.t_window, m_t)
+    mult = (weights * table.space).ravel()
     cols = np.flatnonzero(mult)
     # Fancy indexing of the row view gathers the columns with time running
     # fastest; np.take would copy a row-padded stack whole first. So the
@@ -455,7 +503,7 @@ def _shell_reductions(F: SpaceTimeSpectrum, weights: np.ndarray, time_keep: np.n
     part = _rows(F.values)[:, cols]
     parts = _floats(part.T)
     parts *= mult[cols][:, None]
-    parts *= np.repeat(1.0 / signed_scale, 2)
+    parts *= np.repeat(1.0 / table.signed_scale, 2)
     # The time inverse runs in the gathered buffer, time still fastest.
     unitary_dft(part, (0,), inverse=True, out=part, scaled=False)
     parts = _floats(part.T)
@@ -496,70 +544,18 @@ def _shell_reductions(F: SpaceTimeSpectrum, weights: np.ndarray, time_keep: np.n
 # Norms
 # ---------------------------------------------------------------------------
 
-class _ShellKernel(NamedTuple):
-    """Member-independent part of the (k, j) power tables on one grid."""
-
-    block_bins: np.ndarray  # (tau row, |xi|^2 class) cell of every point of one time block
-    abs_omega: np.ndarray  # |tau + |xi|^2| per cell
-    upper: np.ndarray  # (class, j) table slot of the cell's upper bump j
-    lower: np.ndarray  # slot of bump j - 1 (weight 0 where j = 0)
-    upper_sq: np.ndarray  # eta_j^2 per cell
-    lower_sq: np.ndarray  # eta_{j-1}^2 per cell
-    shell_weights: np.ndarray  # (max_shell + 1, classes) eta_k(|xi|)^2
-    table_shape: tuple  # (classes, J)
-
-
-_kernel_lock = threading.Lock()
-
-
-def _shell_kernel(F: SpaceTimeSpectrum | PooledPower) -> _ShellKernel:
-    """The cached kernel of the spectrum's grid and window, built once even
-    when several pool threads ask for it at the same time."""
-    with _kernel_lock:
-        return _build_shell_kernel(F.grid.d, F.grid.n, F.grid.period, F.m_t, F.t_window)
-
-
-@lru_cache(maxsize=8)
-def _build_shell_kernel(d: int, n: int, period: float, m_t: int, t_window: float) -> _ShellKernel:
-    # Every weight depends on xi only through |xi|^2, so spectrum points are
-    # first pooled into (tau, |xi|^2 class) cells. A cell at distance r from
-    # the paraboloid lies in at most two adjacent bumps j - 1 and j, with
-    # weights g = eta0(r / 2^(j-1)) and 1 - g: bit-identical to eta_shell,
-    # since eta_j = 1 - eta_{j-1} on the overlap band.
-    grid = GridSpec(d, n, period)
-    kappa, cls = np.unique(grid.wavenumber_sq(), return_inverse=True)
-    rows = min(_block_rows(grid), m_t)
-    block_bins = (np.arange(rows)[:, None] * kappa.size + cls.ravel()[None, :]).ravel()
-    tau = (math.pi / t_window) * np.fft.fftfreq(m_t, d=1.0 / m_t)
-    r = np.abs(tau[:, None] + kappa[None, :]).ravel()
-    # j is the least index with r <= PLATEAU 2^j, found against exact edges.
-    top = math.ceil(math.log2(max(float(r.max()), PLATEAU) / PLATEAU)) + 1
-    j = np.searchsorted(PLATEAU * 2.0 ** np.arange(top + 1), r)
-    g = np.where(j > 0, eta0(np.ldexp(r, 1 - j)), 0.0)
-    n_j = int(j.max()) + 1
-    upper = np.tile(np.arange(kappa.size) * n_j, m_t) + j
-    radius = np.sqrt(kappa)
-    weights = np.array([eta_shell(k, radius) for k in range(grid.max_shell + 1)]) ** 2
-    kern = _ShellKernel(
-        block_bins, r, upper, upper - (j > 0), (1.0 - g) ** 2, g**2, weights, (kappa.size, n_j)
-    )
-    for arr in kern[:-1]:
-        arr.flags.writeable = False
-    return kern
-
-
 def _cell_power(F: SpaceTimeSpectrum) -> PooledPower:
     """|F|^2 pooled into the (tau, |xi|^2 class) cells."""
-    kern = _shell_kernel(F)
+    table = _window(F.grid, F.t_window, F.m_t)
     # Every cell lies in one time row, so pooling |F|^2 block by block adds
     # the same terms in the same order.
-    rows = kern.block_bins.size // F.grid.num_points
-    q = np.empty((F.m_t, kern.table_shape[0]))
+    rows = table.block_bins.size // F.grid.num_points
+    q = np.empty((F.m_t, table.kappa.size))
     values = _rows(F.values)
     for start in range(0, F.m_t, rows):
         p = np.abs(values[start : start + rows]).ravel()
         p *= p
-        q[start : start + rows] = np.bincount(kern.block_bins[: p.size], p).reshape(-1, q.shape[1])
+        q[start : start + rows] = np.bincount(table.block_bins[: p.size], p).reshape(-1, q.shape[1])
     return PooledPower(F.grid, F.t_window, q)
 
 
@@ -571,25 +567,25 @@ def _shell_tables(P: PooledPower, paraboloid_weight: bool = False) -> np.ndarray
     eta_j^4 and overlap eta_j^2 eta_{j+1}^2, each times the cell measure.
     paraboloid_weight attaches the N^sigma weight |1 / (omega + i)|^2.
     """
-    kern = _shell_kernel(P)
+    table = _window(P.grid, P.t_window, P.m_t)
     q = P.cells.reshape(-1)
     if paraboloid_weight:
-        q = q / (kern.abs_omega**2 + 1.0)
-    hi = q * kern.upper_sq
-    lo = q * kern.lower_sq
-    size = kern.table_shape[0] * kern.table_shape[1]
+        q = q / (table.abs_omega**2 + 1.0)
+    hi = q * table.upper_sq
+    lo = q * table.lower_sq
+    size = table.table_shape[0] * table.table_shape[1]
 
     def pair(upper_w, lower_w):
-        return np.bincount(kern.upper, upper_w, size) + np.bincount(kern.lower, lower_w, size)
+        return np.bincount(table.upper, upper_w, size) + np.bincount(table.lower, lower_w, size)
 
     stacked = np.stack(
         [
             pair(hi, lo),
-            pair(hi * kern.upper_sq, lo * kern.lower_sq),
-            np.bincount(kern.lower, lo * kern.upper_sq, size),
+            pair(hi * table.upper_sq, lo * table.lower_sq),
+            np.bincount(table.lower, lo * table.upper_sq, size),
         ]
-    ).reshape((3,) + kern.table_shape)
-    return P.cell_measure * (kern.shell_weights @ stacked)
+    ).reshape((3,) + table.table_shape)
+    return P.cell_measure * (table.shell_weights**2 @ stacked)
 
 
 def _xk_values(power: np.ndarray) -> np.ndarray:
@@ -805,7 +801,7 @@ def _analysed(name, member, work, directions, shells, sigmas):
             F = free_spectrum(member.phi, member.m_t, member.t_window, out=work)
         # The rows within TIME_CUT of t = 0, where R3 takes its maximum;
         # the same for every shell.
-        time_keep = np.abs(-F.t_window + F.dt * np.arange(F.m_t)) <= TIME_CUT
+        time_keep = np.abs(_window(grid, F.t_window, F.m_t).times) <= TIME_CUT
     for k in shells:
         xk = _at_shell(xks, k)
         if xk <= MASS_FLOOR * max(total, 1.0):

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import scipy.fft
 
+from smap.geometry import SphereField, stereo_lift, stereo_project
 from smap.grid import GridSpec
 from smap.nonlinearity import nonlinearity_spectrum
 from smap.solver import _block_rows, free_trajectory, propagator_stack, uniform_times
@@ -47,6 +48,31 @@ def plane_wave(grid, k0, amp=1.0, time=0.0):
     X = mesh(grid)
     vals = amp * np.exp(1j * sum(k0[a] * X[a] for a in range(grid.d)))
     return ComplexField(grid, time, PHYSICAL, vals)
+
+
+def rotation_about_e1(angle):
+    """The rotation of R^3 by angle about the first axis."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def rotated_spin_wave(grid, k, amp, rot, time):
+    """Chart samples of the rotated spin wave R s at time t, exact for the flow.
+
+    The spin wave s = (sin th cos p, sin th sin p, cos th), p = k . x - w t,
+    solves s_t = s x Lap s for every lattice k with w = |k|^2 cos th; in the
+    chart it is the plane wave u = A e^{i p}, A = tan(th / 2), so
+    w = |k|^2 (1 - A^2) / (1 + A^2). A rotation R of the sphere maps
+    solutions to solutions, since R (s x Lap s) = R s x Lap R s; the chart
+    image of R s, stereo_project(R stereo_lift(u)), carries every harmonic
+    of k.
+    """
+    k = np.asarray(k, dtype=np.float64)
+    w = float(np.sum(k**2)) * (1.0 - amp**2) / (1.0 + amp**2)
+    wave = plane_wave(grid, k, amp, time)
+    wave.values *= np.exp(-1j * w * time)
+    s = stereo_lift(wave)
+    return stereo_project(SphereField(grid, time, np.tensordot(rot, s.values, 1)))
 
 
 def hsigma_quadrature(sample_fn, d, n, period, sigma):

@@ -737,14 +737,6 @@ def reflect(values, axis):
     return np.roll(np.flip(values, axis), 1, axis)
 
 
-def without_nyquist(phi):
-    """phi with every mode at a Nyquist slot (index n/2 on some axis) set to 0."""
-    spec = to_frequency(phi).values.copy()
-    for axis in range(phi.grid.d):
-        spec[(slice(None),) * axis + (phi.grid.n // 2,)] = 0.0
-    return to_physical(ComplexField(phi.grid, 0.0, FREQUENCY, spec))
-
-
 class TestSymmetries:
     """Both routes commute with the symmetries of the flow, to rounding.
 
@@ -825,17 +817,15 @@ class TestSymmetries:
         axis=st.integers(0, 1),
     )
     def test_picard_commutes_with_reflection(self, d, kind, amp, seed, axis):
-        # The derivative multiplier 1j * xi is odd except at the Nyquist
-        # slot, which reflection maps to itself; the data's Nyquist modes
-        # are cleared, and the 2/3 rule keeps the solve free of them.
+        # The derivative multiplier is odd, with its Nyquist slot, which
+        # reflection maps to itself, zeroed; the data keep their Nyquist modes.
         grid, phi = self.chart_data(d, kind, amp, seed)
-        phi = without_nyquist(phi)
         self.assert_reflection_commutes(grid, phi, min(axis, d - 1))
 
-    @pytest.mark.xfail(strict=True, reason="1j * xi is not odd at the Nyquist slot")
     def test_picard_reflection_with_nyquist_modes(self):
         # gaussian_bump at n = 16, period 2 puts 0.4% of its largest mode at
-        # the Nyquist slot; the reflected solve then differs by 1.3e-4 relative.
+        # the Nyquist slot; with the multiplier 1j * xi there, the reflected
+        # solve differed by 1.3e-4 relative.
         grid, phi = self.chart_data(1, "gaussian_bump", 0.5, 0)
         self.assert_reflection_commutes(grid, phi, 0)
 

@@ -320,6 +320,51 @@ class TestTransform:
         want = spacetime_transform(free_trajectory(phi, times), 1.0).values
         assert np.array_equal(free_spectrum(phi, m_t, 1.0).values, want)
 
+    @pytest.mark.parametrize("m_t", [64, 1280])
+    def test_windowed_samples_and_free_members_share_rows_and_profile(self, m_t, monkeypatch):
+        # A datum of one zero mode evolves to samples of exactly 1, so the
+        # windowed samples are the profile itself. A trajectory on [0, T]
+        # (the norms Picard member's shape) and a free member read the same
+        # rows and profile bits, at an inexact step 2 T_w / m_t too, where
+        # the profile at -T_w + h m, h = times[1] - times[0], is not the
+        # profile at -T_w + (2 T_w / m_t) m.
+        grid = GridSpec(1, 16, 1.0)
+        spec = np.zeros(grid.shape, dtype=complex)
+        spec[0] = 4.0
+        phi = ComplexField(grid, 0.0, FREQUENCY, spec)
+        seen = []
+        transform_samples = spacetime._transform
+
+        def record(samples, grid, t_window):
+            seen.append(samples.copy())
+            return transform_samples(samples, grid, t_window)
+
+        monkeypatch.setattr(spacetime, "_transform", record)
+        dt = 2.0 / m_t
+        windowed = windowed_samples(free_trajectory(phi, uniform_times(0.25, dt)), 1.0)
+        free_spectrum(phi, m_t, 1.0)
+        times = -1.0 + dt * np.arange(m_t)
+        profile = window_profile(-1.0 + (times[1] - times[0]) * np.arange(m_t), 1.0)
+        table = spacetime._window(grid, 1.0, m_t)
+        assert np.array_equal(table.times, times)
+        assert np.array_equal(table.profile, profile)
+        assert np.array_equal(windowed, seen[0])
+        assert np.array_equal(windowed, np.broadcast_to(profile[:, None], windowed.shape))
+        step_profile = window_profile(times, 1.0)
+        assert np.array_equal(step_profile, profile) == (m_t == 64)
+
+    @pytest.mark.parametrize("d, n, period", [(1, 16, 1.0), (2, 32, 1.0), (2, 64, 4.0), (3, 8, 2.0)])
+    def test_shell_weights_have_the_bits_of_eta_shell(self, d, n, period):
+        # The window table keeps eta_k per |xi|^2 class; gathered by class
+        # it is eta_shell at every point, and 0 past the grid's last shell.
+        grid = GridSpec(d, n, period)
+        F = SpaceTimeSpectrum(grid, 1.0, np.zeros((16,) + grid.shape))
+        radius = np.sqrt(grid.wavenumber_sq())
+        for k in range(grid.max_shell + 3):
+            assert np.array_equal(F.shell_weights(k), eta_shell(k, radius)), k
+        with pytest.raises(ValueError, match="shell index"):
+            F.shell_weights(-1)
+
     def test_transform_leaves_trajectory_unchanged(self, grid32, rng):
         # The caller's samples stay as they are, whether the trajectory
         # covers the window or is extended by free evolution.
@@ -684,11 +729,11 @@ class TestShellReductions:
         # One block of every row pools |F|^2 over the whole spectrum at once.
         tables = {}
         for rows in (96, 7, 1):
-            spacetime._build_shell_kernel.cache_clear()
+            spacetime._window_table.cache_clear()
             monkeypatch.setattr(solver, "BLOCK_BYTES", rows * 16 * F.grid.num_points)
             P = spacetime._cell_power(F)
             tables[rows] = (spacetime._shell_tables(P), spacetime._shell_tables(P, True))
-        spacetime._build_shell_kernel.cache_clear()
+        spacetime._window_table.cache_clear()
         for rows in (7, 1):
             for got, want in zip(tables[rows], tables[96]):
                 assert np.array_equal(got, want)
@@ -733,7 +778,7 @@ class TestFloatViews:
         # rounded 1 / s on a float view. numpy divides a complex array by
         # s + 0j (also when s comes as a real array) with Smith's method,
         # whose zero ratio leaves exactly that multiply, bit for bit.
-        signed = spacetime._centring(2, 64, 1.0, 1.0, 1280)[1].ravel()[:2]
+        signed = spacetime._window(GridSpec(2, 64, 1.0), 1.0, 1280).signed_scale.ravel()[:2]
         rng = np.random.default_rng(17)
         x = rng.standard_normal((1280, 300)) + 1j * rng.standard_normal((1280, 300))
         for s in (*signed, 0.37, -0.37, 3.0e-3, -1.7e5):
@@ -1000,19 +1045,19 @@ class TestLemmaDiagnostics:
                 )
 
     @pytest.mark.parametrize("threads", [2, 4])
-    def test_shell_kernel_built_once_across_threads(self, grid32, rng, monkeypatch, threads):
-        # The pool threads ask for the same kernel while its first build is
-        # still running (also with more threads than cores, and frequent
-        # thread switches); it is built once.
+    def test_window_table_built_once_across_threads(self, grid32, rng, monkeypatch, threads):
+        # The pool threads ask for the same window table while its first
+        # build is still running (also with more threads than cores, and
+        # frequent thread switches); it is built once.
         built = []
-        build = spacetime._build_shell_kernel.__wrapped__
+        build = spacetime._window_table.__wrapped__
 
         def slow_build(*key):
             built.append(key)
             time.sleep(0.2)
             return build(*key)
 
-        monkeypatch.setattr(spacetime, "_build_shell_kernel", lru_cache(maxsize=8)(slow_build))
+        monkeypatch.setattr(spacetime, "_window_table", lru_cache(maxsize=8)(slow_build))
         allow_cpus(monkeypatch, threads)
         members = factories(self.build_ensemble(grid32, rng, m_t=64))
         interval = sys.getswitchinterval()

@@ -678,6 +678,26 @@ class TestOneTransformPath:
         assert not hasattr(spectral, "samples_of")
 
 
+class TestOneWindowTable:
+    """The geometry of a space-time window, read off the source: the |xi|^2
+    classes, the tau frequencies and the time profile are built in the
+    window table's builder only, and verify's checks read that table."""
+
+    WINDOW_CALLS = {"np.unique", "np.fft.fftfreq", "window_profile"}
+
+    def test_window_geometry_built_in_the_table_builder_only(self):
+        root = Path(spectral.__file__).parent
+        sites = [
+            (function, callee)
+            for function, callee in _calls_by_function(root / "spacetime.py")
+            if callee in self.WINDOW_CALLS
+        ]
+        assert {function for function, _ in sites} == {"_window_table"}
+        assert {callee for _, callee in sites} == self.WINDOW_CALLS
+        checks = _calls_by_function(root / "harness" / "checks.py")
+        assert [callee for _, callee in checks if callee in self.WINDOW_CALLS] == []
+
+
 class TestNoEnvironmentReads:
     """A run is fixed by its config file, its CLI flags and the CPUs it may
     run on: no module of the package reads the environment."""
