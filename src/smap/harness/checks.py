@@ -128,7 +128,7 @@ def _spacetime_checks(config, grid, rng, check) -> None:
     F = free_spectrum(_random_field(grid, rng, band=4.0), 64, config.t_window)
     table = _window(grid, F.t_window, F.m_t)
     class_power = np.sum(_cell_power(F).cells, axis=0)
-    spec_mass = np.sqrt(F.cell_measure * (table.shell_weights[0] ** 2 @ class_power))
+    spec_mass = np.sqrt(F.cell_measure * (table.shell_weights[0] @ class_power))
     _, sq_time, row_sq = _shell_reductions(F, F.shell_weights(0), np.ones(F.m_t, bool))
     st_mass = np.sqrt(grid.cell_volume * F.dt * np.sum(row_sq))
     per_point = F.dt * sq_time

@@ -7,7 +7,7 @@ unitary convention: the discrete transform approximates the symmetric
 Fourier transform, so the (d+1)-dimensional Plancherel identity holds
 exactly with the grid quadrature weights. Everything of a (grid, t_window,
 m_t) window that does not depend on the member (its rows' times and
-profile, tau, the centring, the |xi|^2 classes, the shell tables' cells
+profiles, tau, the centring, the |xi|^2 classes, the shell tables' cells
 and weights) is built once, in one cached table (_window). The window
 samples of a trajectory are rebuilt from its spectra block by block in
 their window rows (windowed_samples), and free evolutions, the edges past
@@ -167,12 +167,7 @@ class SpaceTimeSpectrum:
         return _window(self.grid, self.t_window, self.m_t).tau
 
     def shell_weights(self, k: int) -> np.ndarray:
-        """eta_k(|xi|), the window table's weight of each point's |xi|^2
-        class: the bits of eta_shell, which serves shells past the table."""
-        table = _window(self.grid, self.t_window, self.m_t)
-        if not 0 <= k < len(table.shell_weights):
-            return eta_shell(k, np.sqrt(self.grid.wavenumber_sq()))
-        return table.shell_weights[k][table.classes].reshape(self.grid.shape)
+        return eta_shell(k, np.sqrt(self.grid.wavenumber_sq()))
 
     def region_mask(self, k: int, j: int) -> np.ndarray:
         """Indicator of the dyadic region |xi| ~ 2^k, |tau + |xi|^2| <= 2^(j+1).
@@ -232,12 +227,13 @@ class _WindowTable(NamedTuple):
 
     times: np.ndarray  # -T_w + (2 T_w / m_t) m of the rows m = 0..m_t-1
     profile: np.ndarray  # window_profile at -T_w + h m, h = times[1] - times[0]
+    row_profile: np.ndarray  # window_profile at the row times
     tau: np.ndarray  # (pi / T_w) * Z in FFT layout
     space: np.ndarray  # grid-shaped centring signs
     signed_scale: np.ndarray  # (-1)^m * scale, shape (m_t, 1, ..., 1)
     kappa: np.ndarray  # the |xi|^2 classes, ascending
     classes: np.ndarray  # class of every flattened grid point
-    shell_weights: np.ndarray  # (max_shell + 1, classes) eta_k(sqrt(kappa))
+    shell_weights: np.ndarray  # (max_shell + 1, classes) eta_k(|xi|)^2
     block_bins: np.ndarray  # (tau row, class) cell of every point of one time block
     abs_omega: np.ndarray  # |tau + |xi|^2| per cell
     upper: np.ndarray  # (class, j) table slot of the cell's upper bump j
@@ -261,6 +257,7 @@ def _window(grid: GridSpec, t_window: float, m_t: int) -> _WindowTable:
 def _window_table(grid: GridSpec, t_window: float, m_t: int) -> _WindowTable:
     times = -t_window + (2.0 * t_window / m_t) * np.arange(m_t)
     profile = window_profile(-t_window + float(times[1] - times[0]) * np.arange(m_t), t_window)
+    row_profile = window_profile(times, t_window)
     tau = (math.pi / t_window) * np.fft.fftfreq(m_t, d=1.0 / m_t)
     # F = fft_ortho(u) * space * signed_scale: the signs translate FFT output
     # to centred coordinates, and the scale C is fixed by the exact Plancherel
@@ -269,7 +266,7 @@ def _window_table(grid: GridSpec, t_window: float, m_t: int) -> _WindowTable:
     scale = math.sqrt(grid.cell_volume * (2.0 * t_window / m_t) / _cell_measure(grid, t_window))
     signed_scale = ((-1.0) ** np.arange(m_t) * scale).reshape((m_t,) + (1,) * grid.d)
     kappa, classes = np.unique(grid.wavenumber_sq().ravel(), return_inverse=True)
-    shell_weights = np.array([eta_shell(k, np.sqrt(kappa)) for k in range(grid.max_shell + 1)])
+    shell_weights = np.array([eta_shell(k, np.sqrt(kappa)) for k in range(grid.max_shell + 1)]) ** 2
     # Every weight depends on xi only through |xi|^2, so spectrum points are
     # first pooled into (tau, |xi|^2 class) cells. A cell at distance r from
     # the paraboloid lies in at most two adjacent bumps j - 1 and j, with
@@ -285,7 +282,7 @@ def _window_table(grid: GridSpec, t_window: float, m_t: int) -> _WindowTable:
     n_j = int(j.max()) + 1
     upper = np.tile(np.arange(kappa.size) * n_j, m_t) + j
     table = _WindowTable(
-        times, profile, tau, space, signed_scale, kappa, classes, shell_weights,
+        times, profile, row_profile, tau, space, signed_scale, kappa, classes, shell_weights,
         block_bins, r, upper, upper - (j > 0), (1.0 - g) ** 2, g**2, (kappa.size, n_j)
     )
     for arr in table[:-1]:
@@ -352,17 +349,21 @@ def windowed_samples(traj: Trajectory, t_window: float = 1.0) -> np.ndarray:
 
     Row m is the sample at time -T_w + (2 T_w / M_t) m, m = 0..M_t-1, the
     window table's rows (_window) at the trajectory's own step, multiplied
-    by the table's profile, as the rows of free_spectrum are. The samples are
-    a new row-padded stack (spectral.stack_empty); a trajectory whose times
-    are off that grid is rejected. The rows inside the trajectory are
-    rebuilt and inverted in their window rows (Trajectory.sample_blocks),
-    and the rows past either end evolve the end snapshot's spectrum
-    (Trajectory.snapshot) freely there (_free_rows), so no other
-    trajectory-sized array is built and no transform pair is spent on it.
+    by the table's profile for that step. The samples are a new row-padded
+    stack (spectral.stack_empty); a trajectory whose times are off that
+    grid is rejected. The rows inside the trajectory are rebuilt and
+    inverted in their window rows (Trajectory.sample_blocks), and the rows
+    past either end evolve the end snapshot's spectrum (Trajectory.snapshot)
+    freely there (_free_rows), so no other trajectory-sized array is built
+    and no transform pair is spent on it.
     """
     dt = traj.dt
     table = _stepped_window(traj.grid, dt, t_window)
-    times, window = table.times, table.profile
+    times = table.times
+    # The profile at -T_w + dt m: the row times' where dt = 2 T_w / M_t (the
+    # norms Picard member), else the free members' -T_w + h m. They merge
+    # when the lemma_norms baseline is next re-recorded (ROADMAP item 8).
+    window = table.row_profile if dt == 2.0 * t_window / times.size else table.profile
     t0, t_end = float(traj.times[0]), float(traj.times[-1])
     idx = np.round((times - t0) / dt).astype(int)
     inside = (idx >= 0) & (idx < len(traj)) & (
@@ -585,7 +586,7 @@ def _shell_tables(P: PooledPower, paraboloid_weight: bool = False) -> np.ndarray
             np.bincount(table.lower, lo * table.upper_sq, size),
         ]
     ).reshape((3,) + table.table_shape)
-    return P.cell_measure * (table.shell_weights**2 @ stacked)
+    return P.cell_measure * (table.shell_weights @ stacked)
 
 
 def _xk_values(power: np.ndarray) -> np.ndarray:

@@ -321,13 +321,14 @@ class TestTransform:
         assert np.array_equal(free_spectrum(phi, m_t, 1.0).values, want)
 
     @pytest.mark.parametrize("m_t", [64, 1280])
-    def test_windowed_samples_and_free_members_share_rows_and_profile(self, m_t, monkeypatch):
+    def test_windowed_samples_and_free_members_read_the_window_table(self, m_t, monkeypatch):
         # A datum of one zero mode evolves to samples of exactly 1, so the
-        # windowed samples are the profile itself. A trajectory on [0, T]
-        # (the norms Picard member's shape) and a free member read the same
-        # rows and profile bits, at an inexact step 2 T_w / m_t too, where
-        # the profile at -T_w + h m, h = times[1] - times[0], is not the
-        # profile at -T_w + (2 T_w / m_t) m.
+        # windowed samples are the profile itself. Trajectories and free
+        # members read the window table's rows, and the profile at
+        # -T_w + s m for their step s: a free member's and a trajectory's
+        # from -T_w at h = times[1] - times[0], and a trajectory's on
+        # [0, T] (the norms Picard member's shape) at 2 T_w / m_t. At
+        # m_t = 1280, where 2 T_w / m_t is inexact, the two steps differ.
         grid = GridSpec(1, 16, 1.0)
         spec = np.zeros(grid.shape, dtype=complex)
         spec[0] = 4.0
@@ -341,29 +342,18 @@ class TestTransform:
 
         monkeypatch.setattr(spacetime, "_transform", record)
         dt = 2.0 / m_t
-        windowed = windowed_samples(free_trajectory(phi, uniform_times(0.25, dt)), 1.0)
-        free_spectrum(phi, m_t, 1.0)
         times = -1.0 + dt * np.arange(m_t)
-        profile = window_profile(-1.0 + (times[1] - times[0]) * np.arange(m_t), 1.0)
+        h = times[1] - times[0]
         table = spacetime._window(grid, 1.0, m_t)
         assert np.array_equal(table.times, times)
-        assert np.array_equal(table.profile, profile)
-        assert np.array_equal(windowed, seen[0])
-        assert np.array_equal(windowed, np.broadcast_to(profile[:, None], windowed.shape))
-        step_profile = window_profile(times, 1.0)
-        assert np.array_equal(step_profile, profile) == (m_t == 64)
-
-    @pytest.mark.parametrize("d, n, period", [(1, 16, 1.0), (2, 32, 1.0), (2, 64, 4.0), (3, 8, 2.0)])
-    def test_shell_weights_have_the_bits_of_eta_shell(self, d, n, period):
-        # The window table keeps eta_k per |xi|^2 class; gathered by class
-        # it is eta_shell at every point, and 0 past the grid's last shell.
-        grid = GridSpec(d, n, period)
-        F = SpaceTimeSpectrum(grid, 1.0, np.zeros((16,) + grid.shape))
-        radius = np.sqrt(grid.wavenumber_sq())
-        for k in range(grid.max_shell + 3):
-            assert np.array_equal(F.shell_weights(k), eta_shell(k, radius)), k
-        with pytest.raises(ValueError, match="shell index"):
-            F.shell_weights(-1)
+        assert np.array_equal(table.row_profile, window_profile(times, 1.0))
+        assert np.array_equal(table.profile, window_profile(-1.0 + h * np.arange(m_t), 1.0))
+        free_spectrum(phi, m_t, 1.0)
+        from_window = windowed_samples(free_trajectory(phi, uniform_times(2.0, dt, t0=-1.0)), 1.0)
+        from_zero = windowed_samples(free_trajectory(phi, uniform_times(0.25, dt)), 1.0)
+        assert np.array_equal(from_window, seen[0])
+        assert np.array_equal(from_window, np.broadcast_to(table.profile[:, None], from_window.shape))
+        assert np.array_equal(from_zero, np.broadcast_to(table.row_profile[:, None], from_zero.shape))
 
     def test_transform_leaves_trajectory_unchanged(self, grid32, rng):
         # The caller's samples stay as they are, whether the trajectory
