@@ -259,7 +259,7 @@ def _operator_checks(config, grid, rng, check) -> None:
 
     def nl_spectrum(values, rule):
         """nonlinearity_spectrum of one field, as a one-row stack."""
-        return nonlinearity_spectrum(values[None], unitary_dft(values, axes)[None], grid, rule)[0]
+        return nonlinearity_spectrum(unitary_dft(values, axes)[None], grid, rule)[0]
 
     sizes = {}
     for eps in (1e-2, 1e-3):

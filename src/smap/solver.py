@@ -18,15 +18,18 @@ quadrature is second order while the propagation itself is exact. N is
 dealiased, so outside the dealias band every iterate is exactly the free
 flow W(t) phi: the iterate keeps only its band of spatial spectra (a
 Trajectory), each map overwrites it in place, and its physical samples are
-streamed block by block. A solve allocates one workspace
-(spectral.ComplexWork) of one block, and every map, nonlinearity and norm
-of the solve writes its temporaries into it.
+streamed block by block. A map rebuilds full rows only for the
+nonlinearity; its quadrature, its image and both of its norms run on the
+band. A solve allocates one workspace (spectral.ComplexWork) of one block,
+and every map, nonlinearity and norm of the solve writes its temporaries
+into it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,13 +47,16 @@ from .spectral import (
     FREQUENCY,
     ComplexField,
     ComplexWork,
+    _jsigma_sq,
+    _work_buffer,
     complex_work,
+    grid_axes,
     hsigma_energy_real,
     hsigma_norm,
-    hsigma_norm_spectra,
     real_work,
     to_frequency,
     unitary_dft,
+    weighted_power,
 )
 
 # Consecutive-difference ratio above which the iteration counts as stalled,
@@ -301,6 +307,36 @@ class PicardHistory:
         return rep
 
 
+@lru_cache(maxsize=64)
+def _band_weights(d: int, n: int, period: float, rule: str, sigma: float) -> np.ndarray:
+    """Read-only squared Bessel-potential weights on a dealias rule's band."""
+    grid = GridSpec(d, n, period)
+    band = DealiasPolicy(rule).band(grid)
+    out = band.gather(_jsigma_sq(d, n, period, sigma), np.empty(band.shape))
+    out.flags.writeable = False
+    return out
+
+
+def _outside_power(spec: np.ndarray, grid: GridSpec, band, sigma: float, work: ComplexWork):
+    """sum (1+|xi|^2)^sigma |spec|^2 over the modes of one spectrum outside
+    band: 0 when the band keeps every mode."""
+    if not band.complement:
+        return 0.0
+    power = weighted_power(spec, _jsigma_sq(grid.d, grid.n, grid.period, sigma), work)
+    return float(sum(np.sum(power[slab]) for slab in band.complement))
+
+
+def _band_norms(
+    rows: np.ndarray, grid: GridSpec, w2: np.ndarray, outside: float, work: ComplexWork
+) -> np.ndarray:
+    """H^sigma norms of spectra stored on a band (rows), every one of which
+    has the weighted power ``outside`` on the modes outside it; w2 is the
+    band's _band_weights."""
+    sums = np.sum(weighted_power(rows, w2, work), axis=grid_axes(rows, grid))
+    sums += outside
+    return np.sqrt(grid.cell_volume * sums)
+
+
 def duhamel_map(
     phi: ComplexField,
     prev: Trajectory,
@@ -320,17 +356,26 @@ def duhamel_map(
     must be policy's own.
 
     The time axis is walked in blocks of _block_rows(grid) snapshots: each
-    block's rows are rebuilt in full (Trajectory._fill), inverted once for
-    the nonlinearity and put through one batched nonlinearity. The
-    propagator recurrence, the running sum and the first integrand row carry
-    over between blocks, so the image does not depend on the block size. A
-    block is read before it is written, and later blocks read only the
-    carried running sum and g_0. Both norms are taken on the full rows
-    before each block's band is written. Every block temporary lives in
-    work (spectral.complex_work of one block; a new one without it): the
-    rows in work.full, their phases in work.phases, their samples in
-    work.samples, the integrand in work.tmp and the image in work.result,
-    where the nonlinearity leaves it.
+    block's rows are rebuilt in full (Trajectory._fill) for one batched
+    nonlinearity, which forms their samples itself. Everything after it
+    runs on the stored band only, elementwise, so the band carries the bits
+    of the same steps on full rows. The propagator recurrence, the running
+    sum and the first integrand row carry over between blocks, so the image
+    does not depend on the block size. A block is read before it is
+    written, and later blocks read only the carried running sum and g_0.
+
+    Both norms add to each row's band sum one sum over the modes outside
+    the band, taken once per map: there the image is W(t_m) phi and prev
+    is W(t_m) of prev.free, and the free propagator is unitary mode by
+    mode, so the sums are those of phi_hat and of phi_hat - prev.free (0
+    in a Picard solve). Every block temporary lives in work
+    (spectral.complex_work of one block; a new one without it): the full
+    rows in work.full and their phases in work.phases, which the
+    nonlinearity reads, and its samples, gradients and result in
+    work.samples, work.tmp and work.result. Then, as band-shaped views of
+    the same buffers, the band phases go into work.samples, the
+    nonlinearity's band and then the image into work.full, and the
+    integrand and then the difference into work.tmp.
     """
     if abs(prev.times[0]) > 1e-14:
         raise ValueError("the integral starts at t = 0; trajectory must too")
@@ -338,7 +383,6 @@ def duhamel_map(
         raise GridMismatch("initial data and trajectory grids differ")
 
     grid = prev.grid
-    space_axes = tuple(range(1, grid.d + 1))
     band = prev.dealias.band(grid)
     if band.shape != grid.shape and prev.dealias != policy:
         raise ValueError(
@@ -349,17 +393,24 @@ def duhamel_map(
     rows = _block_rows(grid)
     if work is None:
         work = complex_work((min(rows, len(prev)),) + grid.shape)
+    w2 = _band_weights(grid.d, grid.n, grid.period, prev.dealias.rule, sigma)
+    outside_image = _outside_power(phi_hat, grid, band, sigma, work)
+    change = np.subtract(phi_hat, prev.free, out=work.full[0])
+    outside_diff = _outside_power(change, grid, band, sigma, work)
     # u_hat = forward * (phi_hat - i dt (S_m - (g_m + g_0) / 2)) with
     # forward = e^{-i t_m |xi|^2}, the integrand g = e^{+i s |xi|^2} nl_hat
-    # and its running sum S_m. Carried between blocks: the raw S of the
-    # previous row and a copy of g_0. The block's u_hat is built in the
-    # buffer of its nl_hat.
-    running, first = np.empty((2,) + grid.shape, np.complex128)
+    # and its running sum S_m, all on the band. Carried between blocks: the
+    # raw S of the previous row and a copy of g_0. The block's u_hat is
+    # built in the buffer of its nl_hat.
+    phi_band, running, first = np.empty((3,) + band.shape, np.complex128)
+    band.gather(phi_hat, phi_band)
     for start, forward in prev._blocks(work.phases):
         block = prev._fill(start, forward, work.full[: len(forward)])
-        samples = unitary_dft(block, space_axes, inverse=True, out=work.samples[: len(block)])
-        u_hat = nonlinearity_spectrum(samples, block, grid, policy, work)
-        integrand = np.conjugate(forward, out=work.tmp[: len(block)])
+        nl_hat = nonlinearity_spectrum(block, grid, policy, work)
+        shape = (len(forward),) + band.shape
+        forward = band.gather(forward, _work_buffer(work, "samples", shape))
+        u_hat = band.gather(nl_hat, _work_buffer(work, "full", shape))
+        integrand = np.conjugate(forward, out=_work_buffer(work, "tmp", shape))
         integrand *= u_hat
         # Running sum row by row: np.cumsum along the time axis walks the
         # stack with a stride of one snapshot and is about 10x slower.
@@ -375,12 +426,13 @@ def duhamel_map(
         np.multiply(0.5, integrand, out=integrand)
         u_hat -= integrand
         np.multiply(1j * prev.dt, u_hat, out=u_hat)
-        np.subtract(phi_hat, u_hat, out=u_hat)
+        np.subtract(phi_band, u_hat, out=u_hat)
         np.multiply(forward, u_hat, out=u_hat)
-        diff = np.subtract(u_hat, block, out=integrand)
-        diffs[start : start + rows] = hsigma_norm_spectra(diff, grid, sigma, work)
-        sups[start : start + rows] = hsigma_norm_spectra(u_hat, grid, sigma, work)
-        band.gather(u_hat, prev.values[start : start + rows])
+        stored = prev.values[start : start + rows]
+        diff = np.subtract(u_hat, stored, out=integrand)
+        diffs[start : start + rows] = _band_norms(diff, grid, w2, outside_diff, work)
+        sups[start : start + rows] = _band_norms(u_hat, grid, w2, outside_image, work)
+        stored[...] = u_hat
     prev.free = phi_hat
     return float(np.max(diffs)), float(np.max(sups))
 
@@ -406,9 +458,10 @@ def picard_solve(
     The iterate is a Trajectory that keeps only policy's band (28% of the
     modes at d = 3 under the 2/3 rule, 45% at d = 2; all of them under
     none) with free spectrum phi_hat, and each map overwrites it in place
-    (duhamel_map), returning the two norms. The fixed
-    point is returned in that form: a consumer streams its physical samples
-    (Trajectory.sample_blocks) or rebuilds the rows it needs.
+    (duhamel_map), returning the two norms. The first iterate, the free
+    flow, is made on the band alone. The fixed point is returned in that
+    form: a consumer streams its physical samples (Trajectory.sample_blocks)
+    or rebuilds the rows it needs.
     """
     if T > 1.0 + 1e-12:
         raise ValueError(f"solve window must satisfy T <= 1, got {T}")
@@ -429,15 +482,21 @@ def picard_solve(
     values = np.empty((times.size,) + band.shape, dtype=np.complex128)
     current = Trajectory(grid, times, values, policy, phi.values)
     # One workspace of one block for the whole solve. The first iterate is
-    # the free flow, band and all; its norms are taken on the full rows of
-    # each block.
-    work = complex_work((min(_block_rows(grid), times.size),) + grid.shape)
+    # the free flow: its band rows are made from the band's own phases (the
+    # same recurrence, so the bits of the full rows' band), and its norms
+    # add the modes outside the band as duhamel_map does.
+    rows = _block_rows(grid)
+    work = complex_work((min(rows, times.size),) + grid.shape)
+    w2 = _band_weights(grid.d, grid.n, grid.period, policy.rule, sigma0)
+    outside = _outside_power(phi.values, grid, band, sigma0, work)
+    phi_band = band.gather(phi.values, np.empty(band.shape, np.complex128))
+    phases = _Phases(times, band.gather(grid.wavenumber_sq(), np.empty(band.shape)))
     norms = np.empty(times.size)
-    for start, forward in current._blocks(work.phases):
-        block = np.multiply(forward, phi.values, out=work.full[: len(forward)])
-        norms[start : start + len(forward)] = hsigma_norm_spectra(block, grid, sigma0, work)
-        band.gather(block, values[start : start + len(forward)])
-    del block
+    for start in range(0, times.size, rows):
+        stored = values[start : start + rows]
+        forward = phases.fill(_work_buffer(work, "phases", stored.shape))
+        np.multiply(forward, phi_band, out=stored)
+        norms[start : start + rows] = _band_norms(stored, grid, w2, outside, work)
     if phi_norm == 0.0:
         return current, history
 

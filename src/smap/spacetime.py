@@ -44,9 +44,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-# numpy 2 loads its submodules on first use; load these at import, not inside a command.
+# numpy 2 loads its submodules on first use; load this at import, not inside a command.
 import numpy.fft
-import numpy.ma  # used by np.unique
 
 from .errors import EmptyEnsemble, UnsupportedDirection, WindowTooShort
 from .grid import GridSpec

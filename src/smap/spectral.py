@@ -296,13 +296,15 @@ class RealWork(NamedTuple):
 class ComplexWork(NamedTuple):
     """Buffers a caller owns for the chart kernels on complex stacks of up to
     one shape: solver.duhamel_map, nonlinearity.nonlinearity_spectrum and
-    hsigma_norm_spectra.
+    weighted_power (hsigma_norm_spectra).
 
     full holds a block of spectra, phases their propagator phases and
     samples their physical samples; tmp and result are complex temporaries
     (a kernel's result goes into result) and real is a real one.
     _work_buffer gives the part of a buffer that a stack of a given shape
-    uses. Make one per call or solve, never per module, as with RealWork.
+    uses, so a kernel on smaller stacks (duhamel_map on the dealias band)
+    takes its views from the same buffers. Make one per call or solve,
+    never per module, as with RealWork.
     """
 
     full: np.ndarray
@@ -428,22 +430,31 @@ def hsigma_norm(u: ComplexField, sigma: float) -> float:
     return float(np.sqrt(u.grid.cell_volume * np.sum(w2 * np.abs(spec.values) ** 2)))
 
 
-def hsigma_norm_spectra(
-    spec: np.ndarray, grid: GridSpec, sigma: float, work: ComplexWork | None = None
+def weighted_power(
+    spec: np.ndarray, w2: np.ndarray, work: ComplexWork | None = None
 ) -> np.ndarray:
-    """Sobolev norms of a stack of unitary spectra, by Plancherel.
+    """w2 |spec|^2 of a stack of spectra, in work.real (or a new array).
 
     The squares of the spectra's float view go into work.tmp (in place when
     spec is work.tmp) and each point's two squares are added into
     work.real; without a workspace both are new arrays. The power has the
-    bits of square(real) + square(imag).
+    bits of square(real) + square(imag), times w2.
     """
     spec = np.ascontiguousarray(spec, dtype=np.complex128)
     squares = _work_buffer(work, "tmp", spec.shape).view(np.float64)
     np.square(spec.view(np.float64), out=squares)
     power = _work_buffer(work, "real", spec.shape, np.float64)
     np.add(squares[..., 0::2], squares[..., 1::2], out=power)
-    power *= _jsigma_sq(grid.d, grid.n, grid.period, sigma)
+    power *= w2
+    return power
+
+
+def hsigma_norm_spectra(
+    spec: np.ndarray, grid: GridSpec, sigma: float, work: ComplexWork | None = None
+) -> np.ndarray:
+    """Sobolev norms of a stack of unitary spectra, by Plancherel: the
+    weighted_power with the squared Bessel-potential weights, summed per row."""
+    power = weighted_power(spec, _jsigma_sq(grid.d, grid.n, grid.period, sigma), work)
     return np.sqrt(grid.cell_volume * np.sum(power, axis=grid_axes(spec, grid)))
 
 

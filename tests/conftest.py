@@ -60,8 +60,7 @@ def multiplied(values, grid, mult):
 def nonlinearity_samples(values, grid, policy):
     """Physical samples of the nonlinearity of one field: its one-row
     nonlinearity_spectrum, through the reference transforms."""
-    stack = values[None]
-    nl = nonlinearity_spectrum(stack, spectrum_of(stack, tuple(range(1, grid.d + 1))), grid, policy)
+    nl = nonlinearity_spectrum(spectrum_of(values[None], tuple(range(1, grid.d + 1))), grid, policy)
     return samples_of(nl[0])
 
 

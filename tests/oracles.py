@@ -56,6 +56,13 @@ def rotation_about_e1(angle):
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
+def moebius(rot, u):
+    """M_R(u) = stereo_project(R stereo_lift(u)): the chart image of the
+    target rotation R (a 3x3 matrix) applied to the physical field u."""
+    s = stereo_lift(u)
+    return stereo_project(SphereField(u.grid, u.time, np.tensordot(rot, s.values, 1)))
+
+
 def rotated_spin_wave(grid, k, amp, rot, time):
     """Chart samples of the rotated spin wave R s at time t, exact for the flow.
 
@@ -71,8 +78,7 @@ def rotated_spin_wave(grid, k, amp, rot, time):
     w = float(np.sum(k**2)) * (1.0 - amp**2) / (1.0 + amp**2)
     wave = plane_wave(grid, k, amp, time)
     wave.values *= np.exp(-1j * w * time)
-    s = stereo_lift(wave)
-    return stereo_project(SphereField(grid, time, np.tensordot(rot, s.values, 1)))
+    return moebius(rot, wave)
 
 
 def hsigma_quadrature(sample_fn, d, n, period, sigma):
@@ -470,14 +476,14 @@ def propagator_longdouble(times, k2):
     return np.cos(angle).reshape(shape), -np.sin(angle).reshape(shape)
 
 
-def duhamel_map_unblocked(phi_hat, prev_values, prev_hat, times, grid, policy):
+def duhamel_map_unblocked(phi_hat, prev_hat, times, grid, policy):
     """Spectra of the integral map over the whole time stack at once.
 
     The reference operation order: one nonlinearity over every snapshot,
     the integrand g = conj(forward) * nl_hat, its running sum S row by row,
     then forward * (phi_hat - i dt (S - (g + g_0) / 2)).
     """
-    nl_hat = nonlinearity_spectrum(prev_values, prev_hat, grid, policy)
+    nl_hat = nonlinearity_spectrum(prev_hat, grid, policy)
     forward = propagator_recurrence(times, grid.wavenumber_sq())
     integrand = np.conj(forward)
     integrand *= nl_hat
@@ -513,7 +519,6 @@ def duhamel_map_full_storage(phi_hat, spectra, times, grid, policy, sigma):
     on purpose; what it checks is the storage. Returns (max_m ||image_m - prev_m||_{H^sigma},
     max_m ||image_m||_{H^sigma}).
     """
-    axes = tuple(range(1, grid.d + 1))
     rows = _block_rows(grid)
     diffs, sups = np.empty(len(times)), np.empty(len(times))
     running = first = None
@@ -521,7 +526,7 @@ def duhamel_map_full_storage(phi_hat, spectra, times, grid, policy, sigma):
     for start in range(0, len(times), rows):
         forward = phases[start : start + rows]
         block = spectra[start : start + rows]
-        u_hat = nonlinearity_spectrum(samples_of(block, axes=axes), block, grid, policy)
+        u_hat = nonlinearity_spectrum(block, grid, policy)
         integrand = np.conj(forward)
         integrand *= u_hat
         if first is None:

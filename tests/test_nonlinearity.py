@@ -13,6 +13,7 @@ from smap.nonlinearity import (
     DealiasPolicy,
     _derivative,
     _prefactor,
+    _samples_and_gradients,
     nonlinearity_spectrum,
     sphere_rhs,
 )
@@ -23,6 +24,7 @@ from smap.spectral import (
     l2_norm,
     laplacian_values,
     to_physical,
+    unitary_dft,
 )
 
 from conftest import multiplied, nonlinearity_samples, random_smooth_field
@@ -187,7 +189,7 @@ class TestNonlinearitySpectrum:
     def test_matches_per_snapshot_oracle(self, case, policy):
         grid, vals = case
         axes = tuple(range(1, grid.d + 1))
-        got = nonlinearity_spectrum(vals, spectrum_of(vals, axes=axes), grid, policy)
+        got = nonlinearity_spectrum(spectrum_of(vals, axes=axes), grid, policy)
         oracle = nonlinearity_spectrum_direct(
             vals, grid.d, grid.n, grid.period, policy.rule == "two_thirds"
         )
@@ -197,11 +199,39 @@ class TestNonlinearitySpectrum:
     def test_stack_rows_are_one_snapshot_stacks(self, grid32, rng, policy):
         u = random_smooth_field(grid32, rng, amp=0.4)
         stack = np.stack([u.values, 0.5 * u.values, np.conj(u.values)])
-        nl_hat = nonlinearity_spectrum(stack, spectrum_of(stack, axes=(1, 2)), grid32, policy)
+        nl_hat = nonlinearity_spectrum(spectrum_of(stack, axes=(1, 2)), grid32, policy)
         for m, v in enumerate(stack):
             single = nonlinearity_samples(v, grid32, policy)
             scale = np.max(np.abs(single))
             assert np.max(np.abs(samples_of(nl_hat[m]) - single)) <= 1e-14 * scale
+
+
+class TestSharedPasses:
+    @pytest.mark.parametrize(
+        "d, n, rows", [(1, 32, 3), (2, 16, 1), (2, 64, 4), (3, 8, 5), (3, 16, 2)]
+    )
+    def test_samples_and_first_gradient_have_the_full_inverse_bits(self, d, n, rows):
+        # The samples and d_1 u are unitary_dft over every grid axis, bit for
+        # bit; d_2 u .. d_d u run the first passes before their multiplier,
+        # which moves them by rounding (at most 3.7e-16 of the largest value
+        # in these cases).
+        grid = GridSpec(d, n, 3.0)
+        rng = np.random.default_rng(d * 100 + n)
+        shape = (rows,) + grid.shape
+        u_hat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        kept = u_hat.copy()
+        axes = tuple(range(1, d + 1))
+        samples, g = np.empty(shape, complex), np.empty(shape, complex)
+        grads = [grad.copy() for grad in _samples_and_gradients(u_hat, grid, samples, g)]
+        want = [
+            unitary_dft(u_hat * _derivative(d, n, 3.0, axis), axes, inverse=True)
+            for axis in range(d)
+        ]
+        assert np.array_equal(u_hat, kept)
+        assert np.array_equal(samples, unitary_dft(u_hat, axes, inverse=True))
+        assert len(grads) == d and np.array_equal(grads[0], want[0])
+        for got, ref in zip(grads[1:], want[1:]):
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 class TestCrossRhs:
@@ -276,19 +306,16 @@ class TestSphereRhs:
 class TestDealiasPolicy:
     @pytest.mark.parametrize("policy", [NO_DEALIAS, TWO_THIRDS])
     def test_inputs_left_unchanged(self, grid32, rng, policy):
-        # The kernel dealiases its own temporaries in place, never its inputs.
+        # The kernel dealiases its own temporaries in place, never its input.
         u = random_smooth_field(grid32, rng, amp=0.4)
-        stack = np.stack([u.values, np.conj(u.values)])
-        stack_hat = spectrum_of(stack, axes=(1, 2))
-        kept = stack.copy(), stack_hat.copy()
-        nonlinearity_spectrum(stack, stack_hat, grid32, policy)
-        for now, before in zip((stack, stack_hat), kept):
-            assert np.array_equal(now, before)
+        stack_hat = spectrum_of(np.stack([u.values, np.conj(u.values)]), axes=(1, 2))
+        kept = stack_hat.copy()
+        nonlinearity_spectrum(stack_hat, grid32, policy)
+        assert np.array_equal(stack_hat, kept)
 
     def test_two_thirds_support(self, grid32, rng):
         u = random_smooth_field(grid32, rng, band=grid32.nyquist)
-        stack = u.values[None]
-        spec = nonlinearity_spectrum(stack, spectrum_of(stack, axes=(1, 2)), grid32, TWO_THIRDS)
+        spec = nonlinearity_spectrum(spectrum_of(u.values[None], axes=(1, 2)), grid32, TWO_THIRDS)
         outside = ~dealias_mask_direct(grid32.d, grid32.n, grid32.period)
         rel = np.max(np.abs(spec[0][outside])) / np.max(np.abs(spec))
         assert rel < 1e-14

@@ -717,17 +717,21 @@ class TestNoEnvironmentReads:
 
 
 # Run in a fresh interpreter: import the CLI, run picard at the default
-# config, then check what the run loaded, and only then import scipy.fft.
+# config and build one space-time window table (its np.unique returns before
+# numpy.ma is needed), then check what the run loaded, and only then import
+# scipy.fft.
 STARTUP_GUARD = """
 import sys
 
 import numpy as np
 
 import smap.cli
-from smap import spectral
+from smap import spacetime, spectral
+from smap.grid import GridSpec
 
 assert smap.cli.main(["picard", "--out", sys.argv[1]]) == 0
-loaded = {"scipy.fft", "scipy.special", "scipy.linalg", spectral.pypocketfft.__name__}
+spacetime._window_table(GridSpec(2, 8, 2.0), 1.0, 16)
+loaded = {"scipy.fft", "scipy.special", "scipy.linalg", "numpy.ma", spectral.pypocketfft.__name__}
 assert not loaded & set(sys.modules), sorted(loaded & set(sys.modules))
 
 import scipy.fft
