@@ -18,11 +18,12 @@ quadrature is second order while the propagation itself is exact. N is
 dealiased, so outside the dealias band every iterate is exactly the free
 flow W(t) phi: the iterate keeps only its band of spatial spectra (a
 Trajectory), each map overwrites it in place, and its physical samples are
-streamed block by block. A map rebuilds full rows only for the
-nonlinearity; its quadrature, its image and both of its norms run on the
-band. A solve allocates one workspace (spectral.ComplexWork) of one block,
-and every map, nonlinearity and norm of the solve writes its temporaries
-into it.
+streamed block by block. Every propagated row, a trajectory's, a map's or
+a space-time window's free rows, comes from one builder (_free_flow). A map
+rebuilds full rows only for the nonlinearity; its quadrature, its image and
+both of its norms run on the band. A solve allocates one workspace
+(spectral.ComplexWork) of one block, and every map, nonlinearity and norm
+of the solve writes its temporaries into it.
 """
 
 from __future__ import annotations
@@ -91,9 +92,9 @@ class Trajectory:
     spectrum free, a grid-shaped array, as the Duhamel map leaves it.
     picard_solve keeps its iterate and returns its fixed point in this form.
 
-    Physical samples come from sample_blocks, a stream that holds one block
-    of rows beside the stored values, each block rebuilt over its
-    propagator phases; snapshot(m) rebuilds one spectrum.
+    Its rows are read one way, rebuilt block by block from the free flow
+    (_spectra): sample_blocks streams their samples, holding one block
+    beside the stored values, and snapshot(m) rebuilds one spectrum.
     """
 
     grid: GridSpec
@@ -124,67 +125,34 @@ class Trajectory:
     def __len__(self) -> int:
         return self.times.size
 
-    def _blocks(self, buffer: np.ndarray):
-        """Yield (start, forward) per block of _block_rows rows, forward the
-        rows' propagator phases written into buffer, a stack of one block
-        with contiguous rows that the caller reads but does not write."""
-        rows = _block_rows(self.grid)
-        phases = _Phases(self.times, self.grid.wavenumber_sq())
-        for start in range(0, len(self), rows):
-            yield start, phases.fill(buffer[: min(rows, len(self) - start)])
-
-    def _fill(self, start: int, forward, out: np.ndarray) -> np.ndarray:
-        """Full spectra of the rows start.., written into out; forward holds
-        those rows' propagator phases, and may be out itself.
-
-        The free flow forward * free is formed on the whole block and the
-        band copied over it: a product on the band's complement slabs only
-        was slower (d = 3, n = 32, 2 rows: 173 against 93 us per block on
-        one core of a 2-vCPU virtual machine), as numpy walks the narrow
-        slabs in runs of 11 values. The product runs row by row: in place on
-        a row-padded stack, one product over the block copies forward first."""
-        for phase, row in zip(forward, out):
-            np.multiply(phase, self.free, out=row)
-        return self.dealias.band(self.grid).scatter(self.values[start : start + len(out)], out)
+    def _spectra(self, first: int, stop: int, out: np.ndarray | None):
+        """Yield (start, spectra): the full spectra of rows first..stop-1,
+        _free_flow's blocks of free in out with the stored band copied over."""
+        band = self.dealias.band(self.grid)
+        for start, block in _free_flow(self.grid, self.times, self.free, first, stop, out):
+            yield start, band.scatter(self.values[start : start + len(block)], block)
 
     def sample_blocks(self, first: int = 0, stop: int | None = None, out=None):
         """Yield (start, samples): the physical rows first..stop-1 (all rows
         by default) in consecutive blocks of at most _block_rows rows.
 
-        Each block's phases are written, its spectra rebuilt over them and
-        inverted in one buffer, so a yielded block is overwritten by the next
-        one; given out, a (stop - first, *grid.shape) stack with contiguous
-        rows, all of that happens in out's own rows, and each block is a row
-        slice of out. Either way the rows carry the bits of one inverse of
-        the whole stack.
+        Each block's spectra are rebuilt (_spectra) and inverted in one
+        buffer, so a yielded block is overwritten by the next one; given
+        out, a (stop - first, *grid.shape) stack with contiguous rows, all
+        of that happens in out's own rows, and each block is a row slice of
+        out. Either way the rows carry the bits of one inverse of the whole
+        stack.
         """
         stop = len(self) if stop is None else stop
         axes = tuple(range(1, self.grid.d + 1))
-        rows = _block_rows(self.grid)
-        own = out is None
-        if own:
-            out = np.empty((min(rows, stop - first),) + self.grid.shape, np.complex128)
-        phases = _Phases(self.times, self.grid.wavenumber_sq())
-        for _ in range(first):  # the rows before first, each in the first row of out
-            phases.fill(out[:1])
-        for start in range(first - first % rows, stop, rows):
-            lo, hi = max(start, first), min(start + rows, stop)
-            dest = out[: hi - lo] if own else out[lo - first : hi - first]
-            phases.fill(dest)
-            phases.hold()
-            block = self._fill(lo, dest, dest)
-            yield lo, unitary_dft(block, axes, inverse=True, out=block)
+        for start, block in self._spectra(first, stop, out):
+            yield start, unitary_dft(block, axes, inverse=True, out=block)
 
     def snapshot(self, m: int) -> ComplexField:
-        """Spectrum of snapshot m: the propagator recurrence runs to row m,
-        and that row alone is rebuilt over its phases."""
-        t = float(self.times[m])
+        """Spectrum of snapshot m, rebuilt alone (_spectra of row m)."""
         m = range(len(self))[m]
-        row = np.empty((1,) + self.grid.shape, np.complex128)
-        phases = _Phases(self.times, self.grid.wavenumber_sq())
-        for _ in range(m + 1):
-            phases.fill(row)
-        return ComplexField(self.grid, t, FREQUENCY, self._fill(m, row, row)[0])
+        _, spectra = next(self._spectra(m, m + 1, None))
+        return ComplexField(self.grid, float(self.times[m]), FREQUENCY, spectra[0])
 
 
 def uniform_times(T: float, dt: float, t0: float = 0.0) -> np.ndarray:
@@ -207,8 +175,9 @@ class _Phases:
     Uniform grids of more than two times use a stepwise recurrence (one exp
     per grid instead of one per sample): each row is the previous row times
     the step, so every row has the same bits however the rows are split.
-    The recurrence goes on from the last row filled, in the caller's array
-    unless hold() copied it apart. Other grids take one exp per row.
+    The recurrence goes on from its own copy of the last row filled, so a
+    caller may write over the rows it was given. Other grids take one exp
+    per row.
     """
 
     def __init__(self, times: np.ndarray, k2: np.ndarray):
@@ -218,32 +187,65 @@ class _Phases:
         self.step = None
         if self.times.size > 2 and np.all(np.abs(diffs - diffs[0]) < 1e-14 * (1 + abs(diffs[0]))):
             self.step = np.exp(-1j * diffs[0] * self.flat)
-        self.last = None
+        self.last = np.empty(self.flat.size, np.complex128)
         self.done = 0
 
     def fill(self, out: np.ndarray) -> np.ndarray:
         """The next len(out) rows, written into out, a (rows, *k2.shape)
         array with contiguous rows, which is returned."""
+        last = self.last
         for row in out.reshape(len(out), self.flat.size, copy=False):
             if self.step is None or self.done == 0:
                 row[...] = np.exp(-1j * self.times[self.done] * self.flat)
             else:
-                np.multiply(self.last, self.step, out=row)
+                np.multiply(last, self.step, out=row)
             self.done += 1
-            self.last = row
+            last = row
+        self.last[...] = last
         return out
 
-    def hold(self):
-        """Go on from a copy of the last row filled, so that the caller may
-        write over the rows it was given."""
-        self.last = self.last.copy()
+
+def _free_flow(grid: GridSpec, times: np.ndarray, spectrum: np.ndarray, first: int, stop: int, out):
+    """Yield (start, block): the spectra e^{-i t_m |xi|^2} spectrum of rows
+    first..stop-1 of times, in blocks of _block_rows(grid) rows aligned to
+    its multiples. out, a stack with contiguous grid-shaped rows, holds the
+    whole range (stop - first rows), each block then a row slice of it, or
+    one reused block (a new one if out is None), each block then its
+    leading rows. The rows have the same bits whatever the block size.
+
+    Each block's phases are written into its rows and multiplied by the
+    spectrum in place, row by row (on a row-padded stack one product over
+    the block copies its operand first). The product is on the whole block:
+    on the complement slabs of a dealias band only, whose modes a reader
+    then overwrites, it was slower (d = 3, n = 32, 2 rows: 173 against
+    93 us per block on one core of a 2-vCPU virtual machine), as numpy
+    walks the narrow slabs in runs of 11 values.
+    """
+    rows = _block_rows(grid)
+    if out is None:
+        out = np.empty((min(rows, stop - first),) + grid.shape, np.complex128)
+    whole = len(out) == stop - first
+    phases = _Phases(times, grid.wavenumber_sq())
+    for _ in range(first):
+        phases.fill(out[:1])  # the rows before first, in out's first row
+    for start in range(first - first % rows, stop, rows):
+        lo, hi = max(start, first), min(start + rows, stop)
+        block = phases.fill(out[lo - first : hi - first] if whole else out[: hi - lo])
+        for row in block:
+            np.multiply(row, spectrum, out=row)
+        yield lo, block
+
+
+def _band_phases(grid: GridSpec, band, times: np.ndarray) -> _Phases:
+    """The propagator recurrence on a dealias band's |xi|^2: its rows have
+    the bits of the band of the full rows' phases."""
+    return _Phases(times, band.gather(grid.wavenumber_sq(), np.empty(band.shape)))
 
 
 def propagator_stack(times: np.ndarray, k2: np.ndarray, out=None) -> np.ndarray:
-    """Phases e^{-i t_m |xi|^2} stacked over times, written into out if given.
-
-    out is a (times, *k2.shape) stack with contiguous rows, for example a
-    spectral.stack_empty one.
+    """Phases e^{-i t_m |xi|^2} stacked over times, written into out if given:
+    the phases alone, for any |xi|^2 array k2 (propagated spectra come from
+    _free_flow). out is a (times, *k2.shape) stack with contiguous rows.
 
     Uniform grids use the recurrence of _Phases. Its largest
     component error against a long-double reference at the same times is
@@ -268,8 +270,9 @@ def free_trajectory(phi: ComplexField, times: np.ndarray) -> Trajectory:
     phi_hat."""
     times = np.asarray(times, dtype=np.float64)
     phi_hat = to_frequency(phi).values
-    spectra = propagator_stack(times, phi.grid.wavenumber_sq())
-    spectra *= phi_hat
+    spectra = np.empty((times.size,) + phi.grid.shape, np.complex128)
+    for _ in _free_flow(phi.grid, times, phi_hat, 0, times.size, spectra):
+        pass
     return Trajectory(phi.grid, times, spectra, NO_DEALIAS, phi_hat)
 
 
@@ -356,7 +359,7 @@ def duhamel_map(
     must be policy's own.
 
     The time axis is walked in blocks of _block_rows(grid) snapshots: each
-    block's rows are rebuilt in full (Trajectory._fill) for one batched
+    block's rows are rebuilt in full (Trajectory._spectra) for one batched
     nonlinearity, which forms their samples itself. Everything after it
     runs on the stored band only, elementwise, so the band carries the bits
     of the same steps on full rows. The propagator recurrence, the running
@@ -370,12 +373,12 @@ def duhamel_map(
     mode, so the sums are those of phi_hat and of phi_hat - prev.free (0
     in a Picard solve). Every block temporary lives in work
     (spectral.complex_work of one block; a new one without it): the full
-    rows in work.full and their phases in work.phases, which the
-    nonlinearity reads, and its samples, gradients and result in
-    work.samples, work.tmp and work.result. Then, as band-shaped views of
-    the same buffers, the band phases go into work.samples, the
-    nonlinearity's band and then the image into work.full, and the
-    integrand and then the difference into work.tmp.
+    rows, which the nonlinearity reads, in work.full, and its samples,
+    gradients and result in work.samples, work.tmp and work.result. Then,
+    as band-shaped views of the same buffers, the band's phases
+    (_band_phases) go into work.samples, the nonlinearity's band and then
+    the image into work.full, and the integrand and then the difference
+    into work.tmp.
     """
     if abs(prev.times[0]) > 1e-14:
         raise ValueError("the integral starts at t = 0; trajectory must too")
@@ -404,11 +407,11 @@ def duhamel_map(
     # built in the buffer of its nl_hat.
     phi_band, running, first = np.empty((3,) + band.shape, np.complex128)
     band.gather(phi_hat, phi_band)
-    for start, forward in prev._blocks(work.phases):
-        block = prev._fill(start, forward, work.full[: len(forward)])
+    phases = _band_phases(grid, band, prev.times)
+    for start, block in prev._spectra(0, len(prev), work.full):
         nl_hat = nonlinearity_spectrum(block, grid, policy, work)
-        shape = (len(forward),) + band.shape
-        forward = band.gather(forward, _work_buffer(work, "samples", shape))
+        shape = (len(block),) + band.shape
+        forward = phases.fill(_work_buffer(work, "samples", shape))
         u_hat = band.gather(nl_hat, _work_buffer(work, "full", shape))
         integrand = np.conjugate(forward, out=_work_buffer(work, "tmp", shape))
         integrand *= u_hat
@@ -482,20 +485,19 @@ def picard_solve(
     values = np.empty((times.size,) + band.shape, dtype=np.complex128)
     current = Trajectory(grid, times, values, policy, phi.values)
     # One workspace of one block for the whole solve. The first iterate is
-    # the free flow: its band rows are made from the band's own phases (the
-    # same recurrence, so the bits of the full rows' band), and its norms
-    # add the modes outside the band as duhamel_map does.
+    # the free flow: the band's phases (_band_phases, as in duhamel_map) go
+    # straight into the stored rows and are multiplied by phi's band, and
+    # its norms add the modes outside the band as duhamel_map does.
     rows = _block_rows(grid)
     work = complex_work((min(rows, times.size),) + grid.shape)
     w2 = _band_weights(grid.d, grid.n, grid.period, policy.rule, sigma0)
     outside = _outside_power(phi.values, grid, band, sigma0, work)
     phi_band = band.gather(phi.values, np.empty(band.shape, np.complex128))
-    phases = _Phases(times, band.gather(grid.wavenumber_sq(), np.empty(band.shape)))
+    phases = _band_phases(grid, band, times)
     norms = np.empty(times.size)
     for start in range(0, times.size, rows):
-        stored = values[start : start + rows]
-        forward = phases.fill(_work_buffer(work, "phases", stored.shape))
-        np.multiply(forward, phi_band, out=stored)
+        stored = phases.fill(values[start : start + rows])
+        stored *= phi_band
         norms[start : start + rows] = _band_norms(stored, grid, w2, outside, work)
     if phi_norm == 0.0:
         return current, history

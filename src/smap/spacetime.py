@@ -50,7 +50,7 @@ import numpy.fft
 from .errors import EmptyEnsemble, UnsupportedDirection, WindowTooShort
 from .grid import GridSpec
 from .report import NormReport
-from .solver import Trajectory, _block_rows, propagator_stack
+from .solver import Trajectory, _block_rows, _free_flow, propagator_stack
 from .spectral import (
     PLATEAU,
     SUPPORT,
@@ -398,20 +398,15 @@ def _free_rows(phi: ComplexField, times: np.ndarray, window: np.ndarray, out: np
     written into out, a (times, *grid) stack with contiguous rows; a phi in
     frequency form is used as it is.
 
-    The propagator rows are written into out, and each time block of it is
-    multiplied by phi_hat, inverted over space and windowed while it is in
-    cache: the bits of free_trajectory's spectra inverted and windowed.
+    Each time block of out gets its spectra from the free flow
+    (solver._free_flow) and is inverted over space and windowed while it is
+    in cache: the bits of free_trajectory's spectra inverted and windowed.
     """
     grid = phi.grid
-    propagator_stack(times, grid.wavenumber_sq(), out=out)
-    phi_hat = to_frequency(phi).values.ravel()
-    rows = _block_rows(grid)
-    for start in range(0, len(out), rows):
-        block = out[start : start + rows]
-        spectra = _rows(block)
-        spectra *= phi_hat
+    phi_hat = to_frequency(phi).values
+    for start, block in _free_flow(grid, times, phi_hat, 0, len(times), out):
         unitary_dft(block, grid_axes(block, grid), inverse=True, out=block)
-        _windowed(block, window[start : start + rows])
+        _windowed(block, window[start : start + len(block)])
     return out
 
 

@@ -19,13 +19,13 @@ Contains the transforms, the smooth dyadic cutoff family (eta_shell, the
 Littlewood-Paley weights), the Bessel-potential weights and the Sobolev
 norms. The other multipliers live with the kernels that apply them: the
 derivative in nonlinearity, the free propagator's phases in solver
-(propagator_stack). A caller may hand the real Laplacian a workspace
-(RealWork), and the chart kernels and the Sobolev norms of spectra one of
-their own (ComplexWork), to write into; a workspace belongs to one call,
-solve or generator and is never shared, so concurrent callers stay
-independent. The space-time layer's member stacks (stack_empty) follow the
-same rule: one lemma_diagnostics call owns them, one per pool worker, and
-lends each to one member at a time.
+(_Phases, behind _free_flow and propagator_stack). A caller may hand the
+real Laplacian a workspace (RealWork), and the chart kernels and the
+Sobolev norms of spectra one of their own (ComplexWork), to write into; a
+workspace belongs to one call, solve or generator and is never shared, so
+concurrent callers stay independent. The space-time layer's member stacks
+(stack_empty) follow the same rule: one lemma_diagnostics call owns them,
+one per pool worker, and lends each to one member at a time.
 """
 
 from __future__ import annotations
@@ -298,9 +298,9 @@ class ComplexWork(NamedTuple):
     one shape: solver.duhamel_map, nonlinearity.nonlinearity_spectrum and
     weighted_power (hsigma_norm_spectra).
 
-    full holds a block of spectra, phases their propagator phases and
-    samples their physical samples; tmp and result are complex temporaries
-    (a kernel's result goes into result) and real is a real one.
+    full holds a block of spectra and samples their physical samples; tmp
+    and result are complex temporaries (a kernel's result goes into result)
+    and real is a real one.
     _work_buffer gives the part of a buffer that a stack of a given shape
     uses, so a kernel on smaller stacks (duhamel_map on the dealias band)
     takes its views from the same buffers. Make one per call or solve,
@@ -308,7 +308,6 @@ class ComplexWork(NamedTuple):
     """
 
     full: np.ndarray
-    phases: np.ndarray
     samples: np.ndarray
     tmp: np.ndarray
     result: np.ndarray
@@ -319,9 +318,9 @@ def complex_work(shape: tuple) -> ComplexWork:
     """Uninitialised ComplexWork for complex stacks of ``shape``, in one allocation."""
     shape = tuple(shape)
     size = math.prod(shape)
-    flat = np.empty(5 * size + (size + 1) // 2, dtype=np.complex128)
-    complex_parts = (flat[i * size : (i + 1) * size].reshape(shape) for i in range(5))
-    real = flat[5 * size :].view(np.float64)[:size].reshape(shape)
+    flat = np.empty(4 * size + (size + 1) // 2, dtype=np.complex128)
+    complex_parts = (flat[i * size : (i + 1) * size].reshape(shape) for i in range(4))
+    real = flat[4 * size :].view(np.float64)[:size].reshape(shape)
     return ComplexWork(*complex_parts, real)
 
 

@@ -56,6 +56,13 @@ def rotation_about_e1(angle):
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
+def rotation_about(axis, angle):
+    """The rotation of R^3 by angle about a unit axis (Rodrigues' formula)."""
+    x, y, z = axis
+    cross = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return np.eye(3) + math.sin(angle) * cross + (1.0 - math.cos(angle)) * (cross @ cross)
+
+
 def moebius(rot, u):
     """M_R(u) = stereo_project(R stereo_lift(u)): the chart image of the
     target rotation R (a 3x3 matrix) applied to the physical field u."""

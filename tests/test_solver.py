@@ -28,6 +28,7 @@ from smap.spectral import (
     hsigma_norm,
     hsigma_norm_spectra,
     real_work,
+    stack_empty,
     to_frequency,
     to_physical,
 )
@@ -752,6 +753,69 @@ class TestTrajectory:
         assert np.array_equal(out, want)
         stream = [block.copy() for _, block in traj.sample_blocks(4, 15)]
         assert np.array_equal(np.concatenate(stream), want)
+
+
+class TestFreeFlow:
+    """solver._free_flow builds every propagated row: e^{-i t_m |xi|^2}
+    spectrum with the same bits in the whole range or in one reused block,
+    from any first row, and a trajectory's snapshot is one row of its
+    stream."""
+
+    ROWS = 8  # rows per block, set through BLOCK_BYTES
+
+    @pytest.fixture
+    def blocks_of_eight(self, grid32, monkeypatch):
+        monkeypatch.setattr(solver, "BLOCK_BYTES", self.ROWS * 16 * grid32.num_points)
+
+    @pytest.mark.parametrize("first, stop", [(0, 33), (5, 20), (13, 14), (30, 33)])
+    def test_whole_range_and_reused_block_give_the_same_bits(
+        self, grid32, rng, blocks_of_eight, first, stop
+    ):
+        times = uniform_times(0.5, 1.0 / 64.0)
+        spectrum = to_frequency(random_smooth_field(grid32, rng)).values
+        want = propagator_stack(times, grid32.wavenumber_sq())[first:stop] * spectrum
+        aligned = first - first % self.ROWS + self.ROWS
+        starts = [first] + list(range(aligned, stop, self.ROWS))
+
+        whole = stack_empty(stop - first, grid32.shape)  # row-padded, as the window's
+        flow = solver._free_flow(grid32, times, spectrum, first, stop, whole)
+        got = [(start, block) for start, block in flow]
+        assert [start for start, _ in got] == starts
+        for start, block in got:
+            assert np.shares_memory(block, whole[start - first : start - first + len(block)])
+        assert np.array_equal(whole, want)
+
+        reused = np.empty((self.ROWS,) + grid32.shape, complex)
+        got = []
+        for start, block in solver._free_flow(grid32, times, spectrum, first, stop, reused):
+            assert np.shares_memory(block, reused[: len(block)])
+            got.append(block.copy())
+        assert np.array_equal(np.concatenate(got), want)
+
+    @pytest.mark.parametrize("policy", [TWO_THIRDS, NO_DEALIAS], ids=["two_thirds", "none"])
+    def test_snapshot_is_a_row_of_the_stream(self, grid32, rng, monkeypatch, policy):
+        phi = random_smooth_field(grid32, rng, amp=0.1)
+        traj, _ = picard_solve(phi, 0.25, 1.0 / 64.0, sigma0=SIGMA0, policy=policy)
+        monkeypatch.setattr(solver, "BLOCK_BYTES", self.ROWS * 16 * grid32.num_points)
+        stream = np.concatenate([block.copy() for _, block in traj._spectra(0, len(traj), None)])
+        for m in (0, self.ROWS - 1, self.ROWS, len(traj) - 1, -1):
+            snap = traj.snapshot(m)
+            assert snap.time == traj.times[m]
+            assert np.array_equal(snap.values, stream[m])
+
+    def test_overwritten_rows_do_not_change_later_rows(self, grid32):
+        # Each reader writes over the phase rows it was given (a product or a
+        # band copy); the recurrence goes on from its own copy of the last.
+        times = uniform_times(0.5, 1.0 / 64.0)
+        k2 = grid32.wavenumber_sq()
+        phases = solver._Phases(times, k2)
+        buffer = np.empty((5,) + k2.shape, complex)
+        got = []
+        for start in range(0, times.size, len(buffer)):
+            block = phases.fill(buffer[: min(len(buffer), times.size - start)])
+            got.append(block.copy())
+            block[...] = 0.0
+        assert np.array_equal(np.concatenate(got), propagator_stack(times, k2))
 
 
 def random_rotation(seed):

@@ -698,6 +698,31 @@ class TestOneWindowTable:
         assert [callee for _, callee in checks if callee in self.WINDOW_CALLS] == []
 
 
+class TestOneFreeFlowBuilder:
+    """The propagated rows, read off the source: the phase recurrence
+    (solver._Phases) is built only by the free-flow builder, the band's
+    phases and propagator_stack; no module asks it to hold a row, and the
+    chart workspace has no phase buffer."""
+
+    def test_phases_built_in_the_builders_only(self):
+        sites, holds = set(), []
+        for path in TestOneTransformPath.SOURCES:
+            for function, callee in _calls_by_function(path):
+                if callee.split(".")[-1] == "_Phases":
+                    sites.add((path.name, function))
+            for node in ast.walk(ast.parse(path.read_text())):
+                name = getattr(node, "attr", getattr(node, "name", None))
+                if name == "hold" and isinstance(node, (ast.Attribute, ast.FunctionDef)):
+                    holds.append((path.name, node.lineno))
+        assert sites == {
+            ("solver.py", "_free_flow"),
+            ("solver.py", "_band_phases"),
+            ("solver.py", "propagator_stack"),
+        }
+        assert holds == []
+        assert "phases" not in spectral.ComplexWork._fields
+
+
 class TestNoEnvironmentReads:
     """A run is fixed by its config file, its CLI flags and the CPUs it may
     run on: no module of the package reads the environment."""
